@@ -2,8 +2,8 @@
 
 Verbs: mul, convert, dims, cell-dims, centralizer, bratteli, semisimple,
 verify, render, enumerate.  Every verb has a ``--json`` machine-readable
-mode.  Exit codes: 0 success, 1 verification failure, 2 usage error
-(argparse's native behaviour).
+mode.  Exit codes: 0 success, 1 verification failure, 2 usage or input
+error (one stderr line, as argparse does).
 """
 
 from __future__ import annotations
@@ -40,30 +40,41 @@ def _spec_for(args, k):
     return AlgebraSpec(args.algebra, k, delta, dp if dp is not None else 1)
 
 
-def _element_from_file(args, path):
-    obj = _read_json(path)
+def _element_from_json(args, obj):
+    """The element of an element JSON object; its k is ``"k"`` when present,
+    otherwise the common k of its terms.  Input errors exit 2."""
     ks = {Diagram.from_json(t["diagram"]).k for t in obj["terms"]}
-    if len(ks) != 1:
-        raise SystemExit("element terms must share one k")
-    return Element.from_json(_spec_for(args, ks.pop()), obj)
+    if "k" in obj:
+        ks.add(obj["k"])
+    k = ks.pop() if len(ks) == 1 else None
+    if type(k) is not int or k < 0:
+        print('element needs one k: a nonnegative integer "k", or terms that share one',
+              file=sys.stderr)
+        raise SystemExit(2)
+    return Element.from_json(_spec_for(args, k), obj)
+
+
+def _print_element_json(x):
+    """An element's JSON with its "k", so that a zero element reads back."""
+    print(json.dumps({"k": x.spec.k, **x.to_json()}))
 
 
 def cmd_mul(args):
-    x = _element_from_file(args, args.x)
-    y = _element_from_file(args, args.y)
+    x = _element_from_json(args, _read_json(args.x))
+    y = _element_from_json(args, _read_json(args.y))
     out = x * y
     if args.json:
-        print(json.dumps(out.to_json()))
+        _print_element_json(out)
     else:
         print(out)
     return 0
 
 
 def cmd_convert(args):
-    x = _element_from_file(args, args.element)
+    x = _element_from_json(args, _read_json(args.element))
     out = change_basis(x, args.to)
     if args.json:
-        print(json.dumps(out.to_json()))
+        _print_element_json(out)
     else:
         print(out)
     return 0
@@ -104,6 +115,9 @@ def cmd_centralizer(args):
     if args.k == 4 and not args.allow_k4:
         print("k = 4 has 3^8 unknowns; pass --allow-k4 to proceed", file=sys.stderr)
         return 2
+    if args.q in (0, 1, -1):
+        print("centralizer needs q outside {0, 1, -1}", file=sys.stderr)
+        return 2
     dim = repn.commutant_dim(args.k, args.q, args.group)
     if args.json:
         print(json.dumps({"k": args.k, "q": str(args.q), "group": args.group,
@@ -132,7 +146,10 @@ def cmd_bratteli(args):
 
 
 def cmd_semisimple(args):
-    ok, bad = qcriteria.ptl_semisimple_witness(args.k, args.q)
+    if args.q == 0:
+        print("semisimple needs a nonzero q", file=sys.stderr)
+        return 2
+    ok, bad = qcriteria.tl_semisimple_witness(args.k, args.q)
     if args.json:
         payload = {"k": args.k, "q": str(args.q), "semisimple": ok}
         if not ok:
@@ -165,9 +182,9 @@ def cmd_render(args):
     obj = _read_json(args.input)
     cfg = repn.RepConfig(args.alpha, args.sign)
     if "terms" in obj:
-        x = _element_from_file_obj(args, obj)
+        x = _element_from_json(args, obj)
         if args.format == "json":
-            print(json.dumps(x.to_json()))
+            _print_element_json(x)
         elif args.format == "ascii":
             print(ascii_element(x))
         elif args.format == "matrix":
@@ -185,13 +202,6 @@ def cmd_render(args):
         else:
             print(tikz_diagram(d))
     return 0
-
-
-def _element_from_file_obj(args, obj):
-    ks = {Diagram.from_json(t["diagram"]).k for t in obj["terms"]}
-    if len(ks) != 1:
-        raise SystemExit("element terms must share one k")
-    return Element.from_json(_spec_for(args, ks.pop()), obj)
 
 
 def cmd_enumerate(args):

@@ -317,12 +317,7 @@ def subdiagrams(d):
     """All diagrams obtained from a partial Brauer ``d`` by excising edges."""
     if not d.is_partial_brauer():
         raise ValueError("subdiagrams require a partial Brauer diagram")
-    es = d.edges()
-    out = []
-    for r in range(len(es) + 1):
-        for keep in itertools.combinations(es, len(es) - r):
-            out.append(Diagram.from_edges(d.k, keep))
-    return out
+    return [sub for sub, _ in removals(d, d.edges())]
 
 
 def removals(d, edge_pool):

@@ -1,10 +1,11 @@
 """Exact sparse matrices and fraction-based Gaussian elimination.
 
-Matrices carry scalars from any of the exact rings in :mod:`ptlalg.scalar`;
-no zero entries are stored.  Rank and nullity computations reduce sparse
-rows over ``Fraction`` with partial support-driven pivoting, which keeps
-the arithmetic exact and the fill-in tolerable at the sizes this package
-needs (a few thousand unknowns at most).
+Matrices carry entries from any exact ring: the scalars of
+:mod:`ptlalg.scalar`, or algebra elements (the blocks of :mod:`ptlalg.ptl`).
+No zero entries are stored, and no entry is ever added to the int 0.  Rank
+and nullity computations reduce sparse rows over ``Fraction`` with partial
+support-driven pivoting, which keeps the arithmetic exact and the fill-in
+tolerable at the sizes this package needs (a few thousand unknowns at most).
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ class SparseMatrix:
             self.entries.pop((r, c), None)
 
     def add_at(self, r, c, v):
-        self.set(r, c, self.entries.get((r, c), 0) + v)
+        rc = (r, c)
+        self.set(r, c, self.entries[rc] + v if rc in self.entries else v)
 
     def nnz(self):
         return len(self.entries)
@@ -61,15 +63,11 @@ class SparseMatrix:
         self._check_shape(other)
         out = dict(self.entries)
         for rc, v in other.entries.items():
-            out[rc] = out.get(rc, 0) + v
+            out[rc] = out[rc] + v if rc in out else v
         return SparseMatrix(self.nrows, self.ncols, out)
 
     def __sub__(self, other):
-        self._check_shape(other)
-        out = dict(self.entries)
-        for rc, v in other.entries.items():
-            out[rc] = out.get(rc, 0) - v
-        return SparseMatrix(self.nrows, self.ncols, out)
+        return self + -other
 
     def __neg__(self):
         return SparseMatrix(self.nrows, self.ncols,
@@ -93,7 +91,8 @@ class SparseMatrix:
         for (r, m), v in self.entries.items():
             for (c, w) in by_row.get(m, ()):
                 key = (r, c)
-                out[key] = out.get(key, 0) + v * w
+                p = v * w
+                out[key] = out[key] + p if key in out else p
         return SparseMatrix(self.nrows, other.ncols, out)
 
     def transpose(self):

@@ -16,7 +16,7 @@ from math import comb
 
 from .algebra import AlgebraSpec, Element, change_basis
 from .diagram import (balanced_motzkin_stratum, diagram_of, n_subsets, triple_of)
-from .linalg import Echelon
+from .linalg import Echelon, SparseMatrix
 from .scalar import DeltaPoly, evaluate_delta
 
 
@@ -71,75 +71,14 @@ def tl_entry_spec(spec, n):
     return AlgebraSpec("tl", n, spec.delta - 1)
 
 
-class BlockElement:
-    """A matrix over TL_n(delta-1) indexed by n-subsets of {1..k} in colex order."""
-
-    __slots__ = ("spec", "n", "k", "subsets", "entries")
-
-    def __init__(self, spec, n, k, entries=None):
-        self.spec = spec
-        self.n = n
-        self.k = k
-        self.subsets = n_subsets(k, n)
-        self.entries = {}
-        if entries:
-            for ij, el in entries.items():
-                if el:
-                    self.entries[ij] = el
-
-    @property
-    def size(self):
-        return len(self.subsets)
-
-    def entry(self, i, j):
-        el = self.entries.get((i, j))
-        if el is None:
-            return Element.zero(tl_entry_spec(self.spec, self.n))
-        return el
-
-    def __mul__(self, other):
-        if (self.spec, self.n, self.k) != (other.spec, other.n, other.k):
-            raise ValueError("blocks from different strata")
-        by_row = {}
-        for (r, c), el in other.entries.items():
-            by_row.setdefault(r, []).append((c, el))
-        out = {}
-        for (r, m), el in self.entries.items():
-            for (c, el2) in by_row.get(m, ()):
-                prod = el * el2
-                if prod:
-                    key = (r, c)
-                    out[key] = out[key] + prod if key in out else prod
-        return BlockElement(self.spec, self.n, self.k, out)
-
-    def __add__(self, other):
-        if (self.spec, self.n, self.k) != (other.spec, other.n, other.k):
-            raise ValueError("blocks from different strata")
-        out = dict(self.entries)
-        for ij, el in other.entries.items():
-            out[ij] = out[ij] + el if ij in out else el
-        return BlockElement(self.spec, self.n, self.k, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, BlockElement):
-            return NotImplemented
-        return ((self.spec, self.n, self.k) == (other.spec, other.n, other.k)
-                and self.entries == other.entries)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def is_zero(self):
-        return not self.entries
-
-    def __repr__(self):
-        return "BlockElement(n=%d, k=%d, %d nonzero entries)" % (
-            self.n, self.k, len(self.entries))
-
-
 def to_block(x, n=None):
-    """Transport a bar-coordinate element supported on one stratum to its block."""
+    """Transport a bar-coordinate element supported on one stratum to its block.
+
+    The block is a binom(k,n)-square :class:`SparseMatrix` with
+    TL_n(delta - 1) :class:`Element` entries; row and column i are the i-th
+    n-subset of {1..k} in colexicographic order.  With ``n`` given, the
+    zero element maps to the empty block.
+    """
     if x.basis != "bar":
         raise ValueError("to_block expects bar coordinates")
     strata = {d.n_edges() for d in x.terms}
@@ -149,28 +88,25 @@ def to_block(x, n=None):
         n = strata.pop()
     elif strata - {n}:
         raise ValueError("support crosses stratum %d" % (n,))
-    k = x.spec.k
-    idx = {A: i for i, A in enumerate(n_subsets(k, n))}
+    subsets = n_subsets(x.spec.k, n)
+    idx = {A: i for i, A in enumerate(subsets)}
     tspec = tl_entry_spec(x.spec, n)
-    entries = {}
+    block = SparseMatrix(len(subsets), len(subsets))
     for d, c in x.terms.items():
         A, t, B = triple_of(d)
-        key = (idx[A], idx[B])
-        term = Element.of(tspec, t, c)
-        entries[key] = entries[key] + term if key in entries else term
-    return BlockElement(x.spec, n, k, entries)
+        block.add_at(idx[A], idx[B], Element.of(tspec, t, c))
+    return block
 
 
-def from_block(block):
-    """Inverse of :func:`to_block`."""
+def from_block(spec, n, block):
+    """Inverse of :func:`to_block` for the stratum X(n) of ``spec``."""
+    subsets = n_subsets(spec.k, n)
     terms = {}
     for (i, j), el in block.entries.items():
-        A = block.subsets[i]
-        B = block.subsets[j]
         for t, c in el.terms.items():
-            d = diagram_of(A, t, B, block.k)
+            d = diagram_of(subsets[i], t, subsets[j], spec.k)
             terms[d] = terms.get(d, 0) + c
-    return Element(block.spec, terms, "bar")
+    return Element(spec, terms, "bar")
 
 
 # -- generated subalgebra dimension ---------------------------------------------

@@ -101,17 +101,14 @@ def tl_semisimple_witness(k, q0):
 
 def ptl_semisimple(k, q0):
     """Semisimplicity of the k-strand partial Temperley-Lieb algebra at
-    delta = 1 +- (q0 + q0^-1): needs every block's entry algebra, a
-    Temperley-Lieb algebra on n <= k strands at +-(q0 + q0^-1), semisimple."""
-    return all(tl_semisimple(n, q0) for n in range(k + 1))
+    delta = 1 +- (q0 + q0^-1).
 
-
-def ptl_semisimple_witness(k, q0):
-    for n in range(k + 1):
-        ok, bad = tl_semisimple_witness(n, q0)
-        if not ok:
-            return False, bad
-    return True, None
+    Every block's entry algebra is a Temperley-Lieb algebra on n <= k
+    strands at +-(q0 + q0^-1), semisimple when <m>_q0 != 0 for all m <= n.
+    The condition for n = k contains those for every smaller n, so this is
+    :func:`tl_semisimple` on k strands.
+    """
+    return tl_semisimple(k, q0)
 
 
 # -- symbolic root-of-unity tests ------------------------------------------------
@@ -125,23 +122,21 @@ def cyclotomic(n):
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly = _polydiv_exact(poly, cyclotomic(d))
+            poly, rem = _polydivmod(poly, cyclotomic(d))
+            if any(rem):
+                raise ArithmeticError("inexact polynomial division")
     return tuple(poly)
 
 
-def _polydiv_exact(num, den):
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        coef = num[i + len(den) - 1] / den[-1]
-        out[i] = coef
+def _polydivmod(num, den):
+    """(quotient, remainder) of ascending coefficient lists; ``den`` is monic."""
+    rem = list(num)
+    quot = [0] * max(len(num) - len(den) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        coef = quot[i] = rem[i + len(den) - 1]
         for j, dc in enumerate(den):
-            num[i + j] -= coef * dc
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("inexact polynomial division")
-    assert all(c.denominator == 1 for c in out)
-    return [int(c) for c in out]
+            rem[i + j] -= coef * dc
+    return quot, rem[: len(den) - 1]
 
 
 def vanishes_at_primitive_root(p, ell):
@@ -156,15 +151,8 @@ def vanishes_at_primitive_root(p, ell):
     coeffs = [0] * (p.max_exponent() + shift + 1)
     for e, c in p.coeffs.items():
         coeffs[e + shift] = c
-    den = list(cyclotomic(ell))
-    num = [Fraction(c) for c in coeffs]
-    if len(num) < len(den):
-        return False
-    for i in range(len(num) - len(den), -1, -1):
-        coef = num[i + len(den) - 1] / den[-1]
-        for j, dc in enumerate(den):
-            num[i + j] -= coef * dc
-    return not any(num)
+    _, rem = _polydivmod(coeffs, cyclotomic(ell))
+    return not any(rem)
 
 
 def tl_semisimple_at_root_of_unity(k, ell):

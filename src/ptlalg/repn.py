@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Echelon, SparseMatrix
+from .linalg import SparseMatrix, nullity, rank_of_rows
 from .scalar import DeltaPoly, LaurentPoly, evaluate_q
 
 LETTERS = (1, 0, -1)  # site basis order: v_1, v_0, v_-1
@@ -167,7 +167,8 @@ def element_matrix(x, cfg):
     for d, c in x.terms.items():
         if isinstance(c, DeltaPoly):
             c = substitute_delta(c, cfg.sign)
-        m = m + diagram_matrix(d, cfg).scale(c)
+        for (r, col), v in diagram_matrix(d, cfg).entries.items():
+            m.add_at(r, col, c * v)
     return m
 
 
@@ -253,15 +254,6 @@ GL2_GENERATORS = ("E", "F", "K1", "K2")
 SL2_GENERATORS = ("E", "F", "K")
 
 
-def _numeric(matrix, q0):
-    out = {}
-    for rc, v in matrix.entries.items():
-        val = evaluate_q(v, q0) if isinstance(v, LaurentPoly) else Fraction(v)
-        if val:
-            out[rc] = val
-    return out
-
-
 def commutant_dim(k, q0, group="gl2"):
     """dim of the space of matrices commuting with the generator action.
 
@@ -298,10 +290,10 @@ def commutant_dim(k, q0, group="gl2"):
         return rows.setdefault(key, {})
 
     for g in ("E", "F"):
-        gm = _numeric(qgen_matrix(g, k), q0)
+        gm = qgen_matrix(g, k).map_values(lambda v: evaluate_q(v, q0))
         by_row = {}
         by_col = {}
-        for (r, c), v in gm.items():
+        for (r, c), v in gm.entries.items():
             by_row.setdefault(r, []).append((c, v))
             by_col.setdefault(c, []).append((r, v))
         for (u, v), idx in unknowns.items():
@@ -314,45 +306,15 @@ def commutant_dim(k, q0, group="gl2"):
                 eq = equation((g, r, v))
                 eq[idx] = eq.get(idx, 0) - val
 
-    ech = Echelon()
-    for eq in rows.values():
-        ech.add(eq)
-    return len(unknowns) - ech.rank
+    return nullity(rows.values(), len(unknowns))
 
 
 def representation_rank(elements, q0, cfg):
     """Rank of the span of the flattened matrices of the given elements."""
     q0 = Fraction(q0)
-    ech = Echelon()
-    for x in elements:
-        mat = element_matrix_numeric(x, q0, cfg)
-        ech.add(mat)
-    return ech.rank
-
-
-def element_matrix_numeric(x, q0, cfg):
-    """Flattened numeric matrix of an element at a rational q0, as a dict."""
-    from .algebra import change_basis
-    from .scalar import evaluate_delta, substitute_delta
-    x = change_basis(x, "diagram")
-    delta0 = evaluate_q(cfg.delta_value(), q0)
-    out = {}
-    for d, c in x.terms.items():
-        if isinstance(c, DeltaPoly):
-            cval = evaluate_delta(c, delta0)
-        elif isinstance(c, LaurentPoly):
-            cval = evaluate_q(c, q0)
-        else:
-            cval = Fraction(c)
-        if not cval:
-            continue
-        for rc, v in _numeric(diagram_matrix(d, cfg), q0).items():
-            nv = out.get(rc, Fraction(0)) + cval * v
-            if nv:
-                out[rc] = nv
-            else:
-                out.pop(rc, None)
-    return out
+    rows = (element_matrix(x, cfg).map_values(lambda v: evaluate_q(v, q0)).entries
+            for x in elements)
+    return rank_of_rows(rows)
 
 
 # -- branching combinatorics ----------------------------------------------------

@@ -138,9 +138,7 @@ def check_block_isomorphism(kcap):
                         return False, "cross-stratum product nonzero"
                     continue
                 lhs = blocks[d1] * blocks[d2]
-                rhs = (ptl.to_block(prod, d1.n_edges()) if prod
-                       else ptl.BlockElement(spec, d1.n_edges(), k))
-                if lhs != rhs:
+                if lhs != ptl.to_block(prod, d1.n_edges()):
                     return False, "block transport fails at %r, %r" % (d1, d2)
     return True, "block transport verified for k <= %d" % kmax
 

@@ -17,8 +17,7 @@ from ptlalg.cells import (act_on_path, bar_act, bar_path, cell_action,
 from ptlalg.diagram import (balanced_motzkin_diagrams, compose, gen_b, gen_e,
                             gen_l, gen_p, gen_r, motzkin_diagrams,
                             tl_diagrams)
-from ptlalg.ptl import (BlockElement, generated_dimension, ptl_dimension,
-                        to_block)
+from ptlalg.ptl import generated_dimension, ptl_dimension, to_block
 from ptlalg.qcriteria import (balanced_q_factorial, jones_identity_symbolic,
                               ptl_semisimple, q_int, tl_semisimple)
 from ptlalg.repn import (RepConfig, SL2_GENERATORS, b_matrix, commutant_dim,
@@ -154,8 +153,7 @@ def test_criterion_6_block_isomorphism_and_generators():
             if d1.n_edges() != d2.n_edges():
                 ok &= prod.is_zero()
                 continue
-            rhs = (to_block(prod, d1.n_edges()) if prod
-                   else BlockElement(spec, d1.n_edges(), 3))
+            rhs = to_block(prod, d1.n_edges())
             ok &= blocks[d1] * blocks[d2] == rhs
     for k in (2, 3):
         kspec = AlgebraSpec("ptl", k)

@@ -4,9 +4,11 @@ import json
 import subprocess
 import sys
 
-from ptlalg.algebra import Element, motzkin_spec, tilde_of
+import pytest
+
+from ptlalg.algebra import Element, motzkin_spec, ptl_spec, tilde_of
 from ptlalg.cli import main
-from ptlalg.diagram import Diagram, gen_e, motzkin_diagrams
+from ptlalg.diagram import Diagram, gen_e, motzkin_diagrams, omega
 from ptlalg.render import ascii_diagram, ascii_element
 
 
@@ -51,6 +53,10 @@ def test_centralizer(capsys):
     assert json.loads(out)["dimension"] == 9
     assert main(["centralizer", "--k", "4", "--q", "2"]) == 2  # needs --allow-k4
     assert main(["centralizer", "--k", "5", "--q", "2"]) == 2
+    for q in ("0", "1", "-1"):
+        capsys.readouterr()
+        assert main(["centralizer", "--k", "2", "--q", q]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 def test_bratteli(capsys):
@@ -63,6 +69,8 @@ def test_bratteli(capsys):
 def test_semisimple(capsys):
     code, out = run_cli(["semisimple", "--k", "5", "--q", "2", "--json"], capsys)
     assert code == 0 and json.loads(out)["semisimple"] is True
+    assert main(["semisimple", "--k", "3", "--q", "0"]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 def test_enumerate(capsys):
@@ -93,6 +101,52 @@ def test_mul_and_convert(tmp_path, capsys):
     conv = Element.from_json(M3, json.loads(out))
     from ptlalg.algebra import change_basis
     assert change_basis(conv, "diagram") == x
+
+
+def test_zero_product_reads_back(tmp_path, capsys):
+    # bar elements from different strata of PTL_2 multiply to zero
+    spec = ptl_spec(2)
+    x = Element.of(spec, gen_e(1, 2), 1, "bar")
+    y = Element.of(spec, omega(2), 1, "bar")
+    fx = tmp_path / "x.json"
+    fy = tmp_path / "y.json"
+    fx.write_text(json.dumps(x.to_json()))
+    fy.write_text(json.dumps(y.to_json()))
+    code, out = run_cli(["mul", str(fx), str(fy), "--algebra", "ptl", "--json"], capsys)
+    assert code == 0
+    zero = json.loads(out)
+    assert zero == {"k": 2, "basis": "bar", "terms": []}
+    fz = tmp_path / "zero.json"
+    fz.write_text(out)
+    code, out = run_cli(["convert", str(fz), "--algebra", "ptl", "--to", "tilde",
+                         "--json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"k": 2, "basis": "tilde", "terms": []}
+
+
+def test_element_k_errors_exit_2(tmp_path, capsys):
+    M2 = motzkin_spec(2)
+    e1 = {"diagram": gen_e(1, 2).to_json(), "coeff": "1"}
+    e1_k3 = {"diagram": gen_e(1, 3).to_json(), "coeff": "1"}
+    bad = {
+        "mixed.json": {"terms": [e1, e1_k3]},
+        "mismatch.json": {"k": 3, "terms": [e1]},
+        "empty.json": {"terms": []},
+        "negative.json": {"k": -1, "terms": []},
+        "text.json": {"k": "2", "terms": [e1]},
+    }
+    for name, obj in bad.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(Element.of(M2, gen_e(1, 2)).to_json()))
+    for name in bad:
+        f = str(tmp_path / name)
+        for args in (["mul", f, str(good)], ["convert", f, "--to", "bar"],
+                     ["render", f]):
+            with pytest.raises(SystemExit) as exc:
+                main(args)
+            assert exc.value.code == 2, (name, args)
+            assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 def test_render_round_trip(tmp_path, capsys):

@@ -1,15 +1,17 @@
 """Strata, block transport, orthogonal ideals, and the generators theorem."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from ptlalg.algebra import AlgebraSpec, Element, bar_multiply, change_basis, epsilon
-from ptlalg.diagram import (balanced_motzkin_diagrams, gen_e, gen_l, gen_r,
-                            motzkin_diagrams)
-from ptlalg.ptl import (BlockElement, PTLBasis, decompose_x, from_block,
+from ptlalg.diagram import (balanced_motzkin_diagrams, balanced_motzkin_stratum,
+                            gen_e, gen_l, gen_r, motzkin_diagrams, triple_of)
+from ptlalg.ptl import (PTLBasis, decompose_x, from_block,
                         generated_dimension, ptl_dimension, strata_dims,
                         to_block)
+from ptlalg.scalar import DeltaPoly
 
 
 def test_dimension_formula():
@@ -60,7 +62,7 @@ def test_block_transport_all_pairs():
                 n = d1.n_edges()
                 prod = bar_multiply(spec, d1, d2)
                 lhs = blocks[d1] * blocks[d2]
-                rhs = to_block(prod, n) if prod else BlockElement(spec, n, k)
+                rhs = to_block(prod, n)
                 assert lhs == rhs
 
 
@@ -68,7 +70,31 @@ def test_block_round_trip():
     spec = AlgebraSpec("ptl", 3)
     for d in balanced_motzkin_diagrams(3):
         x = Element.of(spec, d, 1, "bar")
-        assert from_block(to_block(x)) == x
+        assert from_block(spec, d.n_edges(), to_block(x)) == x
+    # k = 4, n = 2: four terms with delta-polynomial coefficients, two of
+    # them (the two TL_2 diagrams) in one block entry
+    spec4 = AlgebraSpec("ptl", 4)
+    delta = DeltaPoly.gen()
+    by_entry = {}
+    for d in balanced_motzkin_stratum(2, 4):
+        A, _, B = triple_of(d)
+        by_entry.setdefault((A, B), []).append(d)
+    entries = list(by_entry.values())
+    support = entries[0] + [entries[7][0], entries[-1][1]]
+    coeffs = [delta, 2 * delta * delta - 1, Fraction(3, 2), delta - 3]
+    x = Element(spec4, dict(zip(support, coeffs)), "bar")
+    block = to_block(x)
+    assert (block.nrows, block.ncols, block.nnz()) == (comb(4, 2), comb(4, 2), 3)
+    assert from_block(spec4, 2, block) == x
+
+
+def test_zero_element_is_the_empty_block():
+    spec = AlgebraSpec("ptl", 4)
+    zero = Element.zero(spec, "bar")
+    for n in range(5):
+        block = to_block(zero, n)
+        assert block.is_zero()
+        assert (block.nrows, block.ncols) == (comb(4, n), comb(4, n))
 
 
 def test_to_block_rejects_mixed_strata():

@@ -62,6 +62,10 @@ def test_root_of_unity_symbolic():
     assert vanishes_at_primitive_root(balanced_q_int(2), 4)
     assert not tl_semisimple_at_root_of_unity(2, 4)
     assert tl_semisimple_at_root_of_unity(1, 4)
+    # nonzero and shorter than Phi_ell, so never divisible by it
+    assert not vanishes_at_primitive_root(q + 1, 3)
+    assert not vanishes_at_primitive_root(LaurentPoly.one(), 5)
+    assert not vanishes_at_primitive_root(qi + q * q, 12)
     # scan: <n>_q vanishes at a primitive ell-th root iff (q^2 has order m > 1
     # dividing n), for all n <= 10
     for n in range(1, 11):
@@ -87,3 +91,10 @@ def test_cyclotomics():
     assert list(cyclotomic(4)) == [1, 0, 1]
     assert list(cyclotomic(6)) == [1, -1, 1]
     assert list(cyclotomic(12)) == [1, 0, -1, 0, 1]
+    # prod_{d | n} Phi_d = q^n - 1
+    for n in range(1, 31):
+        prod = LaurentPoly.one()
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = prod * LaurentPoly(dict(enumerate(cyclotomic(d))))
+        assert prod == LaurentPoly({n: 1, 0: -1})

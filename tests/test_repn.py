@@ -223,6 +223,11 @@ def test_representation_rank():
         assert representation_rank(tilde_basis, 2, cfg) == ptl_dimension(k)
         diagram_basis = [Element.of(spec, d) for d in motzkin_diagrams(k)]
         assert representation_rank(diagram_basis, 2, cfg) == len(diagram_basis)
+    # delta = 1 - (q + q^-1) = -3/2 at q = 2 kills (delta + 3/2) e_1;
+    # delta = 1 + (q + q^-1) = 7/2 does not
+    x = Element.of(motzkin_spec(2), gen_e(1, 2), DeltaPoly.gen() + Fraction(3, 2))
+    assert representation_rank([x], 2, RepConfig(sign="-")) == 0
+    assert representation_rank([x], 2, RepConfig(sign="+")) == 1
 
 
 def test_pieri_dims():
