@@ -3,7 +3,7 @@
 Verbs: mul, convert, dims, cell-dims, centralizer, bratteli, semisimple,
 verify, render, enumerate.  Every verb has a ``--json`` machine-readable
 mode.  Exit codes: 0 success, 1 verification failure, 2 usage or input
-error (one stderr line, as argparse does).
+error (one stderr line).
 """
 
 from __future__ import annotations
@@ -25,6 +25,23 @@ def _fraction(text):
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError("not a rational number: %r" % (text,)) from exc
+
+
+def _nonnegative_int(text):
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("not a nonnegative integer: %r" % (text,))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line and exits 2."""
+
+    def error(self, message):
+        self.exit(2, "%s: error: %s\n" % (self.prog, message))
 
 
 def _read_json(path):
@@ -221,7 +238,7 @@ def cmd_enumerate(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ptl",
         description="Exact computations in the partial Temperley-Lieb tower")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -247,18 +264,18 @@ def build_parser():
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("dims", help="dimension strata of the algebra")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_nonnegative_int, required=True)
     common(p)
     p.set_defaults(fn=cmd_dims)
 
     p = sub.add_parser("cell-dims", help="cell module dimension table")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_nonnegative_int, required=True)
     p.add_argument("--algebra", default="ptl", choices=("tl", "motzkin", "ptl"))
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_cell_dims)
 
     p = sub.add_parser("centralizer", help="exact commutant dimension on tensor space")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_nonnegative_int, required=True)
     p.add_argument("--q", type=_fraction, default=Fraction(2))
     p.add_argument("--group", default="gl2", choices=("gl2", "sl2"))
     p.add_argument("--allow-k4", action="store_true")
@@ -266,12 +283,12 @@ def build_parser():
     p.set_defaults(fn=cmd_centralizer)
 
     p = sub.add_parser("bratteli", help="branching path counts per level")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_nonnegative_int, required=True)
     common(p)
     p.set_defaults(fn=cmd_bratteli)
 
     p = sub.add_parser("semisimple", help="semisimplicity verdict at a rational q")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_nonnegative_int, required=True)
     p.add_argument("--q", type=_fraction, required=True)
     common(p)
     p.set_defaults(fn=cmd_semisimple)
@@ -279,7 +296,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--suite", default="all",
                    choices=("all",) + tuple(verify.SUITES))
-    p.add_argument("--k", type=int, default=3, choices=(2, 3, 4),
+    p.add_argument("--k", type=_nonnegative_int, default=3, choices=(2, 3, 4),
                    help="exhaustive-range cap (4 is the documented opt-in)")
     common(p)
     p.set_defaults(fn=cmd_verify)
@@ -299,8 +316,8 @@ def build_parser():
     p.add_argument("--kind", required=True,
                    choices=("partial-brauer", "motzkin", "tl",
                             "balanced-motzkin", "balanced-motzkin-n"))
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, default=None, help="stratum (edge count)")
+    p.add_argument("--k", type=_nonnegative_int, required=True)
+    p.add_argument("--n", type=_nonnegative_int, default=None, help="stratum (edge count)")
     common(p)
     p.set_defaults(fn=cmd_enumerate)
 

@@ -1,16 +1,19 @@
-"""Exact sparse matrices and fraction-based Gaussian elimination.
+"""Exact sparse matrices and fraction-free Gaussian elimination.
 
 Matrices carry entries from any exact ring: the scalars of
 :mod:`ptlalg.scalar`, or algebra elements (the blocks of :mod:`ptlalg.ptl`).
 No zero entries are stored, and no entry is ever added to the int 0.  Rank
-and nullity computations reduce sparse rows over ``Fraction`` with partial
-support-driven pivoting, which keeps the arithmetic exact and the fill-in
-tolerable at the sizes this package needs (a few thousand unknowns at most).
+and nullity computations take sparse rows of ints and Fractions, clear their
+denominators once, and eliminate over the integers (Bareiss-style
+cross-multiplication, each row divided by its content), which keeps the
+arithmetic exact and the fill-in tolerable at the sizes this package needs
+(a few thousand unknowns at most).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class SparseMatrix:
@@ -126,29 +129,58 @@ class SparseMatrix:
         return "SparseMatrix(%dx%d, %d entries)" % (self.nrows, self.ncols, self.nnz())
 
 
-class Echelon:
-    """Incremental reduced row echelon form over Fraction.
+def _content(row):
+    """The gcd of a nonempty integer row's entries (always positive)."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            break
+    return g
 
-    Rows are sparse dicts keyed by an arbitrary orderable column label.
-    Pivot rows are kept fully reduced against one another, so reducing an
-    incoming row is a single pass in any column order.
+
+def _eliminate(row, a, prow, b):
+    """``row <- (b/g)*row - (a/g)*prow`` in place, with ``g = gcd(a, b)``.
+
+    ``a`` and ``b`` are the entries of ``row`` and ``prow`` in one column,
+    which the update clears; ``b`` must be positive.
+    """
+    g = gcd(a, b)
+    s, t = b // g, a // g
+    if s != 1:
+        for c in row:
+            row[c] *= s
+    for c, v in prow.items():
+        nv = row.get(c, 0) - t * v
+        if nv:
+            row[c] = nv
+        else:
+            del row[c]
+
+
+class Echelon:
+    """Incremental reduced row echelon form over the integers.
+
+    Rows are sparse dicts keyed by an arbitrary orderable column label, with
+    int or Fraction values.  Each incoming row is scaled to integers once;
+    stored pivot rows are primitive (content 1) with a positive entry in
+    their pivot column, the least column of their support.  Pivot rows are
+    kept fully reduced against one another, so reducing an incoming row is a
+    single pass in any column order.
     """
 
     def __init__(self):
-        self.pivots = {}  # pivot column label -> reduced row (dict)
+        self.pivots = {}  # pivot column label -> primitive integer row (dict)
 
     def _reduce(self, row):
         row = {c: Fraction(v) for c, v in row.items() if v}
+        den = lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
         for col in list(row):
-            coef = row.get(col)
-            if not coef or col not in self.pivots:
-                continue
-            for c, v in self.pivots[col].items():
-                nv = row.get(c, Fraction(0)) - coef * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
+            a = row.get(col)
+            if a and col in self.pivots:
+                prow = self.pivots[col]
+                _eliminate(row, a, prow, prow[col])
         return row
 
     def add(self, row):
@@ -157,17 +189,20 @@ class Echelon:
         if not row:
             return False
         piv = min(row)
-        inv = 1 / row[piv]
-        row = {c: v * inv for c, v in row.items()}
+        g = _content(row)
+        if row[piv] < 0:
+            g = -g
+        if g != 1:
+            row = {c: v // g for c, v in row.items()}
+        b = row[piv]
         for prow in self.pivots.values():
-            coef = prow.get(piv)
-            if coef:
-                for c, v in row.items():
-                    nv = prow.get(c, Fraction(0)) - coef * v
-                    if nv:
-                        prow[c] = nv
-                    else:
-                        prow.pop(c, None)
+            a = prow.get(piv)
+            if a:
+                _eliminate(prow, a, row, b)
+                g = _content(prow)
+                if g != 1:
+                    for c in prow:
+                        prow[c] //= g
         self.pivots[piv] = row
         return True
 
@@ -180,7 +215,7 @@ class Echelon:
 
 
 def rank_of_rows(rows):
-    """Rank of a list of sparse Fraction rows."""
+    """Rank of a list of sparse int/Fraction rows."""
     ech = Echelon()
     for row in rows:
         ech.add(row)

@@ -262,6 +262,8 @@ def commutant_dim(k, q0, group="gl2"):
     eigenspaces are exactly the weight classes); the E and F commutation
     conditions are then solved by exact elimination.
     """
+    if k < 0:
+        raise ValueError("k must be nonnegative, got k = %d" % k)
     q0 = Fraction(q0)
     if q0 in (0, 1, -1):
         raise ValueError("q0 must avoid 0 and +-1")

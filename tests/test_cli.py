@@ -228,3 +228,22 @@ def test_usage_error_exit_code():
         [sys.executable, "-m", "ptlalg.cli", "verify", "--k", "9"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--kind", "motzkin", "--k", "-1"],
+    ["enumerate", "--kind", "balanced-motzkin-n", "--k", "2", "--n", "-1"],
+    ["centralizer", "--k", "-1"],
+    ["dims", "--k", "-1"],
+    ["cell-dims", "--k", "-2"],
+    ["bratteli", "--k", "-3"],
+    ["semisimple", "--k", "-1", "--q", "2"],
+    ["dims", "--k", "two"],
+])
+def test_k_must_be_a_nonnegative_integer(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert len(captured.err.strip().splitlines()) == 1

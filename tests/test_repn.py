@@ -193,8 +193,14 @@ def test_commutant_dimensions():
     # a second generic rational point gives the same dimensions
     assert commutant_dim(2, Fraction(5, 3), "gl2") == 7
     assert commutant_dim(2, Fraction(5, 3), "sl2") == 9
+    # negative and fractional q0 clear denominators and signs in elimination
+    for q0 in (-2, Fraction(-3, 2), Fraction(1, 3)):
+        assert commutant_dim(3, q0, "gl2") == ptl_dimension(3) == 33
+        assert commutant_dim(3, q0, "sl2") == len(motzkin_diagrams(3)) == 51
     with pytest.raises(ValueError):
         commutant_dim(2, 1, "gl2")
+    with pytest.raises(ValueError, match="k = -1"):
+        commutant_dim(-1, 2, "gl2")
 
 
 def test_commutant_and_rank_k4_opt_in():
@@ -203,6 +209,10 @@ def test_commutant_and_rank_k4_opt_in():
     spec = motzkin_spec(4)
     basis = [tilde_of(spec, d) for d in balanced_motzkin_diagrams(4)]
     assert representation_rank(basis, 2, cfg) == 183
+
+
+def test_commutant_k5_at_a_fractional_q():
+    assert commutant_dim(5, Fraction(3, 2), "gl2") == ptl_dimension(5) == 1118
 
 
 def test_b_matrix_randomized_alpha():
