@@ -168,11 +168,12 @@ class Element:
                         out[comp.diagram] = out.get(comp.diagram, 0) + coeff
             return Element(self.spec, out, "diagram")
         structured = bar_multiply if self.basis == "bar" else tilde_multiply
-        total = Element.zero(self.spec, self.basis)
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():
-                total = total + structured(self.spec, d1, d2).scale(c1 * c2)
-        return total
+                c12 = c1 * c2
+                for d, c in structured(self.spec, d1, d2).terms.items():
+                    out[d] = out.get(d, 0) + c12 * c
+        return Element(self.spec, out, self.basis)
 
     def __eq__(self, other):
         if not isinstance(other, Element):

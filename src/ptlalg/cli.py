@@ -44,11 +44,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "%s: error: %s\n" % (self.prog, message))
 
 
+# What malformed diagrams, elements and coefficients raise while loading.
+_INPUT_ERRORS = (ValueError, TypeError, KeyError, IndexError, AttributeError)
+
+
+def _input_error(what, exc):
+    """Report an input that cannot be loaded as one stderr line and exit 2."""
+    text = "missing key %s" % exc if isinstance(exc, KeyError) else str(exc)
+    print("bad %s: %s" % (what, " ".join(text.split())), file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _read_json(path):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        _input_error("JSON input %s" % path, exc)
 
 
 def _spec_for(args, k):
@@ -59,16 +73,23 @@ def _spec_for(args, k):
 
 def _element_from_json(args, obj):
     """The element of an element JSON object; its k is ``"k"`` when present,
-    otherwise the common k of its terms.  Input errors exit 2."""
-    ks = {Diagram.from_json(t["diagram"]).k for t in obj["terms"]}
-    if "k" in obj:
-        ks.add(obj["k"])
-    k = ks.pop() if len(ks) == 1 else None
-    if type(k) is not int or k < 0:
-        print('element needs one k: a nonnegative integer "k", or terms that share one',
-              file=sys.stderr)
-        raise SystemExit(2)
-    return Element.from_json(_spec_for(args, k), obj)
+    otherwise the common k of its terms.  Its coefficients must lie in
+    Q[delta].  Input errors exit 2."""
+    try:
+        ks = {Diagram.from_json(t["diagram"]).k for t in obj["terms"]}
+        if "k" in obj:
+            ks.add(obj["k"])
+        k = ks.pop() if len(ks) == 1 else None
+        if type(k) is not int or k < 0:
+            raise ValueError('needs one k: a nonnegative integer "k", '
+                             'or terms that share one')
+        x = Element.from_json(_spec_for(args, k), obj)
+        for c in x.terms.values():
+            if not isinstance(c, (int, Fraction, DeltaPoly)):
+                raise ValueError("coefficient %s is not a polynomial in delta" % (c,))
+    except _INPUT_ERRORS as exc:
+        _input_error("element", exc)
+    return x
 
 
 def _print_element_json(x):
@@ -198,7 +219,7 @@ def cmd_verify(args):
 def cmd_render(args):
     obj = _read_json(args.input)
     cfg = repn.RepConfig(args.alpha, args.sign)
-    if "terms" in obj:
+    if isinstance(obj, dict) and "terms" in obj:
         x = _element_from_json(args, obj)
         if args.format == "json":
             _print_element_json(x)
@@ -209,7 +230,10 @@ def cmd_render(args):
         else:
             print(tikz_element(x))
     else:
-        d = Diagram.from_json(obj)
+        try:
+            d = Diagram.from_json(obj)
+        except _INPUT_ERRORS as exc:
+            _input_error("diagram", exc)
         if args.format == "json":
             print(json.dumps(d.to_json()))
         elif args.format == "ascii":

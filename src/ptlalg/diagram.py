@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 
 class Diagram:
-    __slots__ = ("k", "blocks", "_hash", "_partner")
+    # Derived data is computed on first use and kept in the underscored slots.
+    __slots__ = ("k", "blocks", "_hash", "_partner", "_pb", "_planar", "_frame")
 
     def __init__(self, k, blocks):
         seen = set()
@@ -43,8 +44,8 @@ class Diagram:
             raise ValueError("blocks must cover all %d vertices" % (2 * k,))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "blocks", tuple(sorted(canon)))
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_partner", None)
+        for name in ("_hash", "_partner", "_pb", "_planar", "_frame"):
+            object.__setattr__(self, name, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
@@ -85,7 +86,11 @@ class Diagram:
     # -- block structure -----------------------------------------------------
 
     def is_partial_brauer(self):
-        return all(len(b) <= 2 for b in self.blocks)
+        pb = self._pb
+        if pb is None:
+            pb = all(len(b) <= 2 for b in self.blocks)
+            object.__setattr__(self, "_pb", pb)
+        return pb
 
     def edges(self):
         """The size-2 blocks, in canonical order."""
@@ -128,7 +133,9 @@ class Diagram:
         return [(b[0], b[1] - k) for b in self.edges() if b[0] < k <= b[1]]
 
     def is_balanced(self):
-        return len(self.cups()) == len(self.caps())
+        """As many cups as caps (partial Brauer only)."""
+        fr = self.frames()
+        return len(fr.top_h) == len(fr.bot_h)
 
     def is_planar(self):
         """Can the diagram be drawn in the rectangle without crossings?
@@ -138,15 +145,16 @@ class Diagram:
         iff one of them meets at least two of the circular gaps cut out by
         the other.
         """
-        k = self.k
-        pos = lambda v: v if v < k else 3 * k - 1 - v
-        placed = [sorted(pos(v) for v in b) for b in self.blocks if len(b) > 1]
-        for i, b1 in enumerate(placed):
-            for b2 in placed[i + 1:]:
-                gaps = {bisect.bisect_left(b1, x) % len(b1) for x in b2}
-                if len(gaps) > 1:
-                    return False
-        return True
+        planar = self._planar
+        if planar is None:
+            k = self.k
+            pos = lambda v: v if v < k else 3 * k - 1 - v
+            placed = [sorted(pos(v) for v in b) for b in self.blocks if len(b) > 1]
+            planar = not any(
+                len({bisect.bisect_left(b1, x) % len(b1) for x in b2}) > 1
+                for i, b1 in enumerate(placed) for b2 in placed[i + 1:])
+            object.__setattr__(self, "_planar", planar)
+        return planar
 
     def is_motzkin(self):
         return self.is_partial_brauer() and self.is_planar()
@@ -160,18 +168,21 @@ class Diagram:
         """Index sets of the non-isolated vertices, split horizontal/vertical."""
         if not self.is_partial_brauer():
             raise ValueError("frames require a partial Brauer diagram")
-        k = self.k
-        top_h, bot_h, top_v, bot_v = set(), set(), set(), set()
-        for (a, b) in self.cups():
-            top_h.update((a + 1, b + 1))
-        for (a, b) in self.caps():
-            bot_h.update((a + 1, b + 1))
-        for (t, b) in self.verticals():
-            top_v.add(t + 1)
-            bot_v.add(b + 1)
-        return Frame(frozenset(top_h | top_v), frozenset(bot_h | bot_v),
-                     frozenset(top_h), frozenset(bot_h),
-                     frozenset(top_v), frozenset(bot_v))
+        fr = self._frame
+        if fr is None:
+            top_h, bot_h, top_v, bot_v = set(), set(), set(), set()
+            for (a, b) in self.cups():
+                top_h.update((a + 1, b + 1))
+            for (a, b) in self.caps():
+                bot_h.update((a + 1, b + 1))
+            for (t, b) in self.verticals():
+                top_v.add(t + 1)
+                bot_v.add(b + 1)
+            fr = Frame(frozenset(top_h | top_v), frozenset(bot_h | bot_v),
+                       frozenset(top_h), frozenset(bot_h),
+                       frozenset(top_v), frozenset(bot_v))
+            object.__setattr__(self, "_frame", fr)
+        return fr
 
     # -- JSON ----------------------------------------------------------------
 
@@ -201,7 +212,7 @@ class Diagram:
         return cls.from_edges(k, [(vertex(a), vertex(b)) for a, b in obj.get("edges", [])])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frame:
     top: frozenset
     bot: frozenset

@@ -1,8 +1,10 @@
 """Element arithmetic, alternating bases, and the structured product rules."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptlalg.algebra import (AlgebraSpec, Element, bar_multiply, bar_of,
                             change_basis, hat_of, motzkin_spec,
@@ -214,3 +216,87 @@ def test_element_json_round_trip():
     x = tilde_of(M3, gen_e(1, 3)).scale(delta - 2)
     as_json = x.to_json()
     assert Element.from_json(M3, as_json) == x
+
+
+# -- Element.__mul__ in the bar and tilde bases ----------------------------------
+
+STRUCTURED = {"bar": bar_multiply, "tilde": tilde_multiply}
+COEFFS = (1, -1, 2, -3, delta, -delta, delta - 1, 2 * delta ** 2 - 3)
+
+
+def expand_multiply_recollect(x, y):
+    prod = change_basis(x, "diagram") * change_basis(y, "diagram")
+    return change_basis(prod, x.basis)
+
+
+@functools.lru_cache(maxsize=None)
+def cancelling_triples(k, basis):
+    """(d1, b1, d1p, b1p, d2): the pair products d1*d2 and d1p*d2 share a term,
+    with coefficients b1 and b1p there, so b1p*d1 - b1*d1p times d2 cancels it."""
+    spec = motzkin_spec(k)
+    pool = motzkin_diagrams(k)
+    out = []
+    for d2 in pool[::7]:
+        seen = {}
+        for d1 in pool:
+            for d, c in STRUCTURED[basis](spec, d1, d2).terms.items():
+                if d in seen and seen[d][0] != d1:
+                    out.append((seen[d][0], seen[d][1], d1, c, d2))
+                seen.setdefault(d, (d1, c))
+    return out
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_element_product_matches_oracle(data):
+    k = data.draw(st.sampled_from((3, 4)))
+    basis = data.draw(st.sampled_from(("bar", "tilde")))
+    spec, pool = motzkin_spec(k), motzkin_diagrams(k)
+    support = st.dictionaries(st.sampled_from(pool), st.sampled_from(COEFFS), max_size=4)
+    xs, ys = data.draw(support), data.draw(support)
+    if data.draw(st.booleans()):
+        # a pair of x-terms whose products with one y-term cancel
+        d1, b1, d1p, b1p, d2 = data.draw(st.sampled_from(cancelling_triples(k, basis)))
+        if data.draw(st.booleans()):
+            xs, ys = {}, {}
+        xs.update({d1: b1p, d1p: -b1})
+        ys[d2] = data.draw(st.sampled_from(COEFFS))
+    x, y = Element(spec, xs, basis), Element(spec, ys, basis)
+    assert x * y == expand_multiply_recollect(x, y)
+
+
+def test_cancelling_pair_products_leave_no_zero_terms():
+    for basis in ("bar", "tilde"):
+        d1, b1, d1p, b1p, d2 = cancelling_triples(3, basis)[0]
+        spec = motzkin_spec(3)
+        x = Element(spec, {d1: b1p, d1p: -b1}, basis)
+        prod = x * Element.of(spec, d2, 1, basis)
+        assert all(prod.terms.values())
+        assert prod == expand_multiply_recollect(x, Element.of(spec, d2, 1, basis))
+        if basis == "bar":
+            assert prod.is_zero()
+
+
+def test_element_product_admits_each_term_once(monkeypatch):
+    """A 60 x 60 product checks admission for the terms of the pair products
+    and of the result, not again for every partial sum."""
+    spec = motzkin_spec(4)
+    pool = balanced_motzkin_diagrams(4)
+    rng = random.Random(60)
+    calls = []
+    admits = AlgebraSpec.admits
+
+    def counting(self, d, basis="diagram"):
+        calls.append(d)
+        return admits(self, d, basis)
+
+    for basis, rule in STRUCTURED.items():
+        x = Element(spec, {d: rng.choice(COEFFS) for d in pool[0::3][:60]}, basis)
+        y = Element(spec, {d: rng.choice(COEFFS) for d in pool[1::3][:60]}, basis)
+        pair_terms = sum(len(rule(spec, d1, d2).terms) for d1 in x.terms for d2 in y.terms)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(AlgebraSpec, "admits", counting)
+            prod = x * y
+        assert len(x.terms) == len(y.terms) == 60 and prod
+        assert len(calls) <= pair_terms + len(prod.terms), basis

@@ -247,3 +247,58 @@ def test_k_must_be_a_nonnegative_integer(argv, capsys):
     captured = capsys.readouterr()
     assert not captured.out
     assert len(captured.err.strip().splitlines()) == 1
+
+
+E1_K2 = {"k": 2, "edges": [["t1", "t2"], ["b1", "b2"]]}
+BAD_INPUTS = {
+    "not-json": "{terms: [",
+    "vertex-t3-at-k2": {"terms": [{"coeff": "1", "diagram":
+                                   {"k": 2, "edges": [["t1", "t3"], ["b1", "b2"]]}}]},
+    "crossing-under-motzkin": {"terms": [{"coeff": "1", "diagram":
+                                          {"k": 2, "edges": [["t1", "b2"], ["t2", "b1"]]}}]},
+    "delta-plus-q": {"terms": [{"coeff": "delta+q", "diagram": E1_K2}]},
+    "pure-q": {"terms": [{"coeff": "q^2", "diagram": E1_K2}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_element_input_exits_2(name, tmp_path, capsys):
+    obj = BAD_INPUTS[name]
+    bad = tmp_path / "bad.json"
+    bad.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(Element.of(motzkin_spec(2), gen_e(1, 2)).to_json()))
+    for args in (["mul", str(bad), str(good)], ["mul", str(good), str(bad)],
+                 ["convert", str(bad), "--to", "bar"], ["render", str(bad)]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2, args
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert len(captured.err.strip().splitlines()) == 1, args
+        assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("obj", [
+    {"k": 2, "edges": [["t1", "t3"]]},
+    {"k": 2, "edges": [["t1", "x2"]]},
+    {"k": 2, "blocks": [["t1", "t1"]]},
+    {"edges": []},
+    [1, 2],
+])
+def test_bad_diagram_render_exits_2(obj, tmp_path, capsys):
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps(obj))
+    with pytest.raises(SystemExit) as exc:
+        main(["render", str(f)])
+    assert exc.value.code == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_bad_input_has_no_traceback_end_to_end():
+    proc = subprocess.run(
+        [sys.executable, "-m", "ptlalg.cli", "render", "-"],
+        input="not json", capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in proc.stderr

@@ -4,6 +4,8 @@ import json
 import random
 from math import comb
 
+import pytest
+
 from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams,
                             balanced_motzkin_stratum, compose, diagram_of,
                             gen_b, gen_e, gen_l, gen_p, gen_r, gen_s,
@@ -99,6 +101,35 @@ def test_frames():
     assert not frr.top_h and not frr.bot_h
     fid = identity(3).frames()
     assert fid.top == fid.top_v == frozenset({1, 2, 3})
+
+
+def derived(d):
+    return d.frames(), d.is_planar(), d.is_partial_brauer(), d.is_balanced()
+
+
+def test_cached_properties_match_a_fresh_diagram():
+    for d in partial_brauer_diagrams(3) + motzkin_diagrams(4):
+        h = hash(d)
+        first = derived(d)
+        fresh = Diagram(d.k, d.blocks)
+        assert derived(fresh) == first
+        assert derived(d) == first  # now answered from the caches
+        assert hash(d) == h == hash(fresh) and d == fresh
+        for name in ("k", "blocks", "_pb", "_planar", "_frame"):
+            with pytest.raises(AttributeError):
+                setattr(d, name, None)
+        assert derived(d) == first
+
+
+def test_frames_of_non_partial_brauer_raise_every_time():
+    three = Diagram(3, [(0, 1, 3), (2,), (4, 5)])
+    for d in (gen_b(1, 3), three):
+        for _ in range(3):
+            assert not d.is_partial_brauer()
+            with pytest.raises(ValueError):
+                d.frames()
+            with pytest.raises(ValueError):
+                d.is_balanced()
 
 
 def test_order_and_subdiagrams():
