@@ -19,6 +19,7 @@ Basis changes are exact unitriangular solves along the edge-removal order.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 from .diagram import Diagram, compose, removals
@@ -364,13 +365,12 @@ def tilde_multiply(spec, d1, d2):
     lead = _power(spec.delta - 1, comp.loops)
     terms = {}
     for sub in _subsets(sorted(s)):
-        dd = _drop_throughs(comp.diagram, frozenset(sub))
+        dd = _drop_throughs(comp.diagram, frozenset(sub)) if sub else comp.diagram
         terms[dd] = terms.get(dd, 0) + (-1) ** len(sub) * lead
     return Element(spec, terms, "tilde")
 
 
 def _subsets(items):
-    import itertools
     for r in range(len(items) + 1):
         yield from itertools.combinations(items, r)
 

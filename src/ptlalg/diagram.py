@@ -11,7 +11,9 @@ subscripts e_1, ..., e_{k-1}.
 Composition stacks the left factor above the right one and counts the
 discarded interior blocks; for partial Brauer diagrams these split into
 closed loops and open paths, the exponents of the two parameters of the
-twisted product.
+twisted product.  It finds the components of the stack by walking from
+block to block through the shared middle row, alternating between the
+two factors, so it touches each block once and no vertex set is merged.
 """
 
 from __future__ import annotations
@@ -235,65 +237,77 @@ def compose(d1, d2):
     Returns the composite diagram together with the number of discarded
     interior blocks; when both inputs are partial Brauer these split into
     ``loops + paths``.
+
+    The middle row is column c of d1's bottom row glued to column c of
+    d2's top row.  Each connected component is found by walking from a
+    block of d1 to the blocks of d2 that share one of its middle columns,
+    and from those back to blocks of d1, until no new block is reached.
+    The outer vertices a component meets (d1's top row, d2's bottom row)
+    form one block of the composite.  A component with no outer vertex is
+    discarded; for partial Brauer inputs it is a closed loop when every
+    block on it is an edge, and an open path otherwise.  A block of d2
+    with no middle vertex is reached from no block of d1 and passes
+    through unchanged.
     """
     if d1.k != d2.k:
         raise ValueError("cannot compose diagrams with k=%d and k=%d" % (d1.k, d2.k))
     k = d1.k
-    # nodes: 0..k-1 top, k..2k-1 middle, 2k..3k-1 bottom
-    parent = list(range(3 * k))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for b in d1.blocks:
-        for v in b[1:]:
-            union(b[0], v)
-    for b in d2.blocks:
-        shifted = [v + k for v in b]
-        for v in shifted[1:]:
-            union(shifted[0], v)
-
-    members = {}
-    for v in range(3 * k):
-        members.setdefault(find(v), []).append(v)
-
-    pb = d1.is_partial_brauer() and d2.is_partial_brauer()
-    interior_edges = {}
-    if pb:
-        for (u, v) in d1.edges():
-            if u >= k:  # a cap of d1: both endpoints middle
-                r = find(u)
-                interior_edges[r] = interior_edges.get(r, 0) + 1
-        for (u, v) in d2.edges():
-            if v < k:  # a cup of d2: both endpoints middle
-                r = find(u + k)
-                interior_edges[r] = interior_edges.get(r, 0) + 1
-
+    blocks1, blocks2 = d1.blocks, d2.blocks
+    # below[c]: index of d1's block at middle column c (d1's vertex k + c);
+    # above[c]: index of d2's block at middle column c (d2's vertex c).
+    below = [0] * k
+    for i, b in enumerate(blocks1):
+        for v in b:
+            if v >= k:
+                below[v - k] = i
+    above = [0] * k
+    for j, b in enumerate(blocks2):
+        for v in b:
+            if v >= k:
+                break  # blocks are sorted: the rest is d2's bottom row
+            above[v] = j
+    seen1 = [False] * len(blocks1)
+    seen2 = [False] * len(blocks2)
     new_blocks = []
-    n_blocks = n_loops = n_paths = 0
-    for root, verts in members.items():
-        outer = [v for v in verts if v < k or v >= 2 * k]
+    n_blocks = n_loops = 0
+    for i in range(len(blocks1)):
+        if seen1[i]:
+            continue
+        seen1[i] = True
+        todo = [i]
+        outer = []
+        edges_only = True
+        while todo:
+            b = blocks1[todo.pop()]
+            if len(b) != 2:
+                edges_only = False
+            for v in b:
+                if v < k:
+                    outer.append(v)
+                    continue
+                j = above[v - k]
+                if seen2[j]:
+                    continue
+                seen2[j] = True
+                b2 = blocks2[j]
+                if len(b2) != 2:
+                    edges_only = False
+                for w in b2:
+                    if w >= k:
+                        outer.append(w)
+                    elif not seen1[below[w]]:
+                        seen1[below[w]] = True
+                        todo.append(below[w])
         if outer:
-            new_blocks.append(tuple(v if v < k else v - k for v in outer))
+            new_blocks.append(outer)
         else:
             n_blocks += 1
-            if pb:
-                if interior_edges.get(root, 0) == len(verts):
-                    n_loops += 1
-                else:
-                    n_paths += 1
+            if edges_only:
+                n_loops += 1
+    new_blocks.extend(b for j, b in enumerate(blocks2) if not seen2[j])
     d3 = Diagram(k, new_blocks)
-    if pb:
-        assert n_blocks == n_loops + n_paths
-        return Composition(d3, n_blocks, n_loops, n_paths)
+    if d1.is_partial_brauer() and d2.is_partial_brauer():
+        return Composition(d3, n_blocks, n_loops, n_blocks - n_loops)
     return Composition(d3, n_blocks, None, None)
 
 

@@ -136,27 +136,28 @@ def generated_dimension(gens, delta0=Fraction(7, 3)):
     Coefficients are specialized at a generic rational delta (any
     specialization can only drop the rank, so hitting the target dimension
     at one rational point certifies the generic statement).
+
+    The subalgebra is the span of the words in the generators, which is the
+    smallest subspace that holds 1 and is closed under right multiplication
+    by every generator.  Starting from 1, each newly independent element is
+    multiplied on the right by each generator, so every element of the
+    spanning set is tried against every generator exactly once.
     """
     if not gens:
         raise ValueError("need at least one generator")
     gens = [change_basis(g, "diagram") if g.basis != "diagram" else g for g in gens]
     gens = [_specialize(g, delta0) for g in gens]
-    spec = gens[0].spec
-    seed = [Element.unit(spec)] + gens
+    one = Element.unit(gens[0].spec)
 
     ech = Echelon()
-    basis = []
-    for el in seed:
-        if ech.add(dict(el.terms)):
-            basis.append(el)
-    frontier = list(basis)
+    ech.add(dict(one.terms))
+    frontier = [one]
     while frontier:
         fresh = []
-        for a in basis:
-            for b in frontier:
-                for prod in (a * b, b * a):
-                    if prod and ech.add(dict(prod.terms)):
-                        fresh.append(prod)
-        basis.extend(fresh)
+        for a in frontier:
+            for g in gens:
+                prod = a * g
+                if prod and ech.add(dict(prod.terms)):
+                    fresh.append(prod)
         frontier = fresh
     return ech.rank

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptlalg.algebra import (AlgebraSpec, Element, bar_multiply, bar_of,
-                            change_basis, hat_of, motzkin_spec,
+                            change_basis, hat_of, motzkin_spec, snake_set,
                             tilde_multiply, tilde_of, tl_spec)
 from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, compose,
                             gen_e, gen_p, gen_r, gen_l, identity,
@@ -300,3 +300,25 @@ def test_element_product_admits_each_term_once(monkeypatch):
             prod = x * y
         assert len(x.terms) == len(y.terms) == 60 and prod
         assert len(calls) <= pair_terms + len(prod.terms), basis
+
+
+def test_tilde_multiply_rebuilds_only_the_dropped_composites(monkeypatch):
+    """The composite itself is the empty-subset term; only the 2^|S| - 1
+    terms that drop through edges are built again from their edges."""
+    spec = motzkin_spec(3)
+    pool = balanced_motzkin_diagrams(3)
+    built = []
+    from_edges = Diagram.from_edges.__func__
+
+    def counting(cls, k, edges):
+        built.append(k)
+        return from_edges(cls, k, edges)
+
+    expected = 0
+    with monkeypatch.context() as m:
+        m.setattr(Diagram, "from_edges", classmethod(counting))
+        for d1 in pool:
+            for d2 in pool:
+                if tilde_multiply(spec, d1, d2):
+                    expected += 2 ** len(snake_set(d1, d2)) - 1
+    assert 0 < expected == len(built)

@@ -1,12 +1,14 @@
 """Diagram combinatorics: composition, planarity, frames, triples, counts."""
 
+import functools
 import json
 import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams,
+from ptlalg.diagram import (Composition, Diagram, balanced_motzkin_diagrams,
                             balanced_motzkin_stratum, compose, diagram_of,
                             gen_b, gen_e, gen_l, gen_p, gen_r, gen_s,
                             identity, l_of_subset, leq, motzkin_diagrams,
@@ -232,3 +234,145 @@ def test_json_round_trip():
     obj = {"k": 3, "edges": [["t1", "t2"], ["b1", "b3"], ["t3", "b2"]]}
     d = Diagram.from_json(obj)
     assert d.cups() == [(0, 1)] and d.caps() == [(0, 2)] and d.verticals() == [(2, 1)]
+
+
+# -- compose against a union-find reference -------------------------------------
+
+def union_find_compose(d1, d2):
+    """Reference composition: union-find over the 3k vertices of the stack."""
+    k = d1.k
+    # nodes: 0..k-1 top, k..2k-1 middle, 2k..3k-1 bottom
+    parent = list(range(3 * k))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+
+    for b in d1.blocks:
+        for v in b[1:]:
+            union(b[0], v)
+    for b in d2.blocks:
+        shifted = [v + k for v in b]
+        for v in shifted[1:]:
+            union(shifted[0], v)
+
+    members = {}
+    for v in range(3 * k):
+        members.setdefault(find(v), []).append(v)
+
+    pb = d1.is_partial_brauer() and d2.is_partial_brauer()
+    interior_edges = {}
+    if pb:
+        for (u, v) in d1.edges():
+            if u >= k:  # a cap of d1: both endpoints middle
+                r = find(u)
+                interior_edges[r] = interior_edges.get(r, 0) + 1
+        for (u, v) in d2.edges():
+            if v < k:  # a cup of d2: both endpoints middle
+                r = find(u + k)
+                interior_edges[r] = interior_edges.get(r, 0) + 1
+
+    new_blocks = []
+    n_blocks = n_loops = n_paths = 0
+    for root, verts in members.items():
+        outer = [v for v in verts if v < k or v >= 2 * k]
+        if outer:
+            new_blocks.append(tuple(v if v < k else v - k for v in outer))
+        else:
+            n_blocks += 1
+            if pb:
+                if interior_edges.get(root, 0) == len(verts):
+                    n_loops += 1
+                else:
+                    n_paths += 1
+    d3 = Diagram(k, new_blocks)
+    if pb:
+        return Composition(d3, n_blocks, n_loops, n_paths)
+    return Composition(d3, n_blocks, None, None)
+
+
+def assert_same_composition(d1, d2):
+    got = compose(d1, d2)
+    assert got == union_find_compose(d1, d2)
+    return got
+
+
+def test_compose_matches_reference_on_all_partial_brauer_3_pairs():
+    pool = partial_brauer_diagrams(3)
+    assert len(pool) == 76
+    loops = paths = 0
+    for d1 in pool:
+        for d2 in pool:
+            c = assert_same_composition(d1, d2)
+            loops += c.loops
+            paths += c.paths
+    assert loops > 0 and paths > 0
+
+
+def test_compose_matches_reference_on_partition_words():
+    k = 3
+    gens = ([gen_s(i, k) for i in (1, 2)] + [gen_p(j, k) for j in (1, 2, 3)]
+            + [gen_b(i, k) for i in (1, 2)])
+    # close the identity under right multiplication by the generators,
+    # checking every product on the way
+    reached = {identity(k)}
+    frontier = [identity(k)]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                d = assert_same_composition(x, g).diagram
+                if d not in reached:
+                    reached.add(d)
+                    fresh.append(d)
+        frontier = fresh
+    assert len(reached) == 203  # Bell(6): the whole partition monoid
+    big = sorted(d for d in reached if max(map(len, d.blocks)) >= 3)
+    assert big
+    for d1 in big[::3]:
+        for d2 in sorted(reached):
+            c = assert_same_composition(d1, d2)
+            assert c.loops is None and c.paths is None
+            c = assert_same_composition(d2, d1)
+            assert c.loops is None and c.paths is None
+
+
+@functools.lru_cache(maxsize=None)
+def motzkin_5():
+    return motzkin_diagrams(5)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_compose_associative_with_counts_on_motzkin_5(data):
+    d1, d2, d3 = (data.draw(st.sampled_from(motzkin_5())) for _ in range(3))
+    left1 = assert_same_composition(d1, d2)
+    left2 = assert_same_composition(left1.diagram, d3)
+    right1 = assert_same_composition(d2, d3)
+    right2 = assert_same_composition(d1, right1.diagram)
+    assert left2.diagram == right2.diagram
+    assert left1.loops + left2.loops == right1.loops + right2.loops
+    assert left1.paths + left2.paths == right1.paths + right2.paths
+
+
+# -- Diagram validation ----------------------------------------------------------
+
+@pytest.mark.parametrize("k, blocks, message", [
+    (2, [(0, 2), (), (1,), (3,)], "empty block"),
+    (2, [(0, 2), (1, 4), (3,)], "out of range"),
+    (2, [(0, 2), (1, -1), (3,)], "out of range"),
+    (2, [(0, 2), (1, 2), (3,)], "in two blocks"),
+    (2, [(0, 2), (1, 3), (1,)], "in two blocks"),
+    (2, [(0, 2), (1,)], "must cover all 4"),
+    (0, [(0,)], "out of range"),
+])
+def test_diagram_constructor_rejects_malformed_blocks(k, blocks, message):
+    with pytest.raises(ValueError, match=message):
+        Diagram(k, blocks)

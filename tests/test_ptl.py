@@ -125,6 +125,15 @@ def test_generated_dimensions():
     assert generated_dimension(gens2, delta0=Fraction(11, 5)) == 7
 
 
+def test_generated_dimension_k4():
+    spec4 = AlgebraSpec("ptl", 4)
+    gens4 = []
+    for i in (1, 2, 3):
+        gens4 += [Element.of(spec4, gen_r(i, 4)), Element.of(spec4, gen_l(i, 4)),
+                  epsilon(spec4, i)]
+    assert generated_dimension(gens4) == ptl_dimension(4) == 183
+
+
 def test_motzkin_generated_by_e_r_l():
     from ptlalg.algebra import motzkin_spec
     M2 = motzkin_spec(2)
