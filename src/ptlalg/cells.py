@@ -32,10 +32,6 @@ def is_motzkin_path(a):
     return True
 
 
-def is_tl_path(a):
-    return 0 not in a and is_motzkin_path(a)
-
-
 def rank_of(a):
     return sum(a)
 

@@ -4,14 +4,22 @@ Matrices carry entries from any exact ring: the scalars of
 :mod:`ptlalg.scalar`, or algebra elements (the blocks of :mod:`ptlalg.ptl`).
 No zero entries are stored, and no entry is ever added to the int 0.  Rank
 and nullity computations take sparse rows of ints and Fractions, clear their
-denominators once, and eliminate over the integers (Bareiss-style
-cross-multiplication, each row divided by its content), which keeps the
-arithmetic exact and the fill-in tolerable at the sizes this package needs
-(a few thousand unknowns at most).
+denominators once (int rows are taken as they are), and eliminate over the
+integers (Bareiss-style cross-multiplication, each row divided by its
+content), which keeps the arithmetic exact and the fill-in tolerable at the
+sizes this package needs (a few thousand unknowns at most).
+
+A stored row's pivot is the least column of its support, so a new pivot can
+only occur in rows whose pivots come before it: back-substitution scans just
+those, found by bisection in the sorted pivot labels.  :func:`rank_of_rows`
+feeds its rows bottom-up, in descending order of their least column, so that
+almost every new pivot comes before all stored ones and back-substitution
+has next to nothing to do.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -166,16 +174,21 @@ class Echelon:
     stored pivot rows are primitive (content 1) with a positive entry in
     their pivot column, the least column of their support.  Pivot rows are
     kept fully reduced against one another, so reducing an incoming row is a
-    single pass in any column order.
+    single pass in any column order.  A new pivot is cleared from the stored
+    rows whose pivots precede it, the only ones that can hold it; the pivot
+    labels are kept sorted to find them.
     """
 
     def __init__(self):
         self.pivots = {}  # pivot column label -> primitive integer row (dict)
+        self._order = []  # the pivot labels, ascending
 
     def _reduce(self, row):
-        row = {c: Fraction(v) for c, v in row.items() if v}
-        den = lcm(*(v.denominator for v in row.values()))
-        row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+        row = {c: v for c, v in row.items() if v}
+        if not all(type(v) is int for v in row.values()):
+            row = {c: Fraction(v) for c, v in row.items()}
+            den = lcm(*(v.denominator for v in row.values()))
+            row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
         for col in list(row):
             a = row.get(col)
             if a and col in self.pivots:
@@ -195,7 +208,10 @@ class Echelon:
         if g != 1:
             row = {c: v // g for c, v in row.items()}
         b = row[piv]
-        for prow in self.pivots.values():
+        order = self._order
+        at = bisect_left(order, piv)
+        for p in order[:at]:
+            prow = self.pivots[p]
             a = prow.get(piv)
             if a:
                 _eliminate(prow, a, row, b)
@@ -203,6 +219,7 @@ class Echelon:
                 if g != 1:
                     for c in prow:
                         prow[c] //= g
+        order.insert(at, piv)
         self.pivots[piv] = row
         return True
 
@@ -215,9 +232,24 @@ class Echelon:
 
 
 def rank_of_rows(rows):
-    """Rank of a list of sparse int/Fraction rows."""
-    ech = Echelon()
+    """Rank of an iterable of sparse int/Fraction rows.
+
+    The rows are added bottom-up: zero rows first, then the others in
+    descending order of their least nonzero column (ties keep their input
+    order), so that new pivots rarely lie behind stored ones.
+    """
+    zero, keyed = [], []
     for row in rows:
+        least = min((c for c, v in row.items() if v), default=None)
+        if least is None:
+            zero.append(row)
+        else:
+            keyed.append((least, row))
+    keyed.sort(key=lambda t: t[0], reverse=True)
+    ech = Echelon()
+    for row in zero:
+        ech.add(row)
+    for _, row in keyed:
         ech.add(row)
     return ech.rank
 

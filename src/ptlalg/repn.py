@@ -260,7 +260,10 @@ def commutant_dim(k, q0, group="gl2"):
     The diagonal generators force a block structure on the unknown matrix
     (rational q0 not in {0, 1, -1} has injective power map, so joint
     eigenspaces are exactly the weight classes); the E and F commutation
-    conditions are then solved by exact elimination.
+    conditions are then solved by exact elimination.  The equations are
+    integer-scaled: every entry of E and F is q^e with |e| < k, so with
+    q0 = n/d the evaluated matrices times (n*d)^k have integer entries, and
+    the elimination starts from exact ints instead of Fractions.
     """
     if k < 0:
         raise ValueError("k must be nonnegative, got k = %d" % k)
@@ -291,8 +294,16 @@ def commutant_dim(k, q0, group="gl2"):
     def equation(key):
         return rows.setdefault(key, {})
 
+    scale = (q0.numerator * q0.denominator) ** k
+
+    def scaled(v):
+        x = evaluate_q(v, q0) * scale
+        if x.denominator != 1:
+            raise ArithmeticError("E/F entry %s is not integral after scaling" % v)
+        return x.numerator
+
     for g in ("E", "F"):
-        gm = qgen_matrix(g, k).map_values(lambda v: evaluate_q(v, q0))
+        gm = qgen_matrix(g, k).map_values(scaled)
         by_row = {}
         by_col = {}
         for (r, c), v in gm.entries.items():

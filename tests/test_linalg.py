@@ -6,8 +6,10 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
+from ptlalg import linalg
 from ptlalg.diagram import motzkin_diagrams
 from ptlalg.linalg import Echelon, nullity, rank_of_rows
+from ptlalg.repn import commutant_dim
 
 
 def reference_rref(rows):
@@ -135,3 +137,40 @@ rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 def test_rank_matches_reference(matrix):
     rows = [{j: v for j, v in enumerate(r) if v} for r in matrix]
     assert rank_of_rows(rows) == reference_rank(rows)
+
+
+def least_column(row):
+    return min((c for c, v in row.items() if v), default=None)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=8)
+    .flatmap(lambda m: st.tuples(st.just(m), st.permutations(range(len(m)))))))
+def test_rank_is_independent_of_row_order(case):
+    matrix, perm = case
+    # explicit zeros kept; integral entries as ints, so all-int rows occur
+    rows = [{j: v.numerator if v.denominator == 1 else v for j, v in enumerate(r)}
+            for r in matrix]
+    want = reference_rank(rows)
+    nonzero = [r for r in rows if least_column(r) is not None]
+    descending = (sorted(nonzero, key=least_column, reverse=True)
+                  + [r for r in rows if least_column(r) is None])
+    for order in ([rows[i] for i in perm], rows[::-1], descending):
+        assert rank_of_rows(order) == want
+        check_against_reference(order)
+
+
+def test_commutant_system_elimination_count(monkeypatch):
+    # Added in equation order these rows take 6,500 eliminations; bottom-up
+    # (descending least column) about 3,400.
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(*args):
+        calls.append(1)
+        return eliminate(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    assert commutant_dim(4, 2, "sl2") == len(motzkin_diagrams(4)) == 323
+    assert len(calls) <= 3500

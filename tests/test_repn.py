@@ -215,6 +215,23 @@ def test_commutant_k5_at_a_fractional_q():
     assert commutant_dim(5, Fraction(3, 2), "gl2") == ptl_dimension(5) == 1118
 
 
+def test_commutant_sl2_k5():
+    for q0 in (2, Fraction(3, 2)):
+        assert commutant_dim(5, q0, "sl2") == len(motzkin_diagrams(5)) == 2188
+
+
+def test_commutant_gl2_k6():
+    assert commutant_dim(6, Fraction(3, 2), "gl2") == ptl_dimension(6) == 7281
+
+
+def test_commutant_integer_scaling_signs_and_denominators():
+    # a negative numerator and a non-unit denominator in (n*d)^k
+    for q0 in (Fraction(-5, 3), Fraction(7, 4)):
+        for k in range(5):
+            assert commutant_dim(k, q0, "gl2") == ptl_dimension(k)
+            assert commutant_dim(k, q0, "sl2") == len(motzkin_diagrams(k))
+
+
 def test_b_matrix_randomized_alpha():
     import random
     rng = random.Random(41)
