@@ -112,12 +112,6 @@ class Element:
         from .diagram import identity
         return cls(spec, {identity(spec.k): 1})
 
-    def coeff(self, d):
-        return self.terms.get(d, 0)
-
-    def support(self):
-        return sorted(self.terms)
-
     def is_zero(self):
         return not self.terms
 

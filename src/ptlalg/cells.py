@@ -6,18 +6,25 @@ are identified with 1-factors (partial planar involutions): each +1 pairs
 with the nearest later index closing its partial sum, leftover +1 entries
 are fixed points ("lines to infinity"), zeros are isolated vertices.
 
-Diagrams act by graphical stacking; each closed loop formed in the bottom
-row contributes one factor of the loop parameter.  The rank filtration of
-the Motzkin path space gives the Motzkin cell modules, its zero-free part
-the Temperley-Lieb ones, and the alternating bar-path basis, filtered by
+A path is the top half of a diagram (:func:`path_diagram`): its pairs are
+cups, each fixed point c is the through edge c -- c', its zeros stay
+isolated.  Diagrams act on paths through :func:`~ptlalg.diagram.compose`
+with that half-diagram, each closed loop contributing one factor of the
+loop parameter, and the composite's top row is the image path.  Bar paths
+are the bar expansions of half-diagrams, and recollecting into them is a
+basis change in the Motzkin algebra.  The rank filtration of the Motzkin
+path space gives the Motzkin cell modules, its zero-free part the
+Temperley-Lieb ones, and the alternating bar-path basis, filtered by
 dominance of path types, the partial Temperley-Lieb ones.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from math import comb
 
+from .algebra import Element, _expansion, change_basis, motzkin_spec
+from .diagram import Diagram, compose
 from .linalg import SparseMatrix
 
 
@@ -52,18 +59,6 @@ def motzkin_paths(k):
     return sorted(out)
 
 
-def tl_paths(k):
-    return [a for a in motzkin_paths(k) if 0 not in a]
-
-
-def paths_of_rank(k, m):
-    return [a for a in motzkin_paths(k) if rank_of(a) == m]
-
-
-def paths_of_type(k, lam):
-    return [a for a in motzkin_paths(k) if type_of(a) == tuple(lam)]
-
-
 def path_pairing(a):
     """Pairs (i, j) and unpaired indices of a path, 1-based.
 
@@ -73,7 +68,6 @@ def path_pairing(a):
     if not is_motzkin_path(a):
         raise ValueError("not a Motzkin path: %r" % (a,))
     pairs = []
-    unpaired = []
     stack = []
     for j, x in enumerate(a):
         if x == 1:
@@ -81,9 +75,7 @@ def path_pairing(a):
         elif x == -1:
             i = stack.pop()
             pairs.append((i + 1, j + 1))
-    unpaired = sorted(set(j + 1 for j, x in enumerate(a) if x == 1)
-                      - {i for i, _ in pairs})
-    return sorted(pairs), unpaired
+    return sorted(pairs), [i + 1 for i in stack]
 
 
 def one_factor_of(a):
@@ -110,7 +102,6 @@ def path_of_one_factor(k, pairs, fixed):
 def join_tl(a, b):
     """Join two paths with equally many fixed points into a diagram:
     ``a`` on top, ``b`` reflected on the bottom, fixed points joined in order."""
-    from .diagram import Diagram
     if len(a) != len(b):
         raise ValueError("paths must have equal length")
     pa, fa = path_pairing(a)
@@ -124,62 +115,50 @@ def join_tl(a, b):
     return Diagram.from_edges(k, edges)
 
 
+def path_diagram(a):
+    """The path ``a`` as the top half of a diagram.
+
+    Pairs become cups, each fixed point c the through edge c -- c', zeros
+    and the other bottom vertices stay isolated.
+    """
+    return _path_diagram(tuple(a))
+
+
+@functools.lru_cache(maxsize=None)
+def _path_diagram(a):
+    pairs, fixed = path_pairing(a)
+    k = len(a)
+    edges = [(i - 1, j - 1) for (i, j) in pairs]
+    edges += [(c - 1, k + c - 1) for c in fixed]
+    return Diagram.from_edges(k, edges)
+
+
+def path_of(d):
+    """The top row of a partial Brauer diagram read as a path: a cup (i, j)
+    gives +1 at i and -1 at j, a through edge +1, an isolated vertex 0."""
+    k = d.k
+    b = [0] * k
+    for blk in d.blocks:
+        if len(blk) == 2 and blk[0] < k:
+            b[blk[0]] = 1
+            if blk[1] < k:
+                b[blk[1]] = -1
+    return tuple(b)
+
+
 def act_on_path(d, a):
     """Graphical stacking of a diagram on a path: d a = delta^N b.
 
-    Returns (N, b) where N counts the closed loops formed in the bottom
-    row of the stacked picture and b is the resulting path along the top.
+    Returns (N, b), where N counts the closed loops of d o path_diagram(a)
+    and b is the top row of that composite.
     """
-    k = d.k
-    if len(a) != k:
-        raise ValueError("length mismatch")
-    pairs, fixed, _zeros = one_factor_of(a)
-    # nodes: tops 0..k-1, mids k..2k-1 (the path's vertices), and one
-    # terminal 2k+c per fixed point c (the line to infinity)
-    adj = {}
-
-    def link(u, v):
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
-    for (u, v) in d.edges():
-        link(u, v)
-    for (i, j) in pairs:
-        link(k + i - 1, k + j - 1)
-    for c in fixed:
-        link(k + c - 1, 2 * k + c - 1)
-
-    seen = set()
-    b = [0] * k
-    loops = 0
-    for start in list(adj):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    queue.append(v)
-        tops = sorted(u for u in comp if u < k)
-        infs = [u for u in comp if u >= 2 * k]
-        n_edges = sum(len(adj[u]) for u in comp) // 2
-        if not tops and not infs and n_edges == len(comp):
-            loops += 1
-        elif len(tops) == 2 and not infs:
-            b[tops[0]] = 1
-            b[tops[1]] = -1
-        elif len(tops) == 1 and len(infs) == 1:
-            b[tops[0]] = 1
-        # everything else dangles and vanishes without a factor
-    b = tuple(b)
+    if not d.is_partial_brauer():
+        raise ValueError("act_on_path needs a partial Brauer diagram")
+    comp = compose(d, path_diagram(a))
+    b = path_of(comp.diagram)
     if not is_motzkin_path(b):
         raise ValueError("action left the path space; is the diagram planar?")
-    return loops, b
+    return comp.loops, b
 
 
 # -- typed paths and the alternating path basis ---------------------------------
@@ -206,35 +185,16 @@ def valid_types(k):
 
 def bar_path(a):
     """Signed sum over erasures of edges and lines of the 1-factor of ``a``."""
-    pairs, fixed, _ = one_factor_of(a)
-    units = [(i, j) for (i, j) in pairs] + [(i,) for i in fixed]
-    out = {}
-    for r in range(len(units) + 1):
-        for erased in itertools.combinations(units, r):
-            bl = list(a)
-            for unit in erased:
-                for i in unit:
-                    bl[i - 1] = 0
-            key = tuple(bl)
-            out[key] = out.get(key, 0) + (-1) ** r
-    return {p: c for p, c in out.items() if c}
+    return {path_of(d): c for d, c in _expansion(path_diagram(a), "bar").items()}
 
 
 def collect_bar_paths(combo):
-    """Rewrite a plain-path combination in bar-path coordinates (triangular)."""
-    work = dict(combo)
-    out = {}
-    while work:
-        a = max(work, key=lambda p: (sum(1 for x in p if x), p))
-        c = work.pop(a)
-        if not c:
-            continue
-        out[a] = c
-        for p, sign in bar_path(a).items():
-            if p == a:
-                continue
-            work[p] = work.get(p, 0) - c * sign
-    return {p: c for p, c in out.items() if c}
+    """Rewrite a plain-path combination in bar-path coordinates."""
+    if not combo:
+        return {}
+    spec = motzkin_spec(len(next(iter(combo))))
+    x = Element(spec, {path_diagram(a): c for a, c in combo.items()})
+    return {path_of(d): c for d, c in change_basis(x, "bar").terms.items()}
 
 
 def bar_act(spec, d, a):
@@ -265,17 +225,19 @@ def cell_basis(kind, k, lam):
     if kind == "tl":
         if (k - lam) % 2:
             raise ValueError("k - lambda must be even for TL cell modules")
-        return [a for a in tl_paths(k) if rank_of(a) == lam]
-    if kind == "motzkin":
+        keep = lambda a: 0 not in a and rank_of(a) == lam
+    elif kind == "motzkin":
         if not 0 <= lam <= k:
             raise ValueError("rank out of range")
-        return paths_of_rank(k, lam)
-    if kind == "ptl":
+        keep = lambda a: rank_of(a) == lam
+    elif kind == "ptl":
         lam = tuple(lam)
         if lam not in set(valid_types(k)):
             raise ValueError("invalid type %r" % (lam,))
-        return paths_of_type(k, lam)
-    raise ValueError("unknown cell module kind %r" % (kind,))
+        keep = lambda a: type_of(a) == lam
+    else:
+        raise ValueError("unknown cell module kind %r" % (kind,))
+    return [a for a in motzkin_paths(k) if keep(a)]
 
 
 def cell_action(kind, lam, x):
@@ -329,7 +291,8 @@ def cell_dims(kind, k):
     if kind == "tl":
         return {m: tl_cell_dim(k, m) for m in range(k % 2, k + 1, 2)}
     if kind == "motzkin":
-        return {m: len(paths_of_rank(k, m)) for m in range(k + 1)}
+        return {m: sum(comb(k, n) * tl_cell_dim(n, m) for n in range(m, k + 1))
+                for m in range(k + 1)}
     if kind == "ptl":
         return {lam: comb(k, sum(lam)) * tl_cell_dim(sum(lam), lam[0] - lam[1])
                 for lam in valid_types(k)}

@@ -42,10 +42,6 @@ class SparseMatrix:
     def identity(cls, n):
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
-    @classmethod
-    def zeros(cls, nrows, ncols):
-        return cls(nrows, ncols)
-
     def __getitem__(self, rc):
         return self.entries.get(rc, 0)
 
@@ -105,10 +101,6 @@ class SparseMatrix:
                 p = v * w
                 out[key] = out[key] + p if key in out else p
         return SparseMatrix(self.nrows, other.ncols, out)
-
-    def transpose(self):
-        return SparseMatrix(self.ncols, self.nrows,
-                            {(c, r): v for (r, c), v in self.entries.items()})
 
     def commutator(self, other):
         return self * other - other * self

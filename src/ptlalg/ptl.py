@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import AlgebraSpec, Element, change_basis
-from .diagram import (balanced_motzkin_stratum, diagram_of, n_subsets, triple_of)
+from .diagram import diagram_of, n_subsets, triple_of
 from .linalg import Echelon, SparseMatrix
 from .scalar import DeltaPoly, evaluate_delta
 
@@ -31,27 +31,6 @@ def ptl_dimension(k):
 
 def strata_dims(k):
     return [comb(k, n) ** 2 * catalan(n) for n in range(k + 1)]
-
-
-class PTLBasis:
-    """The balanced Motzkin diagrams of size k, grouped by edge count."""
-
-    def __init__(self, k):
-        self.k = k
-        self.strata = [balanced_motzkin_stratum(n, k) for n in range(k + 1)]
-        self.index = {}
-        pos = 0
-        for n, stratum in enumerate(self.strata):
-            for d in stratum:
-                self.index[d] = pos
-                pos += 1
-
-    def diagrams(self):
-        for stratum in self.strata:
-            yield from stratum
-
-    def __len__(self):
-        return len(self.index)
 
 
 def decompose_x(x):

@@ -151,10 +151,6 @@ class IntPoly:
     def is_constant(self):
         return not self.coeffs or set(self.coeffs) == {0}
 
-    def constant_value(self):
-        assert self.is_constant()
-        return self.coeffs.get(0, 0)
-
     def __eq__(self, other):
         if isinstance(other, _NUM):
             return self.is_constant() and self.coeffs.get(0, 0) == other

@@ -1,5 +1,6 @@
 """Paths, 1-factors, the stacking action, and the cell modules."""
 
+import itertools
 from math import comb
 
 import pytest
@@ -7,12 +8,13 @@ import pytest
 from ptlalg.algebra import Element, bar_of, motzkin_spec, tl_spec
 from ptlalg.cells import (act_on_path, bar_act, bar_path, cell_action,
                           cell_basis, cell_dims, collect_bar_paths,
-                          dominance_leq, join_tl, motzkin_paths,
-                          one_factor_of, path_of_one_factor, path_pairing,
-                          paths_of_type, rank_of, tl_cell_dim,
-                          tl_paths, type_of, valid_types)
-from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, gen_e,
-                            identity, motzkin_diagrams, tl_diagrams)
+                          dominance_leq, is_motzkin_path, join_tl,
+                          motzkin_paths, one_factor_of, path_diagram, path_of,
+                          path_of_one_factor, path_pairing, rank_of,
+                          tl_cell_dim, type_of, valid_types)
+from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, gen_b, gen_e,
+                            identity, motzkin_diagrams,
+                            partial_brauer_diagrams, tl_diagrams)
 from ptlalg.repn import pieri_dims
 from ptlalg.scalar import DeltaPoly
 
@@ -21,7 +23,8 @@ delta = DeltaPoly.gen()
 
 def test_path_counts():
     assert [len(motzkin_paths(k)) for k in range(5)] == [1, 2, 5, 13, 35]
-    assert [len(tl_paths(k)) for k in range(5)] == [1, 1, 2, 3, 6]
+    assert [len([a for a in motzkin_paths(k) if 0 not in a])
+            for k in range(5)] == [1, 1, 2, 3, 6]
 
 
 def test_worked_pairing():
@@ -61,8 +64,9 @@ def test_join_section_of_triple():
     # joining TL paths of equal rank gives every TL diagram exactly once
     k = 4
     seen = set()
-    for a in tl_paths(k):
-        for b in tl_paths(k):
+    paths = [a for a in motzkin_paths(k) if 0 not in a]
+    for a in paths:
+        for b in paths:
             if rank_of(a) == rank_of(b):
                 seen.add(join_tl(a, b))
     assert seen == set(tl_diagrams(k))
@@ -163,7 +167,8 @@ def test_cell_dimension_tables():
     assert cell_dims("ptl", 4) == table4
     assert sum(v * v for v in table4.values()) == 183
     assert tl_cell_dim(7, 3) == 14
-    assert tl_cell_dim(7, 3) == len([a for a in tl_paths(7) if rank_of(a) == 3])
+    assert tl_cell_dim(7, 3) == len([a for a in motzkin_paths(7)
+                                     if 0 not in a and rank_of(a) == 3])
 
 
 def test_cell_dims_formula_vs_enumeration_and_branching():
@@ -171,7 +176,7 @@ def test_cell_dims_formula_vs_enumeration_and_branching():
     for k in range(6):
         dims = cell_dims("ptl", k)
         for lam in valid_types(k):
-            assert dims[lam] == len(paths_of_type(k, lam))
+            assert dims[lam] == len([a for a in motzkin_paths(k) if type_of(a) == lam])
             assert dims[lam] == comb(k, sum(lam)) * tl_cell_dim(sum(lam), lam[0] - lam[1])
         assert dims == pieri_dims(k)
         assert sum(v * v for v in dims.values()) == ptl_dimension(k)
@@ -223,3 +228,171 @@ def test_motzkin_cell_action_is_representation():
                     from ptlalg.linalg import SparseMatrix
                     acc = SparseMatrix(mats[d1].nrows, mats[d1].ncols)
                 assert mats[d1] * mats[d2] == acc
+
+
+# -- the stacking action against the graph-walk reference -----------------------
+
+def walk_act_on_path(d, a):
+    """Reference action: a graph walk over the stacked vertices."""
+    k = d.k
+    if len(a) != k:
+        raise ValueError("length mismatch")
+    pairs, fixed, _zeros = one_factor_of(a)
+    # nodes: tops 0..k-1, mids k..2k-1 (the path's vertices), and one
+    # terminal 2k+c per fixed point c (the line to infinity)
+    adj = {}
+
+    def link(u, v):
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+
+    for (u, v) in d.edges():
+        link(u, v)
+    for (i, j) in pairs:
+        link(k + i - 1, k + j - 1)
+    for c in fixed:
+        link(k + c - 1, 2 * k + c - 1)
+
+    seen = set()
+    b = [0] * k
+    loops = 0
+    for start in list(adj):
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        queue = [start]
+        while queue:
+            u = queue.pop()
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    comp.append(v)
+                    queue.append(v)
+        tops = sorted(u for u in comp if u < k)
+        infs = [u for u in comp if u >= 2 * k]
+        n_edges = sum(len(adj[u]) for u in comp) // 2
+        if not tops and not infs and n_edges == len(comp):
+            loops += 1
+        elif len(tops) == 2 and not infs:
+            b[tops[0]] = 1
+            b[tops[1]] = -1
+        elif len(tops) == 1 and len(infs) == 1:
+            b[tops[0]] = 1
+        # everything else dangles and vanishes without a factor
+    b = tuple(b)
+    if not is_motzkin_path(b):
+        raise ValueError("action left the path space; is the diagram planar?")
+    return loops, b
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
+
+
+def test_path_diagram_is_the_top_half():
+    for k in range(7):
+        for a in motzkin_paths(k):
+            d = path_diagram(a)
+            assert path_diagram(list(a)) is d
+            assert path_of(d) == a
+            assert d.is_motzkin()
+            pairs, fixed, zeros = one_factor_of(a)
+            assert sorted(d.cups()) == [(i - 1, j - 1) for (i, j) in pairs]
+            assert d.verticals() == [(c - 1, c - 1) for c in fixed]
+            assert not d.caps()
+    with pytest.raises(ValueError):
+        path_diagram((1, -1, -1))
+
+
+def test_action_matches_walk_on_motzkin_4_pairs():
+    n = 0
+    for k in range(5):
+        for d in motzkin_diagrams(k):
+            for a in motzkin_paths(k):
+                assert act_on_path(d, a) == walk_act_on_path(d, a)
+                n += 1
+    assert n == 12018
+
+
+def test_action_matches_walk_on_partial_brauer_3_pairs():
+    n = raised = 0
+    for k in range(4):
+        words = list(itertools.product((-1, 0, 1, 2), repeat=k))
+        for d in partial_brauer_diagrams(k):
+            for a in words:
+                got = outcome(act_on_path, d, a)
+                assert got == outcome(walk_act_on_path, d, a)
+                n += is_motzkin_path(a)
+                raised += got is ValueError
+    assert n == 1043
+    # every word that is not a Motzkin path raises, in both
+    assert raised == 2 * (4 - 2) + 10 * (16 - 5) + 76 * (64 - 13)
+
+
+def test_action_rejects_diagrams_that_are_not_partial_brauer():
+    for d, a in ((gen_b(1, 2), (1, -1)), (gen_b(1, 2), (0, 0)),
+                 (gen_b(2, 3), (1, 1, 1)),
+                 (Diagram(2, [(0, 1, 2), (3,)]), [1, 0])):
+        with pytest.raises(ValueError):
+            act_on_path(d, a)
+    with pytest.raises(ValueError):
+        act_on_path(identity(3), (1, -1))
+
+
+# -- bar paths against the tuple references -------------------------------------
+
+def tuple_bar_path(a):
+    """Reference bar path: inclusion-exclusion over tuples."""
+    pairs, fixed, _ = one_factor_of(a)
+    units = [(i, j) for (i, j) in pairs] + [(i,) for i in fixed]
+    out = {}
+    for r in range(len(units) + 1):
+        for erased in itertools.combinations(units, r):
+            bl = list(a)
+            for unit in erased:
+                for i in unit:
+                    bl[i - 1] = 0
+            key = tuple(bl)
+            out[key] = out.get(key, 0) + (-1) ** r
+    return {p: c for p, c in out.items() if c}
+
+
+def triangular_collect_bar_paths(combo):
+    """Reference recollection: a triangular solve over tuples."""
+    work = dict(combo)
+    out = {}
+    while work:
+        a = max(work, key=lambda p: (sum(1 for x in p if x), p))
+        c = work.pop(a)
+        if not c:
+            continue
+        out[a] = c
+        for p, sign in tuple_bar_path(a).items():
+            if p == a:
+                continue
+            work[p] = work.get(p, 0) - c * sign
+    return {p: c for p, c in out.items() if c}
+
+
+def test_bar_paths_match_tuple_references():
+    assert collect_bar_paths({}) == {}
+    for k in range(7):
+        paths = motzkin_paths(k)
+        for a in paths:
+            assert bar_path(a) == tuple_bar_path(a)
+            assert bar_path(list(a)) == tuple_bar_path(a)
+            assert collect_bar_paths(tuple_bar_path(a)) == {a: 1}
+            assert collect_bar_paths({a: 3}) == triangular_collect_bar_paths({a: 3})
+        combo = {a: (i % 5 - 2) + (i % 3) * delta for i, a in enumerate(paths)}
+        assert collect_bar_paths(combo) == triangular_collect_bar_paths(combo)
+
+
+def test_motzkin_cell_dims_match_enumeration():
+    for k in range(11):
+        paths = motzkin_paths(k)
+        assert cell_dims("motzkin", k) == {
+            m: len([a for a in paths if rank_of(a) == m]) for m in range(k + 1)}

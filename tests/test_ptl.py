@@ -8,7 +8,7 @@ import pytest
 from ptlalg.algebra import AlgebraSpec, Element, bar_multiply, change_basis, epsilon
 from ptlalg.diagram import (balanced_motzkin_diagrams, balanced_motzkin_stratum,
                             gen_e, gen_l, gen_r, motzkin_diagrams, triple_of)
-from ptlalg.ptl import (PTLBasis, decompose_x, from_block,
+from ptlalg.ptl import (decompose_x, from_block,
                         generated_dimension, ptl_dimension, strata_dims,
                         to_block)
 from ptlalg.scalar import DeltaPoly
@@ -21,9 +21,9 @@ def test_dimension_formula():
 
 
 def test_basis_strata():
-    basis = PTLBasis(3)
-    assert len(basis) == 33
-    assert [len(s) for s in basis.strata] == [1, 9, 18, 5]
+    strata = [balanced_motzkin_stratum(n, 3) for n in range(4)]
+    assert len({d for s in strata for d in s}) == 33
+    assert [len(s) for s in strata] == [1, 9, 18, 5]
 
 
 def test_decompose_identity():
