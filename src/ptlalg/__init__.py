@@ -13,9 +13,9 @@ from .algebra import (AlgebraSpec, Element, bar_multiply, bar_of, change_basis,
 from .diagram import (Diagram, Frame, Triple, balanced_motzkin_diagrams,
                       balanced_motzkin_stratum, compose, diagram_of,
                       enumerate_diagrams, gen_b, gen_e, gen_l, gen_p, gen_r,
-                      gen_s, generator, identity, l_of_subset, leq,
-                      motzkin_diagrams, omega, partial_brauer_diagrams,
-                      r_of_subset, subdiagrams, tensor, tl_diagrams, triple_of)
+                      gen_s, identity, l_of_subset, leq, motzkin_diagrams,
+                      omega, partial_brauer_diagrams, r_of_subset, subdiagrams,
+                      tensor, tl_diagrams, triple_of)
 from .scalar import (DeltaPoly, LaurentPoly, XPoly, evaluate_delta, evaluate_q,
                      parse_scalar, scalar_to_str, substitute_delta)
 

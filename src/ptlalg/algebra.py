@@ -13,13 +13,18 @@ scalar ring, tagged with the basis its coordinates refer to:
   extra (1 - p_i) factor for every through edge that snakes through
   interior cups and caps.
 
-Basis changes are exact unitriangular solves along the edge-removal order.
+Every alternating-basis computation is a sum over edge subsets
+(``diagram.removals``).  Writing d - S for d with the edges S removed,
+bar(d) = sum_S (-1)^|S| (d - S) over the subsets S of the edges of d
+inverts, by Moebius inversion on the subset lattice, to
+d = sum_S bar(d - S) with every coefficient +1; tilde does the same over the
+horizontal edges.  So a basis change walks one expansion both ways: into
+the diagram basis it keeps the signs, out of it it drops them.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 from .diagram import Diagram, compose, removals
@@ -176,10 +181,6 @@ class Element:
         return (self.spec == other.spec and self.basis == other.basis
                 and self.terms == other.terms)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -233,10 +234,8 @@ def _expansion(d, which):
         pool = [e for e in d.edges() if e[0] < d.k <= e[1]]
     else:
         raise ValueError(which)
-    out = {}
-    for sub, r in removals(d, pool):
-        out[sub] = out.get(sub, 0) + (-1) ** r
-    return {dd: c for dd, c in out.items() if c}
+    # distinct edge subsets leave distinct diagrams, so no two terms cancel
+    return {sub: (-1) ** r for sub, r in removals(d, pool)}
 
 
 def bar_of(spec, d):
@@ -255,33 +254,25 @@ def hat_of(spec, d):
 
 
 def change_basis(x, to):
-    """Exact coordinate change between the diagram, bar and tilde bases."""
+    """Exact coordinate change between the diagram, bar and tilde bases.
+
+    Into the diagram basis each bar(d) / tilde(d) expands to its signed
+    subdiagram sum; out of it each d is the unsigned sum of the bar / tilde
+    vectors of the same subdiagrams (Moebius inversion on the edge subsets).
+    bar <-> tilde passes through the diagram basis.
+    """
     if to not in BASES:
         raise ValueError("unknown basis %r" % (to,))
     if x.basis == to:
         return x
-    if x.basis in ("bar", "tilde") and to == "diagram":
-        total = {}
-        for d, c in x.terms.items():
-            for dd, sign in _expansion(d, x.basis).items():
-                total[dd] = total.get(dd, 0) + c * sign
-        return Element(x.spec, total, "diagram")
-    if x.basis == "diagram":
-        work = dict(x.terms)
-        out = {}
-        while work:
-            d = max(work, key=lambda dd: (dd.n_edges(), dd.blocks))
-            c = work.pop(d)
-            if not c:
-                continue
-            out[d] = c
-            for dd, sign in _expansion(d, to).items():
-                if dd == d:
-                    continue
-                work[dd] = work.get(dd, 0) - c * sign
-        return Element(x.spec, out, to)
-    # bar <-> tilde via the diagram basis
-    return change_basis(change_basis(x, "diagram"), to)
+    if x.basis != "diagram" and to != "diagram":
+        return change_basis(change_basis(x, "diagram"), to)
+    which, signed = (x.basis, True) if to == "diagram" else (to, False)
+    total = {}
+    for d, c in x.terms.items():
+        for dd, sign in _expansion(d, which).items():
+            total[dd] = total.get(dd, 0) + (c * sign if signed else c)
+    return Element(x.spec, total, to)
 
 
 # -- structured products --------------------------------------------------------
@@ -307,66 +298,26 @@ def omega_obstruction(d1, d2):
     return ((full - f1.bot) & f2.top_h) | ((full - f2.top) & f1.bot_h)
 
 
-def snake_set(d1, d2):
-    """Top columns (1-based) of the through edges of d1 o d2 whose path
-    traverses at least one interior cup or cap."""
-    k = d1.k
-    p1, p2 = d1.partner, d2.partner
-    out = []
-    for t in range(k):
-        mate = p1.get(t)
-        if mate is None or mate < k:
-            continue  # isolated top vertex, or a cup of d1
-        m = mate - k
-        horiz = 0
-        end = None
-        while True:
-            nxt = p2.get(m)
-            if nxt is None:
-                break  # dangling: the edge dies in the middle
-            if nxt >= k:
-                end = nxt - k
-                break  # reached the bottom row: a through edge
-            horiz += 1  # a cup of d2
-            nxt1 = p1.get(k + nxt)
-            if nxt1 is None or nxt1 < k:
-                break  # dangling, or emerged as a cup of the composite
-            horiz += 1  # a cap of d1
-            m = nxt1 - k
-        if end is not None and horiz > 0:
-            out.append(t + 1)
-    return frozenset(out)
-
-
-def _drop_throughs(d, top_cols):
-    """Remove the through edges whose top column (1-based) lies in the set."""
-    keep = [e for e in d.edges()
-            if not (e[0] < d.k <= e[1] and e[0] + 1 in top_cols)]
-    return Diagram.from_edges(d.k, keep)
-
-
 def tilde_multiply(spec, d1, d2):
     """Product of two tilde-basis vectors, in tilde coordinates.
 
     Zero when the obstruction set is nonempty; otherwise
-    (delta-1)^{#loops} prod_{i in S} (1 - p_i) tilde(d1 o d2), expanded as a
-    signed sum of tilde-basis vectors (each p_i drops one through edge).
+    (delta-1)^{#loops} prod_{t in S} (1 - p_t) tilde(d1 o d2), expanded as a
+    signed sum of tilde-basis vectors over the subsets of S (each p_t drops
+    one through edge).  S holds the through edges of the composite that
+    snake through an interior cup or cap: a through edge t -- b' snakes
+    exactly when d2 sends the middle end of d1's edge at t into its top row.
     """
     if omega_obstruction(d1, d2):
         return Element.zero(spec, "tilde")
     comp = compose(d1, d2)
-    s = snake_set(d1, d2)
+    k = d1.k
+    p1, p2 = d1.partner, d2.partner
+    snakes = [b for b in comp.diagram.blocks
+              if len(b) == 2 and b[0] < k <= b[1] and p2[p1[b[0]] - k] < k]
     lead = _power(spec.delta - 1, comp.loops)
-    terms = {}
-    for sub in _subsets(sorted(s)):
-        dd = _drop_throughs(comp.diagram, frozenset(sub)) if sub else comp.diagram
-        terms[dd] = terms.get(dd, 0) + (-1) ** len(sub) * lead
-    return Element(spec, terms, "tilde")
-
-
-def _subsets(items):
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
+    return Element(spec, {dd: (-1) ** r * lead
+                          for dd, r in removals(comp.diagram, snakes)}, "tilde")
 
 
 def epsilon(spec, i):

@@ -110,7 +110,10 @@ def cmd_mul(args):
 
 def cmd_convert(args):
     x = _element_from_json(args, _read_json(args.element))
-    out = change_basis(x, args.to)
+    try:
+        out = change_basis(x, args.to)
+    except ValueError as exc:
+        _input_error("element", exc)
     if args.json:
         _print_element_json(out)
     else:

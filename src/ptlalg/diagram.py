@@ -68,10 +68,6 @@ class Diagram:
             return NotImplemented
         return self.k == other.k and self.blocks == other.blocks
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self):
         h = self._hash
         if h is None:
@@ -346,15 +342,19 @@ def subdiagrams(d):
 
 
 def removals(d, edge_pool):
-    """(diagram, #removed) for every way of excising a subset of ``edge_pool``."""
-    all_edges = d.edges()
+    """(diagram, #removed) for every way of excising a subset of ``edge_pool``.
+
+    The empty subset comes first as ``(d, 0)``, ``d`` itself; only the
+    diagrams that lose an edge are built again from their edges.
+    """
+    out = [(d, 0)]
     pool = list(edge_pool)
-    fixed = [e for e in all_edges if e not in pool]
-    out = []
-    for r in range(len(pool) + 1):
-        for removed in itertools.combinations(pool, r):
-            keep = fixed + [e for e in pool if e not in removed]
-            out.append((Diagram.from_edges(d.k, keep), r))
+    if pool:
+        fixed = [e for e in d.edges() if e not in pool]
+        for r in range(1, len(pool) + 1):
+            for removed in itertools.combinations(pool, r):
+                keep = fixed + [e for e in pool if e not in removed]
+                out.append((Diagram.from_edges(d.k, keep), r))
     return out
 
 
@@ -411,16 +411,6 @@ def gen_r(i, k):
 def gen_l(i, k):
     """s_i p_i: edge from top column i down to bottom column i+1."""
     return _two_column(k, i, [(0, 3), (1,), (2,)])
-
-
-_GENERATORS = {"one": lambda i, k: identity(k), "omega": lambda i, k: omega(k),
-               "p": gen_p, "s": gen_s, "b": gen_b, "e": gen_e, "r": gen_r, "l": gen_l}
-
-
-def generator(name, i, k):
-    if name not in _GENERATORS:
-        raise ValueError("unknown generator %r" % (name,))
-    return _GENERATORS[name](i, k)
 
 
 def r_of_subset(A, k):

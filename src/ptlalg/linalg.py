@@ -111,10 +111,6 @@ class SparseMatrix:
         return ((self.nrows, self.ncols) == (other.nrows, other.ncols)
                 and self.entries == other.entries)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def map_values(self, f):
         return SparseMatrix(self.nrows, self.ncols,
                             {rc: f(v) for rc, v in self.entries.items()})

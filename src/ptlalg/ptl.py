@@ -90,15 +90,13 @@ def from_block(spec, n, block):
 
 # -- generated subalgebra dimension ---------------------------------------------
 
-def _specialize(x, delta0, delta_prime0=None):
+def _specialize(x, delta0):
     """Evaluate an element's delta-polynomial coefficients at a rational point."""
     spec = x.spec
     d0 = Fraction(delta0)
     dp = spec.delta_prime
     if isinstance(dp, DeltaPoly):
         dp = evaluate_delta(dp, d0)
-    if delta_prime0 is not None:
-        dp = Fraction(delta_prime0)
     delta = spec.delta
     if isinstance(delta, DeltaPoly):
         delta = d0

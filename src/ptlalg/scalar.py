@@ -158,10 +158,6 @@ class IntPoly:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self):
         h = self._hash
         if h is None:

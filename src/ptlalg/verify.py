@@ -176,12 +176,13 @@ def check_bar_path_action(kcap):
     delta = DeltaPoly.gen()
     k = min(kcap, 3)
     spec = motzkin_spec(k)
+    bar_paths = {a: cells.bar_path(a) for a in cells.motzkin_paths(k)}
     for d in balanced_motzkin_diagrams(k):
         expansion = bar_of(spec, d)
-        for a in cells.motzkin_paths(k):
+        for a, bar_a in bar_paths.items():
             acc = {}
             for dt, cd in expansion.terms.items():
-                for p, cp in cells.bar_path(a).items():
+                for p, cp in bar_a.items():
                     n, b = cells.act_on_path(dt, p)
                     acc[b] = acc.get(b, 0) + cd * cp * (delta ** n if n else 1)
             brute = cells.collect_bar_paths(acc)

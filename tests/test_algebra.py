@@ -1,17 +1,19 @@
 """Element arithmetic, alternating bases, and the structured product rules."""
 
 import functools
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptlalg.algebra import (AlgebraSpec, Element, bar_multiply, bar_of,
-                            change_basis, hat_of, motzkin_spec, snake_set,
-                            tilde_multiply, tilde_of, tl_spec)
+from ptlalg.algebra import (AlgebraSpec, Element, _expansion, bar_multiply,
+                            bar_of, change_basis, hat_of, motzkin_spec,
+                            ptl_spec, tilde_multiply, tilde_of, tl_spec)
 from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, compose,
                             gen_e, gen_p, gen_r, gen_l, identity,
-                            motzkin_diagrams, omega, partial_brauer_diagrams)
+                            motzkin_diagrams, omega, partial_brauer_diagrams,
+                            removals, subdiagrams)
 from ptlalg.scalar import DeltaPoly
 
 delta = DeltaPoly.gen()
@@ -320,5 +322,157 @@ def test_tilde_multiply_rebuilds_only_the_dropped_composites(monkeypatch):
         for d1 in pool:
             for d2 in pool:
                 if tilde_multiply(spec, d1, d2):
-                    expected += 2 ** len(snake_set(d1, d2)) - 1
+                    expected += 2 ** len(reference_snake_set(d1, d2)) - 1
     assert 0 < expected == len(built)
+
+
+# -- references: the snake walk and the triangular basis change ------------------
+
+def reference_snake_set(d1, d2):
+    """Top columns (1-based) of the through edges of d1 o d2 whose path
+    traverses at least one interior cup or cap, found by walking the stack
+    through both partner maps."""
+    k = d1.k
+    p1, p2 = d1.partner, d2.partner
+    out = []
+    for t in range(k):
+        mate = p1.get(t)
+        if mate is None or mate < k:
+            continue  # isolated top vertex, or a cup of d1
+        m = mate - k
+        horiz = 0
+        end = None
+        while True:
+            nxt = p2.get(m)
+            if nxt is None:
+                break  # dangling: the edge dies in the middle
+            if nxt >= k:
+                end = nxt - k
+                break  # reached the bottom row: a through edge
+            horiz += 1  # a cup of d2
+            nxt1 = p1.get(k + nxt)
+            if nxt1 is None or nxt1 < k:
+                break  # dangling, or emerged as a cup of the composite
+            horiz += 1  # a cap of d1
+            m = nxt1 - k
+        if end is not None and horiz > 0:
+            out.append(t + 1)
+    return frozenset(out)
+
+
+def reference_tilde_multiply(spec, d1, d2):
+    """The tilde rule with the walked snake set, every subset rebuilt."""
+    full = frozenset(range(1, d1.k + 1))
+    f1, f2 = d1.frames(), d2.frames()
+    if ((full - f1.bot) & f2.top_h) | ((full - f2.top) & f1.bot_h):
+        return Element.zero(spec, "tilde")
+    comp = compose(d1, d2)
+    k = d1.k
+    lead = (spec.delta - 1) ** comp.loops if comp.loops else 1
+    snakes = sorted(reference_snake_set(d1, d2))
+    terms = {}
+    for r in range(len(snakes) + 1):
+        for sub in itertools.combinations(snakes, r):
+            keep = [e for e in comp.diagram.edges()
+                    if not (e[0] < k <= e[1] and e[0] + 1 in sub)]
+            dd = Diagram.from_edges(k, keep)
+            terms[dd] = terms.get(dd, 0) + (-1) ** r * lead
+    return Element(spec, terms, "tilde")
+
+
+def reference_change_basis(x, to):
+    """Diagram basis -> bar / tilde by a unitriangular solve: peel off the
+    term with the most edges and subtract the rest of its expansion."""
+    assert x.basis == "diagram" and to in ("bar", "tilde")
+    work = dict(x.terms)
+    out = {}
+    while work:
+        d = max(work, key=lambda dd: (dd.n_edges(), dd.blocks))
+        c = work.pop(d)
+        if not c:
+            continue
+        out[d] = c
+        for dd, sign in _expansion(d, to).items():
+            if dd == d:
+                continue
+            work[dd] = work.get(dd, 0) - c * sign
+    return Element(x.spec, out, to)
+
+
+def horizontal_edges(d):
+    return [e for e in d.edges() if e[1] < d.k or e[0] >= d.k]
+
+
+def test_tilde_rule_matches_walked_snake_reference():
+    for k in (1, 2, 3):
+        spec, pool = motzkin_spec(k), motzkin_diagrams(k)
+        for d1 in pool:
+            for d2 in pool:
+                assert tilde_multiply(spec, d1, d2) == reference_tilde_multiply(spec, d1, d2)
+    spec, pool = motzkin_spec(4), balanced_motzkin_diagrams(4)
+    pairs = 0
+    for d1 in pool:
+        for d2 in pool:
+            assert tilde_multiply(spec, d1, d2) == reference_tilde_multiply(spec, d1, d2)
+            pairs += 1
+    assert pairs == 33489
+
+
+def test_change_basis_is_the_moebius_sum():
+    """d = sum of bar(s) over its subdiagrams s, and likewise of tilde(s)
+    over the removals of its horizontal edges, every coefficient +1."""
+    seen = 0
+    for k in range(5):
+        spec = motzkin_spec(k)
+        for d in motzkin_diagrams(k):
+            x = Element.of(spec, d)
+            assert change_basis(x, "bar").terms == {s: 1 for s in subdiagrams(d)}
+            assert change_basis(x, "tilde").terms == {
+                s: 1 for s, _ in removals(d, horizontal_edges(d))}
+            seen += 1
+    assert seen == 386
+
+
+def test_removals_lead_with_the_diagram_itself():
+    for d in motzkin_diagrams(3):
+        for pool in ([], d.edges(), horizontal_edges(d)):
+            subs = removals(d, pool)
+            assert subs[0][0] is d and subs[0][1] == 0
+            assert len(subs) == 2 ** len(pool)
+            assert len({s for s, _ in subs}) == len(subs)
+
+
+PTL_COEFFS = COEFFS + (5, delta ** 3 - delta)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.data())
+def test_change_basis_matches_triangular_reference(data):
+    k = data.draw(st.sampled_from((2, 3, 4)))
+    to = data.draw(st.sampled_from(("bar", "tilde")))
+    coeffs = st.sampled_from(PTL_COEFFS)
+    if data.draw(st.booleans()):
+        spec = motzkin_spec(k)
+        x = Element(spec, data.draw(st.dictionaries(
+            st.sampled_from(motzkin_diagrams(k)), coeffs, max_size=6)))
+    else:
+        # a PTL element given in the diagram basis: its alternating-basis
+        # support is balanced, but the subdiagrams met on the way are not
+        spec = ptl_spec(k)
+        source = data.draw(st.sampled_from(("bar", "tilde")))
+        y = Element(spec, data.draw(st.dictionaries(
+            st.sampled_from(balanced_motzkin_diagrams(k)), coeffs, max_size=4)), source)
+        x = change_basis(y, "diagram")
+        if data.draw(st.booleans()):
+            # a stray diagram with a cup or a cap: PTL cannot hold the result
+            stray = [d for d in motzkin_diagrams(k) if d.cups() or d.caps()]
+            x = x + Element.of(spec, data.draw(st.sampled_from(stray)))
+        elif source == to:
+            assert change_basis(x, to) == y
+    try:
+        want = reference_change_basis(x, to)
+    except ValueError:
+        with pytest.raises(ValueError, match="not admitted"):
+            change_basis(x, to)
+    else:
+        assert change_basis(x, to) == want

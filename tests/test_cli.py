@@ -149,6 +149,27 @@ def test_element_k_errors_exit_2(tmp_path, capsys):
             assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+E1_IN = {"k": 2, "terms": [{"coeff": "1", "diagram":
+                               {"k": 2, "edges": [["t1", "t2"], ["b1", "b2"]]}}]}
+
+
+@pytest.mark.parametrize("basis,algebra,to", [
+    ("diagram", "ptl", "tilde"),   # e1 alone is not in PTL_2
+    ("diagram", "tl", "bar"),      # bar coordinates need isolated vertices
+    ("tilde", "tl", "diagram"),    # so does the expansion of tilde(e1)
+])
+def test_convert_outside_the_target_basis_exits_2(basis, algebra, to, tmp_path, capsys):
+    f = tmp_path / "e1.json"
+    f.write_text(json.dumps({"basis": basis, **E1_IN}))
+    with pytest.raises(SystemExit) as exc:
+        main(["convert", str(f), "--to", to, "--algebra", algebra])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "not admitted" in captured.err
+
+
 def test_render_round_trip(tmp_path, capsys):
     obj = {"k": 3, "edges": [["t1", "t2"], ["b1", "b2"], ["t3", "b3"]]}
     f = tmp_path / "d.json"
