@@ -56,7 +56,8 @@ class AlgebraSpec:
         if d.k != self.k:
             return False
         if self.flavor == "partition":
-            return True
+            # bar and tilde expansions remove edges, so they need partial Brauer diagrams
+            return basis == "diagram" or d.is_partial_brauer()
         if not d.is_partial_brauer():
             return False
         if self.flavor == "partial_brauer":
@@ -138,11 +139,7 @@ class Element:
         return Element(self.spec, out, self.basis)
 
     def __sub__(self, other):
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            out[d] = out.get(d, 0) - c
-        return Element(self.spec, out, self.basis)
+        return self + -other
 
     def __neg__(self):
         return Element(self.spec, {d: -c for d, c in self.terms.items()}, self.basis)
@@ -226,6 +223,8 @@ def _power(scalar, n):
 @functools.lru_cache(maxsize=None)
 def _expansion(d, which):
     """Signed diagram expansion of bar(d) / tilde(d) / hat(d) as a dict."""
+    if not d.is_partial_brauer():
+        raise ValueError("diagram %r not admitted: %s needs partial Brauer" % (d, which))
     if which == "bar":
         pool = d.edges()
     elif which == "tilde":
@@ -287,7 +286,8 @@ def bar_multiply(spec, d1, d2):
     if f1.bot != f2.top:
         return Element.zero(spec, "bar")
     comp = compose(d1, d2)
-    return Element.of(spec, comp.diagram, _power(spec.delta - 1, comp.loops), "bar")
+    lead = (spec.delta - 1) ** comp.loops if comp.loops else 1
+    return Element.of(spec, comp.diagram, lead, "bar")
 
 
 def omega_obstruction(d1, d2):
@@ -315,7 +315,7 @@ def tilde_multiply(spec, d1, d2):
     p1, p2 = d1.partner, d2.partner
     snakes = [b for b in comp.diagram.blocks
               if len(b) == 2 and b[0] < k <= b[1] and p2[p1[b[0]] - k] < k]
-    lead = _power(spec.delta - 1, comp.loops)
+    lead = (spec.delta - 1) ** comp.loops if comp.loops else 1
     return Element(spec, {dd: (-1) ** r * lead
                           for dd, r in removals(comp.diagram, snakes)}, "tilde")
 

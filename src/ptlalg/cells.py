@@ -11,9 +11,10 @@ cups, each fixed point c is the through edge c -- c', its zeros stay
 isolated.  Diagrams act on paths through :func:`~ptlalg.diagram.compose`
 with that half-diagram, each closed loop contributing one factor of the
 loop parameter, and the composite's top row is the image path.  Bar paths
-are the bar expansions of half-diagrams, and recollecting into them is a
-basis change in the Motzkin algebra.  The rank filtration of the Motzkin
-path space gives the Motzkin cell modules, its zero-free part the
+are the bar expansions of half-diagrams, recollecting into them is a basis
+change in the Motzkin algebra, and bar-basis diagrams act on them by the
+algebra's bar rule on the same half-diagrams.  The rank filtration of the
+Motzkin path space gives the Motzkin cell modules, its zero-free part the
 Temperley-Lieb ones, and the alternating bar-path basis, filtered by
 dominance of path types, the partial Temperley-Lieb ones.
 """
@@ -23,7 +24,8 @@ from __future__ import annotations
 import functools
 from math import comb
 
-from .algebra import Element, _expansion, change_basis, motzkin_spec
+from .algebra import (AlgebraSpec, Element, _expansion, bar_multiply, change_basis,
+                      motzkin_spec)
 from .diagram import Diagram, compose
 from .linalg import SparseMatrix
 
@@ -195,25 +197,26 @@ def collect_bar_paths(combo):
 
 
 def bar_act(spec, d, a):
-    """Action of a balanced bar-basis diagram on a bar path.
-
-    (delta-1)^N bar(b) when the bottom frame of d matches the support of
-    ``a`` and the rank survives, zero otherwise; N and b come from
-    :func:`act_on_path`.  The rank-preservation condition is forced by the
-    expand-act-recollect computation in the path module (rank-dropping
-    images cancel out of the alternating sums); inside the cell-module
-    quotients it is invisible, since dominated types are killed there
-    anyway.
+    """Action of a balanced bar-basis diagram on a bar path: the bar rule on
+    d and the half-diagram of ``a`` (partial Brauer, loop parameter of
+    ``spec``) gives (delta-1)^N bar(b), read back as (coefficient, b), or
+    ``None`` for zero or a dropped rank.  The rank-preservation condition is
+    forced by the expand-act-recollect computation in the path module
+    (rank-dropping images cancel out of the alternating sums); inside the
+    cell-module quotients it is invisible, since dominated types are killed
+    there anyway.
     """
     if not d.is_balanced():
         raise ValueError("bar_act needs a balanced diagram")
-    support = frozenset(j + 1 for j, x in enumerate(a) if x)
-    if frozenset(d.frames().bot) != support:
+    pb = AlgebraSpec("partial_brauer", d.k, spec.delta)
+    prod = bar_multiply(pb, d, path_diagram(a))
+    if not prod:
         return None
-    n, b = act_on_path(d, a)
+    (image, coeff), = prod.terms.items()
+    b = path_of(image)
     if rank_of(b) != rank_of(a):
         return None
-    return ((spec.delta - 1) ** n if n else 1, b)
+    return coeff, b
 
 
 # -- cell modules ----------------------------------------------------------------
@@ -240,39 +243,32 @@ def cell_basis(kind, k, lam):
 def cell_action(kind, lam, x):
     """Matrix of an algebra element on the cell module, columns = input paths.
 
-    TL and Motzkin modules take diagram-basis elements and the quotient
-    kills rank-dropping images; the partial Temperley-Lieb modules take
-    bar-coordinate elements acting through :func:`bar_act`, with images of
-    strictly dominated type killed.
+    TL and Motzkin modules take diagram-basis elements acting through
+    :func:`act_on_path` and the quotient kills rank-dropping images; the
+    partial Temperley-Lieb modules take bar-coordinate elements acting
+    through :func:`bar_act`, with images of strictly dominated type killed.
     """
     spec = x.spec
     basis = cell_basis(kind, spec.k, lam)
+    coords = "bar" if kind == "ptl" else "diagram"
+    if x.basis != coords:
+        raise ValueError("cell_action over %s expects %s coordinates" % (kind, coords))
     index = {a: i for i, a in enumerate(basis)}
     m = SparseMatrix(len(basis), len(basis))
-    if kind in ("tl", "motzkin"):
-        if x.basis != "diagram":
-            raise ValueError("cell_action over %s expects diagram coordinates" % kind)
-        for d, c in x.terms.items():
-            for a, col in index.items():
-                n, b = act_on_path(d, a)
-                row = index.get(b)
-                if row is not None:
-                    m.add_at(row, col, c * (spec.delta ** n if n else 1))
-        return m
-    if kind == "ptl":
-        if x.basis != "bar":
-            raise ValueError("cell_action over ptl expects bar coordinates")
-        for d, c in x.terms.items():
-            for a, col in index.items():
+    for d, c in x.terms.items():
+        for a, col in index.items():
+            if kind == "ptl":
                 hit = bar_act(spec, d, a)
-                if hit is None:
-                    continue
-                coeff, b = hit
-                row = index.get(b)
-                if row is not None:
-                    m.add_at(row, col, c * coeff)
-        return m
-    raise ValueError("unknown cell module kind %r" % (kind,))
+            else:
+                n, b = act_on_path(d, a)
+                hit = (spec.delta ** n if n else 1, b)
+            if hit is None:
+                continue
+            coeff, b = hit
+            row = index.get(b)
+            if row is not None:
+                m.add_at(row, col, c * coeff)
+    return m
 
 
 def tl_cell_dim(n, m):

@@ -27,6 +27,12 @@ def _fraction(text):
         raise argparse.ArgumentTypeError("not a rational number: %r" % (text,)) from exc
 
 
+def _nonzero_fraction(text):
+    if not _fraction(text):
+        raise argparse.ArgumentTypeError("not a nonzero rational number: %r" % (text,))
+    return Fraction(text)
+
+
 def _nonnegative_int(text):
     try:
         value = int(text)
@@ -92,19 +98,16 @@ def _element_from_json(args, obj):
     return x
 
 
-def _print_element_json(x):
+def _element_json(x):
     """An element's JSON with its "k", so that a zero element reads back."""
-    print(json.dumps({"k": x.spec.k, **x.to_json()}))
+    return json.dumps({"k": x.spec.k, **x.to_json()})
 
 
 def cmd_mul(args):
     x = _element_from_json(args, _read_json(args.x))
     y = _element_from_json(args, _read_json(args.y))
     out = x * y
-    if args.json:
-        _print_element_json(out)
-    else:
-        print(out)
+    print(_element_json(out) if args.json else out)
     return 0
 
 
@@ -114,10 +117,7 @@ def cmd_convert(args):
         out = change_basis(x, args.to)
     except ValueError as exc:
         _input_error("element", exc)
-    if args.json:
-        _print_element_json(out)
-    else:
-        print(out)
+    print(_element_json(out) if args.json else out)
     return 0
 
 
@@ -219,32 +219,29 @@ def cmd_verify(args):
     return 1 if failures else 0
 
 
+# format -> (element view, diagram view); both take the item and the RepConfig
+_RENDERERS = {
+    "ascii": (lambda x, cfg: ascii_element(x), lambda d, cfg: ascii_diagram(d)),
+    "tikz": (lambda x, cfg: tikz_element(x), lambda d, cfg: tikz_diagram(d)),
+    "json": (lambda x, cfg: _element_json(x), lambda d, cfg: json.dumps(d.to_json())),
+    "matrix": (lambda x, cfg: repn.element_matrix(x, cfg).to_coord_text(),
+               lambda d, cfg: repn.diagram_matrix(d, cfg).to_coord_text()),
+}
+
+
 def cmd_render(args):
     obj = _read_json(args.input)
     cfg = repn.RepConfig(args.alpha, args.sign)
-    if isinstance(obj, dict) and "terms" in obj:
-        x = _element_from_json(args, obj)
-        if args.format == "json":
-            _print_element_json(x)
-        elif args.format == "ascii":
-            print(ascii_element(x))
-        elif args.format == "matrix":
-            print(repn.element_matrix(x, cfg).to_coord_text())
-        else:
-            print(tikz_element(x))
+    is_element = isinstance(obj, dict) and "terms" in obj
+    if is_element:
+        item = _element_from_json(args, obj)
     else:
         try:
-            d = Diagram.from_json(obj)
+            item = Diagram.from_json(obj)
         except _INPUT_ERRORS as exc:
             _input_error("diagram", exc)
-        if args.format == "json":
-            print(json.dumps(d.to_json()))
-        elif args.format == "ascii":
-            print(ascii_diagram(d))
-        elif args.format == "matrix":
-            print(repn.diagram_matrix(d, cfg).to_coord_text())
-        else:
-            print(tikz_diagram(d))
+    element_view, diagram_view = _RENDERERS[args.format]
+    print((element_view if is_element else diagram_view)(item, cfg))
     return 0
 
 
@@ -330,9 +327,8 @@ def build_parser():
 
     p = sub.add_parser("render", help="render a diagram or element")
     p.add_argument("input", help="JSON file, or '-' for stdin")
-    p.add_argument("--format", default="ascii",
-                   choices=("ascii", "tikz", "json", "matrix"))
-    p.add_argument("--alpha", type=_fraction, default=Fraction(1),
+    p.add_argument("--format", default="ascii", choices=tuple(_RENDERERS))
+    p.add_argument("--alpha", type=_nonzero_fraction, default=Fraction(1),
                    help="form parameter for the tensor-space matrix")
     p.add_argument("--sign", default="-", choices=("+", "-"),
                    help="sign in delta = 1 +- (q + q^-1)")

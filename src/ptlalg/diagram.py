@@ -54,13 +54,11 @@ class Diagram:
 
     @classmethod
     def from_edges(cls, k, edges):
-        """Partial Brauer diagram from its edge list; unlisted vertices are isolated."""
-        used = set()
-        blocks = []
-        for (u, v) in edges:
-            blocks.append((u, v))
-            used.update((u, v))
-        blocks.extend((v,) for v in range(2 * k) if v not in used)
+        """Diagram from its listed blocks, for a partial Brauer diagram its
+        edges; unlisted vertices are isolated."""
+        blocks = list(edges)
+        used = {v for b in blocks for v in b}
+        blocks += [(v,) for v in range(2 * k) if v not in used]
         return cls(k, blocks)
 
     def __eq__(self, other):
@@ -203,10 +201,7 @@ class Diagram:
             return col - 1 if row == "t" else k + col - 1
 
         if "blocks" in obj:
-            listed = [tuple(vertex(s) for s in b) for b in obj["blocks"]]
-            used = {v for b in listed for v in b}
-            listed.extend((v,) for v in range(2 * k) if v not in used)
-            return cls(k, listed)
+            return cls.from_edges(k, [[vertex(s) for s in b] for b in obj["blocks"]])
         return cls.from_edges(k, [(vertex(a), vertex(b)) for a, b in obj.get("edges", [])])
 
 
@@ -518,22 +513,20 @@ def partial_brauer_diagrams(k):
     return sorted(out)
 
 
+def _planar_diagrams(k, allow_isolated):
+    """The diagrams of the non-crossing (partial) matchings of the 2k circle positions."""
+    return sorted(Diagram.from_edges(k, [(_unpos(a, k), _unpos(b, k)) for a, b in m])
+                  for m in _noncrossing_matchings(list(range(2 * k)), allow_isolated))
+
+
 def motzkin_diagrams(k):
     """All Motzkin k-diagrams (planar partial Brauer), in canonical order."""
-    positions = list(range(2 * k))
-    out = []
-    for m in _noncrossing_matchings(positions, True):
-        out.append(Diagram.from_edges(k, [(_unpos(a, k), _unpos(b, k)) for a, b in m]))
-    return sorted(out)
+    return _planar_diagrams(k, True)
 
 
 def tl_diagrams(k):
     """All Temperley-Lieb k-diagrams (Catalan many), in canonical order."""
-    positions = list(range(2 * k))
-    out = []
-    for m in _noncrossing_matchings(positions, False):
-        out.append(Diagram.from_edges(k, [(_unpos(a, k), _unpos(b, k)) for a, b in m]))
-    return sorted(out)
+    return _planar_diagrams(k, False)
 
 
 def _colex_key(subset):

@@ -10,7 +10,8 @@ quantum-group generators act through the coproduct
     K_i -> K_i x ... x K_i,
 
 with single-site matrices E: v_-1 -> v_1, F: v_1 -> v_-1, K_1 =
-diag(q,1,1), K_2 = diag(1,1,q).  Everything is exact: matrices carry
+diag(q,1,1), K_2 = diag(1,1,q).  One word weight, (#v_1, #v_-1), gives the
+K exponents and the gl2/sl2 weight classes.  Everything is exact: matrices carry
 integer (or rational, for non-integer alpha) Laurent polynomials in q, and
 commutant dimensions are computed by exact elimination at a rational q.
 """
@@ -75,13 +76,6 @@ class RepConfig:
                 (-1, 1): LaurentPoly({-1: s * ainv})}
 
 
-def _blocks_of(d):
-    """Classified blocks with 0-based columns."""
-    return (d.cups(), d.caps(), d.verticals(),
-            [v for v in d.isolated() if v < d.k],
-            [v - d.k for v in d.isolated() if v >= d.k])
-
-
 def diagram_matrix(d, cfg, correction=None):
     """Action of a Motzkin diagram on the word basis, columns = input words.
 
@@ -97,38 +91,25 @@ def diagram_matrix(d, cfg, correction=None):
     if correction not in (None, "bar", "tilde"):
         raise ValueError("correction must be None, 'bar' or 'tilde'")
     k = d.k
-    cups, caps, verts, iso_top, iso_bot = _blocks_of(d)
+    cups, caps, verts = d.cups(), d.caps(), d.verticals()
+    iso_bot = [v - k for v in d.isolated() if v >= k]
     tform = dict(cfg.top_form())
     bform = dict(cfg.bottom_form())
     if correction is not None:
         tform.pop((0, 0))
         bform.pop((0, 0))
-    vert_zero_ok = correction != "bar"  # bar correction kills 0 -> 0 verticals
     n = 3 ** k
     m = SparseMatrix(n, n)
     for w in words(k):
+        if any(w[c] for c in iso_bot):
+            continue
+        if correction == "bar" and any(w[b] == 0 for _, b in verts):
+            continue  # the bar correction kills 0 -> 0 verticals
+        if any((w[x], w[y]) not in bform for x, y in caps):
+            continue
         coeff = LaurentPoly.one()
-        ok = True
-        for c in iso_bot:
-            if w[c] != 0:
-                ok = False
-                break
-        if not ok:
-            continue
         for (x, y) in caps:
-            f = bform.get((w[x], w[y]))
-            if f is None:
-                ok = False
-                break
-            coeff = coeff * f
-        if not ok:
-            continue
-        for (t, b) in verts:
-            if w[b] == 0 and not vert_zero_ok:
-                ok = False
-                break
-        if not ok:
-            continue
+            coeff = coeff * bform[(w[x], w[y])]
         col = word_index(w)
         base = [0] * k
         for (t, b) in verts:
@@ -172,42 +153,40 @@ def element_matrix(x, cfg):
     return m
 
 
+def word_weight(w):
+    """gl2 weight of a word: (#v_1, #v_-1); its sl2 weight is the difference."""
+    return (w.count(1), w.count(-1))
+
+
+# (letter replaced, new letter, exponent rule): E carries K on the sites right
+# of the one it changes, F carries K^-1 on the sites left of it.
+_LADDERS = {"E": (-1, 1, lambda w, i: sum(w[i + 1:])),
+            "F": (1, -1, lambda w, i: -sum(w[:i]))}
+
+
 def qgen_matrix(g, k):
     """Action of a quantum-group generator on the word basis (exact in q)."""
     n = 3 ** k
     m = SparseMatrix(n, n)
-    if g in ("K1", "K2", "K", "K1inv", "K2inv", "Kinv"):
+    name = g.removesuffix("inv")
+    if name in ("K1", "K2", "K"):
+        sign = 1 if name == g else -1
         for w in words(k):
-            if g.startswith("K1"):
-                e = sum(1 for x in w if x == 1)
-            elif g.startswith("K2"):
-                e = sum(1 for x in w if x == -1)
-            else:
-                e = sum(w)
-            if g.endswith("inv"):
-                e = -e
+            plus, minus = word_weight(w)
+            e = {"K1": plus, "K2": minus, "K": plus - minus}[name]
             i = word_index(w)
-            m.set(i, i, LaurentPoly.monomial(e))
+            m.set(i, i, LaurentPoly.monomial(sign * e))
         return m
-    if g == "E":
-        for w in words(k):
-            col = word_index(w)
-            for i, x in enumerate(w):
-                if x == -1:
-                    out = w[:i] + (1,) + w[i + 1:]
-                    e = sum(w[i + 1:])  # K eigenvalues right of the site
-                    m.add_at(word_index(out), col, LaurentPoly.monomial(e))
-        return m
-    if g == "F":
-        for w in words(k):
-            col = word_index(w)
-            for i, x in enumerate(w):
-                if x == 1:
-                    out = w[:i] + (-1,) + w[i + 1:]
-                    e = -sum(w[:i])  # K^-1 eigenvalues left of the site
-                    m.add_at(word_index(out), col, LaurentPoly.monomial(e))
-        return m
-    raise ValueError("unknown generator %r" % (g,))
+    if g not in _LADDERS:
+        raise ValueError("unknown generator %r" % (g,))
+    old, new, exponent = _LADDERS[g]
+    for w in words(k):
+        col = word_index(w)
+        for i, x in enumerate(w):
+            if x == old:
+                out = w[:i] + (new,) + w[i + 1:]
+                m.add_at(word_index(out), col, LaurentPoly.monomial(exponent(w, i)))
+    return m
 
 
 def epsilon_matrix(i, k, sign="-"):
@@ -272,14 +251,10 @@ def commutant_dim(k, q0, group="gl2"):
         raise ValueError("q0 must avoid 0 and +-1")
     if group not in ("gl2", "sl2"):
         raise ValueError("group must be 'gl2' or 'sl2'")
-    ws = words(k)
-    if group == "gl2":
-        cls = lambda w: (sum(1 for x in w if x == 1), sum(1 for x in w if x == -1))
-    else:
-        cls = lambda w: sum(w)
     classes = {}
-    for i, w in enumerate(ws):
-        classes.setdefault(cls(w), []).append(i)
+    for i, w in enumerate(words(k)):
+        plus, minus = word_weight(w)
+        classes.setdefault((plus, minus) if group == "gl2" else plus - minus, []).append(i)
 
     unknowns = {}
     for members in classes.values():

@@ -46,25 +46,20 @@ def check_monoid_sizes(kcap):
 
 
 def check_structured_products(kcap):
+    cases = []
     for k in range(2, min(kcap, 3) + 1):
-        spec = motzkin_spec(k)
         pool = balanced_motzkin_diagrams(k) if k > 2 else motzkin_diagrams(k)
-        for d1 in pool:
-            for d2 in pool:
-                if bar_multiply(spec, d1, d2) != _oracle(spec, d1, d2, "bar"):
-                    return False, "bar rule fails at %r * %r" % (d1, d2)
-                if tilde_multiply(spec, d1, d2) != _oracle(spec, d1, d2, "tilde"):
-                    return False, "tilde rule fails at %r * %r" % (d1, d2)
+        cases.append((motzkin_spec(k), [(d1, d2) for d1 in pool for d2 in pool]))
     if kcap >= 4:
         rng = random.Random(20240404)
-        spec = motzkin_spec(4)
         pool = balanced_motzkin_diagrams(4)
-        for _ in range(150):
-            d1, d2 = rng.choice(pool), rng.choice(pool)
-            if bar_multiply(spec, d1, d2) != _oracle(spec, d1, d2, "bar"):
-                return False, "bar rule fails at k=4"
-            if tilde_multiply(spec, d1, d2) != _oracle(spec, d1, d2, "tilde"):
-                return False, "tilde rule fails at k=4"
+        cases.append((motzkin_spec(4),
+                      [(rng.choice(pool), rng.choice(pool)) for _ in range(150)]))
+    for spec, pairs in cases:
+        for d1, d2 in pairs:
+            for which, rule in (("bar", bar_multiply), ("tilde", tilde_multiply)):
+                if rule(spec, d1, d2) != _oracle(spec, d1, d2, which):
+                    return False, "%s rule fails at %r * %r" % (which, d1, d2)
     return True, "structured products match the oracle (exhaustive k <= 3%s)" % (
         ", sampled k = 4" if kcap >= 4 else "")
 

@@ -476,3 +476,83 @@ def test_change_basis_matches_triangular_reference(data):
             change_basis(x, to)
     else:
         assert change_basis(x, to) == want
+
+
+# -- negation, subtraction, partition diagrams and the loop factor ---------------
+
+def test_negation_and_subtraction():
+    M2 = motzkin_spec(2)
+    x = Element.of(M2, gen_e(1, 2), 2) + Element.of(M2, gen_p(1, 2), delta)
+    y = Element.of(M2, gen_e(1, 2), 3) + Element.of(M2, identity(2), -1)
+    assert (-x).terms == {gen_e(1, 2): -2, gen_p(1, 2): -delta}
+    assert -(-x) == x and (-x).basis == x.basis
+    assert -Element.zero(M2, "bar") == Element.zero(M2, "bar")
+    assert x - y == Element(M2, {gen_e(1, 2): -1, gen_p(1, 2): delta, identity(2): 1})
+    assert x - x == Element.zero(M2) and not (x - x).terms
+    assert x - y == -(y - x) == x + -y
+    with pytest.raises(ValueError, match="different bases"):
+        x - Element.of(M2, gen_e(1, 2), 1, "bar")
+    with pytest.raises(ValueError, match="different algebras"):
+        x - Element.of(motzkin_spec(3), gen_e(1, 3))
+
+
+PARTITION_BLOCK = Diagram(3, [(0, 1, 3), (2, 5), (4,)])
+
+
+def test_partition_diagrams_stay_in_the_diagram_basis():
+    spec = AlgebraSpec("partition", 3)
+    assert spec.admits(PARTITION_BLOCK)
+    assert spec.admits(PARTITION_BLOCK, "diagram")
+    for basis in ("bar", "tilde"):
+        assert not spec.admits(PARTITION_BLOCK, basis)
+        assert spec.admits(gen_e(1, 3), basis)
+        with pytest.raises(ValueError, match="not admitted"):
+            Element.of(spec, PARTITION_BLOCK, 1, basis)
+    x = Element.of(spec, PARTITION_BLOCK)
+    for which in ("bar", "tilde", "hat"):
+        with pytest.raises(ValueError, match="not admitted"):
+            _expansion(PARTITION_BLOCK, which)
+    for to in ("bar", "tilde"):
+        with pytest.raises(ValueError, match="not admitted"):
+            change_basis(x, to)
+    # partial Brauer diagrams of the partition algebra still change basis
+    e = Element.of(spec, gen_e(1, 3))
+    assert change_basis(change_basis(e, "bar"), "diagram") == e
+
+
+class CountingDelta:
+    """A loop parameter that counts how often delta - 1 is formed."""
+
+    subtractions = 0
+
+    def __sub__(self, other):
+        CountingDelta.subtractions += 1
+        return 5
+
+
+def test_loop_factor_is_formed_only_for_loops():
+    d = CountingDelta()
+    spec = AlgebraSpec("motzkin", 2, d)
+    e, one = gen_e(1, 2), identity(2)
+    CountingDelta.subtractions = 0
+    assert bar_multiply(spec, e, one).terms == {e: 1}
+    assert tilde_multiply(spec, one, e).terms == {e: 1}
+    assert CountingDelta.subtractions == 0
+    assert bar_multiply(spec, e, e).terms == {e: 5}
+    assert tilde_multiply(spec, e, e).terms == {e: 5}
+    assert CountingDelta.subtractions == 2
+
+
+def test_structured_products_check_names_the_failing_pair(monkeypatch):
+    from ptlalg import verify
+    real = verify.tilde_multiply
+    for kcap, k in ((2, 2), (3, 3), (4, 4)):
+        monkeypatch.setattr(verify, "tilde_multiply", lambda spec, d1, d2, k=k:
+                            Element.zero(spec, "tilde") if spec.k == k
+                            else real(spec, d1, d2))
+        ok, detail = verify.check_structured_products(kcap)
+        assert not ok
+        assert detail.startswith("tilde rule fails at Diagram(k=%d" % k)
+    monkeypatch.setattr(verify, "tilde_multiply", real)
+    assert verify.check_structured_products(3) == (
+        True, "structured products match the oracle (exhaustive k <= 3)")

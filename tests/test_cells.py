@@ -1,6 +1,7 @@
 """Paths, 1-factors, the stacking action, and the cell modules."""
 
 import itertools
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -15,6 +16,7 @@ from ptlalg.cells import (act_on_path, bar_act, bar_path, cell_action,
 from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, gen_b, gen_e,
                             identity, motzkin_diagrams,
                             partial_brauer_diagrams, tl_diagrams)
+from ptlalg.linalg import SparseMatrix
 from ptlalg.repn import pieri_dims
 from ptlalg.scalar import DeltaPoly
 
@@ -396,3 +398,119 @@ def test_motzkin_cell_dims_match_enumeration():
         paths = motzkin_paths(k)
         assert cell_dims("motzkin", k) == {
             m: len([a for a in paths if rank_of(a) == m]) for m in range(k + 1)}
+
+
+# -- bar_act and cell_action against the frame-test references ------------------
+
+def frame_bar_act(spec, d, a):
+    """Reference bar action: the frame test and (delta-1)^N written out."""
+    if not d.is_balanced():
+        raise ValueError("bar_act needs a balanced diagram")
+    support = frozenset(j + 1 for j, x in enumerate(a) if x)
+    if frozenset(d.frames().bot) != support:
+        return None
+    n, b = act_on_path(d, a)
+    if rank_of(b) != rank_of(a):
+        return None
+    return ((spec.delta - 1) ** n if n else 1, b)
+
+
+def two_loop_cell_action(kind, lam, x):
+    """Reference cell action: one loop per kind of module."""
+    spec = x.spec
+    basis = cell_basis(kind, spec.k, lam)
+    index = {a: i for i, a in enumerate(basis)}
+    m = SparseMatrix(len(basis), len(basis))
+    if kind in ("tl", "motzkin"):
+        if x.basis != "diagram":
+            raise ValueError("cell_action over %s expects diagram coordinates" % kind)
+        for d, c in x.terms.items():
+            for a, col in index.items():
+                n, b = act_on_path(d, a)
+                row = index.get(b)
+                if row is not None:
+                    m.add_at(row, col, c * (spec.delta ** n if n else 1))
+        return m
+    if x.basis != "bar":
+        raise ValueError("cell_action over ptl expects bar coordinates")
+    for d, c in x.terms.items():
+        for a, col in index.items():
+            hit = frame_bar_act(spec, d, a)
+            if hit is None:
+                continue
+            coeff, b = hit
+            row = index.get(b)
+            if row is not None:
+                m.add_at(row, col, c * coeff)
+    return m
+
+
+def test_bar_act_matches_frame_reference():
+    n = hits = 0
+    for k in range(5):
+        for delta_value in (delta, 3, Fraction(-1, 2)):
+            spec = motzkin_spec(k, delta_value)
+            for d in balanced_motzkin_diagrams(k):
+                for a in motzkin_paths(k):
+                    got = bar_act(spec, d, a)
+                    assert got == frame_bar_act(spec, d, a)
+                    n += 1
+                    hits += got is not None
+    assert n == 3 * sum(len(balanced_motzkin_diagrams(k)) * len(motzkin_paths(k))
+                        for k in range(5))
+    assert hits
+
+
+def test_bar_act_keeps_non_planar_balanced_diagrams():
+    spec = motzkin_spec(3)
+    for d in partial_brauer_diagrams(3):
+        if not d.is_balanced():
+            with pytest.raises(ValueError):
+                bar_act(spec, d, (0, 0, 0))
+            continue
+        for a in motzkin_paths(3):
+            assert bar_act(spec, d, a) == frame_bar_act(spec, d, a)
+
+
+def test_bar_act_at_delta_one_drops_zero_images():
+    # (delta-1)^N is the zero scalar: the image vanishes instead of (0, b)
+    spec = motzkin_spec(2, 1)
+    e = gen_e(1, 2)
+    assert frame_bar_act(spec, e, (1, -1)) == (0, (1, -1))
+    assert bar_act(spec, e, (1, -1)) is None
+    assert bar_act(spec, identity(2), (1, -1)) == (1, (1, -1))
+
+
+def test_cell_action_matches_two_loop_reference():
+    for k in range(5):
+        mspec, tspec = motzkin_spec(k), tl_spec(k)
+        cases = [("motzkin", m, [Element.of(mspec, d) for d in motzkin_diagrams(k)])
+                 for m in range(k + 1)]
+        cases += [("tl", m, [Element.of(tspec, d) for d in tl_diagrams(k)])
+                  for m in range(k % 2, k + 1, 2)]
+        bars = [Element.of(mspec, d, 1, "bar") for d in balanced_motzkin_diagrams(k)]
+        cases += [("ptl", lam, bars) for lam in valid_types(k)]
+        for kind, lam, xs in cases:
+            mixed = Element.zero(xs[0].spec, xs[0].basis)
+            for i, x in enumerate(xs):
+                assert cell_action(kind, lam, x) == two_loop_cell_action(kind, lam, x)
+                mixed = mixed + x.scale(i % 3 - 1 + delta * (i % 2))
+            assert (cell_action(kind, lam, mixed)
+                    == two_loop_cell_action(kind, lam, mixed))
+
+
+def test_cell_action_rejects_the_wrong_coordinates():
+    spec = motzkin_spec(2)
+    for kind, lam, x, want in (
+            ("tl", 0, Element.of(tl_spec(2), gen_e(1, 2), 1, "bar"),
+             "cell_action over tl expects diagram coordinates"),
+            ("motzkin", 0, Element.of(spec, gen_e(1, 2), 1, "tilde"),
+             "cell_action over motzkin expects diagram coordinates"),
+            ("ptl", (0, 0), Element.of(spec, gen_e(1, 2)),
+             "cell_action over ptl expects bar coordinates")):
+        with pytest.raises(ValueError, match=want):
+            cell_action(kind, lam, x)
+        with pytest.raises(ValueError, match=want):
+            two_loop_cell_action(kind, lam, x)
+    with pytest.raises(ValueError, match="unknown cell module kind"):
+        cell_action("brauer", 0, Element.of(spec, gen_e(1, 2)))

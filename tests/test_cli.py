@@ -1,6 +1,8 @@
 """CLI surface: verbs, JSON modes, exit codes, rendering determinism."""
 
+import hashlib
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -323,3 +325,149 @@ def test_bad_input_has_no_traceback_end_to_end():
     assert proc.returncode == 2
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+# -- pinned text outputs at small k ----------------------------------------------
+
+TEXT_OUTPUTS = [
+    (["dims", "--k", "2"],
+     "n   binom(k,n)^2 * Catalan(n)\n0   1\n1   4\n2   2\ntotal 7\n"),
+    (["cell-dims", "--k", "3"],
+     "lambda   dim\n(0, 0)   1\n(1, 0)   3\n(1, 1)   3\n(2, 0)   3\n(2, 1)   2\n"
+     "(3, 0)   1\nsum of squares: 33\n"),
+    (["cell-dims", "--k", "2", "--algebra", "tl"],
+     "lambda   dim\n0        1\n2        1\nsum of squares: 2\n"),
+    (["centralizer", "--k", "2", "--q", "2"],
+     "dim End_gl2(V^tensor2) at q = 2: 7\n"),
+    (["bratteli", "--k", "2"],
+     "k=0  (0, 0):1  | dim 1\n"
+     "k=1  (0, 0):1  (1, 0):1  | dim 2\n"
+     "k=2  (0, 0):1  (1, 0):2  (1, 1):1  (2, 0):1  | dim 7\n"),
+    (["enumerate", "--kind", "tl", "--k", "2"],
+     '2 diagrams\n{"k": 2, "edges": [["t1", "t2"], ["b1", "b2"]]}\n'
+     '{"k": 2, "edges": [["t1", "b1"], ["t2", "b2"]]}\n'),
+    (["enumerate", "--kind", "balanced-motzkin-n", "--k", "2", "--n", "1"],
+     '4 diagrams\n{"k": 2, "edges": [["t1", "b1"]]}\n{"k": 2, "edges": [["t1", "b2"]]}\n'
+     '{"k": 2, "edges": [["t2", "b1"]]}\n{"k": 2, "edges": [["t2", "b2"]]}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,want", TEXT_OUTPUTS,
+                         ids=[" ".join(a) for a, _ in TEXT_OUTPUTS])
+def test_text_outputs_are_pinned(argv, want, capsys):
+    assert run_cli(argv, capsys) == (0, want)
+
+
+def test_balanced_motzkin_stratum_json_and_missing_n(capsys):
+    code, out = run_cli(["enumerate", "--kind", "balanced-motzkin-n", "--k", "3",
+                         "--n", "2", "--json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["kind"] == "balanced-motzkin-n" and payload["count"] == 18
+    assert main(["enumerate", "--kind", "balanced-motzkin-n", "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "--kind balanced-motzkin-n requires --n\n"
+
+
+def write_elements(tmp_path):
+    """2 e1 and p1-like minus e1 at k = 2, and tilde(e1) in the diagram basis."""
+    M2 = motzkin_spec(2)
+    e1 = gen_e(1, 2)
+    t2 = Diagram.from_edges(2, [(1, 3)])
+    elements = {"x": Element.of(M2, e1, 2),
+                "y": Element.of(M2, t2) + Element.of(M2, e1, -1),
+                "t": tilde_of(M2, e1)}
+    paths = {}
+    for name, x in elements.items():
+        paths[name] = tmp_path / (name + ".json")
+        paths[name].write_text(json.dumps(x.to_json()))
+    return paths
+
+
+def test_mul_and_convert_print_elements(tmp_path, capsys):
+    f = write_elements(tmp_path)
+    code, out = run_cli(["mul", str(f["x"]), str(f["y"])], capsys)
+    assert (code, out) == (0, "(2)*Diagram(k=2, [(0, 1), (2,), (3,)]) + "
+                              "(-2*delta)*Diagram(k=2, [(0, 1), (2, 3)])\n")
+    code, out = run_cli(["convert", str(f["x"]), "--to", "bar"], capsys)
+    assert (code, out) == (0, "(2)*bar(Diagram(k=2, [(0,), (1,), (2,), (3,)])) + "
+                              "(2)*bar(Diagram(k=2, [(0,), (1,), (2, 3)])) + "
+                              "(2)*bar(Diagram(k=2, [(0, 1), (2,), (3,)])) + "
+                              "(2)*bar(Diagram(k=2, [(0, 1), (2, 3)]))\n")
+
+
+TIKZ_Y = r"""\documentclass[tikz]{standalone}
+\begin{document}
+% coefficient: 1 (basis: diagram)
+\begin{tikzpicture}[scale=0.35,thick]
+\tikzstyle{vertex}=[shape=circle,minimum size=4pt,inner sep=1pt,draw,fill=black]
+\node[vertex] (T1) at (0.0, 1) {};
+\node[vertex] (B1) at (0.0, -1) {};
+\node[vertex] (T2) at (1.5, 1) {};
+\node[vertex] (B2) at (1.5, -1) {};
+\draw (T2) .. controls +(0,-1) and +(0,1) .. (B2);
+\end{tikzpicture}
+% coefficient: -1 (basis: diagram)
+\begin{tikzpicture}[scale=0.35,thick]
+\tikzstyle{vertex}=[shape=circle,minimum size=4pt,inner sep=1pt,draw,fill=black]
+\node[vertex] (T1) at (0.0, 1) {};
+\node[vertex] (B1) at (0.0, -1) {};
+\node[vertex] (T2) at (1.5, 1) {};
+\node[vertex] (B2) at (1.5, -1) {};
+\draw (T1) .. controls +(0.5,-0.7) and +(-0.5,-0.7) .. (T2);
+\draw (B1) .. controls +(0.5,0.7) and +(-0.5,0.7) .. (B2);
+\end{tikzpicture}
+\end{document}
+"""
+
+
+def test_render_element_formats_are_pinned(tmp_path, capsys):
+    f = write_elements(tmp_path)
+    code, out = run_cli(["render", str(f["t"]), "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"k": 2, **json.loads(f["t"].read_text())}
+    assert out == json.dumps(json.loads(out)) + "\n"
+    code, out = run_cli(["render", str(f["t"]), "--format", "matrix"], capsys)
+    assert (code, out) == (0, "2 2 -q\n2 6 1\n6 2 1\n6 6 -q^-1\n")
+    code, out = run_cli(["render", str(f["y"]), "--format", "matrix"], capsys)
+    assert (code, out) == (0, "2 2 q\n2 4 q\n2 6 -1\n3 3 1\n4 2 -1\n4 6 q^-1\n"
+                              "5 5 1\n6 2 -1\n6 4 -1\n6 6 q^-1\n")
+    code, out = run_cli(["render", str(f["y"]), "--format", "tikz"], capsys)
+    assert (code, out) == (0, TIKZ_Y)
+
+
+def test_render_needs_a_nonzero_alpha(tmp_path, capsys):
+    f = tmp_path / "e.json"
+    f.write_text(json.dumps(E1_K2))
+    for fmt in ("ascii", "matrix"):
+        with pytest.raises(SystemExit) as exc:
+            main(["render", str(f), "--format", fmt, "--alpha", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "nonzero" in captured.err
+
+
+def test_convert_partition_blocks_to_alternating_bases_exits_2(tmp_path, capsys):
+    f = tmp_path / "part.json"
+    f.write_text(json.dumps({"k": 3, "terms": [{"coeff": "1", "diagram": {
+        "k": 3, "blocks": [["t1", "t2", "b1"], ["t3", "b3"]]}}]}))
+    for to in ("bar", "tilde"):
+        with pytest.raises(SystemExit) as exc:
+            main(["convert", str(f), "--to", to, "--algebra", "partition"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "not admitted" in captured.err
+    assert main(["convert", str(f), "--to", "diagram", "--algebra", "partition"]) == 0
+
+
+def test_verify_k4_json_matches_the_pinned_digest(capsys):
+    known = pathlib.Path(__file__).resolve().parents[1] / "bench" / "known.json"
+    pinned = json.loads(known.read_text())["cli"]["verify"]
+    code, out = run_cli(["verify", "--suite", "all", "--k", "4", "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == pinned

@@ -376,3 +376,64 @@ def test_compose_associative_with_counts_on_motzkin_5(data):
 def test_diagram_constructor_rejects_malformed_blocks(k, blocks, message):
     with pytest.raises(ValueError, match=message):
         Diagram(k, blocks)
+
+
+# -- from_edges with any listed blocks, and the blocks JSON -----------------------
+
+def padded_from_json_blocks(obj):
+    """Reference "blocks" loader: pads the unlisted vertices itself."""
+    k = obj["k"]
+
+    def vertex(s):
+        return int(s[1:]) - 1 if s[0] == "t" else k + int(s[1:]) - 1
+
+    listed = [tuple(vertex(s) for s in b) for b in obj["blocks"]]
+    used = {v for b in listed for v in b}
+    listed.extend((v,) for v in range(2 * k) if v not in used)
+    return Diagram(k, listed)
+
+
+def test_from_edges_accepts_any_listed_blocks():
+    assert Diagram.from_edges(2, []) == omega(2)
+    assert Diagram.from_edges(2, [(0, 1, 2, 3)]) == gen_b(1, 2)
+    assert Diagram.from_edges(3, [[4, 0, 3], (2,), (5, 1)]) == Diagram(
+        3, [(0, 3, 4), (1, 5), (2,)])
+    assert Diagram.from_edges(2, iter([(0, 2), (1, 3)])) == identity(2)
+    with pytest.raises(ValueError, match="in two blocks"):
+        Diagram.from_edges(2, [(0, 1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="empty block"):
+        Diagram.from_edges(2, [(0, 1), ()])
+
+
+def test_blocks_json_matches_padding_reference():
+    rng = random.Random(7)
+    objs = [gen_b(1, 3).to_json(), gen_b(2, 4).to_json(), {"k": 0, "blocks": []},
+            {"k": 2, "blocks": [["t1", "b2"]]}]
+    for _ in range(200):
+        k = rng.randint(1, 4)
+        labels = ["t%d" % c for c in range(1, k + 1)] + ["b%d" % c for c in range(1, k + 1)]
+        rng.shuffle(labels)
+        cuts = sorted(rng.sample(range(1, 2 * k), rng.randint(0, 2 * k - 1)))
+        parts = [labels[i:j] for i, j in zip([0] + cuts, cuts + [2 * k])]
+        objs.append({"k": k, "blocks": [p for p in parts if rng.random() < 0.7]})
+    for obj in objs:
+        d = Diagram.from_json(obj)
+        assert d == padded_from_json_blocks(obj)
+        assert Diagram.from_json(json.loads(json.dumps(d.to_json()))) == d
+    for blocks, message in (([["t1", "b1"], ["b1"]], "in two blocks"),
+                            ([[]], "empty block"), ([["t3"]], "bad vertex label")):
+        with pytest.raises(ValueError, match=message):
+            Diagram.from_json({"k": 2, "blocks": blocks})
+    # "edges" entries are still pairs
+    for edge in (["t1", "t2", "b1"], ["t1"]):
+        with pytest.raises(ValueError):
+            Diagram.from_json({"k": 2, "edges": [edge]})
+
+
+def test_planar_families_share_the_matching_enumeration():
+    for k in range(5):
+        ms = motzkin_diagrams(k)
+        assert ms == sorted(ms) and len(set(ms)) == len(ms)
+        assert tl_diagrams(k) == [d for d in ms if d.is_tl()]
+        if k <= 3:
+            assert ms == [d for d in partial_brauer_diagrams(k) if d.is_planar()]

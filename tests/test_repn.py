@@ -12,7 +12,8 @@ from ptlalg.ptl import ptl_dimension
 from ptlalg.repn import (SL2_GENERATORS, RepConfig, b_matrix,
                          commutant_dim, diagram_matrix, element_matrix,
                          epsilon_matrix, modified_weight_matrix, pieri_dims,
-                         qgen_matrix, representation_rank, word_index, words)
+                         qgen_matrix, representation_rank, word_index,
+                         word_weight, words)
 from ptlalg.scalar import DeltaPoly, LaurentPoly, substitute_delta
 
 q = LaurentPoly.gen()
@@ -272,3 +273,73 @@ def test_element_matrix_specializes_delta():
     x = Element.of(M2, gen_e(1, 2), DeltaPoly.gen())
     m = element_matrix(x, cfg)
     assert m == diagram_matrix(gen_e(1, 2), cfg).scale(cfg.delta_value())
+
+
+# -- quantum generators and weight classes against the mirrored references ------
+
+def mirrored_qgen_matrix(g, k):
+    """Reference generator action: E and F as mirrored branches, weights counted."""
+    n = 3 ** k
+    m = SparseMatrix(n, n)
+    if g in ("K1", "K2", "K", "K1inv", "K2inv", "Kinv"):
+        for w in words(k):
+            if g.startswith("K1"):
+                e = sum(1 for x in w if x == 1)
+            elif g.startswith("K2"):
+                e = sum(1 for x in w if x == -1)
+            else:
+                e = sum(w)
+            if g.endswith("inv"):
+                e = -e
+            i = word_index(w)
+            m.set(i, i, LaurentPoly.monomial(e))
+        return m
+    if g == "E":
+        for w in words(k):
+            col = word_index(w)
+            for i, x in enumerate(w):
+                if x == -1:
+                    out = w[:i] + (1,) + w[i + 1:]
+                    m.add_at(word_index(out), col, LaurentPoly.monomial(sum(w[i + 1:])))
+        return m
+    if g == "F":
+        for w in words(k):
+            col = word_index(w)
+            for i, x in enumerate(w):
+                if x == 1:
+                    out = w[:i] + (-1,) + w[i + 1:]
+                    m.add_at(word_index(out), col, LaurentPoly.monomial(-sum(w[:i])))
+        return m
+    raise ValueError("unknown generator %r" % (g,))
+
+
+GENERATOR_NAMES = ("E", "F", "K", "K1", "K2", "Kinv", "K1inv", "K2inv")
+
+
+def test_qgen_matrix_matches_mirrored_reference():
+    for k in range(5):
+        for g in GENERATOR_NAMES:
+            got = qgen_matrix(g, k)
+            assert got == mirrored_qgen_matrix(g, k)
+            assert list(got.entries) == list(mirrored_qgen_matrix(g, k).entries)
+    for g in ("Einv", "inv", "K3", "k1", "F "):
+        with pytest.raises(ValueError, match="unknown generator"):
+            qgen_matrix(g, 2)
+        with pytest.raises(ValueError, match="unknown generator"):
+            mirrored_qgen_matrix(g, 2)
+
+
+def weight_classes(k, key):
+    classes = {}
+    for i, w in enumerate(words(k)):
+        classes.setdefault(key(w), []).append(i)
+    return list(classes.values())
+
+
+def test_weight_classes_match_counted_references():
+    gl2 = lambda w: (sum(1 for x in w if x == 1), sum(1 for x in w if x == -1))
+    for k in range(7):
+        assert weight_classes(k, word_weight) == weight_classes(k, gl2)
+        assert (weight_classes(k, lambda w: word_weight(w)[0] - word_weight(w)[1])
+                == weight_classes(k, sum))
+        assert all(sum(word_weight(w)) + w.count(0) == k for w in words(k))
