@@ -218,6 +218,14 @@ def _power(scalar, n):
     return scalar ** n
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _loop_factor(base, n):
+    """base^n for base = delta - 1 and n >= 1: the scalar n closed loops put
+    on a bar or tilde product.  The caller forms delta - 1; the power is
+    shared between products, as scalars are immutable."""
+    return base ** n
+
+
 # -- alternating-basis expansions ---------------------------------------------
 
 @functools.lru_cache(maxsize=None)
@@ -286,7 +294,7 @@ def bar_multiply(spec, d1, d2):
     if f1.bot != f2.top:
         return Element.zero(spec, "bar")
     comp = compose(d1, d2)
-    lead = (spec.delta - 1) ** comp.loops if comp.loops else 1
+    lead = _loop_factor(spec.delta - 1, comp.loops) if comp.loops else 1
     return Element.of(spec, comp.diagram, lead, "bar")
 
 
@@ -315,7 +323,7 @@ def tilde_multiply(spec, d1, d2):
     p1, p2 = d1.partner, d2.partner
     snakes = [b for b in comp.diagram.blocks
               if len(b) == 2 and b[0] < k <= b[1] and p2[p1[b[0]] - k] < k]
-    lead = (spec.delta - 1) ** comp.loops if comp.loops else 1
+    lead = _loop_factor(spec.delta - 1, comp.loops) if comp.loops else 1
     return Element(spec, {dd: (-1) ** r * lead
                           for dd, r in removals(comp.diagram, snakes)}, "tilde")
 

@@ -28,6 +28,7 @@ from .algebra import (AlgebraSpec, Element, _expansion, bar_multiply, change_bas
                       motzkin_spec)
 from .diagram import Diagram, compose
 from .linalg import SparseMatrix
+from .repn import word_weight
 
 
 def is_motzkin_path(a):
@@ -162,11 +163,6 @@ def act_on_path(d, a):
 
 # -- typed paths and the alternating path basis ---------------------------------
 
-def type_of(a):
-    """(number of +1 entries, number of -1 entries)."""
-    return (sum(1 for x in a if x == 1), sum(1 for x in a if x == -1))
-
-
 def dominance_leq(lam, mu):
     """True iff mu dominates lam: equal sizes and mu - lam = m(1,-1), m >= 0."""
     lam, mu = tuple(lam), tuple(mu)
@@ -234,7 +230,7 @@ def cell_basis(kind, k, lam):
         lam = tuple(lam)
         if lam not in set(valid_types(k)):
             raise ValueError("invalid type %r" % (lam,))
-        keep = lambda a: type_of(a) == lam
+        keep = lambda a: word_weight(a) == lam
     else:
         raise ValueError("unknown cell module kind %r" % (kind,))
     return [a for a in motzkin_paths(k) if keep(a)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -44,7 +45,15 @@ def _nonnegative_int(text):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one stderr line and exits 2."""
+    """Reports a usage error as one stderr line and exits 2.
+
+    A negative fraction such as ``-3/7`` is read as a value, the way
+    argparse already reads ``-3`` and ``-0.5``, not as an option string.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
     def error(self, message):
         self.exit(2, "%s: error: %s\n" % (self.prog, message))

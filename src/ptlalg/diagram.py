@@ -4,9 +4,11 @@ A k-diagram is a set partition of 2k vertices arranged in two rows of k.
 Internally vertices are encoded as ``0..k-1`` for the top row (printed
 ``1..k``) and ``k..2k-1`` for the bottom row (printed ``1'..k'``); blocks
 are stored as a sorted tuple of sorted tuples, so equality and hashing are
-structural.  All *column* indices in the public API (generator positions,
-frames, the subsets A, B of a triple) are 1-based, matching the usual
-subscripts e_1, ..., e_{k-1}.
+structural.  There is one instance per distinct diagram, validated once:
+planarity, frames and partner maps are computed once per diagram however
+often products rebuild it.  All *column* indices in the public API
+(generator positions, frames, the subsets A, B of a triple) are 1-based,
+matching the usual subscripts e_1, ..., e_{k-1}.
 
 Composition stacks the left factor above the right one and counts the
 discarded interior blocks; for partial Brauer diagrams these split into
@@ -24,15 +26,32 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 
+# canonical block tuple -> its one Diagram instance (see Diagram)
+_INTERNED = {}
+
+
 class Diagram:
-    # Derived data is computed on first use and kept in the underscored slots.
+    """A k-diagram; ``Diagram(k, blocks)`` returns the one instance of it.
+
+    The blocks are put in canonical form (each block sorted, then the tuple
+    of blocks sorted) and looked up in a process-wide table.  A block tuple
+    met for the first time is validated and stored, so the checks run once
+    per distinct ``(k, blocks)``, and the derived data computed on first use
+    (kept in the underscored slots) serves every later construction.  The
+    table is unbounded, like the expansion cache it feeds: it holds every
+    distinct diagram for the life of the process.
+    """
+
     __slots__ = ("k", "blocks", "_hash", "_partner", "_pb", "_planar", "_frame")
 
-    def __init__(self, k, blocks):
+    def __new__(cls, k, blocks):
+        canon = [tuple(sorted(b)) for b in blocks]
+        key = tuple(sorted(canon))
+        self = _INTERNED.get(key)
+        if self is not None and self.k == k:
+            return self
         seen = set()
-        canon = []
-        for b in blocks:
-            tb = tuple(sorted(b))
+        for tb in canon:
             if not tb:
                 raise ValueError("empty block")
             for v in tb:
@@ -41,13 +60,16 @@ class Diagram:
                 if v in seen:
                     raise ValueError("vertex %r in two blocks" % (v,))
                 seen.add(v)
-            canon.append(tb)
         if len(seen) != 2 * k:
             raise ValueError("blocks must cover all %d vertices" % (2 * k,))
+        self = object.__new__(cls)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "blocks", tuple(sorted(canon)))
-        for name in ("_hash", "_partner", "_pb", "_planar", "_frame"):
+        object.__setattr__(self, "blocks", key)
+        object.__setattr__(self, "_hash", hash((k, key)))
+        for name in ("_partner", "_pb", "_planar", "_frame"):
             object.__setattr__(self, name, None)
+        _INTERNED[key] = self
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
@@ -67,11 +89,7 @@ class Diagram:
         return self.k == other.k and self.blocks == other.blocks
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.k, self.blocks))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
     def __lt__(self, other):
         return (self.k, self.blocks) < (other.k, other.blocks)

@@ -125,15 +125,16 @@ def check_block_isomorphism(kcap):
         spec = AlgebraSpec("ptl", k)
         basis = balanced_motzkin_diagrams(k)
         blocks = {d: ptl.to_block(Element.of(spec, d, 1, "bar")) for d in basis}
+        edges = {d: d.n_edges() for d in basis}
         for d1 in basis:
             for d2 in basis:
                 prod = bar_multiply(spec, d1, d2)
-                if d1.n_edges() != d2.n_edges():
+                if edges[d1] != edges[d2]:
                     if not prod.is_zero():
                         return False, "cross-stratum product nonzero"
                     continue
                 lhs = blocks[d1] * blocks[d2]
-                if lhs != ptl.to_block(prod, d1.n_edges()):
+                if lhs != ptl.to_block(prod, edges[d1]):
                     return False, "block transport fails at %r, %r" % (d1, d2)
     return True, "block transport verified for k <= %d" % kmax
 

@@ -12,12 +12,12 @@ from ptlalg.cells import (act_on_path, bar_act, bar_path, cell_action,
                           dominance_leq, is_motzkin_path, join_tl,
                           motzkin_paths, one_factor_of, path_diagram, path_of,
                           path_of_one_factor, path_pairing, rank_of,
-                          tl_cell_dim, type_of, valid_types)
+                          tl_cell_dim, valid_types)
 from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, gen_b, gen_e,
                             identity, motzkin_diagrams,
                             partial_brauer_diagrams, tl_diagrams)
 from ptlalg.linalg import SparseMatrix
-from ptlalg.repn import pieri_dims
+from ptlalg.repn import pieri_dims, word_weight
 from ptlalg.scalar import DeltaPoly
 
 delta = DeltaPoly.gen()
@@ -35,7 +35,7 @@ def test_worked_pairing():
     assert pairs == [(2, 6), (3, 4), (8, 10)]
     assert unpaired == [1, 7]
     assert rank_of(a) == 2
-    assert type_of(a) == (5, 3)
+    assert word_weight(a) == (5, 3)
 
 
 def test_all_unpaired():
@@ -124,7 +124,7 @@ def test_bar_path_example():
 
 
 def test_types_and_dominance():
-    assert type_of((1, 1, 1, -1, 0, -1, 1, 1, 0, -1)) == (5, 3)
+    assert word_weight((1, 1, 1, -1, 0, -1, 1, 1, 0, -1)) == (5, 3)
     assert dominance_leq((1, 1), (2, 0))
     assert not dominance_leq((2, 0), (1, 1))
     assert not dominance_leq((1, 0), (2, 0))
@@ -157,7 +157,7 @@ def test_type_size_preserved_and_even_rank_steps():
             if frozenset(d.frames().bot) != support:
                 continue
             n, b = act_on_path(d, a)
-            lam, mu = type_of(a), type_of(b)
+            lam, mu = word_weight(a), word_weight(b)
             assert sum(lam) == sum(mu)
             assert (rank_of(a) - rank_of(b)) % 2 == 0
 
@@ -178,7 +178,7 @@ def test_cell_dims_formula_vs_enumeration_and_branching():
     for k in range(6):
         dims = cell_dims("ptl", k)
         for lam in valid_types(k):
-            assert dims[lam] == len([a for a in motzkin_paths(k) if type_of(a) == lam])
+            assert dims[lam] == len([a for a in motzkin_paths(k) if word_weight(a) == lam])
             assert dims[lam] == comb(k, sum(lam)) * tl_cell_dim(sum(lam), lam[0] - lam[1])
         assert dims == pieri_dims(k)
         assert sum(v * v for v in dims.values()) == ptl_dimension(k)

@@ -471,3 +471,24 @@ def test_verify_k4_json_matches_the_pinned_digest(capsys):
     code, out = run_cli(["verify", "--suite", "all", "--k", "4", "--json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == pinned
+
+
+# -- negative fractions as option values -------------------------------------------
+
+P1_K2 = {"terms": [{"coeff": "1", "diagram": {"k": 2, "edges": [["t2", "b2"]]}}]}
+
+
+@pytest.mark.parametrize("verb, option, want", [
+    (["semisimple", "--k", "12"], "--q", "at q=-3/7"),
+    (["centralizer", "--k", "2"], "--q", "at q = -3/7: 7"),
+    (["render", "{e1}", "--format", "matrix"], "--alpha", "6 4 -3/7"),
+    (["mul", "{p1}", "{p1}", "--algebra", "partial_brauer"], "--delta-prime", "(-3/7)*"),
+], ids=["semisimple-q", "centralizer-q", "render-alpha", "mul-delta-prime"])
+def test_negative_fraction_is_an_option_value(verb, option, want, tmp_path, capsys):
+    files = {"e1": tmp_path / "e1.json", "p1": tmp_path / "p1.json"}
+    files["e1"].write_text(json.dumps(E1_K2))
+    files["p1"].write_text(json.dumps(P1_K2))
+    verb = [a.format(**files) for a in verb]
+    code, out = run_cli(verb + [option, "-3/7"], capsys)
+    assert code == 0 and want in out
+    assert run_cli(verb + [option + "=-3/7"], capsys) == (0, out)

@@ -1,5 +1,6 @@
 """Diagram combinatorics: composition, planarity, frames, triples, counts."""
 
+import bisect
 import functools
 import json
 import random
@@ -8,6 +9,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ptlalg.algebra import bar_multiply, motzkin_spec, tilde_multiply
 from ptlalg.diagram import (Composition, Diagram, balanced_motzkin_diagrams,
                             balanced_motzkin_stratum, compose, diagram_of,
                             gen_b, gen_e, gen_l, gen_p, gen_r, gen_s,
@@ -364,7 +366,7 @@ def test_compose_associative_with_counts_on_motzkin_5(data):
 
 # -- Diagram validation ----------------------------------------------------------
 
-@pytest.mark.parametrize("k, blocks, message", [
+MALFORMED_BLOCKS = [
     (2, [(0, 2), (), (1,), (3,)], "empty block"),
     (2, [(0, 2), (1, 4), (3,)], "out of range"),
     (2, [(0, 2), (1, -1), (3,)], "out of range"),
@@ -372,7 +374,10 @@ def test_compose_associative_with_counts_on_motzkin_5(data):
     (2, [(0, 2), (1, 3), (1,)], "in two blocks"),
     (2, [(0, 2), (1,)], "must cover all 4"),
     (0, [(0,)], "out of range"),
-])
+]
+
+
+@pytest.mark.parametrize("k, blocks, message", MALFORMED_BLOCKS)
 def test_diagram_constructor_rejects_malformed_blocks(k, blocks, message):
     with pytest.raises(ValueError, match=message):
         Diagram(k, blocks)
@@ -437,3 +442,110 @@ def test_planar_families_share_the_matching_enumeration():
         assert tl_diagrams(k) == [d for d in ms if d.is_tl()]
         if k <= 3:
             assert ms == [d for d in partial_brauer_diagrams(k) if d.is_planar()]
+
+
+# -- one instance per distinct diagram ----------------------------------------------
+
+def test_equal_blocks_in_any_order_give_the_same_instance():
+    rng = random.Random(3)
+    for d in partial_brauer_diagrams(3) + [gen_b(1, 3), gen_b(2, 4), omega(0)]:
+        for _ in range(3):
+            blocks = [list(b) for b in d.blocks]
+            for b in blocks:
+                rng.shuffle(b)
+            rng.shuffle(blocks)
+            assert Diagram(d.k, blocks) is d
+            assert Diagram.from_edges(d.k, [b for b in blocks if len(b) > 1]) is d
+    assert Diagram(3, [[5, 1], (3, 0, 4), [2]]) is Diagram(3, ((0, 3, 4), (1, 5), (2,)))
+
+
+def test_equal_products_at_k4_are_one_object():
+    spec = motzkin_spec(4)
+    pool = balanced_motzkin_diagrams(4)
+    results = []
+    for d1 in pool:
+        for d2 in pool:
+            for rule in (bar_multiply, tilde_multiply):
+                results.extend(rule(spec, d1, d2).terms)
+    assert len(pool) ** 2 == 33489
+    assert len({id(d) for d in results}) == len(set(results))
+
+
+@pytest.mark.parametrize("k, blocks, message", MALFORMED_BLOCKS + [
+    (2, [(0, 2), (1, 3), (0, 2)], "in two blocks"),
+    # the block tuples of valid k = 2 and k = 0 diagrams, passed with another k
+    (3, [(0, 2), (1, 3)], "must cover all 6"),
+    (3, [(0,), (1,), (2,), (3,)], "must cover all 6"),
+    (1, [(0, 2), (1, 3)], "out of range"),
+    (1, [], "must cover all 2"),
+])
+def test_malformed_blocks_raise_when_valid_diagrams_are_interned(k, blocks, message):
+    valid = [omega(0), gen_b(1, 2)] + partial_brauer_diagrams(1) + partial_brauer_diagrams(2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            Diagram(k, blocks)
+    # a failed construction stores nothing and leaves the valid instances alone
+    for d in valid:
+        assert Diagram(d.k, d.blocks) is d
+
+
+def reference_is_planar(d):
+    """The parent's planarity formula, computed afresh on every call."""
+    k = d.k
+    pos = lambda v: v if v < k else 3 * k - 1 - v
+    placed = [sorted(pos(v) for v in b) for b in d.blocks if len(b) > 1]
+    return not any(
+        len({bisect.bisect_left(b1, x) % len(b1) for x in b2}) > 1
+        for i, b1 in enumerate(placed) for b2 in placed[i + 1:])
+
+
+def reference_frames(d):
+    """The parent's frame sets, from the cups, caps and through edges."""
+    top_h, bot_h, top_v, bot_v = set(), set(), set(), set()
+    for (a, b) in d.cups():
+        top_h.update((a + 1, b + 1))
+    for (a, b) in d.caps():
+        bot_h.update((a + 1, b + 1))
+    for (t, b) in d.verticals():
+        top_v.add(t + 1)
+        bot_v.add(b + 1)
+    return (top_h | top_v, bot_h | bot_v, top_h, bot_h, top_v, bot_v)
+
+
+def reference_partner(d):
+    p = {}
+    for b in d.blocks:
+        if len(b) == 2:
+            p[b[0]] = b[1]
+            p[b[1]] = b[0]
+    return p
+
+
+def test_derived_data_of_fresh_and_interned_diagrams_match_the_formulas():
+    rng = random.Random(11)
+    m5, m2 = motzkin_diagrams(5), motzkin_diagrams(2)
+    sample = [tensor(rng.choice(m5), rng.choice(m2)) for _ in range(150)]
+    for _ in range(150):
+        k = rng.randint(5, 7)
+        vertices = list(range(2 * k))
+        rng.shuffle(vertices)
+        n = rng.randint(0, k)
+        sample.append(Diagram.from_edges(k, zip(vertices[0:2 * n:2], vertices[1:2 * n:2])))
+    sample += motzkin_diagrams(3)
+    cold = 0
+    for d in sample:
+        cold += d._planar is None and d._frame is None and d._partner is None
+        fr = d.frames()
+        first = (d.is_planar(), (fr.top, fr.bot, fr.top_h, fr.bot_h, fr.top_v, fr.bot_v),
+                 dict(d.partner))
+        blocks = [b[::-1] for b in d.blocks]
+        rng.shuffle(blocks)
+        again = Diagram(d.k, blocks)
+        assert again is d
+        fr = again.frames()
+        assert (again.is_planar(), (fr.top, fr.bot, fr.top_h, fr.bot_h, fr.top_v, fr.bot_v),
+                again.partner) == first
+        assert first == (reference_is_planar(d), reference_frames(d), reference_partner(d))
+    assert cold >= 250  # most of the sample was met here first, with empty caches
+    assert all(d.is_planar() for d in sample[:150])
+    assert not all(d.is_planar() for d in sample[150:300])
