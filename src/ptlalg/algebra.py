@@ -219,11 +219,11 @@ def _power(scalar, n):
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def _loop_factor(base, n):
-    """base^n for base = delta - 1 and n >= 1: the scalar n closed loops put
-    on a bar or tilde product.  The caller forms delta - 1; the power is
-    shared between products, as scalars are immutable."""
-    return base ** n
+def _loop_factor(delta, n):
+    """(delta - 1)^n for n >= 1: the scalar n closed loops put on a bar or
+    tilde product, formed once per (delta, n) and shared between products,
+    as scalars are immutable."""
+    return (delta - 1) ** n
 
 
 # -- alternating-basis expansions ---------------------------------------------
@@ -294,7 +294,7 @@ def bar_multiply(spec, d1, d2):
     if f1.bot != f2.top:
         return Element.zero(spec, "bar")
     comp = compose(d1, d2)
-    lead = _loop_factor(spec.delta - 1, comp.loops) if comp.loops else 1
+    lead = _loop_factor(spec.delta, comp.loops) if comp.loops else 1
     return Element.of(spec, comp.diagram, lead, "bar")
 
 
@@ -302,8 +302,7 @@ def omega_obstruction(d1, d2):
     """Middle-row columns (1-based) where an isolated vertex of one factor
     meets a horizontal-edge endpoint of the other."""
     f1, f2 = d1.frames(), d2.frames()
-    full = frozenset(range(1, d1.k + 1))
-    return ((full - f1.bot) & f2.top_h) | ((full - f2.top) & f1.bot_h)
+    return (f2.top_h - f1.bot) | (f1.bot_h - f2.top)
 
 
 def tilde_multiply(spec, d1, d2):
@@ -323,7 +322,7 @@ def tilde_multiply(spec, d1, d2):
     p1, p2 = d1.partner, d2.partner
     snakes = [b for b in comp.diagram.blocks
               if len(b) == 2 and b[0] < k <= b[1] and p2[p1[b[0]] - k] < k]
-    lead = _loop_factor(spec.delta - 1, comp.loops) if comp.loops else 1
+    lead = _loop_factor(spec.delta, comp.loops) if comp.loops else 1
     return Element(spec, {dd: (-1) ** r * lead
                           for dd, r in removals(comp.diagram, snakes)}, "tilde")
 

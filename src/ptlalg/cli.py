@@ -250,7 +250,11 @@ def cmd_render(args):
         except _INPUT_ERRORS as exc:
             _input_error("diagram", exc)
     element_view, diagram_view = _RENDERERS[args.format]
-    print((element_view if is_element else diagram_view)(item, cfg))
+    try:
+        text = (element_view if is_element else diagram_view)(item, cfg)
+    except ValueError as exc:
+        _input_error("element" if is_element else "diagram", exc)
+    print(text)
     return 0
 
 

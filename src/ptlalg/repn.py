@@ -2,8 +2,12 @@
 
 The word basis of V^(x)k is indexed by sequences over {1, 0, -1} (site
 basis v_1, v_0, v_-1 in that order, lexicographic word order).  Motzkin
-diagrams act through bilinear-form weights attached to their blocks;
-quantum-group generators act through the coproduct
+diagrams act through bilinear-form weights attached to their blocks.  The
+bar and tilde vectors act through the same weights, corrected: bar(d) is
+the signed sum of d with each subset of its edges removed, the matrix is
+multilinear in the edge weights, so subtracting delta_{i,0} delta_{j,0}
+from the weight of every removable edge gives the matrix of the whole sum
+without expanding it.  Quantum-group generators act through the coproduct
 
     E -> sum_i 1 x ... x E x K x ... x K,
     F -> sum_i K^-1 x ... x F x 1 x ... x 1,
@@ -22,8 +26,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .diagram import Diagram, gen_e
 from .linalg import SparseMatrix, nullity, rank_of_rows
-from .scalar import DeltaPoly, LaurentPoly, evaluate_q
+from .scalar import DeltaPoly, LaurentPoly, evaluate_q, substitute_delta
 
 LETTERS = (1, 0, -1)  # site basis order: v_1, v_0, v_-1
 
@@ -135,20 +140,28 @@ def modified_weight_matrix(d, variant, cfg):
 
 
 def element_matrix(x, cfg):
-    """Matrix of an algebra element (any basis) on the word basis.
+    """Matrix of an algebra element on the word basis, read in its own basis.
 
-    Coefficients polynomial in delta are specialized through
-    delta = 1 +- (q + q^-1), matching the configured sign.
+    Each bar or tilde vector acts through the corrected block weights of
+    ``diagram_matrix``, not through its diagram-basis expansion.  The
+    expansion must still lie in the element's algebra: removing edges only
+    shrinks what an algebra admits, so it is enough that the diagram with
+    every removable edge gone is admitted.  Coefficients polynomial in delta
+    are specialized through delta = 1 +- (q + q^-1), matching the
+    configured sign.
     """
-    from .algebra import change_basis
-    from .scalar import substitute_delta
-    x = change_basis(x, "diagram")
+    correction = None if x.basis == "diagram" else x.basis
     k = x.spec.k
     m = SparseMatrix(3 ** k, 3 ** k)
     for d, c in x.terms.items():
+        if correction is not None:
+            kept = [] if correction == "bar" else [(t, k + b) for t, b in d.verticals()]
+            if not x.spec.admits(Diagram.from_edges(k, kept)):
+                raise ValueError("%s(%r) not admitted: its expansion leaves %s"
+                                 % (correction, d, x.spec.flavor))
         if isinstance(c, DeltaPoly):
             c = substitute_delta(c, cfg.sign)
-        for (r, col), v in diagram_matrix(d, cfg).entries.items():
+        for (r, col), v in diagram_matrix(d, cfg, correction).entries.items():
             m.add_at(r, col, c * v)
     return m
 
@@ -189,42 +202,12 @@ def qgen_matrix(g, k):
     return m
 
 
-def epsilon_matrix(i, k, sign="-"):
-    """The scaled projection at sites (i, i+1): v_{1,-1}, v_{-1,1} survive."""
-    if not 1 <= i <= k - 1:
-        raise ValueError("index out of range")
-    s = 1 if sign == "+" else -1
-    n = 3 ** k
-    m = SparseMatrix(n, n)
-    local = {
-        ((1, -1), (1, -1)): LaurentPoly({1: s}),
-        ((-1, 1), (1, -1)): LaurentPoly({0: -s}),
-        ((1, -1), (-1, 1)): LaurentPoly({0: -s}),
-        ((-1, 1), (-1, 1)): LaurentPoly({-1: s}),
-    }
-    for w in words(k):
-        pair = (w[i - 1], w[i])
-        if pair not in ((1, -1), (-1, 1)):
-            continue
-        col = word_index(w)
-        for (out_pair, in_pair), val in local.items():
-            if in_pair != pair:
-                continue
-            out = w[:i - 1] + out_pair + w[i + 1:]
-            m.add_at(word_index(out), col, val)
-    return m
-
-
 def b_matrix(cfg):
     """Action of e on the 0-weight words v_{1,-1}, v_{0,0}, v_{-1,1} (3x3)."""
-    t = cfg.top_form()
-    b = cfg.bottom_form()
-    order = [(1, -1), (0, 0), (-1, 1)]
-    m = SparseMatrix(3, 3)
-    for r, out in enumerate(order):
-        for c, inp in enumerate(order):
-            m.set(r, c, t[out] * b[inp])
-    return m
+    e = diagram_matrix(gen_e(1, 2), cfg)
+    block = [word_index(w) for w in ((1, -1), (0, 0), (-1, 1))]
+    return SparseMatrix(3, 3, {(r, c): e[(out, inp)] for r, out in enumerate(block)
+                               for c, inp in enumerate(block)})
 
 
 # -- exact commutant computation ---------------------------------------------

@@ -218,7 +218,8 @@ def check_commutation(kcap):
                 for u in sl2:
                     if not gm.commutator(u).is_zero():
                         return False, "sl2 commutation fails at k=%d" % k
-            for gm in (repn.epsilon_matrix(i, k), trio[1], trio[2]):
+            eps = repn.modified_weight_matrix(gen_e(i, k), "tilde", cfg)
+            for gm in (eps, trio[1], trio[2]):
                 for u in gl2:
                     if not gm.commutator(u).is_zero():
                         return False, "gl2 commutation fails at k=%d" % k
@@ -229,7 +230,8 @@ def check_projections(kcap):
     q_plus_qi = LaurentPoly({1: 1, -1: 1})
     for sign in ("+", "-"):
         s = 1 if sign == "+" else -1
-        eps = repn.epsilon_matrix(1, 2, sign)
+        eps = repn.modified_weight_matrix(gen_e(1, 2), "tilde",
+                                          repn.RepConfig(sign=sign))
         if eps * eps != eps.scale(s * q_plus_qi):
             return False, "eps^2 != +-(q + q^-1) eps"
         for alpha in (Fraction(1), Fraction(2), Fraction(1, 3)):
@@ -250,7 +252,8 @@ def check_schur_weyl(kcap):
             return False, "sl2 commutant mismatch at k=%d" % k
     for k in range(2, kmax + 1):
         spec = motzkin_spec(k)
-        tilde_basis = [tilde_of(spec, d) for d in balanced_motzkin_diagrams(k)]
+        tilde_basis = [Element.of(spec, d, 1, "tilde")
+                       for d in balanced_motzkin_diagrams(k)]
         if repn.representation_rank(tilde_basis, 2, cfg) != ptl.ptl_dimension(k):
             return False, "faithfulness rank mismatch at k=%d" % k
     return True, "commutant dims and faithfulness verified for k <= %d" % kmax

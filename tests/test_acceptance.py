@@ -21,9 +21,9 @@ from ptlalg.ptl import generated_dimension, ptl_dimension, to_block
 from ptlalg.qcriteria import (balanced_q_factorial, jones_identity_symbolic,
                               ptl_semisimple, q_int, tl_semisimple)
 from ptlalg.repn import (RepConfig, SL2_GENERATORS, b_matrix, commutant_dim,
-                         diagram_matrix, epsilon_matrix, qgen_matrix,
-                         representation_rank)
+                         diagram_matrix, qgen_matrix, representation_rank)
 from ptlalg.scalar import DeltaPoly, LaurentPoly, evaluate_q
+from test_repn import epsilon_matrix
 
 delta = DeltaPoly.gen()
 q = LaurentPoly.gen()

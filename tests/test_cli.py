@@ -450,6 +450,35 @@ def test_render_needs_a_nonzero_alpha(tmp_path, capsys):
         assert "nonzero" in captured.err
 
 
+CROSSING_K2 = {"k": 2, "edges": [["t1", "b2"], ["t2", "b1"]]}
+TRIPLE_BLOCK_K2 = {"k": 2, "blocks": [["t1", "t2", "b1"]]}
+
+
+@pytest.mark.parametrize("obj, algebra, what", [
+    (CROSSING_K2, None, "diagram"),
+    (TRIPLE_BLOCK_K2, None, "diagram"),
+    ({"terms": [{"coeff": "1", "diagram": CROSSING_K2}]}, "partial_brauer", "element"),
+    ({"terms": [{"coeff": "1", "diagram": CROSSING_K2}]}, "partition", "element"),
+    ({"terms": [{"coeff": "1", "diagram": TRIPLE_BLOCK_K2}]}, "partition", "element"),
+    ({"basis": "bar", "terms": [{"coeff": "1", "diagram": E1_K2}]}, "tl", "element"),
+], ids=["crossing-diagram", "triple-block-diagram", "crossing-partial-brauer",
+        "crossing-partition", "triple-block-partition", "bar-e1-tl"])
+def test_render_matrix_outside_the_tensor_action_exits_2(obj, algebra, what,
+                                                         tmp_path, capsys):
+    f = tmp_path / "x.json"
+    f.write_text(json.dumps(obj))
+    argv = ["render", str(f), "--format", "matrix"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--algebra", algebra] if algebra else []))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("bad %s: " % what)
+    if algebra == "tl":
+        assert "not admitted" in captured.err
+
+
 def test_convert_partition_blocks_to_alternating_bases_exits_2(tmp_path, capsys):
     f = tmp_path / "part.json"
     f.write_text(json.dumps({"k": 3, "terms": [{"coeff": "1", "diagram": {

@@ -1,17 +1,20 @@
 """Tensor-space matrices, quantum generators, commutants, branching counts."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 
-from ptlalg.algebra import Element, bar_of, motzkin_spec, tilde_of
-from ptlalg.diagram import (balanced_motzkin_diagrams, compose, gen_e, gen_l,
-                            gen_r, identity, motzkin_diagrams, triple_of)
+from ptlalg.algebra import (FLAVORS, AlgebraSpec, Element, bar_of, change_basis,
+                            motzkin_spec, tilde_of, tl_spec)
+from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, compose, gen_e,
+                            gen_l, gen_r, identity, motzkin_diagrams,
+                            partial_brauer_diagrams, triple_of)
 from ptlalg.linalg import SparseMatrix
 from ptlalg.ptl import ptl_dimension
 from ptlalg.repn import (SL2_GENERATORS, RepConfig, b_matrix,
                          commutant_dim, diagram_matrix, element_matrix,
-                         epsilon_matrix, modified_weight_matrix, pieri_dims,
+                         modified_weight_matrix, pieri_dims,
                          qgen_matrix, representation_rank, word_index,
                          word_weight, words)
 from ptlalg.scalar import DeltaPoly, LaurentPoly, substitute_delta
@@ -20,6 +23,67 @@ q = LaurentPoly.gen()
 qi = LaurentPoly.monomial(-1)
 one = LaurentPoly.one()
 cfg = RepConfig()
+
+
+# -- references: the expansion route and the hand-written local blocks -----------
+
+@functools.lru_cache(maxsize=None)
+def _plain_diagram_matrix(d, cfg):
+    return diagram_matrix(d, cfg)
+
+
+def reference_element_matrix(x, cfg):
+    """The expansion route: rewrite x in the diagram basis, then add up the
+    (uncorrected) diagram matrices of its terms."""
+    x = change_basis(x, "diagram")
+    k = x.spec.k
+    m = SparseMatrix(3 ** k, 3 ** k)
+    for d, c in x.terms.items():
+        if isinstance(c, DeltaPoly):
+            c = substitute_delta(c, cfg.sign)
+        for (r, col), v in _plain_diagram_matrix(d, cfg).entries.items():
+            m.add_at(r, col, c * v)
+    return m
+
+
+def epsilon_matrix(i, k, sign="-"):
+    """The scaled projection at sites (i, i+1) from its own 4-entry local
+    table: v_{1,-1}, v_{-1,1} survive."""
+    if not 1 <= i <= k - 1:
+        raise ValueError("index out of range")
+    s = 1 if sign == "+" else -1
+    n = 3 ** k
+    m = SparseMatrix(n, n)
+    local = {
+        ((1, -1), (1, -1)): LaurentPoly({1: s}),
+        ((-1, 1), (1, -1)): LaurentPoly({0: -s}),
+        ((1, -1), (-1, 1)): LaurentPoly({0: -s}),
+        ((-1, 1), (-1, 1)): LaurentPoly({-1: s}),
+    }
+    for w in words(k):
+        pair = (w[i - 1], w[i])
+        if pair not in ((1, -1), (-1, 1)):
+            continue
+        col = word_index(w)
+        for (out_pair, in_pair), val in local.items():
+            if in_pair != pair:
+                continue
+            out = w[:i - 1] + out_pair + w[i + 1:]
+            m.add_at(word_index(out), col, val)
+    return m
+
+
+def form_product_b_matrix(cfg):
+    """e on the 0-weight words v_{1,-1}, v_{0,0}, v_{-1,1} as the product of
+    the cup and cap forms."""
+    t = cfg.top_form()
+    b = cfg.bottom_form()
+    order = [(1, -1), (0, 0), (-1, 1)]
+    m = SparseMatrix(3, 3)
+    for r, out in enumerate(order):
+        for c, inp in enumerate(order):
+            m.set(r, c, t[out] * b[inp])
+    return m
 
 
 def test_r_and_l_action():
@@ -343,3 +407,101 @@ def test_weight_classes_match_counted_references():
         assert (weight_classes(k, lambda w: word_weight(w)[0] - word_weight(w)[1])
                 == weight_classes(k, sum))
         assert all(sum(word_weight(w)) + w.count(0) == k for w in words(k))
+
+
+# -- element matrices through corrected weights, against the expansion route -----
+
+CONFIGS = [RepConfig(alpha, sign) for alpha in (Fraction(1), Fraction(2), Fraction(1, 3))
+           for sign in ("+", "-")]
+
+
+def test_element_matrix_matches_the_expansion_route():
+    cases = [(motzkin_spec(k), d, basis) for k in range(4) for d in motzkin_diagrams(k)
+             for basis in ("diagram", "bar", "tilde")]
+    cases += [(motzkin_spec(4), d, basis) for d in balanced_motzkin_diagrams(4)
+              for basis in ("bar", "tilde")]
+    assert len(cases) == 3 * (1 + 2 + 9 + 51) + 2 * 183
+    delta = DeltaPoly.gen()
+    for spec, d, basis in cases:
+        for c in CONFIGS:
+            x = Element.of(spec, d, 1, basis)
+            want = reference_element_matrix(x, c)
+            assert element_matrix(x, c) == want, (d, basis, c)
+            # a delta coefficient specializes to 1 +- (q + q^-1)
+            x = Element.of(spec, d, delta, basis)
+            assert element_matrix(x, c) == want.scale(c.delta_value()), (d, basis, c)
+
+
+def test_mixed_elements_match_the_expansion_route():
+    delta = DeltaPoly.gen()
+    coeffs = (1, -2, Fraction(1, 3), delta, delta ** 2 - delta + 2)
+    spec = motzkin_spec(3)
+    for basis in ("diagram", "bar", "tilde"):
+        x = Element(spec, {d: coeffs[i % len(coeffs)]
+                           for i, d in enumerate(motzkin_diagrams(3))}, basis)
+        assert len(x.terms) == 51
+        for c in CONFIGS:
+            assert element_matrix(x, c) == reference_element_matrix(x, c), basis
+
+
+def test_admission_matches_the_expansion_route():
+    # every flavor, every diagram an alternating basis admits at k <= 2: the
+    # direct route refuses exactly what the expansion refuses, else agrees
+    pool = {d for k in range(3) for d in partial_brauer_diagrams(k)}
+    pool.add(Diagram(2, [(0, 1, 2), (3,)]))
+    refused = 0
+    for flavor in FLAVORS:
+        for d in sorted(pool):
+            spec = AlgebraSpec(flavor, d.k)
+            for basis in ("diagram", "bar", "tilde"):
+                if not spec.admits(d, basis):
+                    continue
+                x = Element.of(spec, d, 3, basis)
+                try:
+                    want = reference_element_matrix(x, cfg)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        element_matrix(x, cfg)
+                    refused += 1
+                    continue
+                assert element_matrix(x, cfg) == want, (flavor, d, basis)
+    assert refused > 0
+
+
+def test_tl_refuses_alternating_vectors_that_leave_tl():
+    for basis in ("bar", "tilde"):
+        x = Element.of(tl_spec(2), gen_e(1, 2), 1, basis)
+        with pytest.raises(ValueError, match="not admitted"):
+            element_matrix(x, cfg)
+    # tilde of a diagram with no horizontal edge is the diagram itself
+    x = Element.of(tl_spec(2), identity(2), 1, "tilde")
+    assert element_matrix(x, cfg) == diagram_matrix(identity(2), cfg)
+
+
+def test_element_matrix_does_not_expand(monkeypatch):
+    import ptlalg.algebra
+
+    def refuse(x, to):
+        raise AssertionError("element_matrix expanded into the diagram basis")
+
+    monkeypatch.setattr(ptlalg.algebra, "change_basis", refuse)
+    spec = motzkin_spec(3)
+    for d in balanced_motzkin_diagrams(3):
+        for basis in ("bar", "tilde"):
+            x = Element.of(spec, d, 1, basis)
+            assert element_matrix(x, cfg) == modified_weight_matrix(d, basis, cfg)
+
+
+def test_epsilon_route_matches_the_local_table():
+    for k in range(2, 6):
+        for i in range(1, k):
+            for c in CONFIGS:
+                got = modified_weight_matrix(gen_e(i, k), "tilde", c)
+                assert got == epsilon_matrix(i, k, c.sign), (k, i, c)
+
+
+def test_b_matrix_matches_the_form_product():
+    for alpha in (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-5, 7)):
+        for sign in ("+", "-"):
+            c = RepConfig(alpha, sign)
+            assert b_matrix(c) == form_product_b_matrix(c)
