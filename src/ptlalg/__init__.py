@@ -16,7 +16,6 @@ from .diagram import (Diagram, Frame, Triple, balanced_motzkin_diagrams,
                       gen_s, identity, l_of_subset, leq, motzkin_diagrams,
                       omega, partial_brauer_diagrams, r_of_subset, subdiagrams,
                       tensor, tl_diagrams, triple_of)
-from .scalar import (DeltaPoly, LaurentPoly, XPoly, evaluate_delta, evaluate_q,
-                     parse_scalar, scalar_to_str, substitute_delta)
+from .scalar import DeltaPoly, LaurentPoly, XPoly, parse_scalar
 
 __version__ = "0.1.0"

@@ -190,9 +190,8 @@ class Element:
     __repr__ = __str__
 
     def to_json(self):
-        from .scalar import scalar_to_str
         return {"basis": self.basis,
-                "terms": [{"coeff": scalar_to_str(c), "diagram": d.to_json()}
+                "terms": [{"coeff": str(c), "diagram": d.to_json()}
                           for d, c in sorted(self.terms.items())]}
 
     @classmethod

@@ -162,9 +162,6 @@ def cmd_centralizer(args):
     if args.k > 4:
         print("centralizer computations are capped at k = 4", file=sys.stderr)
         return 2
-    if args.k == 4 and not args.allow_k4:
-        print("k = 4 has 3^8 unknowns; pass --allow-k4 to proceed", file=sys.stderr)
-        return 2
     if args.q in (0, 1, -1):
         print("centralizer needs q outside {0, 1, -1}", file=sys.stderr)
         return 2
@@ -315,7 +312,8 @@ def build_parser():
     p.add_argument("--k", type=_nonnegative_int, required=True)
     p.add_argument("--q", type=_fraction, default=Fraction(2))
     p.add_argument("--group", default="gl2", choices=("gl2", "sl2"))
-    p.add_argument("--allow-k4", action="store_true")
+    p.add_argument("--allow-k4", action="store_true",
+                   help="accepted for compatibility; has no effect")
     common(p)
     p.set_defaults(fn=cmd_centralizer)
 

@@ -17,7 +17,7 @@ from math import comb
 from .algebra import AlgebraSpec, Element, change_basis
 from .diagram import diagram_of, n_subsets, triple_of
 from .linalg import Echelon, SparseMatrix
-from .scalar import DeltaPoly, evaluate_delta
+from .scalar import DeltaPoly
 
 
 def catalan(n):
@@ -91,20 +91,13 @@ def from_block(spec, n, block):
 # -- generated subalgebra dimension ---------------------------------------------
 
 def _specialize(x, delta0):
-    """Evaluate an element's delta-polynomial coefficients at a rational point."""
+    """Evaluate delta, delta' and an element's coefficients at a rational point."""
+    def at(c):
+        return c.evaluate(delta0) if isinstance(c, DeltaPoly) else Fraction(c)
+
     spec = x.spec
-    d0 = Fraction(delta0)
-    dp = spec.delta_prime
-    if isinstance(dp, DeltaPoly):
-        dp = evaluate_delta(dp, d0)
-    delta = spec.delta
-    if isinstance(delta, DeltaPoly):
-        delta = d0
-    nspec = AlgebraSpec(spec.flavor, spec.k, delta, dp)
-    terms = {}
-    for d, c in x.terms.items():
-        terms[d] = evaluate_delta(c, d0) if isinstance(c, DeltaPoly) else Fraction(c)
-    return Element(nspec, terms, x.basis)
+    nspec = AlgebraSpec(spec.flavor, spec.k, at(spec.delta), at(spec.delta_prime))
+    return Element(nspec, {d: at(c) for d, c in x.terms.items()}, x.basis)
 
 
 def generated_dimension(gens, delta0=Fraction(7, 3)):

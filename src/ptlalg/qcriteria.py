@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .scalar import LaurentPoly, XPoly, evaluate_q
+from .scalar import LaurentPoly, XPoly
 
 
 def q_int(n):
@@ -65,7 +65,7 @@ def jones_identity_check(n, q0):
     if beta == 0:
         raise ValueError("beta = q0 + q0^-1 + 2 vanishes")
     lhs = jones_p(n).evaluate(1 / beta) * (1 + q0) ** n
-    rhs = evaluate_q(q_int(n + 1), q0)
+    rhs = q_int(n + 1).evaluate(q0)
     return lhs == rhs
 
 
@@ -94,7 +94,7 @@ def tl_semisimple_witness(k, q0):
     if q0 == 0:
         raise ValueError("q0 must be nonzero")
     for n in range(1, k + 1):
-        if evaluate_q(balanced_q_int(n), q0) == 0:
+        if balanced_q_int(n).evaluate(q0) == 0:
             return False, n
     return True, None
 
@@ -156,7 +156,16 @@ def vanishes_at_primitive_root(p, ell):
 
 
 def tl_semisimple_at_root_of_unity(k, ell):
-    """Symbolic semisimplicity verdict with q a primitive ell-th root of unity."""
+    """Symbolic semisimplicity verdict with q a primitive ell-th root of unity.
+
+    Nonvanishing of <n>_q for all n <= k is sufficient, not necessary.  At
+    ell = 4 the loop parameter q + q^-1 is 0 and <2>_q vanishes, yet TL_k(0)
+    is semisimple for odd k (Ridout--Saint-Aubin, 2014): every odd-k cell
+    form stays nondegenerate at delta = 0 (W(3, 1) has Gram determinant
+    delta^2 - 1).
+    """
+    if ell == 4 and k % 2:
+        return True
     for n in range(1, k + 1):
         if vanishes_at_primitive_root(balanced_q_int(n), ell):
             return False

@@ -64,13 +64,12 @@ def ascii_diagram(d):
 
 def ascii_element(x):
     """Signed pictures, one per diagram term, in canonical term order."""
-    from .scalar import scalar_to_str
     if not x.terms:
         return "0"
     wrap = {"diagram": "", "bar": "bar", "tilde": "tilde"}[x.basis]
     parts = []
     for d in sorted(x.terms):
-        c = scalar_to_str(x.terms[d])
+        c = x.terms[d]
         head = "(%s) * %s" % (c, wrap) if wrap else "(%s) *" % (c,)
         parts.append(head + "\n" + ascii_diagram(d))
     return "\n\n".join(parts)
@@ -105,13 +104,12 @@ def tikz_diagram(d, standalone=True):
 
 
 def tikz_element(x):
-    from .scalar import scalar_to_str
     if not x.terms:
         return "% zero element"
     parts = []
     for d in sorted(x.terms):
         parts.append("%% coefficient: %s (basis: %s)"
-                     % (scalar_to_str(x.terms[d]), x.basis))
+                     % (x.terms[d], x.basis))
         parts.append(tikz_diagram(d, standalone=False))
     return ("\\documentclass[tikz]{standalone}\n\\begin{document}\n"
             + "\n".join(parts) + "\n\\end{document}")

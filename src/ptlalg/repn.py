@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .diagram import Diagram, gen_e
 from .linalg import SparseMatrix, nullity, rank_of_rows
-from .scalar import DeltaPoly, LaurentPoly, evaluate_q, substitute_delta
+from .scalar import DeltaPoly, LaurentPoly
 
 LETTERS = (1, 0, -1)  # site basis order: v_1, v_0, v_-1
 
@@ -62,7 +62,8 @@ class RepConfig:
         return 1 if self.sign == "+" else -1
 
     def delta_value(self):
-        """1 +- (q + q^-1) as a Laurent polynomial."""
+        """delta's image 1 +- (q + q^-1); ``p.evaluate(cfg.delta_value())``
+        specializes a delta-polynomial ``p``."""
         return LaurentPoly({0: 1, 1: self.s, -1: self.s})
 
     def top_form(self):
@@ -160,7 +161,7 @@ def element_matrix(x, cfg):
                 raise ValueError("%s(%r) not admitted: its expansion leaves %s"
                                  % (correction, d, x.spec.flavor))
         if isinstance(c, DeltaPoly):
-            c = substitute_delta(c, cfg.sign)
+            c = c.evaluate(cfg.delta_value())
         for (r, col), v in diagram_matrix(d, cfg, correction).entries.items():
             m.add_at(r, col, c * v)
     return m
@@ -255,7 +256,7 @@ def commutant_dim(k, q0, group="gl2"):
     scale = (q0.numerator * q0.denominator) ** k
 
     def scaled(v):
-        x = evaluate_q(v, q0) * scale
+        x = v.evaluate(q0) * scale
         if x.denominator != 1:
             raise ArithmeticError("E/F entry %s is not integral after scaling" % v)
         return x.numerator
@@ -283,7 +284,9 @@ def commutant_dim(k, q0, group="gl2"):
 def representation_rank(elements, q0, cfg):
     """Rank of the span of the flattened matrices of the given elements."""
     q0 = Fraction(q0)
-    rows = (element_matrix(x, cfg).map_values(lambda v: evaluate_q(v, q0)).entries
+    if q0 == 0:
+        raise ValueError("q = 0 is not allowed (q^-1 undefined)")
+    rows = (element_matrix(x, cfg).map_values(lambda v: v.evaluate(q0)).entries
             for x in elements)
     return rank_of_rows(rows)
 

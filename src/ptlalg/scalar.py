@@ -171,11 +171,20 @@ class IntPoly:
     # -- evaluation and display --------------------------------------------
 
     def evaluate(self, x0):
-        """Exact value at the rational point ``x0``."""
-        x0 = Fraction(x0)
-        if x0 == 0 and any(e < 0 for e in self.coeffs):
-            raise ValueError("cannot evaluate a negative power at 0")
-        return sum((Fraction(c) * x0 ** e for e, c in self.coeffs.items()), Fraction(0))
+        """sum c * x0^e: the exact value at a rational point ``x0``, or, for
+        ``x0`` in another polynomial ring, the substitution of ``x0`` for the
+        variable (a ring homomorphism into that ring).
+
+        A rational point gives a Fraction.  A negative power raises
+        ``ValueError`` at the rational point 0 and, through ``__pow__``, at
+        every polynomial point.
+        """
+        if not isinstance(x0, IntPoly):
+            x0 = Fraction(x0)
+            if x0 == 0 and any(e < 0 for e in self.coeffs):
+                raise ValueError("cannot evaluate a negative power at 0")
+        # x0 * 0 is the zero of the target ring
+        return sum((c * x0 ** e for e, c in self.coeffs.items()), x0 * 0)
 
     def min_exponent(self):
         return min(self.coeffs) if self.coeffs else 0
@@ -271,56 +280,6 @@ def _tokenize(text, var):
         out.append((sign or "+", coef, v, int(exp) if exp is not None else None))
         pos = m.end()
     return out
-
-
-# -- specialization maps -----------------------------------------------------
-
-def substitute_delta(p, sign):
-    """Replace delta by 1 +- (q + q^-1), exactly.
-
-    ``sign`` is "+" or "-".  A ring homomorphism Z[delta] -> Z[q, q^-1].
-    """
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    if isinstance(p, _NUM):
-        return LaurentPoly({0: p})
-    if not isinstance(p, DeltaPoly):
-        raise TypeError("substitute_delta expects a DeltaPoly")
-    s = 1 if sign == "+" else -1
-    base = LaurentPoly({0: 1, 1: s, -1: s})
-    if not p.coeffs:
-        return LaurentPoly.zero()
-    # Horner, highest exponent first
-    result = LaurentPoly.zero()
-    for e in range(max(p.coeffs), -1, -1):
-        result = result * base + p.coeffs.get(e, 0)
-    return result
-
-
-def evaluate_q(p, q0):
-    """Exact value of a Laurent polynomial at a nonzero rational q0."""
-    q0 = Fraction(q0)
-    if q0 == 0:
-        raise ValueError("q = 0 is not allowed (q^-1 undefined)")
-    if isinstance(p, _NUM):
-        return Fraction(p)
-    if not isinstance(p, LaurentPoly):
-        raise TypeError("evaluate_q expects a LaurentPoly")
-    return p.evaluate(q0)
-
-
-def evaluate_delta(p, d0):
-    """Exact value of a delta-polynomial at a rational point."""
-    if isinstance(p, _NUM):
-        return Fraction(p)
-    if not isinstance(p, DeltaPoly):
-        raise TypeError("evaluate_delta expects a DeltaPoly")
-    return p.evaluate(Fraction(d0))
-
-
-def scalar_to_str(c):
-    """Textual form of any scalar (int, Fraction, or polynomial)."""
-    return str(c)
 
 
 def parse_scalar(text):

@@ -22,7 +22,7 @@ from ptlalg.qcriteria import (balanced_q_factorial, jones_identity_symbolic,
                               ptl_semisimple, q_int, tl_semisimple)
 from ptlalg.repn import (RepConfig, SL2_GENERATORS, b_matrix, commutant_dim,
                          diagram_matrix, qgen_matrix, representation_rank)
-from ptlalg.scalar import DeltaPoly, LaurentPoly, evaluate_q
+from ptlalg.scalar import DeltaPoly, LaurentPoly
 from test_repn import epsilon_matrix
 
 delta = DeltaPoly.gen()
@@ -252,7 +252,7 @@ def test_criterion_10_appendix():
         ok &= jones_identity_symbolic(n) == q_int(n + 1)
     for k in range(1, 9):
         ok &= tl_semisimple(k, 2) and ptl_semisimple(k, 2)
-        ok &= evaluate_q(balanced_q_factorial(k), 1) == factorial(k)
+        ok &= balanced_q_factorial(k).evaluate(1) == factorial(k)
         ok &= tl_semisimple(k, 1)
     _report(10, ok, time.monotonic() - t0, 60,
             "Jones identity n <= 10; semisimple at q=2 for k <= 8; q=1 gives k!")

@@ -53,7 +53,9 @@ def test_centralizer(capsys):
                          "--group", "sl2", "--json"], capsys)
     assert code == 0
     assert json.loads(out)["dimension"] == 9
-    assert main(["centralizer", "--k", "4", "--q", "2"]) == 2  # needs --allow-k4
+    code, out = run_cli(["centralizer", "--k", "4", "--q", "2", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["dimension"] == 183
     assert main(["centralizer", "--k", "5", "--q", "2"]) == 2
     for q in ("0", "1", "-1"):
         capsys.readouterr()

@@ -3,12 +3,14 @@
 from fractions import Fraction
 from math import factorial, gcd
 
+from ptlalg.cells import act_on_path, cell_basis, join_tl, rank_of
+from ptlalg.linalg import rank_of_rows
 from ptlalg.qcriteria import (balanced_q_factorial, balanced_q_int, cyclotomic,
                               jones_identity_check, jones_identity_symbolic,
                               jones_p, ptl_semisimple, q_factorial, q_int,
                               tl_semisimple, tl_semisimple_at_root_of_unity,
                               tl_semisimple_witness, vanishes_at_primitive_root)
-from ptlalg.scalar import LaurentPoly, XPoly, evaluate_q
+from ptlalg.scalar import LaurentPoly, XPoly
 
 q = LaurentPoly.gen()
 qi = LaurentPoly.monomial(-1)
@@ -48,7 +50,7 @@ def test_semisimplicity_generic():
         assert ptl_semisimple(k, 2)
     # q0 = 1 reduces to k! != 0
     for k in range(1, 9):
-        assert evaluate_q(balanced_q_factorial(k), 1) == factorial(k)
+        assert balanced_q_factorial(k).evaluate(1) == factorial(k)
         assert tl_semisimple(k, 1)
 
 
@@ -73,6 +75,38 @@ def test_root_of_unity_symbolic():
             m = ell // gcd(ell, 2)
             want = m != 1 and n % m == 0
             assert vanishes_at_primitive_root(balanced_q_int(n), ell) == want
+
+
+def _tl_cell_forms_nondegenerate(n, delta):
+    """Graham--Lehrer: TL_n(delta) is semisimple iff every cell form has full
+    rank.  <c, b> = delta^N when join(c, c) b = delta^N c, and 0 when the
+    product drops rank."""
+    for m in range(n % 2, n + 1, 2):
+        basis = cell_basis("tl", n, m)
+        rows = []
+        for c in basis:
+            row = {}
+            for j, b in enumerate(basis):
+                loops, image = act_on_path(join_tl(c, c), b)
+                if rank_of(image) == m:
+                    assert image == c
+                    row[j] = delta ** loops
+            rows.append(row)
+        if rank_of_rows(rows) < len(basis):
+            return False
+    return True
+
+
+def test_root_of_unity_verdict_matches_cell_forms():
+    # at these ell, q + q^-1 is an integer, so the forms are exact over Q
+    loop = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}
+    for ell, delta in loop.items():
+        for n in range(1, 9):
+            assert (tl_semisimple_at_root_of_unity(n, ell)
+                    == _tl_cell_forms_nondegenerate(n, delta)), (n, ell)
+    # TL_n(0) is semisimple exactly for odd n
+    assert [tl_semisimple_at_root_of_unity(n, 4) for n in range(1, 9)] == [
+        True, False, True, False, True, False, True, False]
 
 
 def test_semisimple_matches_representation_theory():

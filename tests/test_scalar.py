@@ -5,12 +5,32 @@ from fractions import Fraction
 
 import pytest
 
-from ptlalg.scalar import (DeltaPoly, LaurentPoly, XPoly, evaluate_delta,
-                           evaluate_q, parse_scalar, substitute_delta)
+from ptlalg.algebra import Element, motzkin_spec
+from ptlalg.diagram import identity
+from ptlalg.repn import RepConfig, representation_rank
+from ptlalg.scalar import DeltaPoly, LaurentPoly, XPoly, parse_scalar
 
 d = DeltaPoly.gen()
 q = LaurentPoly.gen()
 qi = LaurentPoly.monomial(-1)
+
+
+# -- references: the earlier specialization maps ---------------------------------
+
+def reference_substitute_delta(p, sign):
+    """delta -> 1 +- (q + q^-1) by Horner's rule, highest exponent first."""
+    s = 1 if sign == "+" else -1
+    base = LaurentPoly({0: 1, 1: s, -1: s})
+    result = LaurentPoly.zero()
+    for e in range(p.max_exponent(), -1, -1):
+        result = result * base + p.coeffs.get(e, 0)
+    return result
+
+
+def reference_evaluate(p, x0):
+    """The power sum at a rational point, term by term in Fractions."""
+    return sum((Fraction(c) * Fraction(x0) ** e for e, c in p.coeffs.items()),
+               Fraction(0))
 
 
 def test_basic_products():
@@ -20,18 +40,62 @@ def test_basic_products():
 
 
 def test_substitute_delta():
-    assert substitute_delta(d, "-") == 1 - q - qi
-    assert substitute_delta(d - 1, "+") == q + qi
-    assert substitute_delta(d ** 2, "-") == q ** 2 + qi ** 2 - 2 * q - 2 * qi + 3
+    minus, plus = RepConfig(sign="-").delta_value(), RepConfig(sign="+").delta_value()
+    assert d.evaluate(minus) == 1 - q - qi
+    assert (d - 1).evaluate(plus) == q + qi
+    assert (d ** 2).evaluate(minus) == q ** 2 + qi ** 2 - 2 * q - 2 * qi + 3
 
 
 def test_evaluate_q():
-    assert evaluate_q(q + qi, 2) == Fraction(5, 2)
-    assert evaluate_q(LaurentPoly.one(), 7) == 1
+    assert (q + qi).evaluate(2) == Fraction(5, 2)
+    assert LaurentPoly.one().evaluate(7) == 1
     balanced3 = LaurentPoly({-2: 1, 0: 1, 2: 1})
-    assert evaluate_q(balanced3, 2) == Fraction(21, 4)
+    assert balanced3.evaluate(2) == Fraction(21, 4)
     with pytest.raises(ValueError):
-        evaluate_q(q + qi, 0)
+        (q + qi).evaluate(0)
+
+
+def test_substitution_matches_horner_reference():
+    rng = random.Random(19)
+    for sign in ("+", "-"):
+        base = RepConfig(sign=sign).delta_value()
+        for _ in range(150):
+            p = DeltaPoly({e: rng.randrange(-6, 7) for e in range(rng.randrange(8))})
+            got = p.evaluate(base)
+            assert type(got) is LaurentPoly
+            assert got == reference_substitute_delta(p, sign)
+
+
+def test_rational_evaluation_matches_power_sum():
+    rng = random.Random(23)
+    for _ in range(150):
+        p = _random_poly(rng, LaurentPoly, True)
+        q0 = Fraction(rng.choice([-1, 1]) * rng.randrange(1, 9), rng.randrange(1, 9))
+        got = p.evaluate(q0)
+        assert type(got) is Fraction
+        assert got == reference_evaluate(p, q0)
+    assert type(LaurentPoly.zero().evaluate(3)) is Fraction
+    assert type(DeltaPoly.const(5).evaluate(0)) is Fraction
+
+
+def test_negative_power_refused_at_zero_and_at_a_polynomial_point():
+    with pytest.raises(ValueError):
+        qi.evaluate(0)
+    with pytest.raises(ValueError):
+        (q + 1 + qi).evaluate(Fraction(0))
+    with pytest.raises(ValueError):
+        qi.evaluate(XPoly.gen())
+    with pytest.raises(ValueError):
+        qi.evaluate(LaurentPoly.zero())
+    assert (q + 1).evaluate(0) == 1
+
+
+def test_representation_rank_refuses_q_zero():
+    x = Element.of(motzkin_spec(2), identity(2))
+    for q0 in (0, Fraction(0), "0"):
+        with pytest.raises(ValueError, match="q = 0"):
+            representation_rank([x], q0, RepConfig())
+    assert representation_rank([x], 2, RepConfig()) == 1
 
 
 def test_mixed_rings_rejected():
@@ -69,7 +133,7 @@ def test_substitution_is_ring_homomorphism():
         a = _random_poly(rng, DeltaPoly, False)
         b = _random_poly(rng, DeltaPoly, False)
         for sign in ("+", "-"):
-            f = lambda p: substitute_delta(p, sign)
+            f = lambda p: p.evaluate(RepConfig(sign=sign).delta_value())
             assert f(a * b) == f(a) * f(b)
             assert f(a + b) == f(a) + f(b)
 
@@ -80,8 +144,8 @@ def test_evaluation_is_ring_homomorphism():
         for _ in range(60):
             a = _random_poly(rng, LaurentPoly, True)
             b = _random_poly(rng, LaurentPoly, True)
-            assert evaluate_q(a * b, q0) == evaluate_q(a, q0) * evaluate_q(b, q0)
-            assert evaluate_q(a + b, q0) == evaluate_q(a, q0) + evaluate_q(b, q0)
+            assert (a * b).evaluate(q0) == a.evaluate(q0) * b.evaluate(q0)
+            assert (a + b).evaluate(q0) == a.evaluate(q0) + b.evaluate(q0)
 
 
 def test_text_round_trips():
@@ -101,4 +165,4 @@ def test_constant_poly_equals_number():
     assert DeltaPoly.const(5) == 5
     assert hash(DeltaPoly.const(5)) == hash(5)
     assert LaurentPoly.zero() == 0
-    assert evaluate_delta(d - 1, Fraction(7, 3)) == Fraction(4, 3)
+    assert (d - 1).evaluate(Fraction(7, 3)) == Fraction(4, 3)
