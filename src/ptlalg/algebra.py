@@ -25,31 +25,31 @@ the diagram basis it keeps the signs, out of it it drops them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagram import Diagram, compose, removals
-from .scalar import DeltaPoly
+from .scalar import _NUM, DeltaPoly
 
 FLAVORS = ("partition", "partial_brauer", "motzkin", "tl", "ptl")
 BASES = ("diagram", "bar", "tilde")
 
 
-def _default_delta():
-    return DeltaPoly.gen()
-
-
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """Which twisted diagram algebra we are working in."""
+    """Which twisted diagram algebra we are working in; ``delta=None`` is the
+    generic delta of Z[delta].  Its elements' coefficients are ints,
+    Fractions, and scalars of the type of delta or of delta'."""
 
     flavor: str
     k: int
-    delta: object = field(default_factory=_default_delta)
+    delta: object = None
     delta_prime: object = 1
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
             raise ValueError("unknown flavor %r" % (self.flavor,))
+        if self.delta is None:
+            object.__setattr__(self, "delta", DeltaPoly.gen())
 
     def admits(self, d, basis="diagram"):
         """Is the diagram allowed in the support of an element of this basis?"""
@@ -73,15 +73,15 @@ class AlgebraSpec:
 
 
 def ptl_spec(k, delta=None):
-    return AlgebraSpec("ptl", k, delta if delta is not None else DeltaPoly.gen())
+    return AlgebraSpec("ptl", k, delta)
 
 
 def motzkin_spec(k, delta=None):
-    return AlgebraSpec("motzkin", k, delta if delta is not None else DeltaPoly.gen())
+    return AlgebraSpec("motzkin", k, delta)
 
 
 def tl_spec(k, delta=None):
-    return AlgebraSpec("tl", k, delta if delta is not None else DeltaPoly.gen())
+    return AlgebraSpec("tl", k, delta)
 
 
 class Element:
@@ -97,6 +97,10 @@ class Element:
             if not spec.admits(d, basis):
                 raise ValueError("diagram %r not admitted by %s/%s" %
                                  (d, spec.flavor, basis))
+            if not (isinstance(c, _NUM) or type(c) is type(spec.delta)
+                    or type(c) is type(spec.delta_prime)):
+                raise ValueError("coefficient %s is not a scalar of %s at delta = %s"
+                                 % (c, spec.flavor, spec.delta))
             clean[d] = c
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "basis", basis)
@@ -188,6 +192,16 @@ class Element:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+    def specialize(self, x0):
+        """delta -> x0 in delta, delta' and every coefficient, for ``x0`` as in
+        ``IntPoly.evaluate``; ints and Fractions stay as they are."""
+        def at(c):
+            return c.evaluate(x0) if isinstance(c, DeltaPoly) else c
+
+        spec = self.spec
+        nspec = AlgebraSpec(spec.flavor, spec.k, at(spec.delta), at(spec.delta_prime))
+        return Element(nspec, {d: at(c) for d, c in self.terms.items()}, self.basis)
 
     def to_json(self):
         return {"basis": self.basis,

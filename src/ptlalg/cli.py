@@ -18,7 +18,6 @@ from . import cells, ptl, qcriteria, repn, verify
 from .algebra import AlgebraSpec, Element, change_basis
 from .diagram import Diagram, enumerate_diagrams
 from .render import ascii_diagram, ascii_element, tikz_diagram, tikz_element
-from .scalar import DeltaPoly
 
 
 def _fraction(text):
@@ -80,16 +79,9 @@ def _read_json(path):
         _input_error("JSON input %s" % path, exc)
 
 
-def _spec_for(args, k):
-    delta = DeltaPoly.gen()
-    dp = getattr(args, "delta_prime", None)
-    return AlgebraSpec(args.algebra, k, delta, dp if dp is not None else 1)
-
-
 def _element_from_json(args, obj):
     """The element of an element JSON object; its k is ``"k"`` when present,
-    otherwise the common k of its terms.  Its coefficients must lie in
-    Q[delta].  Input errors exit 2."""
+    otherwise the common k of its terms.  Input errors exit 2."""
     try:
         ks = {Diagram.from_json(t["diagram"]).k for t in obj["terms"]}
         if "k" in obj:
@@ -98,10 +90,7 @@ def _element_from_json(args, obj):
         if type(k) is not int or k < 0:
             raise ValueError('needs one k: a nonnegative integer "k", '
                              'or terms that share one')
-        x = Element.from_json(_spec_for(args, k), obj)
-        for c in x.terms.values():
-            if not isinstance(c, (int, Fraction, DeltaPoly)):
-                raise ValueError("coefficient %s is not a polynomial in delta" % (c,))
+        x = Element.from_json(AlgebraSpec(args.algebra, k, delta_prime=args.delta_prime), obj)
     except _INPUT_ERRORS as exc:
         _input_error("element", exc)
     return x
@@ -283,7 +272,7 @@ def build_parser():
             p.add_argument("--algebra", default="motzkin",
                            choices=("partition", "partial_brauer", "motzkin", "tl", "ptl"))
             p.add_argument("--delta-prime", dest="delta_prime", type=_fraction,
-                           default=None, help="second loop parameter (default 1)")
+                           default=1, help="second loop parameter (default 1)")
 
     p = sub.add_parser("mul", help="multiply two elements (JSON files or '-')")
     p.add_argument("x")

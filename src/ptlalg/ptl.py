@@ -11,13 +11,13 @@ d <-> (A, t, B).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import comb
 
 from .algebra import AlgebraSpec, Element, change_basis
 from .diagram import diagram_of, n_subsets, triple_of
 from .linalg import Echelon, SparseMatrix
-from .scalar import DeltaPoly
 
 
 def catalan(n):
@@ -50,6 +50,14 @@ def tl_entry_spec(spec, n):
     return AlgebraSpec("tl", n, spec.delta - 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _stratum(spec, n):
+    """The colex n-subsets of {1..k}, their positions and the entry algebra
+    of X(n), formed once per (spec, n)."""
+    subsets = n_subsets(spec.k, n)
+    return subsets, {A: i for i, A in enumerate(subsets)}, tl_entry_spec(spec, n)
+
+
 def to_block(x, n=None):
     """Transport a bar-coordinate element supported on one stratum to its block.
 
@@ -67,9 +75,7 @@ def to_block(x, n=None):
         n = strata.pop()
     elif strata - {n}:
         raise ValueError("support crosses stratum %d" % (n,))
-    subsets = n_subsets(x.spec.k, n)
-    idx = {A: i for i, A in enumerate(subsets)}
-    tspec = tl_entry_spec(x.spec, n)
+    subsets, idx, tspec = _stratum(x.spec, n)
     block = SparseMatrix(len(subsets), len(subsets))
     for d, c in x.terms.items():
         A, t, B = triple_of(d)
@@ -79,7 +85,7 @@ def to_block(x, n=None):
 
 def from_block(spec, n, block):
     """Inverse of :func:`to_block` for the stratum X(n) of ``spec``."""
-    subsets = n_subsets(spec.k, n)
+    subsets = _stratum(spec, n)[0]
     terms = {}
     for (i, j), el in block.entries.items():
         for t, c in el.terms.items():
@@ -89,16 +95,6 @@ def from_block(spec, n, block):
 
 
 # -- generated subalgebra dimension ---------------------------------------------
-
-def _specialize(x, delta0):
-    """Evaluate delta, delta' and an element's coefficients at a rational point."""
-    def at(c):
-        return c.evaluate(delta0) if isinstance(c, DeltaPoly) else Fraction(c)
-
-    spec = x.spec
-    nspec = AlgebraSpec(spec.flavor, spec.k, at(spec.delta), at(spec.delta_prime))
-    return Element(nspec, {d: at(c) for d, c in x.terms.items()}, x.basis)
-
 
 def generated_dimension(gens, delta0=Fraction(7, 3)):
     """Dimension of the unital subalgebra generated by ``gens``.
@@ -116,7 +112,7 @@ def generated_dimension(gens, delta0=Fraction(7, 3)):
     if not gens:
         raise ValueError("need at least one generator")
     gens = [change_basis(g, "diagram") if g.basis != "diagram" else g for g in gens]
-    gens = [_specialize(g, delta0) for g in gens]
+    gens = [g.specialize(delta0) for g in gens]
     one = Element.unit(gens[0].spec)
 
     ech = Echelon()

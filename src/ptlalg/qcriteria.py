@@ -5,7 +5,10 @@ The Jones polynomials satisfy P_0 = P_1 = 1, P_{n+1}(x) = P_n(x) - x P_{n-1}(x)
 and P_n(1/(q + q^-1 + 2)) = [n+1]_q / (1+q)^n.  A Temperley-Lieb algebra on k
 strands at loop parameter +-(q + q^-1) is semisimple whenever <k>!_q is
 nonzero; the partial Temperley-Lieb algebra at 1 +- (q + q^-1) inherits the
-criterion through its blocks, whose entries live at parameter +-(q + q^-1).
+criterion through its blocks, whose entries are Temperley-Lieb algebras on
+n <= k strands at parameter +-(q + q^-1).  The condition for n = k contains
+those for every smaller n, so :func:`tl_semisimple` on k strands is the
+test for PTL_k as well.
 Root-of-unity behaviour is tested symbolically, by exact divisibility by
 cyclotomic polynomials.
 """
@@ -97,18 +100,6 @@ def tl_semisimple_witness(k, q0):
         if balanced_q_int(n).evaluate(q0) == 0:
             return False, n
     return True, None
-
-
-def ptl_semisimple(k, q0):
-    """Semisimplicity of the k-strand partial Temperley-Lieb algebra at
-    delta = 1 +- (q0 + q0^-1).
-
-    Every block's entry algebra is a Temperley-Lieb algebra on n <= k
-    strands at +-(q0 + q0^-1), semisimple when <m>_q0 != 0 for all m <= n.
-    The condition for n = k contains those for every smaller n, so this is
-    :func:`tl_semisimple` on k strands.
-    """
-    return tl_semisimple(k, q0)
 
 
 # -- symbolic root-of-unity tests ------------------------------------------------

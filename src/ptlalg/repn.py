@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .diagram import Diagram, gen_e
 from .linalg import SparseMatrix, nullity, rank_of_rows
-from .scalar import DeltaPoly, LaurentPoly
+from .scalar import LaurentPoly
 
 LETTERS = (1, 0, -1)  # site basis order: v_1, v_0, v_-1
 
@@ -62,8 +62,8 @@ class RepConfig:
         return 1 if self.sign == "+" else -1
 
     def delta_value(self):
-        """delta's image 1 +- (q + q^-1); ``p.evaluate(cfg.delta_value())``
-        specializes a delta-polynomial ``p``."""
+        """delta's image 1 +- (q + q^-1); ``x.specialize(cfg.delta_value())``
+        specializes an element ``x``."""
         return LaurentPoly({0: 1, 1: self.s, -1: self.s})
 
     def top_form(self):
@@ -147,10 +147,10 @@ def element_matrix(x, cfg):
     ``diagram_matrix``, not through its diagram-basis expansion.  The
     expansion must still lie in the element's algebra: removing edges only
     shrinks what an algebra admits, so it is enough that the diagram with
-    every removable edge gone is admitted.  Coefficients polynomial in delta
-    are specialized through delta = 1 +- (q + q^-1), matching the
-    configured sign.
+    every removable edge gone is admitted.  The element is specialized
+    through delta = 1 +- (q + q^-1), matching the configured sign.
     """
+    x = x.specialize(cfg.delta_value())
     correction = None if x.basis == "diagram" else x.basis
     k = x.spec.k
     m = SparseMatrix(3 ** k, 3 ** k)
@@ -160,8 +160,6 @@ def element_matrix(x, cfg):
             if not x.spec.admits(Diagram.from_edges(k, kept)):
                 raise ValueError("%s(%r) not admitted: its expansion leaves %s"
                                  % (correction, d, x.spec.flavor))
-        if isinstance(c, DeltaPoly):
-            c = c.evaluate(cfg.delta_value())
         for (r, col), v in diagram_matrix(d, cfg, correction).entries.items():
             m.add_at(r, col, c * v)
     return m

@@ -260,6 +260,7 @@ _TERM_RE = re.compile(
 
 
 def _tokenize(text, var):
+    """(sign, coefficient, variable, exponent) per term; later terms need a sign."""
     pos, n = 0, len(text)
     out = []
     while pos < n:
@@ -268,12 +269,14 @@ def _tokenize(text, var):
             raise ValueError("cannot parse %r at position %d" % (text, pos))
         sign, num, den, v, exp = (m.group("sign"), m.group("num"),
                                   m.group("den"), m.group("var"), m.group("exp"))
-        if num is None and v is None:
+        if (num is None and v is None) or (out and sign is None):
             raise ValueError("cannot parse %r at position %d" % (text, pos))
         if v is not None and v != var:
             raise ValueError("unexpected variable %r (expected %r)" % (v, var))
         coef = None
         if num is not None:
+            if den is not None and not int(den):
+                raise ValueError("zero denominator in %r" % (text,))
             coef = Fraction(int(num), int(den)) if den else int(num)
             if isinstance(coef, Fraction) and coef.denominator == 1:
                 coef = int(coef)
@@ -292,5 +295,8 @@ def parse_scalar(text):
     if "x" in t:
         return XPoly.parse(t)
     if "/" in t:
-        return Fraction(t)
+        try:
+            return Fraction(t)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % (text,)) from None
     return int(t)

@@ -270,7 +270,7 @@ def check_jones(kcap):
 
 def check_semisimplicity(kcap):
     for k in range(1, 9):
-        if not qcriteria.tl_semisimple(k, 2) or not qcriteria.ptl_semisimple(k, 2):
+        if not qcriteria.tl_semisimple(k, 2):
             return False, "semisimplicity fails at q0=2, k=%d" % k
         if not qcriteria.tl_semisimple(k, 1):
             return False, "q0=1 specialization fails at k=%d" % k

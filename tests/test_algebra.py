@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, compose,
                             gen_e, gen_p, gen_r, gen_l, identity,
                             motzkin_diagrams, omega, partial_brauer_diagrams,
                             removals, subdiagrams)
-from ptlalg.scalar import DeltaPoly
+from ptlalg.scalar import DeltaPoly, LaurentPoly, XPoly
 
 delta = DeltaPoly.gen()
 
@@ -44,6 +45,66 @@ def test_two_parameter_rule():
     assert p1 * p1 == 7 * p1
     e = Element.of(spec, gen_e(1, 2))
     assert e * e == delta * e
+
+
+def test_none_is_the_generic_delta():
+    for flavor, make in (("ptl", ptl_spec), ("motzkin", motzkin_spec), ("tl", tl_spec)):
+        assert AlgebraSpec(flavor, 3) == AlgebraSpec(flavor, 3, None) == make(3)
+        assert make(3).delta == delta and type(make(3).delta) is DeltaPoly
+        assert make(3, 5) == AlgebraSpec(flavor, 3, 5) != make(3)
+
+
+def test_coefficients_outside_the_ring_are_refused():
+    e1 = gen_e(1, 2)
+    M2 = motzkin_spec(2)
+    q = LaurentPoly.gen()
+    refused = [
+        lambda: Element.of(M2, e1, q),
+        lambda: Element.of(M2, e1).scale(q),
+        lambda: q * Element.of(M2, e1),
+        lambda: Element.of(M2, e1, XPoly.gen()),
+        lambda: Element.of(motzkin_spec(2, 3), e1, delta),
+        lambda: Element.of(motzkin_spec(2, Fraction(1, 2)), e1).scale(delta + 1),
+        lambda: Element.from_json(M2, {"terms": [{"coeff": "q^2",
+                                                   "diagram": e1.to_json()}]}),
+    ]
+    for build in refused:
+        with pytest.raises(ValueError, match="not a scalar"):
+            build()
+
+
+def test_coefficients_inside_the_ring_are_kept():
+    e1, p1 = gen_e(1, 2), gen_p(1, 2)
+    for spec in (motzkin_spec(2), motzkin_spec(2, 3), motzkin_spec(2, Fraction(3, 2))):
+        for c in (2, -1, Fraction(-1, 3)):
+            x = Element.of(spec, e1, c)
+            assert x.terms == {e1: c} and type(x.terms[e1]) is type(c)
+    assert Element.of(motzkin_spec(2), e1, delta - 2).terms == {e1: delta - 2}
+    # numeric delta and delta': products stay rational
+    spec = AlgebraSpec("partial_brauer", 2, 3, Fraction(-3, 7))
+    p, e = Element.of(spec, p1), Element.of(spec, e1)
+    assert p * p == Element.of(spec, p1, Fraction(-3, 7)) and e * e == 3 * e
+    # a polynomial delta' widens the ring by its type
+    spec = AlgebraSpec("partial_brauer", 2, 3, delta)
+    assert (Element.of(spec, p1) * Element.of(spec, p1)).terms == {p1: delta}
+
+
+def test_specialize_maps_delta_everywhere():
+    M2 = motzkin_spec(2)
+    e1 = gen_e(1, 2)
+    x = Element(M2, {e1: delta * delta - 1, identity(2): 3, gen_p(1, 2): Fraction(1, 2)})
+    y = x.specialize(Fraction(7, 3))
+    assert y.spec == motzkin_spec(2, Fraction(7, 3)) and y.basis == "diagram"
+    assert y.terms == {e1: Fraction(40, 9), identity(2): 3, gen_p(1, 2): Fraction(1, 2)}
+    assert type(y.terms[identity(2)]) is int and type(y.spec.delta_prime) is int
+    # delta -> 1 - q - q^-1: the coefficients move into Z[q, q^-1]
+    value = LaurentPoly({0: 1, 1: -1, -1: -1})
+    z = Element.of(M2, e1, delta, "bar").specialize(value)
+    assert z.spec.delta == value and z.basis == "bar" and z.terms == {e1: value}
+    # the specialized product is the product of the specializations
+    a, b = Element.of(M2, e1, delta + 2), Element.of(M2, e1, 2 * delta)
+    x0 = Fraction(7, 3)
+    assert (a * b).specialize(x0) == a.specialize(x0) * b.specialize(x0)
 
 
 def test_partition_flavor_uses_total_blocks():

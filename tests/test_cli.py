@@ -283,6 +283,10 @@ BAD_INPUTS = {
                                           {"k": 2, "edges": [["t1", "b2"], ["t2", "b1"]]}}]},
     "delta-plus-q": {"terms": [{"coeff": "delta+q", "diagram": E1_K2}]},
     "pure-q": {"terms": [{"coeff": "q^2", "diagram": E1_K2}]},
+    "zero-denominator": {"terms": [{"coeff": "1/0", "diagram": E1_K2}]},
+    "zero-denominator-delta": {"terms": [{"coeff": "2/0*delta", "diagram": E1_K2}]},
+    "unsigned-constant-term": {"terms": [{"coeff": "delta 2", "diagram": E1_K2}]},
+    "unsigned-term-run": {"terms": [{"coeff": "2delta3", "diagram": E1_K2}]},
 }
 
 

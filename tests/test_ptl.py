@@ -5,13 +5,63 @@ from math import comb
 
 import pytest
 
-from ptlalg.algebra import AlgebraSpec, Element, bar_multiply, change_basis, epsilon
+from ptlalg.algebra import (AlgebraSpec, Element, bar_multiply, change_basis, epsilon,
+                            ptl_spec)
 from ptlalg.diagram import (balanced_motzkin_diagrams, balanced_motzkin_stratum,
                             gen_e, gen_l, gen_r, motzkin_diagrams, triple_of)
 from ptlalg.ptl import (decompose_x, from_block,
                         generated_dimension, ptl_dimension, strata_dims,
                         to_block)
 from ptlalg.scalar import DeltaPoly
+
+
+def reference_specialize(x, delta0):
+    """delta -> delta0 in delta, delta' and the coefficients, with every
+    rational scalar made a Fraction."""
+    def at(c):
+        return c.evaluate(delta0) if isinstance(c, DeltaPoly) else Fraction(c)
+
+    spec = x.spec
+    nspec = AlgebraSpec(spec.flavor, spec.k, at(spec.delta), at(spec.delta_prime))
+    return Element(nspec, {d: at(c) for d, c in x.terms.items()}, x.basis)
+
+
+def ptl_generators(spec):
+    k = spec.k
+    return [g for i in range(1, k) for g in (Element.of(spec, gen_r(i, k)),
+                                             Element.of(spec, gen_l(i, k)),
+                                             epsilon(spec, i))]
+
+
+def test_specialize_matches_the_fraction_reference():
+    delta0 = Fraction(7, 3)
+    for k in range(2, 5):
+        gens = ptl_generators(ptl_spec(k))
+        # products of two generators carry delta-polynomial coefficients
+        elements = gens + [g * h for g in gens[:6] for h in gens[:6]]
+        assert any(isinstance(c, DeltaPoly) for x in elements for c in x.terms.values())
+        for x in elements:
+            y = x.specialize(delta0)
+            assert y == reference_specialize(x, delta0)
+            assert y.spec.delta == delta0 and type(y.spec.delta_prime) is int
+            for d, c in x.terms.items():
+                if type(c) is int:
+                    assert type(y.terms[d]) is int
+
+
+def test_generated_dimension_keeps_int_coefficients(monkeypatch):
+    from ptlalg import ptl
+    seen = []
+    real = Element.__mul__
+
+    def spy(a, b):
+        seen.extend(type(c) for c in b.terms.values())
+        return real(a, b)
+
+    monkeypatch.setattr(Element, "__mul__", spy)
+    spec = ptl_spec(2)
+    assert ptl.generated_dimension(ptl_generators(spec)) == 7
+    assert seen and set(seen) == {int}
 
 
 def test_dimension_formula():

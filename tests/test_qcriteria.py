@@ -7,7 +7,7 @@ from ptlalg.cells import act_on_path, cell_basis, join_tl, rank_of
 from ptlalg.linalg import rank_of_rows
 from ptlalg.qcriteria import (balanced_q_factorial, balanced_q_int, cyclotomic,
                               jones_identity_check, jones_identity_symbolic,
-                              jones_p, ptl_semisimple, q_factorial, q_int,
+                              jones_p, q_factorial, q_int,
                               tl_semisimple, tl_semisimple_at_root_of_unity,
                               tl_semisimple_witness, vanishes_at_primitive_root)
 from ptlalg.scalar import LaurentPoly, XPoly
@@ -47,7 +47,6 @@ def test_jones_identity():
 def test_semisimplicity_generic():
     for k in range(1, 9):
         assert tl_semisimple(k, 2)
-        assert ptl_semisimple(k, 2)
     # q0 = 1 reduces to k! != 0
     for k in range(1, 9):
         assert balanced_q_factorial(k).evaluate(1) == factorial(k)
@@ -114,7 +113,7 @@ def test_semisimple_matches_representation_theory():
     from ptlalg.cells import cell_dims
     from ptlalg.ptl import ptl_dimension
     for k in range(5):
-        assert ptl_semisimple(k, 2)
+        assert tl_semisimple(k, 2)
         dims = cell_dims("ptl", k)
         assert sum(v * v for v in dims.values()) == ptl_dimension(k)
 

@@ -340,6 +340,28 @@ def test_element_matrix_specializes_delta():
     assert m == diagram_matrix(gen_e(1, 2), cfg).scale(cfg.delta_value())
 
 
+def test_element_matrix_reads_the_specialized_element():
+    delta = DeltaPoly.gen()
+    M2 = motzkin_spec(2)
+    for c in (RepConfig(), RepConfig(Fraction(2, 3), "+")):
+        for basis in ("diagram", "bar", "tilde"):
+            x = Element(M2, {gen_e(1, 2): delta * delta - 1, identity(2): 3}, basis)
+            y = x.specialize(c.delta_value())
+            assert type(y.terms[gen_e(1, 2)]) is LaurentPoly
+            assert element_matrix(x, c) == element_matrix(y, c)
+    # a numeric delta leaves nothing to specialize
+    half = Fraction(1, 2)
+    x = Element.of(motzkin_spec(2, 3), gen_e(1, 2), half)
+    assert element_matrix(x, cfg) == diagram_matrix(gen_e(1, 2), cfg).scale(half)
+
+
+def test_q_coefficients_never_reach_element_matrix():
+    with pytest.raises(ValueError, match="not a scalar"):
+        element_matrix(Element.of(motzkin_spec(2), gen_e(1, 2), q), cfg)
+    with pytest.raises(ValueError, match="not a scalar"):
+        element_matrix(Element.of(motzkin_spec(2), gen_e(1, 2)).scale(q), cfg)
+
+
 # -- quantum generators and weight classes against the mirrored references ------
 
 def mirrored_qgen_matrix(g, k):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptlalg.algebra import Element, motzkin_spec
 from ptlalg.diagram import identity
@@ -159,6 +160,35 @@ def test_text_round_trips():
     assert parse_scalar("7/3") == Fraction(7, 3)
     assert parse_scalar("-4") == -4
     assert parse_scalar("delta^2 - 2*delta + 1") == (d - 1) ** 2
+    # signed terms need no spaces
+    assert parse_scalar("delta+2") == d + 2
+    assert parse_scalar("-q^-1+1/2*q") == Fraction(1, 2) * q - qi
+
+
+_COEFFS = st.one_of(st.integers(-20, 20), st.fractions(max_denominator=9))
+
+
+@pytest.mark.parametrize("cls", [DeltaPoly, LaurentPoly, XPoly])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(-6, 6), _COEFFS, max_size=5))
+def test_parse_scalar_inverts_str(cls, coeffs):
+    p = cls({e if cls.ALLOW_NEG else abs(e): c for e, c in coeffs.items()})
+    assert parse_scalar(str(p)) == p
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.fractions())
+def test_parse_scalar_inverts_str_of_a_fraction(x):
+    assert parse_scalar(str(x)) == x
+
+
+@pytest.mark.parametrize("text", [
+    "1/0", "-5/0", "2/0*delta", "delta - 1/0", "q^2 + 3/0*q",
+    "delta 2", "2delta3", "0x10", "q 1", "delta^2 delta",
+])
+def test_parse_scalar_refuses_zero_denominators_and_unsigned_terms(text):
+    with pytest.raises(ValueError):
+        parse_scalar(text)
 
 
 def test_constant_poly_equals_number():
