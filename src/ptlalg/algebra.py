@@ -50,6 +50,8 @@ class AlgebraSpec:
             raise ValueError("unknown flavor %r" % (self.flavor,))
         if self.delta is None:
             object.__setattr__(self, "delta", DeltaPoly.gen())
+        # basis -> Element.zero; not a field, so ==, hash and repr ignore it
+        object.__setattr__(self, "_zeros", {})
 
     def admits(self, d, basis="diagram"):
         """Is the diagram allowed in the support of an element of this basis?"""
@@ -111,7 +113,12 @@ class Element:
 
     @classmethod
     def zero(cls, spec, basis="diagram"):
-        return cls(spec, {}, basis)
+        """The zero of ``spec`` in ``basis``: one shared instance per spec
+        object and basis, built on first use (elements are immutable)."""
+        z = spec._zeros.get(basis)
+        if z is None:
+            z = spec._zeros[basis] = cls(spec, {}, basis)
+        return z
 
     @classmethod
     def of(cls, spec, d, coeff=1, basis="diagram"):

@@ -5,10 +5,11 @@ Internally vertices are encoded as ``0..k-1`` for the top row (printed
 ``1..k``) and ``k..2k-1`` for the bottom row (printed ``1'..k'``); blocks
 are stored as a sorted tuple of sorted tuples, so equality and hashing are
 structural.  There is one instance per distinct diagram, validated once:
-planarity, frames and partner maps are computed once per diagram however
-often products rebuild it.  All *column* indices in the public API
-(generator positions, frames, the subsets A, B of a triple) are 1-based,
-matching the usual subscripts e_1, ..., e_{k-1}.
+planarity, frames, partner maps and the middle-row ports that composition
+reads are computed once per diagram however often products rebuild it.
+All *column* indices in the public API (generator positions, frames, the
+subsets A, B of a triple) are 1-based, matching the usual subscripts
+e_1, ..., e_{k-1}.
 
 Composition stacks the left factor above the right one and counts the
 discarded interior blocks; for partial Brauer diagrams these split into
@@ -37,12 +38,14 @@ class Diagram:
     of blocks sorted) and looked up in a process-wide table.  A block tuple
     met for the first time is validated and stored, so the checks run once
     per distinct ``(k, blocks)``, and the derived data computed on first use
-    (kept in the underscored slots) serves every later construction.  The
-    table is unbounded, like the expansion cache it feeds: it holds every
-    distinct diagram for the life of the process.
+    (kept in the underscored slots: planarity, frames, the partner map and
+    the middle-row ports that :func:`compose` reads) serves every later
+    construction.  The table is unbounded, like the expansion cache it
+    feeds: it holds every distinct diagram for the life of the process.
     """
 
-    __slots__ = ("k", "blocks", "_hash", "_partner", "_pb", "_planar", "_frame")
+    __slots__ = ("k", "blocks", "_hash", "_partner", "_pb", "_planar", "_frame",
+                 "_ports")
 
     def __new__(cls, k, blocks):
         canon = [tuple(sorted(b)) for b in blocks]
@@ -66,7 +69,7 @@ class Diagram:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "blocks", key)
         object.__setattr__(self, "_hash", hash((k, key)))
-        for name in ("_partner", "_pb", "_planar", "_frame"):
+        for name in ("_partner", "_pb", "_planar", "_frame", "_ports"):
             object.__setattr__(self, name, None)
         _INTERNED[key] = self
         return self
@@ -170,6 +173,33 @@ class Diagram:
             object.__setattr__(self, "_planar", planar)
         return planar
 
+    def _middle_ports(self):
+        """What :func:`compose` reads of either factor: the block index at
+        each top-row and at each bottom-row column; per block its top-row
+        vertices, bottom-row vertices, their columns and whether it is an
+        edge; ``is_partial_brauer()``; the blocks that meet the bottom row
+        (as indices), those inside the top row and those inside the bottom."""
+        ports = self._ports
+        if ports is None:
+            k = self.k
+            top_of, bot_of, tops, bots = [0] * k, [0] * k, [], []
+            for i, b in enumerate(self.blocks):
+                cut = bisect.bisect_left(b, k)
+                tops.append(b[:cut])
+                bots.append(b[cut:])
+                for v in b[:cut]:
+                    top_of[v] = i
+                for v in b[cut:]:
+                    bot_of[v - k] = i
+            ports = (tuple(top_of), tuple(bot_of), tuple(tops), tuple(bots),
+                     tuple(tuple(v - k for v in u) for u in bots),
+                     tuple(len(b) == 2 for b in self.blocks), self.is_partial_brauer(),
+                     tuple(i for i, u in enumerate(bots) if u),
+                     tuple(b for b, u in zip(self.blocks, bots) if not u),
+                     tuple(b for b, t in zip(self.blocks, tops) if not t))
+            object.__setattr__(self, "_ports", ports)
+        return ports
+
     def is_motzkin(self):
         return self.is_partial_brauer() and self.is_planar()
 
@@ -256,30 +286,23 @@ def compose(d1, d2):
     discarded; for partial Brauer inputs it is a closed loop when every
     block on it is an edge, and an open path otherwise.  A block of d2
     with no middle vertex is reached from no block of d1 and passes
-    through unchanged.
+    through unchanged, as does a block of d1 with no middle vertex.  The
+    column-to-block maps and each block's rows come from the factors'
+    ports (``Diagram._middle_ports``, computed once per diagram), so the
+    walk itself only follows indices.
     """
     if d1.k != d2.k:
         raise ValueError("cannot compose diagrams with k=%d and k=%d" % (d1.k, d2.k))
-    k = d1.k
-    blocks1, blocks2 = d1.blocks, d2.blocks
-    # below[c]: index of d1's block at middle column c (d1's vertex k + c);
-    # above[c]: index of d2's block at middle column c (d2's vertex c).
-    below = [0] * k
-    for i, b in enumerate(blocks1):
-        for v in b:
-            if v >= k:
-                below[v - k] = i
-    above = [0] * k
-    for j, b in enumerate(blocks2):
-        for v in b:
-            if v >= k:
-                break  # blocks are sorted: the rest is d2's bottom row
-            above[v] = j
-    seen1 = [False] * len(blocks1)
-    seen2 = [False] * len(blocks2)
-    new_blocks = []
+    # below[c]: d1's block at middle column c; above[c]: d2's block there.
+    # d1's outer vertices are its top row, d2's its bottom row.
+    _, below, outer1, _, mids1, edge1, pb1, starts1, upper1, _ = d1._middle_ports()
+    above, _, tops2, outer2, _, edge2, pb2, _, _, lower2 = d2._middle_ports()
+    seen1 = [False] * len(outer1)
+    seen2 = [False] * len(outer2)
+    new_blocks = list(upper1)
+    new_blocks += lower2
     n_blocks = n_loops = 0
-    for i in range(len(blocks1)):
+    for i in starts1:
         if seen1[i]:
             continue
         seen1[i] = True
@@ -287,35 +310,31 @@ def compose(d1, d2):
         outer = []
         edges_only = True
         while todo:
-            b = blocks1[todo.pop()]
-            if len(b) != 2:
+            i1 = todo.pop()
+            outer += outer1[i1]
+            if not edge1[i1]:
                 edges_only = False
-            for v in b:
-                if v < k:
-                    outer.append(v)
-                    continue
-                j = above[v - k]
+            for c in mids1[i1]:
+                j = above[c]
                 if seen2[j]:
                     continue
                 seen2[j] = True
-                b2 = blocks2[j]
-                if len(b2) != 2:
+                outer += outer2[j]
+                if not edge2[j]:
                     edges_only = False
-                for w in b2:
-                    if w >= k:
-                        outer.append(w)
-                    elif not seen1[below[w]]:
-                        seen1[below[w]] = True
-                        todo.append(below[w])
+                for c2 in tops2[j]:
+                    i2 = below[c2]
+                    if not seen1[i2]:
+                        seen1[i2] = True
+                        todo.append(i2)
         if outer:
             new_blocks.append(outer)
         else:
             n_blocks += 1
             if edges_only:
                 n_loops += 1
-    new_blocks.extend(b for j, b in enumerate(blocks2) if not seen2[j])
-    d3 = Diagram(k, new_blocks)
-    if d1.is_partial_brauer() and d2.is_partial_brauer():
+    d3 = Diagram(d1.k, new_blocks)
+    if pb1 and pb2:
         return Composition(d3, n_blocks, n_loops, n_blocks - n_loops)
     return Composition(d3, n_blocks, None, None)
 

@@ -260,7 +260,8 @@ _TERM_RE = re.compile(
 
 
 def _tokenize(text, var):
-    """(sign, coefficient, variable, exponent) per term; later terms need a sign."""
+    """(sign, coefficient, variable, exponent) per term; later terms need a
+    sign.  ``var=None`` admits constant terms only."""
     pos, n = 0, len(text)
     out = []
     while pos < n:
@@ -272,7 +273,8 @@ def _tokenize(text, var):
         if (num is None and v is None) or (out and sign is None):
             raise ValueError("cannot parse %r at position %d" % (text, pos))
         if v is not None and v != var:
-            raise ValueError("unexpected variable %r (expected %r)" % (v, var))
+            raise ValueError("unexpected variable %r%s"
+                             % (v, " (expected %r)" % (var,) if var else ""))
         coef = None
         if num is not None:
             if den is not None and not int(den):
@@ -286,7 +288,8 @@ def _tokenize(text, var):
 
 
 def parse_scalar(text):
-    """Parse the textual form back; the ring is inferred from the variable."""
+    """Parse the textual form back; the ring is inferred from the variable.
+    With none, the terms are rationals, read as a polynomial's constants."""
     t = text.strip()
     if "delta" in t:
         return DeltaPoly.parse(t)
@@ -294,9 +297,8 @@ def parse_scalar(text):
         return LaurentPoly.parse(t)
     if "x" in t:
         return XPoly.parse(t)
-    if "/" in t:
-        try:
-            return Fraction(t)
-        except ZeroDivisionError:
-            raise ValueError("zero denominator in %r" % (text,)) from None
-    return int(t)
+    terms = _tokenize(t, None)
+    if not terms:
+        raise ValueError("empty scalar %r" % (text,))
+    value = sum(-c if sign == "-" else c for sign, c, _, _ in terms)
+    return int(value) if value.denominator == 1 else value

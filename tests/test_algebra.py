@@ -366,6 +366,58 @@ def test_element_product_admits_each_term_once(monkeypatch):
         assert len(calls) <= pair_terms + len(prod.terms), basis
 
 
+def test_zero_products_are_the_one_zero_of_their_algebra(monkeypatch):
+    """Over all k = 4 pairs a zero bar or tilde product is the shared zero of
+    the spec and basis, and only the nonzero products build an Element."""
+    spec = motzkin_spec(4)
+    pool = balanced_motzkin_diagrams(4)
+    assert len(pool) ** 2 == 33489
+    zeros = {basis: Element.zero(spec, basis) for basis in STRUCTURED}
+    built = []
+    init = Element.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    nonzero = n_zero = 0
+    with monkeypatch.context() as m:
+        m.setattr(Element, "__init__", counting)
+        for basis, rule in STRUCTURED.items():
+            for d1 in pool:
+                for d2 in pool:
+                    prod = rule(spec, d1, d2)
+                    if prod.terms:
+                        nonzero += 1
+                    else:
+                        assert prod is zeros[basis] and prod.basis == basis
+                        n_zero += 1
+    assert n_zero == 52830 and len(built) == nonzero == 66978 - n_zero
+    assert zeros["bar"].spec is spec and not zeros["bar"].terms
+
+
+def test_each_spec_has_its_own_zeros():
+    specs = [motzkin_spec(4), motzkin_spec(4, 2), tl_spec(4)]
+    for spec in specs:
+        for basis in ("diagram", "bar", "tilde"):
+            z = Element.zero(spec, basis)
+            assert z is Element.zero(spec, basis) and z.spec is spec
+            assert z.basis == basis and not z.terms
+    assert Element.zero(specs[0]) is not Element.zero(specs[1])
+    assert Element.zero(specs[0]) != Element.zero(specs[2])
+    # an equal spec built again is a different object with zeros of its own
+    again = motzkin_spec(4)
+    assert again == specs[0] and Element.zero(again).spec is again
+    assert Element.zero(again) == Element.zero(specs[0])
+    fresh = motzkin_spec(3)
+    with pytest.raises(ValueError, match="unknown basis"):
+        Element.zero(fresh, "nope")
+    with pytest.raises(ValueError, match="unknown basis"):
+        Element.zero(fresh, "nope")
+    assert Element.zero(fresh) == Element(fresh, {}) and not Element.zero(fresh).terms
+    assert set(fresh._zeros) == {"diagram"}
+
+
 def test_tilde_multiply_rebuilds_only_the_dropped_composites(monkeypatch):
     """The composite itself is the empty-subset term; only the 2^|S| - 1
     terms that drop through edges are built again from their edges."""

@@ -287,6 +287,9 @@ BAD_INPUTS = {
     "zero-denominator-delta": {"terms": [{"coeff": "2/0*delta", "diagram": E1_K2}]},
     "unsigned-constant-term": {"terms": [{"coeff": "delta 2", "diagram": E1_K2}]},
     "unsigned-term-run": {"terms": [{"coeff": "2delta3", "diagram": E1_K2}]},
+    "underscored-digits": {"terms": [{"coeff": "1_000", "diagram": E1_K2}]},
+    "underscored-digits-delta": {"terms": [{"coeff": "1_000*delta", "diagram": E1_K2}]},
+    "empty-coefficient": {"terms": [{"coeff": " ", "diagram": E1_K2}]},
 }
 
 
@@ -306,6 +309,20 @@ def test_bad_element_input_exits_2(name, tmp_path, capsys):
         assert not captured.out
         assert len(captured.err.strip().splitlines()) == 1, args
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("spaced, tight", [
+    ("3 / 4", "3/4"), (" - 2 ", "-2"), ("3 / 4*delta", "3/4*delta"), ("- 2*delta", "-2*delta"),
+])
+def test_spaced_coefficients_read_as_their_tight_forms(spaced, tight, tmp_path, capsys):
+    outs = []
+    for coeff in (spaced, tight):
+        f = tmp_path / "x.json"
+        f.write_text(json.dumps({"terms": [{"coeff": coeff, "diagram": E1_K2}]}))
+        code, out = run_cli(["convert", str(f), "--to", "bar", "--json"], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("obj", [

@@ -346,6 +346,29 @@ def test_compose_matches_reference_on_partition_words():
             assert c.loops is None and c.paths is None
 
 
+def test_compose_matches_reference_on_partition_words_k4():
+    k = 4
+    gens = ([gen_s(i, k) for i in (1, 2, 3)] + [gen_p(j, k) for j in (1, 2, 3, 4)]
+            + [gen_b(i, k) for i in (1, 2, 3)] + [gen_e(i, k) for i in (1, 2, 3)])
+    rng = random.Random(4)
+    words = []
+    for _ in range(300):
+        d = identity(k)
+        for _ in range(rng.randint(1, 6)):
+            d = assert_same_composition(d, rng.choice(gens)).diagram
+        words.append(d)
+    big = sorted({d for d in words if max(map(len, d.blocks)) >= 3})
+    assert len(big) >= 50
+    assert all(d._middle_ports() == reference_ports(d) for d in big)
+    discarded = 0
+    for _ in range(600):
+        d1, d2 = rng.choice(words), rng.choice(big)
+        for c in (assert_same_composition(d1, d2), assert_same_composition(d2, d1)):
+            assert c.loops is None and c.paths is None
+            discarded += c.blocks
+    assert discarded > 0
+
+
 @functools.lru_cache(maxsize=None)
 def motzkin_5():
     return motzkin_diagrams(5)
@@ -521,6 +544,20 @@ def reference_partner(d):
     return p
 
 
+def reference_ports(d):
+    """The middle-row ports from their definitions, computed afresh."""
+    k = d.k
+    block_at = lambda v: next(i for i, b in enumerate(d.blocks) if v in b)
+    tops = tuple(tuple(v for v in b if v < k) for b in d.blocks)
+    bots = tuple(tuple(v for v in b if v >= k) for b in d.blocks)
+    return (tuple(block_at(c) for c in range(k)), tuple(block_at(k + c) for c in range(k)),
+            tops, bots, tuple(tuple(v - k for v in b) for b in bots),
+            tuple(len(b) == 2 for b in d.blocks), all(len(b) <= 2 for b in d.blocks),
+            tuple(i for i, b in enumerate(bots) if b),
+            tuple(b for b, bb in zip(d.blocks, bots) if not bb),
+            tuple(b for b, t in zip(d.blocks, tops) if not t))
+
+
 def test_derived_data_of_fresh_and_interned_diagrams_match_the_formulas():
     rng = random.Random(11)
     m5, m2 = motzkin_diagrams(5), motzkin_diagrams(2)
@@ -533,19 +570,25 @@ def test_derived_data_of_fresh_and_interned_diagrams_match_the_formulas():
         sample.append(Diagram.from_edges(k, zip(vertices[0:2 * n:2], vertices[1:2 * n:2])))
     sample += motzkin_diagrams(3)
     cold = 0
-    for d in sample:
-        cold += d._planar is None and d._frame is None and d._partner is None
+    for n, d in enumerate(sample):
+        cold += (d._planar is None and d._frame is None and d._partner is None
+                 and d._ports is None)
+        if n % 2:
+            # ports first filled with d as the right factor, then read as the left
+            assert_same_composition(identity(d.k), d)
+            assert_same_composition(d, identity(d.k))
         fr = d.frames()
         first = (d.is_planar(), (fr.top, fr.bot, fr.top_h, fr.bot_h, fr.top_v, fr.bot_v),
-                 dict(d.partner))
+                 dict(d.partner), d._middle_ports())
         blocks = [b[::-1] for b in d.blocks]
         rng.shuffle(blocks)
         again = Diagram(d.k, blocks)
         assert again is d
         fr = again.frames()
         assert (again.is_planar(), (fr.top, fr.bot, fr.top_h, fr.bot_h, fr.top_v, fr.bot_v),
-                again.partner) == first
-        assert first == (reference_is_planar(d), reference_frames(d), reference_partner(d))
+                again.partner, again._middle_ports()) == first
+        assert first == (reference_is_planar(d), reference_frames(d), reference_partner(d),
+                         reference_ports(d))
     assert cold >= 250  # most of the sample was met here first, with empty caches
     assert all(d.is_planar() for d in sample[:150])
     assert not all(d.is_planar() for d in sample[150:300])

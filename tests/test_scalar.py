@@ -185,10 +185,22 @@ def test_parse_scalar_inverts_str_of_a_fraction(x):
 @pytest.mark.parametrize("text", [
     "1/0", "-5/0", "2/0*delta", "delta - 1/0", "q^2 + 3/0*q",
     "delta 2", "2delta3", "0x10", "q 1", "delta^2 delta",
+    # plain rationals follow the polynomial rules
+    "1_000", "1_000*delta", "", "   ", " - 3 / 0 ", "2 3", "0.5", "3/-4",
 ])
 def test_parse_scalar_refuses_zero_denominators_and_unsigned_terms(text):
     with pytest.raises(ValueError):
         parse_scalar(text)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("3 / 4", Fraction(3, 4)), ("3 / 4*delta", Fraction(3, 4) * d),
+    (" - 2 ", -2), ("- 2*delta", -2 * d),
+    ("-3/7", Fraction(-3, 7)), ("+5", 5), ("4/2", 2), ("-6 / 3*delta", -2 * d),
+])
+def test_plain_rationals_follow_the_polynomial_term_rules(text, want):
+    got = parse_scalar(text)
+    assert got == want and type(got) is type(want)
 
 
 def test_constant_poly_equals_number():
