@@ -18,19 +18,25 @@ from . import cells, ptl, qcriteria, repn, verify
 from .algebra import AlgebraSpec, Element, change_basis
 from .diagram import Diagram, enumerate_diagrams
 from .render import ascii_diagram, ascii_element, tikz_diagram, tikz_element
+from .scalar import parse_scalar
 
 
 def _fraction(text):
+    """A rational option value, read by the scalar parser's rational rule."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError("not a rational number: %r" % (text,)) from exc
+        value = parse_scalar(text)
+    except ValueError:
+        value = None
+    if not isinstance(value, (int, Fraction)):
+        raise argparse.ArgumentTypeError("not a rational number: %r" % (text,))
+    return Fraction(value)
 
 
 def _nonzero_fraction(text):
-    if not _fraction(text):
+    value = _fraction(text)
+    if not value:
         raise argparse.ArgumentTypeError("not a nonzero rational number: %r" % (text,))
-    return Fraction(text)
+    return value
 
 
 def _nonnegative_int(text):

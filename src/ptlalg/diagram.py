@@ -210,10 +210,10 @@ class Diagram:
 
     def frames(self):
         """Index sets of the non-isolated vertices, split horizontal/vertical."""
-        if not self.is_partial_brauer():
-            raise ValueError("frames require a partial Brauer diagram")
         fr = self._frame
         if fr is None:
+            if not self.is_partial_brauer():
+                raise ValueError("frames require a partial Brauer diagram")
             top_h, bot_h, top_v, bot_v = set(), set(), set(), set()
             for (a, b) in self.cups():
                 top_h.update((a + 1, b + 1))

@@ -2,12 +2,15 @@
 
 The word basis of V^(x)k is indexed by sequences over {1, 0, -1} (site
 basis v_1, v_0, v_-1 in that order, lexicographic word order).  Motzkin
-diagrams act through bilinear-form weights attached to their blocks.  The
-bar and tilde vectors act through the same weights, corrected: bar(d) is
-the signed sum of d with each subset of its edges removed, the matrix is
-multilinear in the edge weights, so subtracting delta_{i,0} delta_{j,0}
-from the weight of every removable edge gives the matrix of the whole sum
-without expanding it.  Quantum-group generators act through the coproduct
+diagrams act through bilinear-form weights attached to their blocks, and the
+blocks act independently: a diagram's matrix is built as the product over
+its blocks of each block's letter choices, entry by nonzero entry, never by
+scanning the 3^k words.  The bar and tilde vectors act through the same
+weights, corrected: bar(d) is the signed sum of d with each subset of its
+edges removed, the matrix is multilinear in the edge weights, so
+subtracting delta_{i,0} delta_{j,0} from the weight of every removable edge
+gives the matrix of the whole sum without expanding it.  Quantum-group
+generators act through the coproduct
 
     E -> sum_i 1 x ... x E x K x ... x K,
     F -> sum_i K^-1 x ... x F x 1 x ... x 1,
@@ -85,50 +88,53 @@ class RepConfig:
 def diagram_matrix(d, cfg, correction=None):
     """Action of a Motzkin diagram on the word basis, columns = input words.
 
-    The entry on (output word, input word) is the product of the block
-    weights: delta_{i,0} for isolated vertices, delta_{i,j} for vertical
-    edges, form values for cups and caps.  ``correction`` subtracts
-    delta_{i,0} delta_{j,0} from the weight of every edge ("bar") or of the
-    horizontal edges only ("tilde"), realizing the alternating elements
-    directly.
+    Each block of ``d`` contributes its own list of choices: a cap the keys
+    of the bottom form, a cup the keys of the top form, a vertical edge one
+    letter for both its ends, an isolated vertex the fixed letter 0.  A
+    choice carries its offset to the row index, its offset to the column
+    index and its weight (the form value, or 1), so the product over the
+    blocks yields every nonzero entry exactly once, with the product of its
+    block weights.  ``correction`` subtracts delta_{i,0} delta_{j,0} from
+    the weight of every edge ("bar") or of the horizontal edges only
+    ("tilde"), realizing the alternating elements directly: the forms lose
+    their (0, 0) key, and under "bar" a vertical edge carries only +-1.
     """
     if not d.is_motzkin():
         raise ValueError("diagram_matrix needs a planar partial Brauer diagram")
     if correction not in (None, "bar", "tilde"):
         raise ValueError("correction must be None, 'bar' or 'tilde'")
     k = d.k
-    cups, caps, verts = d.cups(), d.caps(), d.verticals()
-    iso_bot = [v - k for v in d.isolated() if v >= k]
-    tform = dict(cfg.top_form())
-    bform = dict(cfg.bottom_form())
+    # site p of a word adds LETTERS.index(x) * 3^(k-1-p) to its index
+    place = [3 ** (k - 1 - p) for p in range(k)]
+    digit = {x: i for i, x in enumerate(LETTERS)}
+    tform = cfg.top_form()
+    bform = cfg.bottom_form()
     if correction is not None:
         tform.pop((0, 0))
         bform.pop((0, 0))
+    one = LaurentPoly.one()
+    through = (1, -1) if correction == "bar" else LETTERS
+    blocks = [[(digit[i] * place[x] + digit[j] * place[y], 0, f)
+               for (i, j), f in tform.items()] for x, y in d.cups()]
+    blocks += [[(0, digit[i] * place[x] + digit[j] * place[y], f)
+                for (i, j), f in bform.items()] for x, y in d.caps()]
+    blocks += [[(digit[i] * place[t], digit[i] * place[b], one) for i in through]
+               for t, b in d.verticals()]
+    for v in d.isolated():
+        off = digit[0] * place[v % k]
+        blocks.append([(off, 0, one) if v < k else (0, off, one)])
+    entries = {}
+    for choice in itertools.product(*blocks):
+        r = c = 0
+        w = one
+        for dr, dc, f in choice:
+            r += dr
+            c += dc
+            if f is not one:  # unit weights multiply nothing
+                w = f if w is one else w * f
+        entries[(r, c)] = w
     n = 3 ** k
-    m = SparseMatrix(n, n)
-    for w in words(k):
-        if any(w[c] for c in iso_bot):
-            continue
-        if correction == "bar" and any(w[b] == 0 for _, b in verts):
-            continue  # the bar correction kills 0 -> 0 verticals
-        if any((w[x], w[y]) not in bform for x, y in caps):
-            continue
-        coeff = LaurentPoly.one()
-        for (x, y) in caps:
-            coeff = coeff * bform[(w[x], w[y])]
-        col = word_index(w)
-        base = [0] * k
-        for (t, b) in verts:
-            base[t] = w[b]
-        for choice in itertools.product(tform.items(), repeat=len(cups)):
-            out = list(base)
-            c2 = coeff
-            for ((i, j), f), (x, y) in zip(choice, cups):
-                out[x] = i
-                out[y] = j
-                c2 = c2 * f
-            m.add_at(word_index(tuple(out)), col, c2)
-    return m
+    return SparseMatrix(n, n, entries)
 
 
 def modified_weight_matrix(d, variant, cfg):

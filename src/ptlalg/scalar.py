@@ -13,9 +13,15 @@ Polynomial values are immutable and hashable.  Zero coefficients are never
 stored, so equality is structural; a constant polynomial compares (and
 hashes) equal to the plain integer or Fraction it represents.  Arithmetic
 between different polynomial rings raises ``TypeError``; ints and Fractions
-promote into either ring.  Coefficients are normally ints, but exact
-Fractions are accepted (needed for the tensor-space action at non-integer
-values of the form parameter alpha).
+act on the coefficients of either ring as constants.  Coefficients are
+normally ints, but exact Fractions are accepted (needed for the
+tensor-space action at non-integer values of the form parameter alpha).
+Integral coefficients are stored as ints, whether given as ``Fraction(n, 1)``
+or produced by arithmetic, so integral work runs in int arithmetic.
+
+The public constructor checks every exponent and coefficient; the
+arithmetic builds its results through a trusted constructor instead, since
+results of valid operands are valid by closure.
 """
 
 from __future__ import annotations
@@ -24,6 +30,13 @@ import re
 from fractions import Fraction
 
 _NUM = (int, Fraction)
+
+
+def _tidy(coeffs):
+    """The stored form of a coefficient dict: zero coefficients dropped,
+    integral Fractions as ints."""
+    return {e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for e, c in coeffs.items() if c}
 
 
 class IntPoly:
@@ -38,20 +51,26 @@ class IntPoly:
     __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if not isinstance(e, int):
-                    raise TypeError("exponents must be ints, got %r" % (e,))
-                if e < 0 and not self.ALLOW_NEG:
-                    raise ValueError(
-                        "negative exponent %d not allowed in %s" % (e, type(self).__name__))
-                if not isinstance(c, _NUM):
-                    raise TypeError("coefficients must be int or Fraction, got %r" % (c,))
-                if c:
-                    clean[e] = c
-        object.__setattr__(self, "coeffs", clean)
+        coeffs = coeffs or {}
+        for e, c in coeffs.items():
+            if not isinstance(e, int):
+                raise TypeError("exponents must be ints, got %r" % (e,))
+            if e < 0 and not self.ALLOW_NEG:
+                raise ValueError(
+                    "negative exponent %d not allowed in %s" % (e, type(self).__name__))
+            if not isinstance(c, _NUM):
+                raise TypeError("coefficients must be int or Fraction, got %r" % (c,))
+        object.__setattr__(self, "coeffs", _tidy(coeffs))
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _of(cls, coeffs):
+        """The trusted constructor of arithmetic results: ``coeffs`` must
+        already have valid exponents and be tidy."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        object.__setattr__(p, "_hash", None)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -81,59 +100,60 @@ class IntPoly:
 
     # -- ring structure ----------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, _NUM):
-            return type(self)({0: other})
+    def _coeffs_of(self, other):
+        """The coefficients of ``other``: a polynomial of this ring, or a
+        number read as a constant.  None for anything else."""
         if type(other) is type(self):
-            return other
+            return other.coeffs
+        if isinstance(other, _NUM):
+            return {0: other} if other else {}
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        oc = self._coeffs_of(other)
+        if oc is None:
             return NotImplemented
         out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
+        for e, c in oc.items():
             out[e] = out.get(e, 0) + c
-        return type(self)(out)
+        return self._of(_tidy(out))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        oc = self._coeffs_of(other)
+        if oc is None:
             return NotImplemented
         out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
+        for e, c in oc.items():
             out[e] = out.get(e, 0) - c
-        return type(self)(out)
+        return self._of(_tidy(out))
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if self._coeffs_of(other) is None:
             return NotImplemented
-        return other - self
+        return -self + other
 
     def __neg__(self):
-        return type(self)({e: -c for e, c in self.coeffs.items()})
+        return self._of({e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        oc = self._coeffs_of(other)
+        if oc is None:
             return NotImplemented
         out = {}
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+            for e2, c2 in oc.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return type(self)(out)
+        return self._of(_tidy(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative int")
-        result = type(self).one()
+        result = self._of({0: 1})
         base = self
         while n:
             if n & 1:

@@ -544,3 +544,51 @@ def test_negative_fraction_is_an_option_value(verb, option, want, tmp_path, caps
     code, out = run_cli(verb + [option, "-3/7"], capsys)
     assert code == 0 and want in out
     assert run_cli(verb + [option + "=-3/7"], capsys) == (0, out)
+
+
+# -- rational option values follow the scalar parser's rational rule ----------------
+
+@pytest.mark.parametrize("verb, option, spaced, tight", [
+    (["centralizer", "--k", "3", "--json"], "--q", "3 / 4", "3/4"),
+    (["semisimple", "--k", "6"], "--q", " - 3 / 7 ", "-3/7"),
+    (["mul", "{p1}", "{p1}", "--algebra", "partial_brauer"], "--delta-prime", "5 / 2", "5/2"),
+], ids=["centralizer-q", "semisimple-q", "mul-delta-prime"])
+def test_spaced_rational_options_read_as_their_tight_forms(verb, option, spaced, tight,
+                                                           tmp_path, capsys):
+    f = tmp_path / "p1.json"
+    f.write_text(json.dumps(P1_K2))
+    verb = [a.format(p1=f) for a in verb]
+    code, out = run_cli(verb + [option, tight], capsys)
+    assert code == 0 and out
+    assert run_cli(verb + [option, spaced], capsys) == (0, out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["centralizer", "--k", "2", "--q", "0.5"],
+    ["centralizer", "--k", "2", "--q", "1_0"],
+    ["centralizer", "--k", "2", "--q", "q"],
+    ["semisimple", "--k", "4", "--q", "delta"],
+    ["render", "{e1}", "--format", "matrix", "--alpha", "0.5"],
+    ["mul", "{e1}", "{e1}", "--algebra", "partial_brauer", "--delta-prime", "1e3"],
+], ids=["q-decimal", "q-underscore", "q-variable", "q-delta", "alpha-decimal",
+        "delta-prime-exponent"])
+def test_non_rational_option_values_exit_2(argv, tmp_path, capsys):
+    f = tmp_path / "e1.json"
+    f.write_text(json.dumps(E1_K2))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(e1=f) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "not a rational number" in captured.err
+
+
+def test_non_rational_option_value_has_no_traceback_end_to_end():
+    proc = subprocess.run(
+        [sys.executable, "-m", "ptlalg.cli", "centralizer", "--k", "2", "--q", "0.5"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert not proc.stdout
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in proc.stderr

@@ -107,6 +107,24 @@ def test_frames():
     assert fid.top == fid.top_v == frozenset({1, 2, 3})
 
 
+def test_frames_read_their_cache_before_any_check(monkeypatch):
+    d = gen_e(1, 3)
+    fr = d.frames()
+
+    def refuse(self):
+        raise AssertionError("frames re-checked a cached diagram")
+
+    monkeypatch.setattr(Diagram, "is_partial_brauer", refuse)
+    assert d.frames() is fr
+
+
+def test_frames_refuse_a_partition_diagram_every_time():
+    d = Diagram(2, [(0, 1, 2), (3,)])
+    for _ in range(3):
+        with pytest.raises(ValueError, match="partial Brauer"):
+            d.frames()
+
+
 def derived(d):
     return d.frames(), d.is_planar(), d.is_partial_brauer(), d.is_balanced()
 

@@ -1,6 +1,8 @@
 """Tensor-space matrices, quantum generators, commutants, branching counts."""
 
 import functools
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,11 +28,54 @@ one = LaurentPoly.one()
 cfg = RepConfig()
 
 
-# -- references: the expansion route and the hand-written local blocks -----------
+# -- references: the word filter, the expansion route, the local blocks ----------
+
+def reference_diagram_matrix(d, cfg, correction=None):
+    """The word filter: walk every input word, reject those a cap, an
+    isolated bottom vertex or a barred vertical edge kills, and add up the
+    cup choices of the rest entry by entry."""
+    if not d.is_motzkin():
+        raise ValueError("diagram_matrix needs a planar partial Brauer diagram")
+    if correction not in (None, "bar", "tilde"):
+        raise ValueError("correction must be None, 'bar' or 'tilde'")
+    k = d.k
+    cups, caps, verts = d.cups(), d.caps(), d.verticals()
+    iso_bot = [v - k for v in d.isolated() if v >= k]
+    tform = dict(cfg.top_form())
+    bform = dict(cfg.bottom_form())
+    if correction is not None:
+        tform.pop((0, 0))
+        bform.pop((0, 0))
+    n = 3 ** k
+    m = SparseMatrix(n, n)
+    for w in words(k):
+        if any(w[c] for c in iso_bot):
+            continue
+        if correction == "bar" and any(w[b] == 0 for _, b in verts):
+            continue  # the bar correction kills 0 -> 0 verticals
+        if any((w[x], w[y]) not in bform for x, y in caps):
+            continue
+        coeff = LaurentPoly.one()
+        for (x, y) in caps:
+            coeff = coeff * bform[(w[x], w[y])]
+        col = word_index(w)
+        base = [0] * k
+        for (t, b) in verts:
+            base[t] = w[b]
+        for choice in itertools.product(tform.items(), repeat=len(cups)):
+            out = list(base)
+            c2 = coeff
+            for ((i, j), f), (x, y) in zip(choice, cups):
+                out[x] = i
+                out[y] = j
+                c2 = c2 * f
+            m.add_at(word_index(tuple(out)), col, c2)
+    return m
+
 
 @functools.lru_cache(maxsize=None)
 def _plain_diagram_matrix(d, cfg):
-    return diagram_matrix(d, cfg)
+    return reference_diagram_matrix(d, cfg)
 
 
 def reference_element_matrix(x, cfg):
@@ -299,7 +344,6 @@ def test_commutant_integer_scaling_signs_and_denominators():
 
 
 def test_b_matrix_randomized_alpha():
-    import random
     rng = random.Random(41)
     for _ in range(20):
         alpha = Fraction(rng.randrange(1, 30), rng.randrange(1, 30))
@@ -436,6 +480,40 @@ def test_weight_classes_match_counted_references():
 
 CONFIGS = [RepConfig(alpha, sign) for alpha in (Fraction(1), Fraction(2), Fraction(1, 3))
            for sign in ("+", "-")]
+CORRECTIONS = (None, "bar", "tilde")
+
+
+def test_diagram_matrix_matches_the_word_filter_up_to_k4():
+    pool = [d for k in range(5) for d in motzkin_diagrams(k)]
+    assert len(pool) == 1 + 2 + 9 + 51 + 323
+    for d in pool:
+        for c in CONFIGS:
+            for correction in CORRECTIONS:
+                want = reference_diagram_matrix(d, c, correction)
+                assert diagram_matrix(d, c, correction) == want, (d, c, correction)
+
+
+def test_diagram_matrix_walks_no_words(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("diagram_matrix walked the word basis")
+
+    pool = motzkin_diagrams(3)
+    want = {(d, corr): reference_diagram_matrix(d, cfg, corr)
+            for d in pool for corr in CORRECTIONS}
+    monkeypatch.setattr("ptlalg.repn.words", refuse)
+    monkeypatch.setattr("ptlalg.repn.word_index", refuse)
+    monkeypatch.setattr(SparseMatrix, "add_at", refuse)
+    for (d, corr), m in want.items():
+        assert diagram_matrix(d, cfg, corr) == m
+
+
+def test_diagram_matrix_matches_the_word_filter_on_a_k5_sample():
+    rng = random.Random(5)
+    for d in rng.sample(motzkin_diagrams(5), 200):
+        c = rng.choice(CONFIGS)
+        for correction in CORRECTIONS:
+            want = reference_diagram_matrix(d, c, correction)
+            assert diagram_matrix(d, c, correction) == want, (d, c, correction)
 
 
 def test_element_matrix_matches_the_expansion_route():

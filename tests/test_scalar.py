@@ -208,3 +208,100 @@ def test_constant_poly_equals_number():
     assert hash(DeltaPoly.const(5)) == hash(5)
     assert LaurentPoly.zero() == 0
     assert (d - 1).evaluate(Fraction(7, 3)) == Fraction(4, 3)
+
+
+# -- trusted arithmetic against the validating constructor -----------------------
+
+def reference_sum(cls, a, b, sign=1):
+    """a + sign * b from coefficient dicts, rebuilt through the checks."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return cls(out)
+
+
+def reference_product(cls, a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return cls(out)
+
+
+def assert_stored_form(p, cls):
+    assert type(p) is cls
+    assert all(p.coeffs.values()), "a zero coefficient is stored"
+    assert not any(isinstance(c, Fraction) and c.denominator == 1
+                   for c in p.coeffs.values()), "an integral Fraction is stored"
+    assert cls(p.coeffs).coeffs == p.coeffs
+
+
+_RINGS = st.sampled_from([DeltaPoly, LaurentPoly, XPoly])
+
+
+@st.composite
+def _poly_and_operand(draw):
+    cls = draw(_RINGS)
+    exps = st.integers(-4, 4) if cls.ALLOW_NEG else st.integers(0, 4)
+    p = cls(draw(st.dictionaries(exps, _COEFFS, max_size=4)))
+    other = draw(st.one_of(
+        st.dictionaries(exps, _COEFFS, max_size=4).map(cls),
+        st.integers(-6, 6), st.fractions(max_denominator=6)))
+    return cls, p, other
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_poly_and_operand())
+def test_trusted_arithmetic_matches_the_validating_constructor(case):
+    cls, p, other = case
+    oc = other.coeffs if isinstance(other, cls) else {0: other}
+    for got, want in ((p + other, reference_sum(cls, p.coeffs, oc)),
+                      (other + p, reference_sum(cls, p.coeffs, oc)),
+                      (p - other, reference_sum(cls, p.coeffs, oc, -1)),
+                      (other - p, reference_sum(cls, oc, p.coeffs, -1)),
+                      (-p, reference_sum(cls, {}, p.coeffs, -1)),
+                      (p * other, reference_product(cls, p.coeffs, oc)),
+                      (other * p, reference_product(cls, oc, p.coeffs))):
+        assert_stored_form(got, cls)
+        assert got == want and got.coeffs == want.coeffs
+    want = cls({0: 1})
+    for n in range(4):
+        got = p ** n
+        assert_stored_form(got, cls)
+        assert got == want
+        want = reference_product(cls, want.coeffs, p.coeffs)
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    c = LaurentPoly({0: Fraction(3, 1)}).coeffs[0]
+    assert c == 3 and type(c) is int
+    half = Fraction(1, 2)
+    for p in (LaurentPoly({1: half}) * 2, LaurentPoly({1: half}) + half * q,
+              (half * d) ** 2 * 4, 3 * LaurentPoly({-1: Fraction(1, 3)})):
+        assert all(type(c) is int for c in p.coeffs.values()), p
+    assert str(LaurentPoly({0: Fraction(3, 1), 1: Fraction(-2, 1)})) == "-2*q + 3"
+    assert hash(DeltaPoly({0: Fraction(4, 2)})) == hash(2) == hash(Fraction(2))
+
+
+def test_public_constructor_keeps_its_checks():
+    with pytest.raises(TypeError, match="coefficients"):
+        LaurentPoly({0: 0.5})
+    with pytest.raises(TypeError, match="exponents"):
+        DeltaPoly({1.0: 1})
+    with pytest.raises(TypeError, match="exponents"):
+        LaurentPoly({Fraction(1): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        DeltaPoly({-1: 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        XPoly({-2: 3})
+
+
+@pytest.mark.parametrize("op", [
+    lambda a, b: a + b, lambda a, b: b + a, lambda a, b: a - b,
+    lambda a, b: b - a, lambda a, b: a * b, lambda a, b: b * a,
+], ids=["add", "radd", "sub", "rsub", "mul", "rmul"])
+def test_mixed_rings_and_floats_raise_type_error(op):
+    for a, b in ((d, q), (q, XPoly.gen()), (d + 1, XPoly.gen()), (q, 0.5), (d, 2.0),
+                 (q, "1")):
+        with pytest.raises(TypeError):
+            op(a, b)
