@@ -3,13 +3,14 @@
 Verbs: mul, convert, dims, cell-dims, centralizer, bratteli, semisimple,
 verify, render, enumerate.  Every verb has a ``--json`` machine-readable
 mode.  Exit codes: 0 success, 1 verification failure, 2 usage or input
-error (one stderr line).
+error (one stderr line), 141 when the reader of stdout closed it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -354,8 +355,20 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    """Run one verb; a reader that closed stdout early (``ptl ... | head -1``)
+    ends the run quietly with 141, the shell's status for SIGPIPE."""
+    try:
+        try:
+            args = build_parser().parse_args(argv)
+            return args.fn(args)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # what is still buffered goes nowhere, so the exit flush cannot fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -4,9 +4,12 @@ A k-diagram is a set partition of 2k vertices arranged in two rows of k.
 Internally vertices are encoded as ``0..k-1`` for the top row (printed
 ``1..k``) and ``k..2k-1`` for the bottom row (printed ``1'..k'``); blocks
 are stored as a sorted tuple of sorted tuples, so equality and hashing are
-structural.  There is one instance per distinct diagram, validated once:
-planarity, frames, partner maps and the middle-row ports that composition
-reads are computed once per diagram however often products rebuild it.
+structural.  There is one instance per distinct diagram: planarity, frames,
+partner maps and the middle-row ports that composition reads are computed
+once per diagram however often products rebuild it.  Public input
+(``Diagram(...)``, ``from_edges``, ``from_json``) is canonicalized and
+validated; ``compose``, ``removals`` and the enumerators build canonical
+block tuples from valid diagrams or matchings and intern them unchecked.
 All *column* indices in the public API (generator positions, frames, the
 subsets A, B of a triple) are 1-based, matching the usual subscripts
 e_1, ..., e_{k-1}.
@@ -22,6 +25,7 @@ two factors, so it touches each block once and no vertex set is merged.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,10 +40,12 @@ class Diagram:
 
     The blocks are put in canonical form (each block sorted, then the tuple
     of blocks sorted) and looked up in a process-wide table.  A block tuple
-    met for the first time is validated and stored, so the checks run once
-    per distinct ``(k, blocks)``, and the derived data computed on first use
-    (kept in the underscored slots: planarity, frames, the partner map and
-    the middle-row ports that :func:`compose` reads) serves every later
+    met for the first time is validated and stored by :meth:`_of`, so the
+    checks run once per distinct ``(k, blocks)``, and the derived data
+    computed on first use (kept in the underscored slots: planarity, frames,
+    the partner map and the middle-row ports that :func:`compose` reads)
+    serves every later construction.  ``compose``, ``removals`` and the
+    enumerators call :meth:`_of` directly with tuples that are canonical by
     construction.  The table is unbounded, like the expansion cache it
     feeds: it holds every distinct diagram for the life of the process.
     """
@@ -65,13 +71,23 @@ class Diagram:
                 seen.add(v)
         if len(seen) != 2 * k:
             raise ValueError("blocks must cover all %d vertices" % (2 * k,))
-        self = object.__new__(cls)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "blocks", key)
-        object.__setattr__(self, "_hash", hash((k, key)))
-        for name in ("_partner", "_pb", "_planar", "_frame", "_ports"):
-            object.__setattr__(self, name, None)
-        _INTERNED[key] = self
+        return cls._of(k, key)
+
+    @classmethod
+    def _of(cls, k, key):
+        """The one instance of ``key``, a canonical block tuple of a valid
+        k-diagram (each block sorted, blocks ordered by least vertex), made
+        and stored on first sight.  It checks nothing: a valid block tuple
+        covers exactly 0..2k-1, so it also fixes k."""
+        self = _INTERNED.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "k", k)
+            object.__setattr__(self, "blocks", key)
+            object.__setattr__(self, "_hash", hash((k, key)))
+            for name in ("_partner", "_pb", "_planar", "_frame", "_ports"):
+                object.__setattr__(self, name, None)
+            _INTERNED[key] = self
         return self
 
     def __setattr__(self, name, value):
@@ -232,11 +248,11 @@ class Diagram:
 
     def to_json(self):
         k = self.k
-        name = lambda v: ("t%d" % (v + 1)) if v < k else ("b%d" % (v - k + 1))
+        name = _vertex_names(k)
         if self.is_partial_brauer():
-            return {"k": k, "edges": [[name(u), name(v)] for (u, v) in self.edges()]}
+            return {"k": k, "edges": [[name[u], name[v]] for (u, v) in self.edges()]}
         return {"k": k,
-                "blocks": [[name(v) for v in b] for b in self.blocks if len(b) > 1]}
+                "blocks": [[name[v] for v in b] for b in self.blocks if len(b) > 1]}
 
     @classmethod
     def from_json(cls, obj):
@@ -251,6 +267,13 @@ class Diagram:
         if "blocks" in obj:
             return cls.from_edges(k, [[vertex(s) for s in b] for b in obj["blocks"]])
         return cls.from_edges(k, [(vertex(a), vertex(b)) for a, b in obj.get("edges", [])])
+
+
+@functools.lru_cache(maxsize=None)
+def _vertex_names(k):
+    """JSON labels of the 2k vertices: t1..tk, then b1..bk."""
+    return (tuple("t%d" % (c + 1) for c in range(k))
+            + tuple("b%d" % (c + 1) for c in range(k)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,7 +312,9 @@ def compose(d1, d2):
     through unchanged, as does a block of d1 with no middle vertex.  The
     column-to-block maps and each block's rows come from the factors'
     ports (``Diagram._middle_ports``, computed once per diagram), so the
-    walk itself only follows indices.
+    walk itself only follows indices.  The composite's blocks are sorted
+    once and interned unchecked: they partition the outer rows because the
+    factors' blocks partition theirs.
     """
     if d1.k != d2.k:
         raise ValueError("cannot compose diagrams with k=%d and k=%d" % (d1.k, d2.k))
@@ -328,12 +353,14 @@ def compose(d1, d2):
                         seen1[i2] = True
                         todo.append(i2)
         if outer:
-            new_blocks.append(outer)
+            outer.sort()
+            new_blocks.append(tuple(outer))
         else:
             n_blocks += 1
             if edges_only:
                 n_loops += 1
-    d3 = Diagram(d1.k, new_blocks)
+    new_blocks.sort()
+    d3 = Diagram._of(d1.k, tuple(new_blocks))
     if pb1 and pb2:
         return Composition(d3, n_blocks, n_loops, n_blocks - n_loops)
     return Composition(d3, n_blocks, None, None)
@@ -374,19 +401,26 @@ def subdiagrams(d):
 
 
 def removals(d, edge_pool):
-    """(diagram, #removed) for every way of excising a subset of ``edge_pool``.
+    """(diagram, #removed) for every way of excising a subset of ``edge_pool``,
+    distinct edges of ``d`` (``ValueError`` otherwise).
 
-    The empty subset comes first as ``(d, 0)``, ``d`` itself; only the
-    diagrams that lose an edge are built again from their edges.
+    The empty subset comes first as ``(d, 0)``, ``d`` itself.  Every other
+    term is ``d``'s blocks less the removed edges, plus each removed
+    endpoint as a singleton, sorted once and interned unchecked.
     """
     out = [(d, 0)]
     pool = list(edge_pool)
     if pool:
-        fixed = [e for e in d.edges() if e not in pool]
+        fixed = [b for b in d.blocks if b not in pool]
+        if len(fixed) + len(pool) != len(d.blocks) or any(len(e) != 2 for e in pool):
+            raise ValueError("%r is not a list of distinct edges of %r" % (pool, d))
         for r in range(1, len(pool) + 1):
             for removed in itertools.combinations(pool, r):
-                keep = fixed + [e for e in pool if e not in removed]
-                out.append((Diagram.from_edges(d.k, keep), r))
+                blocks = fixed + [e for e in pool if e not in removed]
+                for u, v in removed:
+                    blocks += ((u,), (v,))
+                blocks.sort()
+                out.append((Diagram._of(d.k, tuple(blocks)), r))
     return out
 
 
@@ -544,16 +578,35 @@ def _unpos(p, k):
     return p if p < k else 3 * k - 1 - p
 
 
+def _diagrams_of_matchings(k, matchings):
+    """The diagrams of matchings of the 2k vertices, in canonical order.
+
+    Each edge is placed at its lesser vertex and its greater one emptied, so
+    every block tuple is built canonical; they are sorted, then interned."""
+    singletons = [(v,) for v in range(2 * k)]
+    keys = []
+    for m in matchings:
+        at = singletons[:]
+        for u, v in m:
+            if u > v:
+                u, v = v, u
+            at[u] = (u, v)
+            at[v] = None
+        keys.append(tuple(b for b in at if b is not None))
+    keys.sort()
+    return [Diagram._of(k, key) for key in keys]
+
+
 def partial_brauer_diagrams(k):
     """All partial Brauer k-diagrams, in canonical order."""
-    out = [Diagram.from_edges(k, m) for m in _partial_matchings(list(range(2 * k)))]
-    return sorted(out)
+    return _diagrams_of_matchings(k, _partial_matchings(list(range(2 * k))))
 
 
 def _planar_diagrams(k, allow_isolated):
     """The diagrams of the non-crossing (partial) matchings of the 2k circle positions."""
-    return sorted(Diagram.from_edges(k, [(_unpos(a, k), _unpos(b, k)) for a, b in m])
-                  for m in _noncrossing_matchings(list(range(2 * k)), allow_isolated))
+    return _diagrams_of_matchings(
+        k, ([(_unpos(a, k), _unpos(b, k)) for a, b in m]
+            for m in _noncrossing_matchings(list(range(2 * k)), allow_isolated)))
 
 
 def motzkin_diagrams(k):

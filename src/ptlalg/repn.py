@@ -166,8 +166,9 @@ def element_matrix(x, cfg):
             if not x.spec.admits(Diagram.from_edges(k, kept)):
                 raise ValueError("%s(%r) not admitted: its expansion leaves %s"
                                  % (correction, d, x.spec.flavor))
+        unit = c == 1  # a coefficient 1 adds each entry itself
         for (r, col), v in diagram_matrix(d, cfg, correction).entries.items():
-            m.add_at(r, col, c * v)
+            m.add_at(r, col, v if unit else c * v)
     return m
 
 
@@ -286,12 +287,21 @@ def commutant_dim(k, q0, group="gl2"):
 
 
 def representation_rank(elements, q0, cfg):
-    """Rank of the span of the flattened matrices of the given elements."""
+    """Rank of the span of the flattened matrices of the given elements.
+
+    Each distinct entry polynomial is evaluated at q0 once per call."""
     q0 = Fraction(q0)
     if q0 == 0:
         raise ValueError("q = 0 is not allowed (q^-1 undefined)")
-    rows = (element_matrix(x, cfg).map_values(lambda v: v.evaluate(q0)).entries
-            for x in elements)
+    values = {}
+
+    def at_q0(v):
+        x = values.get(v)
+        if x is None:
+            x = values[v] = v.evaluate(q0)
+        return x
+
+    rows = (element_matrix(x, cfg).map_values(at_q0).entries for x in elements)
     return rank_of_rows(rows)
 
 

@@ -420,19 +420,32 @@ def test_each_spec_has_its_own_zeros():
 
 def test_tilde_multiply_rebuilds_only_the_dropped_composites(monkeypatch):
     """The composite itself is the empty-subset term; only the 2^|S| - 1
-    terms that drop through edges are built again from their edges."""
+    terms that drop through edges are built again, each interned through
+    ``Diagram._of`` while ``removals`` runs."""
+    from ptlalg import algebra
+
     spec = motzkin_spec(3)
     pool = balanced_motzkin_diagrams(3)
     built = []
-    from_edges = Diagram.from_edges.__func__
+    in_removals = []
+    of = Diagram._of.__func__
 
-    def counting(cls, k, edges):
-        built.append(k)
-        return from_edges(cls, k, edges)
+    def counting(cls, k, key):
+        if in_removals:
+            built.append(k)
+        return of(cls, k, key)
+
+    def watched_removals(d, edge_pool):
+        in_removals.append(d)
+        try:
+            return removals(d, edge_pool)
+        finally:
+            in_removals.pop()
 
     expected = 0
     with monkeypatch.context() as m:
-        m.setattr(Diagram, "from_edges", classmethod(counting))
+        m.setattr(Diagram, "_of", classmethod(counting))
+        m.setattr(algebra, "removals", watched_removals)
         for d1 in pool:
             for d2 in pool:
                 if tilde_multiply(spec, d1, d2):

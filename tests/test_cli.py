@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -253,6 +254,37 @@ def test_usage_error_exit_code():
         [sys.executable, "-m", "ptlalg.cli", "verify", "--k", "9"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    # stdout fills the pipe while the diagrams are printed
+    ["enumerate", "--kind", "motzkin", "--k", "6"],
+    # the whole report waits in the buffer until the flush at the end
+    ["verify", "--suite", "algebra", "--k", "2"],
+])
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ptlalg.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
+def test_reader_that_stops_after_one_line_gets_it_and_exit_141():
+    # ptl enumerate --kind motzkin --k 6 | head -1
+    proc = subprocess.Popen([sys.executable, "-m", "ptlalg.cli", "enumerate",
+                             "--kind", "motzkin", "--k", "6"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert first == "15511 diagrams\n" and err == ""
 
 
 @pytest.mark.parametrize("argv", [

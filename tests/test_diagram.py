@@ -2,6 +2,7 @@
 
 import bisect
 import functools
+import itertools
 import json
 import random
 from math import comb
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptlalg.algebra import bar_multiply, motzkin_spec, tilde_multiply
-from ptlalg.diagram import (Composition, Diagram, balanced_motzkin_diagrams,
+from ptlalg.diagram import (Composition, Diagram, _noncrossing_matchings,
+                            _partial_matchings, _unpos, balanced_motzkin_diagrams,
                             balanced_motzkin_stratum, compose, diagram_of,
                             gen_b, gen_e, gen_l, gen_p, gen_r, gen_s,
                             identity, l_of_subset, leq, motzkin_diagrams,
                             omega, partial_brauer_diagrams, r_of_subset,
-                            subdiagrams, tensor, tl_diagrams, triple_of)
+                            removals, subdiagrams, tensor, tl_diagrams, triple_of)
 
 
 def catalan(n):
@@ -610,3 +612,112 @@ def test_derived_data_of_fresh_and_interned_diagrams_match_the_formulas():
     assert cold >= 250  # most of the sample was met here first, with empty caches
     assert all(d.is_planar() for d in sample[:150])
     assert not all(d.is_planar() for d in sample[150:300])
+
+
+# -- the trusted route: library constructions are canonical by construction ------
+
+def assert_validated_alike(d):
+    """``d``'s block tuple is canonical and a valid k-diagram, and the
+    validating constructor returns ``d`` itself for it in any order."""
+    k = d.k
+    assert d.blocks == tuple(sorted(tuple(sorted(b)) for b in d.blocks))
+    assert all(d.blocks)
+    assert sorted(v for b in d.blocks for v in b) == list(range(2 * k))
+    assert Diagram(k, d.blocks) is d
+    assert Diagram(k, [b[::-1] for b in reversed(d.blocks)]) is d
+
+
+def set_partitions(items):
+    """All set partitions of a list, as lists of tuples."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for p in set_partitions(rest):
+        yield [(first,)] + p
+        for i, b in enumerate(p):
+            yield p[:i] + [(first,) + b] + p[i + 1:]
+
+
+def reference_to_json(d):
+    """The vertex labels formed per vertex, as to_json did before its table."""
+    k = d.k
+    name = lambda v: ("t%d" % (v + 1)) if v < k else ("b%d" % (v - k + 1))
+    if d.is_partial_brauer():
+        return {"k": k, "edges": [[name(u), name(v)] for (u, v) in d.edges()]}
+    return {"k": k, "blocks": [[name(v) for v in b] for b in d.blocks if len(b) > 1]}
+
+
+def test_compose_results_are_the_validated_instances():
+    partitions_2 = [Diagram(2, p) for p in set_partitions(list(range(4)))]
+    assert len(set(partitions_2)) == 15  # Bell(4)
+    pools = [motzkin_diagrams(k) for k in range(4)] + [partitions_2]
+    for pool in pools:
+        for d1 in pool:
+            for d2 in pool:
+                d = compose(d1, d2).diagram
+                assert_validated_alike(d)
+                assert d.to_json() == reference_to_json(d)
+    assert any(max(map(len, compose(d1, d2).diagram.blocks)) >= 3
+               for d1 in partitions_2 for d2 in partitions_2)
+
+
+def reference_removals(d, edge_pool):
+    """The removals terms rebuilt from their kept edges by from_edges."""
+    out = [(d, 0)]
+    pool = list(edge_pool)
+    fixed = [e for e in d.edges() if e not in pool]
+    for r in range(1, len(pool) + 1):
+        for removed in itertools.combinations(pool, r):
+            keep = fixed + [e for e in pool if e not in removed]
+            out.append((Diagram.from_edges(d.k, keep), r))
+    return out
+
+
+def test_removals_terms_are_the_validated_instances():
+    for d in partial_brauer_diagrams(3) + motzkin_diagrams(4):
+        k = d.k
+        throughs = [e for e in d.edges() if e[0] < k <= e[1]]
+        for pool in (d.edges(), d.edges()[::-1], throughs, d.edges()[1:]):
+            got = removals(d, pool)
+            want = reference_removals(d, pool)
+            assert len(got) == len(want) == 2 ** len(pool)
+            for (sub, r), (ref, r_ref) in zip(got, want):
+                assert sub is ref and r == r_ref
+                assert_validated_alike(sub)
+                assert sub.n_edges() == d.n_edges() - r and leq(sub, d)
+
+
+@pytest.mark.parametrize("pool", [
+    [(0, 1)],                # not an edge of d
+    [(0, 3), (0, 3)],        # an edge twice
+    [(1,)],                  # a block, but not an edge
+    [[0, 3]],                # an edge, but not as its block tuple
+])
+def test_removals_refuse_a_pool_that_is_not_distinct_edges(pool):
+    d = Diagram(2, [(0, 3), (1,), (2,)])
+    with pytest.raises(ValueError, match="not a list of distinct edges"):
+        removals(d, pool)
+    assert removals(d, []) == [(d, 0)]
+
+
+def reference_partial_brauer_diagrams(k):
+    return sorted(Diagram.from_edges(k, m) for m in _partial_matchings(list(range(2 * k))))
+
+
+def reference_planar_diagrams(k, allow_isolated):
+    return sorted(Diagram.from_edges(k, [(_unpos(a, k), _unpos(b, k)) for a, b in m])
+                  for m in _noncrossing_matchings(list(range(2 * k)), allow_isolated))
+
+
+def test_enumerators_match_the_from_edges_enumerators():
+    for k in range(6):
+        for got, want in ((partial_brauer_diagrams(k), reference_partial_brauer_diagrams(k)),
+                          (motzkin_diagrams(k), reference_planar_diagrams(k, True)),
+                          (tl_diagrams(k), reference_planar_diagrams(k, False))):
+            assert len(got) == len(want)
+            assert all(a is b for a, b in zip(got, want))
+            for d in got[::7]:
+                assert_validated_alike(d)
+                assert d.to_json() == reference_to_json(d)
+    assert len(partial_brauer_diagrams(5)) == 9496

@@ -12,7 +12,7 @@ from ptlalg.algebra import (FLAVORS, AlgebraSpec, Element, bar_of, change_basis,
 from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, compose, gen_e,
                             gen_l, gen_r, identity, motzkin_diagrams,
                             partial_brauer_diagrams, triple_of)
-from ptlalg.linalg import SparseMatrix
+from ptlalg.linalg import SparseMatrix, rank_of_rows
 from ptlalg.ptl import ptl_dimension
 from ptlalg.repn import (SL2_GENERATORS, RepConfig, b_matrix,
                          commutant_dim, diagram_matrix, element_matrix,
@@ -591,6 +591,55 @@ def test_element_matrix_does_not_expand(monkeypatch):
         for basis in ("bar", "tilde"):
             x = Element.of(spec, d, 1, basis)
             assert element_matrix(x, cfg) == modified_weight_matrix(d, basis, cfg)
+
+
+def test_element_matrix_adds_the_entries_of_a_unit_coefficient_themselves(monkeypatch):
+    import ptlalg.repn
+
+    built = []
+
+    def recording(d, c, correction=None):
+        built.append(diagram_matrix(d, c, correction))
+        return built[-1]
+
+    monkeypatch.setattr(ptlalg.repn, "diagram_matrix", recording)
+    spec = motzkin_spec(3)
+    for d in balanced_motzkin_diagrams(3):
+        for basis in ("bar", "tilde"):
+            got = element_matrix(Element.of(spec, d, 1, basis), cfg)
+            want = built.pop()
+            assert got == want
+            assert all(got.entries[rc] is v for rc, v in want.entries.items())
+            assert element_matrix(Element.of(spec, d, 3, basis), cfg) == built.pop().scale(3)
+
+
+def test_representation_rank_evaluates_each_distinct_entry_once(monkeypatch):
+    import ptlalg.scalar
+
+    evaluate = ptlalg.scalar.IntPoly.evaluate
+    calls = []
+
+    def counting(self, x0):
+        if isinstance(x0, Fraction):  # at q0, not specializing delta
+            calls.append(self)
+        return evaluate(self, x0)
+
+    for k in range(5):
+        spec = motzkin_spec(k)
+        bases = [([tilde_of(spec, d) for d in balanced_motzkin_diagrams(k)], ptl_dimension(k))]
+        if k <= 3:
+            diagram_basis = [Element.of(spec, d) for d in motzkin_diagrams(k)]
+            bases.append((diagram_basis, len(diagram_basis)))
+        for basis, rank in bases:
+            matrices = [element_matrix(x, cfg).entries for x in basis]
+            # the rank with every entry evaluated where it stands
+            assert rank_of_rows({rc: v.evaluate(2) for rc, v in m.items()}
+                                for m in matrices) == rank
+            del calls[:]
+            with monkeypatch.context() as patch:
+                patch.setattr(ptlalg.scalar.IntPoly, "evaluate", counting)
+                assert representation_rank(basis, 2, cfg) == rank
+            assert len(calls) <= len({v for m in matrices for v in m.values()})
 
 
 def test_epsilon_route_matches_the_local_table():
