@@ -8,7 +8,7 @@ generators, and semisimplicity criteria.
 """
 
 from .algebra import (AlgebraSpec, Element, bar_multiply, bar_of, change_basis,
-                      epsilon, hat_of, motzkin_spec, ptl_spec, tilde_multiply,
+                      epsilon, motzkin_spec, ptl_spec, tilde_multiply,
                       tilde_of, tl_spec)
 from .diagram import (Diagram, Frame, Triple, balanced_motzkin_diagrams,
                       balanced_motzkin_stratum, compose, diagram_of,

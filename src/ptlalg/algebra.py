@@ -250,15 +250,13 @@ def _loop_factor(delta, n):
 
 @functools.lru_cache(maxsize=None)
 def _expansion(d, which):
-    """Signed diagram expansion of bar(d) / tilde(d) / hat(d) as a dict."""
+    """Signed diagram expansion of bar(d) / tilde(d) as a dict."""
     if not d.is_partial_brauer():
         raise ValueError("diagram %r not admitted: %s needs partial Brauer" % (d, which))
     if which == "bar":
         pool = d.edges()
     elif which == "tilde":
         pool = [e for e in d.edges() if e[1] < d.k or e[0] >= d.k]
-    elif which == "hat":
-        pool = [e for e in d.edges() if e[0] < d.k <= e[1]]
     else:
         raise ValueError(which)
     # distinct edge subsets leave distinct diagrams, so no two terms cancel
@@ -273,11 +271,6 @@ def bar_of(spec, d):
 def tilde_of(spec, d):
     """Inclusion-exclusion removal of the horizontal edges of ``d``."""
     return Element(spec, dict(_expansion(d, "tilde")))
-
-
-def hat_of(spec, d):
-    """Inclusion-exclusion removal of the vertical edges of ``d``."""
-    return Element(spec, dict(_expansion(d, "hat")))
 
 
 def change_basis(x, to):

@@ -4,7 +4,10 @@ Carriers are paths: a Temperley-Lieb path is a +-1 sequence with
 nonnegative partial sums, a Motzkin path additionally allows zeros.  Paths
 are identified with 1-factors (partial planar involutions): each +1 pairs
 with the nearest later index closing its partial sum, leftover +1 entries
-are fixed points ("lines to infinity"), zeros are isolated vertices.
+are fixed points ("lines to infinity"), zeros are isolated vertices.  The
+paths and their pairings come from the walk and the pairing pass that
+:mod:`ptlalg.diagram` enumerates planar diagrams with: a path is an open
+word of that walk.
 
 A path is the top half of a diagram (:func:`path_diagram`): its pairs are
 cups, each fixed point c is the through edge c -- c', its zeros stay
@@ -26,7 +29,7 @@ from math import comb
 
 from .algebra import (AlgebraSpec, Element, _expansion, bar_multiply, change_basis,
                       motzkin_spec)
-from .diagram import Diagram, compose
+from .diagram import Diagram, _pairing, _walk, compose
 from .linalg import SparseMatrix
 from .repn import word_weight
 
@@ -48,18 +51,7 @@ def rank_of(a):
 
 def motzkin_paths(k):
     """All Motzkin paths of length k, lexicographically ordered."""
-    out = []
-
-    def extend(prefix, height):
-        if len(prefix) == k:
-            out.append(tuple(prefix))
-            return
-        for step in (-1, 0, 1):
-            if height + step >= 0:
-                extend(prefix + [step], height + step)
-
-    extend([], 0)
-    return sorted(out)
+    return list(_walk(k, (-1, 0, 1), False))
 
 
 def path_pairing(a):
@@ -70,36 +62,8 @@ def path_pairing(a):
     """
     if not is_motzkin_path(a):
         raise ValueError("not a Motzkin path: %r" % (a,))
-    pairs = []
-    stack = []
-    for j, x in enumerate(a):
-        if x == 1:
-            stack.append(j)
-        elif x == -1:
-            i = stack.pop()
-            pairs.append((i + 1, j + 1))
-    return sorted(pairs), [i + 1 for i in stack]
-
-
-def one_factor_of(a):
-    """(pairs, fixed, zeros) of the 1-factor of a path, 1-based."""
-    pairs, fixed = path_pairing(a)
-    zeros = [j + 1 for j, x in enumerate(a) if x == 0]
-    return pairs, fixed, zeros
-
-
-def path_of_one_factor(k, pairs, fixed):
-    """Inverse of :func:`one_factor_of`."""
-    a = [0] * k
-    for (i, j) in pairs:
-        a[i - 1] = 1
-        a[j - 1] = -1
-    for i in fixed:
-        a[i - 1] = 1
-    a = tuple(a)
-    if not is_motzkin_path(a):
-        raise ValueError("pairs/fixed do not form a 1-factor")
-    return a
+    pairs, unclosed = _pairing(a)
+    return sorted((i + 1, j + 1) for i, j in pairs), [i + 1 for i in unclosed]
 
 
 def join_tl(a, b):
@@ -162,15 +126,6 @@ def act_on_path(d, a):
 
 
 # -- typed paths and the alternating path basis ---------------------------------
-
-def dominance_leq(lam, mu):
-    """True iff mu dominates lam: equal sizes and mu - lam = m(1,-1), m >= 0."""
-    lam, mu = tuple(lam), tuple(mu)
-    if sum(lam) != sum(mu):
-        return False
-    diff = (mu[0] - mu[1]) - (lam[0] - lam[1])
-    return diff >= 0 and diff % 2 == 0
-
 
 def valid_types(k):
     """All two-part partition types of Motzkin paths of length k."""

@@ -256,6 +256,9 @@ def cmd_enumerate(args):
     if kind == "balanced_motzkin_n" and args.n is None:
         print("--kind balanced-motzkin-n requires --n", file=sys.stderr)
         return 2
+    if kind != "balanced_motzkin_n" and args.n is not None:
+        print("--n applies only to --kind balanced-motzkin-n", file=sys.stderr)
+        return 2
     ds = enumerate_diagrams(kind, args.k, args.n)
     if args.json:
         print(json.dumps({"kind": args.kind, "k": args.k, "count": len(ds),
@@ -347,7 +350,8 @@ def build_parser():
                    choices=("partial-brauer", "motzkin", "tl",
                             "balanced-motzkin", "balanced-motzkin-n"))
     p.add_argument("--k", type=_nonnegative_int, required=True)
-    p.add_argument("--n", type=_nonnegative_int, default=None, help="stratum (edge count)")
+    p.add_argument("--n", type=_nonnegative_int, default=None,
+                   help="stratum (edge count) of --kind balanced-motzkin-n")
     common(p)
     p.set_defaults(fn=cmd_enumerate)
 

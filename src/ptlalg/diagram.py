@@ -14,6 +14,14 @@ All *column* indices in the public API (generator positions, frames, the
 subsets A, B of a triple) are 1-based, matching the usual subscripts
 e_1, ..., e_{k-1}.
 
+Read around the circle 1..k, k'..1', a Motzkin diagram is a word of
++1/0/-1 steps with nonnegative partial sums that ends at 0: each +1 is an
+edge to the -1 that closes it and each 0 an isolated vertex; without 0
+steps the words are the Temperley-Lieb diagrams.  Open words of length k
+are the Motzkin paths of :mod:`ptlalg.cells`.  One walk enumerates these
+words lazily in lexicographic order and one pairing pass reads their
+edges, for both the planar enumerators and the paths.
+
 Composition stacks the left factor above the right one and counts the
 discarded interior blocks; for partial Brauer diagrams these split into
 closed loops and open paths, the exponents of the two parameters of the
@@ -54,6 +62,7 @@ class Diagram:
                  "_ports")
 
     def __new__(cls, k, blocks):
+        _check_k(k)
         canon = [tuple(sorted(b)) for b in blocks]
         key = tuple(sorted(canon))
         self = _INTERNED.get(key)
@@ -97,6 +106,7 @@ class Diagram:
     def from_edges(cls, k, edges):
         """Diagram from its listed blocks, for a partial Brauer diagram its
         edges; unlisted vertices are isolated."""
+        _check_k(k)
         blocks = list(edges)
         used = {v for b in blocks for v in b}
         blocks += [(v,) for v in range(2 * k) if v not in used]
@@ -257,6 +267,7 @@ class Diagram:
     @classmethod
     def from_json(cls, obj):
         k = obj["k"]
+        _check_k(k)
 
         def vertex(s):
             row, col = s[0], int(s[1:])
@@ -267,6 +278,12 @@ class Diagram:
         if "blocks" in obj:
             return cls.from_edges(k, [[vertex(s) for s in b] for b in obj["blocks"]])
         return cls.from_edges(k, [(vertex(a), vertex(b)) for a, b in obj.get("edges", [])])
+
+
+def _check_k(k):
+    """Refuse a k that is not a nonnegative int; a bool is not one."""
+    if type(k) is not int or k < 0:
+        raise ValueError("k must be a nonnegative integer, not %r" % (k,))
 
 
 @functools.lru_cache(maxsize=None)
@@ -503,8 +520,12 @@ class Triple(NamedTuple):
     B: tuple  # 1-based bottom columns, sorted
 
 
+@functools.lru_cache(maxsize=None)
 def triple_of(d):
-    """Balanced Motzkin diagram -> (A, t, B) with t the TL diagram on its frame."""
+    """Balanced Motzkin diagram -> (A, t, B) with t the TL diagram on its frame.
+
+    Cached per diagram: block transport asks for it once per term it moves.
+    """
     if not (d.is_motzkin() and d.is_balanced()):
         raise ValueError("triple_of requires a balanced Motzkin diagram")
     k = d.k
@@ -556,26 +577,60 @@ def _partial_matchings(vertices):
             yield [(a, b)] + m
 
 
-def _noncrossing_matchings(positions, allow_isolated):
-    """Non-crossing (partial) matchings of circle positions, as edge lists."""
-    if not positions:
-        yield []
+def _walk(n, steps, closed):
+    """The words of length ``n`` over ``steps`` (ascending, drawn from -1,
+    0, 1) whose partial sums stay nonnegative and, when ``closed``, end at
+    0, as tuples in lexicographic order, one at a time.
+
+    Depth first, offering at each position only the steps after which the
+    word can still end legally, so it never backs out of a dead end.
+    """
+    even = 0 not in steps
+    # fits[h][r]: the steps from height h after which r more steps can end
+    # legally; to close, the new height must be at most r, and of r's parity
+    # when there is no 0 step
+    fits = [[tuple(s for s in steps
+                   if h + s >= 0 and not (closed and (h + s > r or even and (r - h - s) % 2)))
+             for r in range(n)] for h in range(n)]
+    if not n:
+        yield ()
         return
-    a, rest = positions[0], positions[1:]
-    if allow_isolated:
-        for m in _noncrossing_matchings(rest, True):
-            yield m
-    for i in range(len(rest)):
-        if not allow_isolated and i % 2 == 1:
+    word = [0] * n
+    height = [0] * n                 # the partial sum before each position
+    options = [fits[0][n - 1]] * n   # the steps offered at each position
+    tried = [0] * n                  # how many of them have been taken
+    last = n - 1
+    i = 0
+    while i >= 0:
+        if i == last:
+            for s in options[i]:
+                word[i] = s
+                yield tuple(word)
+            i -= 1
             continue
-        inside, outside = rest[:i], rest[i + 1:]
-        for m1 in _noncrossing_matchings(inside, allow_isolated):
-            for m2 in _noncrossing_matchings(outside, allow_isolated):
-                yield [(a, rest[i])] + m1 + m2
+        j = tried[i]
+        if j == len(options[i]):
+            i -= 1
+            continue
+        tried[i] = j + 1
+        word[i] = s = options[i][j]
+        i += 1
+        height[i] = h = height[i - 1] + s
+        options[i] = fits[h][last - i]
+        tried[i] = 0
 
 
-def _unpos(p, k):
-    return p if p < k else 3 * k - 1 - p
+def _pairing(word):
+    """Each +1 of ``word`` paired with the -1 that closes it, as 0-based
+    positions (i, j) in the order of j, and the positions of the +1s that
+    no -1 closes, in order."""
+    pairs, unclosed = [], []
+    for j, x in enumerate(word):
+        if x == 1:
+            unclosed.append(j)
+        elif x == -1:
+            pairs.append((unclosed.pop(), j))
+    return pairs, unclosed
 
 
 def _diagrams_of_matchings(k, matchings):
@@ -602,21 +657,24 @@ def partial_brauer_diagrams(k):
     return _diagrams_of_matchings(k, _partial_matchings(list(range(2 * k))))
 
 
-def _planar_diagrams(k, allow_isolated):
-    """The diagrams of the non-crossing (partial) matchings of the 2k circle positions."""
+def _planar_diagrams(k, steps):
+    """The diagrams of the closed walks of length 2k over ``steps``.  A
+    word's positions are the vertices in circle order 1..k, k'..1'; each
+    pair of :func:`_pairing` is an edge and each 0 an isolated vertex."""
+    vertex = list(range(k)) + list(range(2 * k - 1, k - 1, -1))
     return _diagrams_of_matchings(
-        k, ([(_unpos(a, k), _unpos(b, k)) for a, b in m]
-            for m in _noncrossing_matchings(list(range(2 * k)), allow_isolated)))
+        k, ([(vertex[a], vertex[b]) for a, b in _pairing(w)[0]]
+            for w in _walk(2 * k, steps, True)))
 
 
 def motzkin_diagrams(k):
     """All Motzkin k-diagrams (planar partial Brauer), in canonical order."""
-    return _planar_diagrams(k, True)
+    return _planar_diagrams(k, (-1, 0, 1))
 
 
 def tl_diagrams(k):
     """All Temperley-Lieb k-diagrams (Catalan many), in canonical order."""
-    return _planar_diagrams(k, False)
+    return _planar_diagrams(k, (-1, 1))
 
 
 def _colex_key(subset):

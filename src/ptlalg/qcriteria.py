@@ -28,25 +28,11 @@ def q_int(n):
     return LaurentPoly({i: 1 for i in range(n)})
 
 
-def q_factorial(n):
-    out = LaurentPoly.one()
-    for i in range(1, n + 1):
-        out = out * q_int(i)
-    return out
-
-
 def balanced_q_int(n):
     """<n>_q = q^-(n-1) [n]_{q^2}."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     return LaurentPoly({-(n - 1) + 2 * i: 1 for i in range(n)})
-
-
-def balanced_q_factorial(n):
-    out = LaurentPoly.one()
-    for i in range(1, n + 1):
-        out = out * balanced_q_int(i)
-    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -94,10 +94,6 @@ class IntPoly:
     def monomial(cls, exponent, coefficient=1):
         return cls({exponent: coefficient})
 
-    @classmethod
-    def const(cls, c):
-        return cls({0: c})
-
     # -- ring structure ----------------------------------------------------
 
     def _coeffs_of(self, other):

@@ -18,11 +18,11 @@ from ptlalg.diagram import (balanced_motzkin_diagrams, compose, gen_b, gen_e,
                             gen_l, gen_p, gen_r, motzkin_diagrams,
                             tl_diagrams)
 from ptlalg.ptl import generated_dimension, ptl_dimension, to_block
-from ptlalg.qcriteria import (balanced_q_factorial, jones_identity_symbolic,
-                              q_int, tl_semisimple)
+from ptlalg.qcriteria import jones_identity_symbolic, q_int, tl_semisimple
 from ptlalg.repn import (RepConfig, SL2_GENERATORS, b_matrix, commutant_dim,
                          diagram_matrix, qgen_matrix, representation_rank)
 from ptlalg.scalar import DeltaPoly, LaurentPoly
+from test_qcriteria import balanced_q_factorial
 from test_repn import epsilon_matrix
 
 delta = DeltaPoly.gen()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptlalg.algebra import (AlgebraSpec, Element, _expansion, bar_multiply,
-                            bar_of, change_basis, hat_of, motzkin_spec,
+                            bar_of, change_basis, motzkin_spec,
                             omega_obstruction, ptl_spec, tilde_multiply,
                             tilde_of, tl_spec)
 from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, compose,
@@ -19,6 +19,12 @@ from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, compose,
 from ptlalg.scalar import DeltaPoly, LaurentPoly, XPoly
 
 delta = DeltaPoly.gen()
+
+
+def hat_of(spec, d):
+    """Inclusion-exclusion removal of the vertical edges of ``d``."""
+    throughs = [e for e in d.edges() if e[0] < d.k <= e[1]]
+    return Element(spec, {sub: (-1) ** r for sub, r in removals(d, throughs)})
 
 
 def oracle(spec, d1, d2, which):
@@ -216,6 +222,20 @@ def test_structured_oracles_sampled_k4():
         d1, d2 = rng.choice(pool), rng.choice(pool)
         assert bar_multiply(M4, d1, d2) == oracle(M4, d1, d2, "bar")
         assert tilde_multiply(M4, d1, d2) == oracle(M4, d1, d2, "tilde")
+
+
+@functools.lru_cache(maxsize=None)
+def balanced_motzkin_5():
+    return balanced_motzkin_diagrams(5)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_structured_oracles_sampled_k5(data):
+    M5 = motzkin_spec(5)
+    d1, d2 = (data.draw(st.sampled_from(balanced_motzkin_5())) for _ in range(2))
+    assert bar_multiply(M5, d1, d2) == oracle(M5, d1, d2, "bar")
+    assert tilde_multiply(M5, d1, d2) == oracle(M5, d1, d2, "tilde")
 
 
 def test_tilde_corollary_rl_action():
@@ -658,7 +678,7 @@ def test_partition_diagrams_stay_in_the_diagram_basis():
         with pytest.raises(ValueError, match="not admitted"):
             Element.of(spec, PARTITION_BLOCK, 1, basis)
     x = Element.of(spec, PARTITION_BLOCK)
-    for which in ("bar", "tilde", "hat"):
+    for which in ("bar", "tilde"):
         with pytest.raises(ValueError, match="not admitted"):
             _expansion(PARTITION_BLOCK, which)
     for to in ("bar", "tilde"):

@@ -9,9 +9,8 @@ import pytest
 from ptlalg.algebra import Element, bar_of, motzkin_spec, tl_spec
 from ptlalg.cells import (act_on_path, bar_act, bar_path, cell_action,
                           cell_basis, cell_dims, collect_bar_paths,
-                          dominance_leq, is_motzkin_path, join_tl,
-                          motzkin_paths, one_factor_of, path_diagram, path_of,
-                          path_of_one_factor, path_pairing, rank_of,
+                          is_motzkin_path, join_tl, motzkin_paths,
+                          path_diagram, path_of, path_pairing, rank_of,
                           tl_cell_dim, valid_types)
 from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, gen_b, gen_e,
                             identity, motzkin_diagrams,
@@ -21,6 +20,36 @@ from ptlalg.repn import pieri_dims, word_weight
 from ptlalg.scalar import DeltaPoly
 
 delta = DeltaPoly.gen()
+
+
+def one_factor_of(a):
+    """(pairs, fixed, zeros) of the 1-factor of a path, 1-based."""
+    pairs, fixed = path_pairing(a)
+    zeros = [j + 1 for j, x in enumerate(a) if x == 0]
+    return pairs, fixed, zeros
+
+
+def path_of_one_factor(k, pairs, fixed):
+    """Inverse of :func:`one_factor_of`."""
+    a = [0] * k
+    for (i, j) in pairs:
+        a[i - 1] = 1
+        a[j - 1] = -1
+    for i in fixed:
+        a[i - 1] = 1
+    a = tuple(a)
+    if not is_motzkin_path(a):
+        raise ValueError("pairs/fixed do not form a 1-factor")
+    return a
+
+
+def dominance_leq(lam, mu):
+    """True iff mu dominates lam: equal sizes and mu - lam = m(1,-1), m >= 0."""
+    lam, mu = tuple(lam), tuple(mu)
+    if sum(lam) != sum(mu):
+        return False
+    diff = (mu[0] - mu[1]) - (lam[0] - lam[1])
+    return diff >= 0 and diff % 2 == 0
 
 
 def test_path_counts():

@@ -362,6 +362,9 @@ def test_spaced_coefficients_read_as_their_tight_forms(spaced, tight, tmp_path, 
     {"k": 2, "edges": [["t1", "x2"]]},
     {"k": 2, "blocks": [["t1", "t1"]]},
     {"edges": []},
+    {"k": True, "edges": []},
+    {"k": True, "edges": [["t1", "b1"]]},
+    {"k": 1.0, "edges": []},
     [1, 2],
 ])
 def test_bad_diagram_render_exits_2(obj, tmp_path, capsys):
@@ -423,6 +426,14 @@ def test_balanced_motzkin_stratum_json_and_missing_n(capsys):
     captured = capsys.readouterr()
     assert not captured.out
     assert captured.err == "--kind balanced-motzkin-n requires --n\n"
+
+
+@pytest.mark.parametrize("kind", ["partial-brauer", "motzkin", "tl", "balanced-motzkin"])
+def test_n_with_a_kind_that_has_no_stratum_exits_2(kind, capsys):
+    assert main(["enumerate", "--kind", kind, "--k", "2", "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "--n applies only to --kind balanced-motzkin-n\n"
 
 
 def write_elements(tmp_path):

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptlalg.algebra import bar_multiply, motzkin_spec, tilde_multiply
-from ptlalg.diagram import (Composition, Diagram, _noncrossing_matchings,
-                            _partial_matchings, _unpos, balanced_motzkin_diagrams,
-                            balanced_motzkin_stratum, compose, diagram_of,
-                            gen_b, gen_e, gen_l, gen_p, gen_r, gen_s,
-                            identity, l_of_subset, leq, motzkin_diagrams,
-                            omega, partial_brauer_diagrams, r_of_subset,
-                            removals, subdiagrams, tensor, tl_diagrams, triple_of)
+from ptlalg.cells import motzkin_paths
+from ptlalg.diagram import (Composition, Diagram, _partial_matchings,
+                            balanced_motzkin_diagrams, balanced_motzkin_stratum,
+                            compose, diagram_of, gen_b, gen_e, gen_l, gen_p,
+                            gen_r, gen_s, identity, l_of_subset, leq,
+                            motzkin_diagrams, n_subsets, omega,
+                            partial_brauer_diagrams, r_of_subset, removals,
+                            subdiagrams, tensor, tl_diagrams, triple_of)
 
 
 def catalan(n):
@@ -197,6 +198,13 @@ def test_triple_bijection():
     for d in balanced_motzkin_diagrams(3):
         A, t, B = triple_of(d)
         assert diagram_of(A, t, B, 3) == d
+
+
+def test_triple_round_trip_gives_back_the_instance():
+    for k in range(5):
+        for d in balanced_motzkin_diagrams(k):
+            assert diagram_of(*triple_of(d), d.k) is d
+            assert triple_of(d) is triple_of(d)
 
 
 def test_rtl_factorization():
@@ -424,6 +432,17 @@ MALFORMED_BLOCKS = [
 def test_diagram_constructor_rejects_malformed_blocks(k, blocks, message):
     with pytest.raises(ValueError, match=message):
         Diagram(k, blocks)
+
+
+@pytest.mark.parametrize("k", [True, False, -1, 1.0, "1", None])
+def test_k_must_be_a_nonnegative_int(k):
+    one = Diagram(1, [(0, 1)])
+    for build in (lambda: Diagram(k, [(0, 1)]), lambda: Diagram.from_edges(k, [(0, 1)]),
+                  lambda: Diagram.from_json({"k": k, "edges": [["t1", "b1"]]})):
+        with pytest.raises(ValueError, match="k must be a nonnegative integer"):
+            build()
+    assert Diagram(1, [(0, 1)]) is one
+    assert type(one.k) is int and one.to_json() == {"k": 1, "edges": [["t1", "b1"]]}
 
 
 # -- from_edges with any listed blocks, and the blocks JSON -----------------------
@@ -701,23 +720,82 @@ def test_removals_refuse_a_pool_that_is_not_distinct_edges(pool):
     assert removals(d, []) == [(d, 0)]
 
 
+def reference_noncrossing_matchings(positions, allow_isolated):
+    """Non-crossing (partial) matchings of circle positions, as edge lists,
+    by recursion on the partner of the first position."""
+    if not positions:
+        yield []
+        return
+    a, rest = positions[0], positions[1:]
+    if allow_isolated:
+        for m in reference_noncrossing_matchings(rest, True):
+            yield m
+    for i in range(len(rest)):
+        if not allow_isolated and i % 2 == 1:
+            continue
+        inside, outside = rest[:i], rest[i + 1:]
+        for m1 in reference_noncrossing_matchings(inside, allow_isolated):
+            for m2 in reference_noncrossing_matchings(outside, allow_isolated):
+                yield [(a, rest[i])] + m1 + m2
+
+
+def reference_unpos(p, k):
+    """The vertex at circle position p of the order 1..k, k'..1'."""
+    return p if p < k else 3 * k - 1 - p
+
+
+def in_canonical_order(ds):
+    """``sorted(ds)`` for diagrams of one k, compared by block tuple in C."""
+    return sorted(ds, key=lambda d: d.blocks)
+
+
 def reference_partial_brauer_diagrams(k):
-    return sorted(Diagram.from_edges(k, m) for m in _partial_matchings(list(range(2 * k))))
+    return in_canonical_order(Diagram.from_edges(k, m)
+                              for m in _partial_matchings(list(range(2 * k))))
 
 
 def reference_planar_diagrams(k, allow_isolated):
-    return sorted(Diagram.from_edges(k, [(_unpos(a, k), _unpos(b, k)) for a, b in m])
-                  for m in _noncrossing_matchings(list(range(2 * k)), allow_isolated))
+    return in_canonical_order(
+        Diagram.from_edges(k, [(reference_unpos(a, k), reference_unpos(b, k)) for a, b in m])
+        for m in reference_noncrossing_matchings(list(range(2 * k)), allow_isolated))
+
+
+def reference_balanced_motzkin_diagrams(k):
+    """Grouped by edge count, each stratum in the order of its triples."""
+    return [diagram_of(A, t, B, k) for n in range(k + 1)
+            for A in n_subsets(k, n) for B in n_subsets(k, n)
+            for t in reference_planar_diagrams(n, False)]
+
+
+def reference_motzkin_paths(k):
+    """Motzkin paths of length k by recursion on the prefix, sorted."""
+    out = []
+
+    def extend(prefix, height):
+        if len(prefix) == k:
+            out.append(tuple(prefix))
+            return
+        for step in (-1, 0, 1):
+            if height + step >= 0:
+                extend(prefix + [step], height + step)
+
+    extend([], 0)
+    return sorted(out)
 
 
 def test_enumerators_match_the_from_edges_enumerators():
-    for k in range(6):
+    for k in range(7):
+        motzkin = reference_planar_diagrams(k, True)
+        balanced = reference_balanced_motzkin_diagrams(k)
+        assert in_canonical_order(balanced) == [d for d in motzkin if d.is_balanced()]
         for got, want in ((partial_brauer_diagrams(k), reference_partial_brauer_diagrams(k)),
-                          (motzkin_diagrams(k), reference_planar_diagrams(k, True)),
-                          (tl_diagrams(k), reference_planar_diagrams(k, False))):
+                          (motzkin_diagrams(k), motzkin),
+                          (tl_diagrams(k), reference_planar_diagrams(k, False)),
+                          (balanced_motzkin_diagrams(k), balanced)):
             assert len(got) == len(want)
             assert all(a is b for a, b in zip(got, want))
-            for d in got[::7]:
+            for d in got[::7 if k < 6 else 49]:
                 assert_validated_alike(d)
                 assert d.to_json() == reference_to_json(d)
+        assert motzkin_paths(k) == reference_motzkin_paths(k)
     assert len(partial_brauer_diagrams(5)) == 9496

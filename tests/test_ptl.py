@@ -7,7 +7,7 @@ import pytest
 
 from ptlalg.algebra import (AlgebraSpec, Element, bar_multiply, change_basis, epsilon,
                             ptl_spec)
-from ptlalg.diagram import (balanced_motzkin_diagrams, balanced_motzkin_stratum,
+from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, balanced_motzkin_stratum,
                             gen_e, gen_l, gen_r, motzkin_diagrams, triple_of)
 from ptlalg.ptl import (decompose_x, from_block,
                         generated_dimension, ptl_dimension, strata_dims,
@@ -136,6 +136,30 @@ def test_block_round_trip():
     block = to_block(x)
     assert (block.nrows, block.ncols, block.nnz()) == (comb(4, 2), comb(4, 2), 3)
     assert from_block(spec4, 2, block) == x
+
+
+def test_repeated_block_transport_constructs_no_diagram(monkeypatch):
+    spec = AlgebraSpec("ptl", 4)
+    basis = [Element.of(spec, d, 1, "bar") for d in balanced_motzkin_diagrams(4)]
+    first = [to_block(x) for x in basis]
+    built = []
+    new, of = Diagram.__new__, Diagram._of.__func__
+
+    def counted_new(cls, k, parts):
+        built.append(parts)
+        return new(cls, k, parts)
+
+    def counted_of(cls, k, key):
+        built.append(key)
+        return of(cls, k, key)
+
+    monkeypatch.setattr(Diagram, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(Diagram, "_of", classmethod(counted_of))
+    # both routes are counted
+    assert Diagram(1, [(0, 1)]) is Diagram._of(1, ((0, 1),)) and len(built) == 2
+    built.clear()
+    assert [to_block(x) for x in basis] == first
+    assert built == []
 
 
 def test_zero_element_is_the_empty_block():

@@ -5,15 +5,29 @@ from math import factorial, gcd
 
 from ptlalg.cells import act_on_path, cell_basis, join_tl, rank_of
 from ptlalg.linalg import rank_of_rows
-from ptlalg.qcriteria import (balanced_q_factorial, balanced_q_int, cyclotomic,
+from ptlalg.qcriteria import (balanced_q_int, cyclotomic,
                               jones_identity_check, jones_identity_symbolic,
-                              jones_p, q_factorial, q_int,
+                              jones_p, q_int,
                               tl_semisimple, tl_semisimple_at_root_of_unity,
                               tl_semisimple_witness, vanishes_at_primitive_root)
 from ptlalg.scalar import LaurentPoly, XPoly
 
 q = LaurentPoly.gen()
 qi = LaurentPoly.monomial(-1)
+
+
+def q_factorial(n):
+    out = LaurentPoly.one()
+    for i in range(1, n + 1):
+        out = out * q_int(i)
+    return out
+
+
+def balanced_q_factorial(n):
+    out = LaurentPoly.one()
+    for i in range(1, n + 1):
+        out = out * balanced_q_int(i)
+    return out
 
 
 def test_quantum_integers():

@@ -76,7 +76,7 @@ def test_rational_evaluation_matches_power_sum():
         assert type(got) is Fraction
         assert got == reference_evaluate(p, q0)
     assert type(LaurentPoly.zero().evaluate(3)) is Fraction
-    assert type(DeltaPoly.const(5).evaluate(0)) is Fraction
+    assert type(DeltaPoly({0: 5}).evaluate(0)) is Fraction
 
 
 def test_negative_power_refused_at_zero_and_at_a_polynomial_point():
@@ -203,9 +203,28 @@ def test_plain_rationals_follow_the_polynomial_term_rules(text, want):
     assert got == want and type(got) is type(want)
 
 
+@pytest.mark.parametrize("cls", [DeltaPoly, LaurentPoly])
+@pytest.mark.parametrize("coeffs", [st.integers(-20, 20),
+                                    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))],
+                         ids=["int", "Fraction"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_ring_axioms(cls, coeffs, data):
+    exps = st.integers(-4, 4) if cls.ALLOW_NEG else st.integers(0, 4)
+    a, b, c = (cls(data.draw(st.dictionaries(exps, coeffs, max_size=4))) for _ in range(3))
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a + 0 == a and a * 1 == a and a * 0 == 0
+    assert a + (-a) == a - a == 0
+
+
 def test_constant_poly_equals_number():
-    assert DeltaPoly.const(5) == 5
-    assert hash(DeltaPoly.const(5)) == hash(5)
+    assert DeltaPoly({0: 5}) == 5
+    assert hash(DeltaPoly({0: 5})) == hash(5)
     assert LaurentPoly.zero() == 0
     assert (d - 1).evaluate(Fraction(7, 3)) == Fraction(4, 3)
 
