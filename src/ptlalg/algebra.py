@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .diagram import Diagram, compose, removals
+from .diagram import Diagram, _check_k, compose, removals
 from .scalar import _NUM, DeltaPoly
 
 FLAVORS = ("partition", "partial_brauer", "motzkin", "tl", "ptl")
@@ -48,13 +48,15 @@ class AlgebraSpec:
     def __post_init__(self):
         if self.flavor not in FLAVORS:
             raise ValueError("unknown flavor %r" % (self.flavor,))
+        _check_k(self.k)
         if self.delta is None:
             object.__setattr__(self, "delta", DeltaPoly.gen())
         # basis -> Element.zero; not a field, so ==, hash and repr ignore it
         object.__setattr__(self, "_zeros", {})
 
     def admits(self, d, basis="diagram"):
-        """Is the diagram allowed in the support of an element of this basis?"""
+        """Is the diagram allowed in the support of an element of this basis?
+        In the bar and tilde bases, only if every diagram of its expansion is."""
         if d.k != self.k:
             return False
         if self.flavor == "partition":
@@ -67,7 +69,12 @@ class AlgebraSpec:
         if not d.is_planar():
             return False
         if self.flavor == "tl":
-            return not d.isolated()
+            # removing an edge of a TL diagram leaves isolated vertices, so an
+            # expansion stays in TL only if it removes nothing (and a TL
+            # diagram with no cup has no cap)
+            if d.isolated():
+                return False
+            return basis == "diagram" or not (d.edges() if basis == "bar" else d.cups())
         if self.flavor == "ptl" and basis in ("bar", "tilde"):
             # tilde/bar coordinates of PTL elements live on balanced diagrams
             return d.is_balanced()

@@ -3,7 +3,14 @@
 Verbs: mul, convert, dims, cell-dims, centralizer, bratteli, semisimple,
 verify, render, enumerate.  Every verb has a ``--json`` machine-readable
 mode.  Exit codes: 0 success, 1 verification failure, 2 usage or input
-error (one stderr line), 141 when the reader of stdout closed it early.
+error, 141 when the reader of stdout closed it early.
+
+The library refuses what it cannot compute with a ``ValueError``; a verb
+does not check its input again but lets the error through, and
+:func:`main` reports it the way argparse reports a usage error: one stderr
+line ``ptl <verb>: error: <reason>`` and exit 2.  A malformed JSON object
+raises other errors while it loads, and only there are they turned into
+that ``ValueError``.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from fractions import Fraction
 
 from . import cells, ptl, qcriteria, repn, verify
 from .algebra import AlgebraSpec, Element, change_basis
-from .diagram import Diagram, enumerate_diagrams
+from .diagram import Diagram, _check_k, enumerate_diagrams
 from .render import ascii_diagram, ascii_element, tikz_diagram, tikz_element
 from .scalar import parse_scalar
 
@@ -33,21 +40,21 @@ def _fraction(text):
     return Fraction(value)
 
 
-def _nonzero_fraction(text):
-    value = _fraction(text)
-    if not value:
-        raise argparse.ArgumentTypeError("not a nonzero rational number: %r" % (text,))
-    return value
-
-
 def _nonnegative_int(text):
     try:
         value = int(text)
-        if value >= 0:
-            return value
+        _check_k(value)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError("not a nonnegative integer: %r" % (text,))
+        raise argparse.ArgumentTypeError(
+            "not a nonnegative integer: %r" % (text,)) from None
+    return value
+
+
+def _refuse(prog, reason):
+    """Report a usage error or a refused input as one stderr line, in
+    argparse's ``prog: error: reason`` form, and exit 2."""
+    sys.stderr.write("%s: error: %s\n" % (prog, " ".join(str(reason).split())))
+    raise SystemExit(2)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,18 +69,18 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
     def error(self, message):
-        self.exit(2, "%s: error: %s\n" % (self.prog, message))
+        _refuse(self.prog, message)
 
 
-# What malformed diagrams, elements and coefficients raise while loading.
-_INPUT_ERRORS = (ValueError, TypeError, KeyError, IndexError, AttributeError)
+# What a malformed JSON diagram or element raises while loading, besides
+# the ValueErrors of the library's own checks.
+_LOAD_ERRORS = (TypeError, KeyError, IndexError, AttributeError)
 
 
 def _input_error(what, exc):
-    """Report an input that cannot be loaded as one stderr line and exit 2."""
+    """The ValueError that reports an input which cannot be loaded."""
     text = "missing key %s" % exc if isinstance(exc, KeyError) else str(exc)
-    print("bad %s: %s" % (what, " ".join(text.split())), file=sys.stderr)
-    raise SystemExit(2)
+    return ValueError("bad %s: %s" % (what, text))
 
 
 def _read_json(path):
@@ -83,24 +90,26 @@ def _read_json(path):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, ValueError) as exc:
-        _input_error("JSON input %s" % path, exc)
+        raise _input_error("JSON input %s" % path, exc) from exc
 
 
 def _element_from_json(args, obj):
     """The element of an element JSON object; its k is ``"k"`` when present,
-    otherwise the common k of its terms.  Input errors exit 2."""
+    otherwise the common k of its terms."""
     try:
-        ks = {Diagram.from_json(t["diagram"]).k for t in obj["terms"]}
+        ks = {t["diagram"]["k"] for t in obj["terms"]}
         if "k" in obj:
             ks.add(obj["k"])
-        k = ks.pop() if len(ks) == 1 else None
-        if type(k) is not int or k < 0:
+        if len(ks) != 1:
             raise ValueError('needs one k: a nonnegative integer "k", '
                              'or terms that share one')
-        x = Element.from_json(AlgebraSpec(args.algebra, k, delta_prime=args.delta_prime), obj)
-    except _INPUT_ERRORS as exc:
-        _input_error("element", exc)
-    return x
+        # the object's own "k" goes to the spec, which refuses a bool or a
+        # float that the set took for the int it equals
+        spec = AlgebraSpec(args.algebra, obj.get("k", ks.pop()),
+                           delta_prime=args.delta_prime)
+        return Element.from_json(spec, obj)
+    except _LOAD_ERRORS as exc:
+        raise _input_error("element", exc) from exc
 
 
 def _element_json(x):
@@ -118,10 +127,7 @@ def cmd_mul(args):
 
 def cmd_convert(args):
     x = _element_from_json(args, _read_json(args.element))
-    try:
-        out = change_basis(x, args.to)
-    except ValueError as exc:
-        _input_error("element", exc)
+    out = change_basis(x, args.to)
     print(_element_json(out) if args.json else out)
     return 0
 
@@ -156,11 +162,7 @@ def cmd_cell_dims(args):
 
 def cmd_centralizer(args):
     if args.k > 4:
-        print("centralizer computations are capped at k = 4", file=sys.stderr)
-        return 2
-    if args.q in (0, 1, -1):
-        print("centralizer needs q outside {0, 1, -1}", file=sys.stderr)
-        return 2
+        raise ValueError("centralizer computations are capped at k = 4")
     dim = repn.commutant_dim(args.k, args.q, args.group)
     if args.json:
         print(json.dumps({"k": args.k, "q": str(args.q), "group": args.group,
@@ -189,9 +191,6 @@ def cmd_bratteli(args):
 
 
 def cmd_semisimple(args):
-    if args.q == 0:
-        print("semisimple needs a nonzero q", file=sys.stderr)
-        return 2
     ok, bad = qcriteria.tl_semisimple_witness(args.k, args.q)
     if args.json:
         payload = {"k": args.k, "q": str(args.q), "semisimple": ok}
@@ -240,26 +239,15 @@ def cmd_render(args):
     else:
         try:
             item = Diagram.from_json(obj)
-        except _INPUT_ERRORS as exc:
-            _input_error("diagram", exc)
+        except _LOAD_ERRORS as exc:
+            raise _input_error("diagram", exc) from exc
     element_view, diagram_view = _RENDERERS[args.format]
-    try:
-        text = (element_view if is_element else diagram_view)(item, cfg)
-    except ValueError as exc:
-        _input_error("element" if is_element else "diagram", exc)
-    print(text)
+    print((element_view if is_element else diagram_view)(item, cfg))
     return 0
 
 
 def cmd_enumerate(args):
-    kind = args.kind.replace("-", "_")
-    if kind == "balanced_motzkin_n" and args.n is None:
-        print("--kind balanced-motzkin-n requires --n", file=sys.stderr)
-        return 2
-    if kind != "balanced_motzkin_n" and args.n is not None:
-        print("--n applies only to --kind balanced-motzkin-n", file=sys.stderr)
-        return 2
-    ds = enumerate_diagrams(kind, args.k, args.n)
+    ds = enumerate_diagrams(args.kind.replace("-", "_"), args.k, args.n)
     if args.json:
         print(json.dumps({"kind": args.kind, "k": args.k, "count": len(ds),
                           "diagrams": [d.to_json() for d in ds]}))
@@ -338,7 +326,7 @@ def build_parser():
     p = sub.add_parser("render", help="render a diagram or element")
     p.add_argument("input", help="JSON file, or '-' for stdin")
     p.add_argument("--format", default="ascii", choices=tuple(_RENDERERS))
-    p.add_argument("--alpha", type=_nonzero_fraction, default=Fraction(1),
+    p.add_argument("--alpha", type=_fraction, default=Fraction(1),
                    help="form parameter for the tensor-space matrix")
     p.add_argument("--sign", default="-", choices=("+", "-"),
                    help="sign in delta = 1 +- (q + q^-1)")
@@ -359,14 +347,19 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one verb; a reader that closed stdout early (``ptl ... | head -1``)
-    ends the run quietly with 141, the shell's status for SIGPIPE."""
+    """Run one verb.  A ValueError from the verb is a refused input: it ends
+    the run like a usage error.  A reader that closed stdout early
+    (``ptl ... | head -1``) ends the run quietly with 141, the shell's
+    status for SIGPIPE."""
+    parser = build_parser()
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = parser.parse_args(argv)
             return args.fn(args)
         finally:
             sys.stdout.flush()
+    except ValueError as exc:
+        _refuse("%s %s" % (parser.prog, args.verb), exc)
     except BrokenPipeError:
         # what is still buffered goes nowhere, so the exit flush cannot fail too
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -714,10 +714,14 @@ _ENUMERATORS = {
 
 
 def enumerate_diagrams(kind, k, n=None):
+    """The k-diagrams of family ``kind``; the stratum ``n`` (edge count)
+    belongs to kind ``balanced_motzkin_n`` alone."""
     if kind == "balanced_motzkin_n":
         if n is None:
-            raise ValueError("stratum enumeration needs n")
+            raise ValueError("kind balanced_motzkin_n needs n")
         return balanced_motzkin_stratum(n, k)
     if kind not in _ENUMERATORS:
         raise ValueError("unknown diagram family %r" % (kind,))
+    if n is not None:
+        raise ValueError("n applies only to kind balanced_motzkin_n")
     return _ENUMERATORS[kind](k)

@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Diagram, gen_e
+from .diagram import _check_k, gen_e
 from .linalg import SparseMatrix, nullity, rank_of_rows
 from .scalar import LaurentPoly
 
@@ -150,22 +150,16 @@ def element_matrix(x, cfg):
     """Matrix of an algebra element on the word basis, read in its own basis.
 
     Each bar or tilde vector acts through the corrected block weights of
-    ``diagram_matrix``, not through its diagram-basis expansion.  The
-    expansion must still lie in the element's algebra: removing edges only
-    shrinks what an algebra admits, so it is enough that the diagram with
-    every removable edge gone is admitted.  The element is specialized
-    through delta = 1 +- (q + q^-1), matching the configured sign.
+    ``diagram_matrix``, not through its diagram-basis expansion; the
+    element's algebra admitted it only if that expansion lies in the
+    algebra.  The element is specialized through delta = 1 +- (q + q^-1),
+    matching the configured sign.
     """
     x = x.specialize(cfg.delta_value())
     correction = None if x.basis == "diagram" else x.basis
     k = x.spec.k
     m = SparseMatrix(3 ** k, 3 ** k)
     for d, c in x.terms.items():
-        if correction is not None:
-            kept = [] if correction == "bar" else [(t, k + b) for t, b in d.verticals()]
-            if not x.spec.admits(Diagram.from_edges(k, kept)):
-                raise ValueError("%s(%r) not admitted: its expansion leaves %s"
-                                 % (correction, d, x.spec.flavor))
         unit = c == 1  # a coefficient 1 adds each entry itself
         for (r, col), v in diagram_matrix(d, cfg, correction).entries.items():
             m.add_at(r, col, v if unit else c * v)
@@ -233,8 +227,7 @@ def commutant_dim(k, q0, group="gl2"):
     q0 = n/d the evaluated matrices times (n*d)^k have integer entries, and
     the elimination starts from exact ints instead of Fractions.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative, got k = %d" % k)
+    _check_k(k)
     q0 = Fraction(q0)
     if q0 in (0, 1, -1):
         raise ValueError("q0 must avoid 0 and +-1")

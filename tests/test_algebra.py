@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptlalg.algebra import (AlgebraSpec, Element, _expansion, bar_multiply,
+from ptlalg.algebra import (FLAVORS, AlgebraSpec, Element, _expansion, bar_multiply,
                             bar_of, change_basis, motzkin_spec,
                             omega_obstruction, ptl_spec, tilde_multiply,
                             tilde_of, tl_spec)
@@ -148,6 +148,22 @@ def test_bar_equals_hat_tilde_composites():
         for dd, c in hat_of(M3, d).terms.items():
             via_hat = via_hat + tilde_of(M3, dd).scale(c)
         assert via_tilde == bar_of(M3, d) == via_hat
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_change_basis_round_trips_between_bar_and_tilde(data):
+    k = data.draw(st.integers(0, 4))
+    coeffs = st.sampled_from((1, -3, Fraction(2, 5), Fraction(-7, 3), delta,
+                              2 * delta ** 2 - 3))
+    terms = data.draw(st.dictionaries(st.sampled_from(motzkin_diagrams(k)), coeffs,
+                                      max_size=6))
+    spec = motzkin_spec(k)
+    for source, target in (("bar", "tilde"), ("tilde", "bar")):
+        x = Element(spec, terms, source)
+        y = change_basis(x, target)
+        assert change_basis(y, source) == x
+        assert y == change_basis(change_basis(x, "diagram"), target)
 
 
 def test_change_basis_round_trips():
@@ -666,6 +682,49 @@ def test_negation_and_subtraction():
 
 
 PARTITION_BLOCK = Diagram(3, [(0, 1, 3), (2, 5), (4,)])
+
+
+@pytest.mark.parametrize("k", [True, False, -1, -3, 1.0, "2", None])
+def test_spec_refuses_a_k_that_is_not_a_nonnegative_int(k):
+    for flavor in ("motzkin", "tl"):
+        with pytest.raises(ValueError, match="k must be a nonnegative integer"):
+            AlgebraSpec(flavor, k)
+    assert AlgebraSpec("motzkin", 0).k == 0
+
+
+def flavor_holds(flavor, d):
+    """What a flavor asks of an alternating vector's own diagram."""
+    return {"partition": True,
+            "partial_brauer": d.is_partial_brauer(),
+            "motzkin": d.is_motzkin(),
+            "tl": d.is_tl(),
+            "ptl": d.is_motzkin() and d.is_balanced()}[flavor]
+
+
+def expansion_admitted(spec, d, basis):
+    """Does every diagram of the expansion of bar(d) / tilde(d) lie in ``spec``?"""
+    try:
+        terms = _expansion(d, basis)
+    except ValueError:
+        return False
+    return all(spec.admits(s) for s in terms)
+
+
+def test_admits_is_expansion_membership():
+    pool = {d for k in range(4) for d in partial_brauer_diagrams(k)}
+    pool |= {Diagram(2, [(0, 1, 2), (3,)]), PARTITION_BLOCK}
+    admitted = {}
+    for flavor in FLAVORS:
+        for d in sorted(pool):
+            spec = AlgebraSpec(flavor, d.k)
+            for basis in ("bar", "tilde"):
+                want = flavor_holds(flavor, d) and expansion_admitted(spec, d, basis)
+                assert spec.admits(d, basis) == want, (flavor, d, basis)
+                admitted[flavor, basis] = admitted.get((flavor, basis), 0) + want
+    # TL keeps only the empty diagram in bar and the identities in tilde
+    assert admitted["tl", "bar"] == 1
+    assert admitted["tl", "tilde"] == 4
+    assert all(admitted[f, b] > 4 for f in FLAVORS if f != "tl" for b in ("bar", "tilde"))
 
 
 def test_partition_diagrams_stay_in_the_diagram_basis():

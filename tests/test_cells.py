@@ -530,8 +530,11 @@ def test_cell_action_matches_two_loop_reference():
 
 def test_cell_action_rejects_the_wrong_coordinates():
     spec = motzkin_spec(2)
+    # bar(e_1) leaves TL, so TL's bar coordinates hold only the zero at k = 2
+    with pytest.raises(ValueError, match="not admitted"):
+        Element.of(tl_spec(2), gen_e(1, 2), 1, "bar")
     for kind, lam, x, want in (
-            ("tl", 0, Element.of(tl_spec(2), gen_e(1, 2), 1, "bar"),
+            ("tl", 0, Element.zero(tl_spec(2), "bar"),
              "cell_action over tl expects diagram coordinates"),
             ("motzkin", 0, Element.of(spec, gen_e(1, 2), 1, "tilde"),
              "cell_action over motzkin expects diagram coordinates"),

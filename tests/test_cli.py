@@ -57,10 +57,11 @@ def test_centralizer(capsys):
     code, out = run_cli(["centralizer", "--k", "4", "--q", "2", "--json"], capsys)
     assert code == 0
     assert json.loads(out)["dimension"] == 183
-    assert main(["centralizer", "--k", "5", "--q", "2"]) == 2
-    for q in ("0", "1", "-1"):
+    for k, q in (("5", "2"), ("2", "0"), ("2", "1"), ("2", "-1")):
         capsys.readouterr()
-        assert main(["centralizer", "--k", "2", "--q", q]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["centralizer", "--k", k, "--q", q])
+        assert exc.value.code == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
@@ -74,7 +75,9 @@ def test_bratteli(capsys):
 def test_semisimple(capsys):
     code, out = run_cli(["semisimple", "--k", "5", "--q", "2", "--json"], capsys)
     assert code == 0 and json.loads(out)["semisimple"] is True
-    assert main(["semisimple", "--k", "3", "--q", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["semisimple", "--k", "3", "--q", "0"])
+    assert exc.value.code == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
@@ -322,6 +325,9 @@ BAD_INPUTS = {
     "underscored-digits": {"terms": [{"coeff": "1_000", "diagram": E1_K2}]},
     "underscored-digits-delta": {"terms": [{"coeff": "1_000*delta", "diagram": E1_K2}]},
     "empty-coefficient": {"terms": [{"coeff": " ", "diagram": E1_K2}]},
+    "k-true-beside-k-1": {"k": True, "terms": [{"coeff": "1", "diagram":
+                                                {"k": 1, "edges": [["t1", "b1"]]}}]},
+    "k-float-beside-k-2": {"k": 2.0, "terms": [{"coeff": "1", "diagram": E1_K2}]},
 }
 
 
@@ -385,6 +391,44 @@ def test_bad_input_has_no_traceback_end_to_end():
     assert "Traceback" not in proc.stderr
 
 
+E1_K3 = {"k": 3, "edges": [["t1", "t2"], ["b1", "b2"], ["t3", "b3"]]}
+E2_K3 = {"k": 3, "edges": [["t2", "t3"], ["b2", "b3"], ["t1", "b1"]]}
+
+
+def write_element(path, diagram, basis="diagram"):
+    path.write_text(json.dumps({"basis": basis,
+                                "terms": [{"coeff": "1", "diagram": diagram}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("x, y, algebra, reason", [
+    ((E1_K2, "diagram"), (E1_K3, "diagram"), "motzkin", "different algebras"),
+    ((E1_K2, "diagram"), (E1_K2, "bar"), "motzkin", "different bases"),
+    ((E1_K3, "tilde"), (E2_K3, "tilde"), "tl", "not admitted by tl/tilde"),
+], ids=["different-k", "different-bases", "tl-tilde-e1-e2"])
+def test_mul_refusals_exit_2(x, y, algebra, reason, tmp_path, capsys):
+    fx = write_element(tmp_path / "x.json", *x)
+    fy = write_element(tmp_path / "y.json", *y)
+    with pytest.raises(SystemExit) as exc:
+        main(["mul", fx, fy, "--algebra", algebra])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("ptl mul: error: ") and reason in captured.err
+
+
+def test_mul_of_different_k_has_no_traceback_end_to_end(tmp_path):
+    fx = write_element(tmp_path / "x.json", E1_K2)
+    fy = write_element(tmp_path / "y.json", E1_K3)
+    proc = subprocess.run([sys.executable, "-m", "ptlalg.cli", "mul", fx, fy],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert not proc.stdout
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
 # -- pinned text outputs at small k ----------------------------------------------
 
 TEXT_OUTPUTS = [
@@ -422,18 +466,22 @@ def test_balanced_motzkin_stratum_json_and_missing_n(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["kind"] == "balanced-motzkin-n" and payload["count"] == 18
-    assert main(["enumerate", "--kind", "balanced-motzkin-n", "--k", "2"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--kind", "balanced-motzkin-n", "--k", "2"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert not captured.out
-    assert captured.err == "--kind balanced-motzkin-n requires --n\n"
+    assert captured.err == "ptl enumerate: error: kind balanced_motzkin_n needs n\n"
 
 
 @pytest.mark.parametrize("kind", ["partial-brauer", "motzkin", "tl", "balanced-motzkin"])
 def test_n_with_a_kind_that_has_no_stratum_exits_2(kind, capsys):
-    assert main(["enumerate", "--kind", kind, "--k", "2", "--n", "1"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--kind", kind, "--k", "2", "--n", "1"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert not captured.out
-    assert captured.err == "--n applies only to --kind balanced-motzkin-n\n"
+    assert captured.err == "ptl enumerate: error: n applies only to kind balanced_motzkin_n\n"
 
 
 def write_elements(tmp_path):
@@ -520,17 +568,16 @@ CROSSING_K2 = {"k": 2, "edges": [["t1", "b2"], ["t2", "b1"]]}
 TRIPLE_BLOCK_K2 = {"k": 2, "blocks": [["t1", "t2", "b1"]]}
 
 
-@pytest.mark.parametrize("obj, algebra, what", [
-    (CROSSING_K2, None, "diagram"),
-    (TRIPLE_BLOCK_K2, None, "diagram"),
-    ({"terms": [{"coeff": "1", "diagram": CROSSING_K2}]}, "partial_brauer", "element"),
-    ({"terms": [{"coeff": "1", "diagram": CROSSING_K2}]}, "partition", "element"),
-    ({"terms": [{"coeff": "1", "diagram": TRIPLE_BLOCK_K2}]}, "partition", "element"),
-    ({"basis": "bar", "terms": [{"coeff": "1", "diagram": E1_K2}]}, "tl", "element"),
+@pytest.mark.parametrize("obj, algebra", [
+    (CROSSING_K2, None),
+    (TRIPLE_BLOCK_K2, None),
+    ({"terms": [{"coeff": "1", "diagram": CROSSING_K2}]}, "partial_brauer"),
+    ({"terms": [{"coeff": "1", "diagram": CROSSING_K2}]}, "partition"),
+    ({"terms": [{"coeff": "1", "diagram": TRIPLE_BLOCK_K2}]}, "partition"),
+    ({"basis": "bar", "terms": [{"coeff": "1", "diagram": E1_K2}]}, "tl"),
 ], ids=["crossing-diagram", "triple-block-diagram", "crossing-partial-brauer",
         "crossing-partition", "triple-block-partition", "bar-e1-tl"])
-def test_render_matrix_outside_the_tensor_action_exits_2(obj, algebra, what,
-                                                         tmp_path, capsys):
+def test_render_matrix_outside_the_tensor_action_exits_2(obj, algebra, tmp_path, capsys):
     f = tmp_path / "x.json"
     f.write_text(json.dumps(obj))
     argv = ["render", str(f), "--format", "matrix"]
@@ -540,7 +587,7 @@ def test_render_matrix_outside_the_tensor_action_exits_2(obj, algebra, what,
     captured = capsys.readouterr()
     assert not captured.out
     assert len(captured.err.strip().splitlines()) == 1
-    assert captured.err.startswith("bad %s: " % what)
+    assert captured.err.startswith("ptl render: error: ")
     if algebra == "tl":
         assert "not admitted" in captured.err
 

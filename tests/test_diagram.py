@@ -14,7 +14,7 @@ from ptlalg.algebra import bar_multiply, motzkin_spec, tilde_multiply
 from ptlalg.cells import motzkin_paths
 from ptlalg.diagram import (Composition, Diagram, _partial_matchings,
                             balanced_motzkin_diagrams, balanced_motzkin_stratum,
-                            compose, diagram_of, gen_b, gen_e, gen_l, gen_p,
+                            compose, diagram_of, enumerate_diagrams, gen_b, gen_e, gen_l, gen_p,
                             gen_r, gen_s, identity, l_of_subset, leq,
                             motzkin_diagrams, n_subsets, omega,
                             partial_brauer_diagrams, r_of_subset, removals,
@@ -443,6 +443,20 @@ def test_k_must_be_a_nonnegative_int(k):
             build()
     assert Diagram(1, [(0, 1)]) is one
     assert type(one.k) is int and one.to_json() == {"k": 1, "edges": [["t1", "b1"]]}
+
+
+@pytest.mark.parametrize("kind", ["partial_brauer", "motzkin", "tl", "balanced_motzkin"])
+def test_enumerate_diagrams_refuses_an_n_it_would_ignore(kind):
+    assert enumerate_diagrams(kind, 2) == enumerate_diagrams(kind, 2, None)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="n applies only to kind balanced_motzkin_n"):
+            enumerate_diagrams(kind, 2, n)
+
+
+def test_enumerate_diagrams_stratum_needs_n():
+    assert enumerate_diagrams("balanced_motzkin_n", 2, 1) == balanced_motzkin_stratum(1, 2)
+    with pytest.raises(ValueError, match="kind balanced_motzkin_n needs n"):
+        enumerate_diagrams("balanced_motzkin_n", 2)
 
 
 # -- from_edges with any listed blocks, and the blocks JSON -----------------------
