@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import cells, ptl, qcriteria, repn, verify
-from .algebra import AlgebraSpec, Element, change_basis
+from .algebra import BASES, FLAVORS, AlgebraSpec, Element, change_basis
 from .diagram import Diagram, _check_k, enumerate_diagrams
 from .render import ascii_diagram, ascii_element, tikz_diagram, tikz_element
 from .scalar import parse_scalar
@@ -267,8 +267,7 @@ def build_parser():
     def common(p, algebra=False):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if algebra:
-            p.add_argument("--algebra", default="motzkin",
-                           choices=("partition", "partial_brauer", "motzkin", "tl", "ptl"))
+            p.add_argument("--algebra", default="motzkin", choices=FLAVORS)
             p.add_argument("--delta-prime", dest="delta_prime", type=_fraction,
                            default=1, help="second loop parameter (default 1)")
 
@@ -280,7 +279,7 @@ def build_parser():
 
     p = sub.add_parser("convert", help="change the basis of an element")
     p.add_argument("element")
-    p.add_argument("--to", required=True, choices=("diagram", "bar", "tilde"))
+    p.add_argument("--to", required=True, choices=BASES)
     common(p, algebra=True)
     p.set_defaults(fn=cmd_convert)
 

@@ -3,10 +3,10 @@
 A k-diagram is a set partition of 2k vertices arranged in two rows of k.
 Internally vertices are encoded as ``0..k-1`` for the top row (printed
 ``1..k``) and ``k..2k-1`` for the bottom row (printed ``1'..k'``); blocks
-are stored as a sorted tuple of sorted tuples, so equality and hashing are
-structural.  There is one instance per distinct diagram: planarity, frames,
-partner maps and the middle-row ports that composition reads are computed
-once per diagram however often products rebuild it.  Public input
+are stored as a sorted tuple of sorted tuples.  There is one instance per
+distinct diagram, so identity is equality: planarity, frames, partner maps
+and the middle-row ports that composition reads are computed once per
+diagram however often products rebuild it.  Public input
 (``Diagram(...)``, ``from_edges``, ``from_json``) is canonicalized and
 validated; ``compose``, ``removals`` and the enumerators build canonical
 block tuples from valid diagrams or matchings and intern them unchecked.
@@ -54,12 +54,14 @@ class Diagram:
     the partner map and the middle-row ports that :func:`compose` reads)
     serves every later construction.  ``compose``, ``removals`` and the
     enumerators call :meth:`_of` directly with tuples that are canonical by
-    construction.  The table is unbounded, like the expansion cache it
-    feeds: it holds every distinct diagram for the life of the process.
+    construction.  Nothing else makes one (``copy`` and ``pickle`` cannot),
+    so equality and hashing are the object's own; only the order, by
+    ``(k, blocks)``, is defined here.  The table is unbounded, like the
+    expansion cache it feeds: it holds every distinct diagram for the life
+    of the process.
     """
 
-    __slots__ = ("k", "blocks", "_hash", "_partner", "_pb", "_planar", "_frame",
-                 "_ports")
+    __slots__ = ("k", "blocks", "_partner", "_pb", "_planar", "_frame", "_ports")
 
     def __new__(cls, k, blocks):
         _check_k(k)
@@ -93,7 +95,6 @@ class Diagram:
             self = object.__new__(cls)
             object.__setattr__(self, "k", k)
             object.__setattr__(self, "blocks", key)
-            object.__setattr__(self, "_hash", hash((k, key)))
             for name in ("_partner", "_pb", "_planar", "_frame", "_ports"):
                 object.__setattr__(self, name, None)
             _INTERNED[key] = self
@@ -111,14 +112,6 @@ class Diagram:
         used = {v for b in blocks for v in b}
         blocks += [(v,) for v in range(2 * k) if v not in used]
         return cls(k, blocks)
-
-    def __eq__(self, other):
-        if not isinstance(other, Diagram):
-            return NotImplemented
-        return self.k == other.k and self.blocks == other.blocks
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return (self.k, self.blocks) < (other.k, other.blocks)
@@ -564,19 +557,6 @@ def diagram_of(A, t, B, k):
 
 # -- enumeration ---------------------------------------------------------------
 
-def _partial_matchings(vertices):
-    """All partial matchings of a list of vertices, as edge lists."""
-    if not vertices:
-        yield []
-        return
-    a, rest = vertices[0], vertices[1:]
-    for m in _partial_matchings(rest):
-        yield m
-    for i, b in enumerate(rest):
-        for m in _partial_matchings(rest[:i] + rest[i + 1:]):
-            yield [(a, b)] + m
-
-
 def _walk(n, steps, closed):
     """The words of length ``n`` over ``steps`` (ascending, drawn from -1,
     0, 1) whose partial sums stay nonnegative and, when ``closed``, end at
@@ -633,16 +613,51 @@ def _pairing(word):
     return pairs, unclosed
 
 
-def _diagrams_of_matchings(k, matchings):
-    """The diagrams of matchings of the 2k vertices, in canonical order.
+def partial_brauer_diagrams(k):
+    """All partial Brauer k-diagrams, in canonical order: the least free
+    vertex is left isolated, then joined to each later free vertex in turn,
+    and the rest completed alike, so the block tuples are built canonical
+    and in increasing order, and interned with no sort."""
+    n = 2 * k
+    free = [True] * n
+    blocks = []
+    out = []
 
-    Each edge is placed at its lesser vertex and its greater one emptied, so
-    every block tuple is built canonical; they are sorted, then interned."""
+    def place(a):
+        while a < n and not free[a]:
+            a += 1
+        if a == n:
+            out.append(Diagram._of(k, tuple(blocks)))
+            return
+        free[a] = False
+        blocks.append((a,))
+        place(a + 1)
+        for b in range(a + 1, n):
+            if free[b]:
+                free[b] = False
+                blocks[-1] = (a, b)
+                place(a + 1)
+                free[b] = True
+        blocks.pop()
+        free[a] = True
+
+    place(0)
+    return out
+
+
+def _planar_diagrams(k, steps):
+    """The diagrams of the closed walks of length 2k over ``steps``, in
+    canonical order.  A word's positions are the vertices in circle order
+    1..k, k'..1'; each pair of :func:`_pairing` is an edge, placed at its
+    lesser vertex, and each 0 an isolated vertex, so every block tuple is
+    built canonical; they are sorted, then interned."""
+    vertex = list(range(k)) + list(range(2 * k - 1, k - 1, -1))
     singletons = [(v,) for v in range(2 * k)]
     keys = []
-    for m in matchings:
+    for w in _walk(2 * k, steps, True):
         at = singletons[:]
-        for u, v in m:
+        for a, b in _pairing(w)[0]:
+            u, v = vertex[a], vertex[b]
             if u > v:
                 u, v = v, u
             at[u] = (u, v)
@@ -650,21 +665,6 @@ def _diagrams_of_matchings(k, matchings):
         keys.append(tuple(b for b in at if b is not None))
     keys.sort()
     return [Diagram._of(k, key) for key in keys]
-
-
-def partial_brauer_diagrams(k):
-    """All partial Brauer k-diagrams, in canonical order."""
-    return _diagrams_of_matchings(k, _partial_matchings(list(range(2 * k))))
-
-
-def _planar_diagrams(k, steps):
-    """The diagrams of the closed walks of length 2k over ``steps``.  A
-    word's positions are the vertices in circle order 1..k, k'..1'; each
-    pair of :func:`_pairing` is an edge and each 0 an isolated vertex."""
-    vertex = list(range(k)) + list(range(2 * k - 1, k - 1, -1))
-    return _diagrams_of_matchings(
-        k, ([(vertex[a], vertex[b]) for a, b in _pairing(w)[0]]
-            for w in _walk(2 * k, steps, True)))
 
 
 def motzkin_diagrams(k):
@@ -677,32 +677,21 @@ def tl_diagrams(k):
     return _planar_diagrams(k, (-1, 1))
 
 
-def _colex_key(subset):
-    return tuple(sorted(subset, reverse=True))
-
-
 def n_subsets(k, n):
     """The n-subsets of {1..k} in colexicographic order."""
-    return sorted(itertools.combinations(range(1, k + 1), n), key=_colex_key)
+    return sorted(itertools.combinations(range(1, k + 1), n), key=lambda s: s[::-1])
 
 
 def balanced_motzkin_stratum(n, k):
     """The balanced Motzkin k-diagrams with exactly n edges, via triples."""
     ts = tl_diagrams(n)
-    out = []
-    for A in n_subsets(k, n):
-        for B in n_subsets(k, n):
-            for t in ts:
-                out.append(diagram_of(A, t, B, k))
-    return out
+    subsets = n_subsets(k, n)
+    return [diagram_of(A, t, B, k) for A in subsets for B in subsets for t in ts]
 
 
 def balanced_motzkin_diagrams(k):
     """All balanced Motzkin k-diagrams, grouped by edge count."""
-    out = []
-    for n in range(k + 1):
-        out.extend(balanced_motzkin_stratum(n, k))
-    return out
+    return [d for n in range(k + 1) for d in balanced_motzkin_stratum(n, k)]
 
 
 _ENUMERATORS = {

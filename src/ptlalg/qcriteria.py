@@ -49,10 +49,8 @@ def jones_identity_check(n, q0):
     """Exact check of (1+q)^n P_n(1/beta) = [n+1]_q at beta = q + q^-1 + 2."""
     q0 = Fraction(q0)
     if q0 == 0 or q0 == -1:
-        raise ValueError("q0 must avoid 0 and -1")
-    beta = q0 + 1 / q0 + 2
-    if beta == 0:
-        raise ValueError("beta = q0 + q0^-1 + 2 vanishes")
+        raise ValueError("q must avoid 0 and -1, not %s" % (q0,))
+    beta = q0 + 1 / q0 + 2    # (1 + q0)^2 / q0, nonzero here
     lhs = jones_p(n).evaluate(1 / beta) * (1 + q0) ** n
     rhs = q_int(n + 1).evaluate(q0)
     return lhs == rhs
@@ -81,7 +79,7 @@ def tl_semisimple_witness(k, q0):
     """(verdict, vanishing factor index or None)."""
     q0 = Fraction(q0)
     if q0 == 0:
-        raise ValueError("q0 must be nonzero")
+        raise ValueError("q must be nonzero, not %s" % (q0,))
     for n in range(1, k + 1):
         if balanced_q_int(n).evaluate(q0) == 0:
             return False, n

@@ -3,7 +3,8 @@
 Both emit deterministic two-row pictures: vertices in two rows of k, cups
 drawn as arcs below the top row, caps as arcs above the bottom row, and
 through edges as orthogonal poly-lines.  Each edge gets its own horizontal
-lane, so pictures are collision-free and stable under re-rendering.
+lane, so pictures are collision-free and stable under re-rendering.  A
+block of three or more vertices has no picture: it raises ValueError.
 """
 
 from __future__ import annotations
@@ -11,9 +12,15 @@ from __future__ import annotations
 COLW = 4  # characters per column
 
 
+def _edges(d, fmt):
+    if not d.is_partial_brauer():
+        raise ValueError("the %s renderer draws partial Brauer diagrams, not %r" % (fmt, d))
+    return d.edges()
+
+
 def ascii_diagram(d):
     k = d.k
-    edges = list(d.edges())
+    edges = _edges(d, "ascii")
     lanes = len(edges)
     height = lanes + 3 if lanes else 3
     width = COLW * max(k - 1, 0) + 1
@@ -87,7 +94,7 @@ def tikz_diagram(d, standalone=True):
     for c in range(k):
         lines.append("\\node[vertex] (T%d) at (%.1f, 1) {};" % (c + 1, 1.5 * c))
         lines.append("\\node[vertex] (B%d) at (%.1f, -1) {};" % (c + 1, 1.5 * c))
-    for (u, v) in d.edges():
+    for (u, v) in _edges(d, "tikz"):
         if v < k:
             lines.append("\\draw (T%d) .. controls +(0.5,-0.7) and +(-0.5,-0.7)"
                          " .. (T%d);" % (u + 1, v + 1))

@@ -230,7 +230,7 @@ def commutant_dim(k, q0, group="gl2"):
     _check_k(k)
     q0 = Fraction(q0)
     if q0 in (0, 1, -1):
-        raise ValueError("q0 must avoid 0 and +-1")
+        raise ValueError("q must avoid 0 and +-1, not %s" % (q0,))
     if group not in ("gl2", "sl2"):
         raise ValueError("group must be 'gl2' or 'sl2'")
     classes = {}
@@ -285,7 +285,7 @@ def representation_rank(elements, q0, cfg):
     Each distinct entry polynomial is evaluated at q0 once per call."""
     q0 = Fraction(q0)
     if q0 == 0:
-        raise ValueError("q = 0 is not allowed (q^-1 undefined)")
+        raise ValueError("q must be nonzero, not %s" % (q0,))
     values = {}
 
     def at_q0(v):

@@ -1,8 +1,9 @@
 """Named verification checks, grouped into suites.
 
-Each check returns (ok, detail).  The ``all`` suite aggregates everything;
-k caps default to 3 (exhaustive range) and may be raised to 4 where a
-check documents an opt-in.  The CLI surfaces these as ``ptl verify``.
+Each check returns (ok, detail); one that raises fails with the exception
+as its detail, and the suite goes on.  The ``all`` suite aggregates
+everything; k caps default to 3 (exhaustive range) and may be raised to 4
+where a check documents an opt-in.  The CLI surfaces these as ``ptl verify``.
 """
 
 from __future__ import annotations
@@ -332,6 +333,9 @@ def run_suite(name, kcap=3):
     results = []
     for suite in names:
         for check_name, fn in SUITES[suite]:
-            ok, detail = fn(kcap)
+            try:
+                ok, detail = fn(kcap)
+            except Exception as exc:
+                ok, detail = False, "raised %s: %s" % (type(exc).__name__, exc)
             results.append(("%s/%s" % (suite, check_name), ok, detail))
     return results

@@ -57,12 +57,15 @@ def test_centralizer(capsys):
     code, out = run_cli(["centralizer", "--k", "4", "--q", "2", "--json"], capsys)
     assert code == 0
     assert json.loads(out)["dimension"] == 183
-    for k, q in (("5", "2"), ("2", "0"), ("2", "1"), ("2", "-1")):
+    for k, q, reason in (("5", "2", "centralizer computations are capped at k = 4"),
+                         ("2", "0", "q must avoid 0 and +-1, not 0"),
+                         ("2", "1", "q must avoid 0 and +-1, not 1"),
+                         ("2", "-1", "q must avoid 0 and +-1, not -1")):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(["centralizer", "--k", k, "--q", q])
         assert exc.value.code == 2
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert capsys.readouterr().err == "ptl centralizer: error: %s\n" % reason
 
 
 def test_bratteli(capsys):
@@ -78,7 +81,7 @@ def test_semisimple(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["semisimple", "--k", "3", "--q", "0"])
     assert exc.value.code == 2
-    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert capsys.readouterr().err == "ptl semisimple: error: q must be nonzero, not 0\n"
 
 
 def test_enumerate(capsys):
@@ -235,6 +238,28 @@ def test_verify_reports_failures(monkeypatch, capsys):
     code, out = run_cli(["verify", "--suite", "appendix", "--k", "2"], capsys)
     assert code == 1
     assert "FAIL" in out and "planted failure" in out
+
+    def planted_fault(kcap):
+        raise ValueError("planted fault")
+
+    # a check that raises fails alone; the checks after it still run
+    raising = [("raises-value", planted_fault),
+               ("raises-zero", lambda kcap: (True, str(1 // 0))),
+               ("passes", lambda kcap: (True, "still run"))]
+    monkeypatch.setitem(verify_mod.SUITES, "appendix", raising)
+    code, out = run_cli(["verify", "--suite", "appendix", "--k", "2"], capsys)
+    assert code == 1
+    lines = [line.split(None, 2) for line in out.splitlines()]
+    assert lines == [["appendix/raises-value", "FAIL", "raised ValueError: planted fault"],
+                     ["appendix/raises-zero", "FAIL",
+                      "raised ZeroDivisionError: integer division or modulo by zero"],
+                     ["appendix/passes", "PASS", "still run"]]
+    code, out = run_cli(["verify", "--suite", "appendix", "--k", "2", "--json"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["failures"] == 2
+    assert [row["ok"] for row in payload["results"]] == [False, False, True]
+    assert payload["results"][0]["detail"] == "raised ValueError: planted fault"
 
 
 def test_matrix_export(tmp_path, capsys):
@@ -590,6 +615,26 @@ def test_render_matrix_outside_the_tensor_action_exits_2(obj, algebra, tmp_path,
     assert captured.err.startswith("ptl render: error: ")
     if algebra == "tl":
         assert "not admitted" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "tikz"])
+@pytest.mark.parametrize("obj, algebra", [
+    (TRIPLE_BLOCK_K2, None),
+    ({"k": 2, "blocks": [["t1", "t2", "b1", "b2"]]}, None),
+    ({"terms": [{"coeff": "1", "diagram": TRIPLE_BLOCK_K2}]}, "partition"),
+], ids=["triple-block-diagram", "four-block-diagram", "triple-block-partition"])
+def test_render_pictures_of_a_block_of_three_or_more_exit_2(obj, algebra, fmt, tmp_path,
+                                                            capsys):
+    f = tmp_path / "x.json"
+    f.write_text(json.dumps(obj))
+    argv = ["render", str(f), "--format", fmt]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--algebra", algebra] if algebra else []))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("ptl render: error: the %s renderer" % fmt)
 
 
 def test_convert_partition_blocks_to_alternating_bases_exits_2(tmp_path, capsys):

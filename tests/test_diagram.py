@@ -1,9 +1,11 @@
 """Diagram combinatorics: composition, planarity, frames, triples, counts."""
 
 import bisect
+import copy
 import functools
 import itertools
 import json
+import pickle
 import random
 from math import comb
 
@@ -12,11 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from ptlalg.algebra import bar_multiply, motzkin_spec, tilde_multiply
 from ptlalg.cells import motzkin_paths
-from ptlalg.diagram import (Composition, Diagram, _partial_matchings,
+from ptlalg.diagram import (Composition, Diagram,
                             balanced_motzkin_diagrams, balanced_motzkin_stratum,
                             compose, diagram_of, enumerate_diagrams, gen_b, gen_e, gen_l, gen_p,
                             gen_r, gen_s, identity, l_of_subset, leq,
-                            motzkin_diagrams, n_subsets, omega,
+                            motzkin_diagrams, omega,
                             partial_brauer_diagrams, r_of_subset, removals,
                             subdiagrams, tensor, tl_diagrams, triple_of)
 
@@ -139,7 +141,7 @@ def test_cached_properties_match_a_fresh_diagram():
         fresh = Diagram(d.k, d.blocks)
         assert derived(fresh) == first
         assert derived(d) == first  # now answered from the caches
-        assert hash(d) == h == hash(fresh) and d == fresh
+        assert fresh is d and hash(d) == h
         for name in ("k", "blocks", "_pb", "_planar", "_frame"):
             with pytest.raises(AttributeError):
                 setattr(d, name, None)
@@ -346,23 +348,29 @@ def test_compose_matches_reference_on_all_partial_brauer_3_pairs():
     assert loops > 0 and paths > 0
 
 
-def test_compose_matches_reference_on_partition_words():
+def partition_words_3(product):
+    """The identity at k = 3 closed under right multiplication by the
+    generators s_i, p_j and b_i, each product taken by ``product``."""
     k = 3
     gens = ([gen_s(i, k) for i in (1, 2)] + [gen_p(j, k) for j in (1, 2, 3)]
             + [gen_b(i, k) for i in (1, 2)])
-    # close the identity under right multiplication by the generators,
-    # checking every product on the way
     reached = {identity(k)}
     frontier = [identity(k)]
     while frontier:
         fresh = []
         for x in frontier:
             for g in gens:
-                d = assert_same_composition(x, g).diagram
+                d = product(x, g)
                 if d not in reached:
                     reached.add(d)
                     fresh.append(d)
         frontier = fresh
+    return reached
+
+
+def test_compose_matches_reference_on_partition_words():
+    # every product on the way is checked against the reference
+    reached = partition_words_3(lambda x, g: assert_same_composition(x, g).diagram)
     assert len(reached) == 203  # Bell(6): the whole partition monoid
     big = sorted(d for d in reached if max(map(len, d.blocks)) >= 3)
     assert big
@@ -544,7 +552,29 @@ def test_equal_products_at_k4_are_one_object():
             for rule in (bar_multiply, tilde_multiply):
                 results.extend(rule(spec, d1, d2).terms)
     assert len(pool) ** 2 == 33489
-    assert len({id(d) for d in results}) == len(set(results))
+    assert len({id(d) for d in results}) == len({d.blocks for d in results})
+
+
+def test_equality_is_identity_and_equal_blocks():
+    words = partition_words_3(lambda x, g: compose(x, g).diagram)
+    validated = [Diagram(3, p) for p in set_partitions(list(range(6)))]
+    assert len(words) == len(validated) == 203
+    pool = partial_brauer_diagrams(3) + motzkin_diagrams(4) + sorted(words) + validated
+    for a in pool:
+        for b in pool:
+            assert (a == b) is (a is b) is (a.blocks == b.blocks) is (not a != b)
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_a_copy_of_a_diagram_raises_or_is_the_diagram(duplicate):
+    for d in (omega(0), identity(3), gen_b(1, 3), motzkin_diagrams(4)[17]):
+        try:
+            got = duplicate(d)
+        except Exception:
+            continue
+        assert got is d
 
 
 @pytest.mark.parametrize("k, blocks, message", MALFORMED_BLOCKS + [
@@ -753,6 +783,27 @@ def reference_noncrossing_matchings(positions, allow_isolated):
                 yield [(a, rest[i])] + m1 + m2
 
 
+def reference_partial_matchings(vertices):
+    """All partial matchings of a list of vertices, as edge lists, by
+    recursion on the first vertex: isolated, then joined to each later one."""
+    if not vertices:
+        yield []
+        return
+    a, rest = vertices[0], vertices[1:]
+    for m in reference_partial_matchings(rest):
+        yield m
+    for i, b in enumerate(rest):
+        for m in reference_partial_matchings(rest[:i] + rest[i + 1:]):
+            yield [(a, b)] + m
+
+
+def reference_colex_subsets(k, n):
+    """The n-subsets of {1..k} in colexicographic order: by the binary
+    number whose bit a is set for each a in the subset."""
+    return sorted(itertools.combinations(range(1, k + 1), n),
+                  key=lambda s: sum(1 << a for a in s))
+
+
 def reference_unpos(p, k):
     """The vertex at circle position p of the order 1..k, k'..1'."""
     return p if p < k else 3 * k - 1 - p
@@ -765,7 +816,7 @@ def in_canonical_order(ds):
 
 def reference_partial_brauer_diagrams(k):
     return in_canonical_order(Diagram.from_edges(k, m)
-                              for m in _partial_matchings(list(range(2 * k))))
+                              for m in reference_partial_matchings(list(range(2 * k))))
 
 
 def reference_planar_diagrams(k, allow_isolated):
@@ -777,7 +828,7 @@ def reference_planar_diagrams(k, allow_isolated):
 def reference_balanced_motzkin_diagrams(k):
     """Grouped by edge count, each stratum in the order of its triples."""
     return [diagram_of(A, t, B, k) for n in range(k + 1)
-            for A in n_subsets(k, n) for B in n_subsets(k, n)
+            for A in reference_colex_subsets(k, n) for B in reference_colex_subsets(k, n)
             for t in reference_planar_diagrams(n, False)]
 
 

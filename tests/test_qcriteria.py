@@ -3,6 +3,8 @@
 from fractions import Fraction
 from math import factorial, gcd
 
+import pytest
+
 from ptlalg.cells import act_on_path, cell_basis, join_tl, rank_of
 from ptlalg.linalg import rank_of_rows
 from ptlalg.qcriteria import (balanced_q_int, cyclotomic,
@@ -71,6 +73,14 @@ def test_semisimplicity_witness():
     # q0 = golden-ratio-free rational that kills nothing
     ok, bad = tl_semisimple_witness(5, Fraction(7, 2))
     assert ok and bad is None
+
+
+def test_refusals_name_q_and_its_value():
+    for q0, text in ((0, "0"), (-1, "-1")):
+        with pytest.raises(ValueError, match="^q must avoid 0 and -1, not %s$" % text):
+            jones_identity_check(3, q0)
+    with pytest.raises(ValueError, match="^q must be nonzero, not 0$"):
+        tl_semisimple_witness(3, Fraction(0))
 
 
 def test_root_of_unity_symbolic():

@@ -308,8 +308,9 @@ def test_commutant_dimensions():
     for q0 in (-2, Fraction(-3, 2), Fraction(1, 3)):
         assert commutant_dim(3, q0, "gl2") == ptl_dimension(3) == 33
         assert commutant_dim(3, q0, "sl2") == len(motzkin_diagrams(3)) == 51
-    with pytest.raises(ValueError):
-        commutant_dim(2, 1, "gl2")
+    for q0, text in ((0, "0"), (1, "1"), (-1, "-1")):
+        with pytest.raises(ValueError, match=r"^q must avoid 0 and \+-1, not %s$" % text):
+            commutant_dim(2, q0, "gl2")
     with pytest.raises(ValueError, match="k must be a nonnegative integer, not -1"):
         commutant_dim(-1, 2, "gl2")
 
