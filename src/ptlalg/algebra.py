@@ -20,6 +20,17 @@ inverts, by Moebius inversion on the subset lattice, to
 d = sum_S bar(d - S) with every coefficient +1; tilde does the same over the
 horizontal edges.  So a basis change walks one expansion both ways: into
 the diagram basis it keeps the signs, out of it it drops them.
+
+Elements follow the rule the scalars (``IntPoly._of``) and the diagrams
+(``Diagram._of``) follow: input is validated at the boundary, and a result
+computed from valid operands is built by closure, unchecked.  So
+``Element(...)``, ``Element.of``, ``from_json``, ``specialize`` and the
+scalar of ``scale`` check what they are given, while sums, negatives,
+products in every basis and the structured bar and tilde products go
+through the trusted ``Element._of``.  ``change_basis`` is the exception: a
+diagram-basis element of an algebra need not lie in the span of the bar or
+tilde vectors that algebra admits (a TL diagram's bar expansion leaves TL,
+a PTL diagram's may be unbalanced), so its result is checked.
 """
 
 from __future__ import annotations
@@ -93,7 +104,20 @@ def tl_spec(k, delta=None):
     return AlgebraSpec("tl", k, delta)
 
 
+def _check_scalar(spec, c):
+    """Refuse a coefficient outside the ring of ``spec``: ints, Fractions
+    and scalars of the type of delta or of delta'."""
+    if not (isinstance(c, _NUM) or type(c) is type(spec.delta)
+            or type(c) is type(spec.delta_prime)):
+        raise ValueError("coefficient %s is not a scalar of %s at delta = %s"
+                         % (c, spec.flavor, spec.delta))
+
+
 class Element:
+    """A sparse combination of diagrams: ``terms`` maps each diagram of the
+    support to its nonzero coefficient.  ``Element(...)`` checks its input;
+    results of arithmetic on elements are built by :meth:`_of`."""
+
     __slots__ = ("spec", "basis", "terms")
 
     def __init__(self, spec, terms, basis="diagram"):
@@ -106,14 +130,25 @@ class Element:
             if not spec.admits(d, basis):
                 raise ValueError("diagram %r not admitted by %s/%s" %
                                  (d, spec.flavor, basis))
-            if not (isinstance(c, _NUM) or type(c) is type(spec.delta)
-                    or type(c) is type(spec.delta_prime)):
-                raise ValueError("coefficient %s is not a scalar of %s at delta = %s"
-                                 % (c, spec.flavor, spec.delta))
+            _check_scalar(spec, c)
             clean[d] = c
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _of(cls, spec, terms, basis):
+        """The trusted constructor of results that are closed by
+        construction: ``terms`` (kept, not copied) maps diagrams ``spec``
+        admits in ``basis`` to nonzero scalars of its ring.  It checks
+        nothing; no terms gives the spec's one zero."""
+        if not terms:
+            return cls.zero(spec, basis)
+        self = object.__new__(cls)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
@@ -153,18 +188,23 @@ class Element:
         self._check_compatible(other)
         out = dict(self.terms)
         for d, c in other.terms.items():
-            out[d] = out.get(d, 0) + c
-        return Element(self.spec, out, self.basis)
+            c = out.get(d, 0) + c
+            if c:
+                out[d] = c
+            else:
+                del out[d]
+        return Element._of(self.spec, out, self.basis)
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return Element(self.spec, {d: -c for d, c in self.terms.items()}, self.basis)
+        return Element._of(self.spec, {d: -c for d, c in self.terms.items()}, self.basis)
 
     def scale(self, scalar):
-        return Element(self.spec, {d: scalar * c for d, c in self.terms.items()},
-                       self.basis)
+        _check_scalar(self.spec, scalar)
+        out = {d: scalar * c for d, c in self.terms.items()} if scalar else {}
+        return Element._of(self.spec, out, self.basis)
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -181,14 +221,15 @@ class Element:
                     coeff = c1 * c2 * _twist(self.spec, comp)
                     if coeff:
                         out[comp.diagram] = out.get(comp.diagram, 0) + coeff
-            return Element(self.spec, out, "diagram")
-        structured = bar_multiply if self.basis == "bar" else tilde_multiply
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                c12 = c1 * c2
-                for d, c in structured(self.spec, d1, d2).terms.items():
-                    out[d] = out.get(d, 0) + c12 * c
-        return Element(self.spec, out, self.basis)
+        else:
+            structured = bar_multiply if self.basis == "bar" else tilde_multiply
+            for d1, c1 in self.terms.items():
+                for d2, c2 in other.terms.items():
+                    c12 = c1 * c2
+                    for d, c in structured(self.spec, d1, d2).terms.items():
+                        out[d] = out.get(d, 0) + c12 * c
+        # partial sums may cancel
+        return Element._of(self.spec, {d: c for d, c in out.items() if c}, self.basis)
 
     def __eq__(self, other):
         if not isinstance(other, Element):
@@ -308,43 +349,50 @@ def bar_multiply(spec, d1, d2):
     """Product of two bar-basis vectors without expanding to the diagram basis.
 
     (delta-1)^{#loops} bar(d1 o d2) when the bottom frame of d1 equals the
-    top frame of d2, and zero otherwise.
+    top frame of d2, and zero otherwise.  ``d1`` and ``d2`` must be admitted
+    by ``spec`` in the bar basis; the result then is too.
     """
     f1, f2 = d1.frames(), d2.frames()
     if f1.bot != f2.top:
         return Element.zero(spec, "bar")
     comp = compose(d1, d2)
     lead = _loop_factor(spec.delta, comp.loops) if comp.loops else 1
-    return Element.of(spec, comp.diagram, lead, "bar")
-
-
-def omega_obstruction(d1, d2):
-    """Middle-row columns (1-based) where an isolated vertex of one factor
-    meets a horizontal-edge endpoint of the other."""
-    f1, f2 = d1.frames(), d2.frames()
-    return (f2.top_h - f1.bot) | (f1.bot_h - f2.top)
+    if not lead:
+        return Element.zero(spec, "bar")
+    return Element._of(spec, {comp.diagram: lead}, "bar")
 
 
 def tilde_multiply(spec, d1, d2):
     """Product of two tilde-basis vectors, in tilde coordinates.
 
-    Zero when the obstruction set is nonempty; otherwise
+    Zero when the factors are obstructed: a middle-row column where one
+    factor has a horizontal-edge end and the other an isolated vertex, that
+    is, a cup end of d2 outside the bottom frame of d1 or a cap end of d1
+    outside the top frame of d2.  Otherwise
     (delta-1)^{#loops} prod_{t in S} (1 - p_t) tilde(d1 o d2), expanded as a
     signed sum of tilde-basis vectors over the subsets of S (each p_t drops
     one through edge).  S holds the through edges of the composite that
     snake through an interior cup or cap: a through edge t -- b' snakes
     exactly when d2 sends the middle end of d1's edge at t into its top row.
+    With S empty the product is the one term tilde(d1 o d2).  ``d1`` and
+    ``d2`` must be admitted by ``spec`` in the tilde basis; the result then
+    is too.
     """
-    if omega_obstruction(d1, d2):
+    f1, f2 = d1.frames(), d2.frames()
+    if not (f2.top_h <= f1.bot and f1.bot_h <= f2.top):
         return Element.zero(spec, "tilde")
     comp = compose(d1, d2)
+    lead = _loop_factor(spec.delta, comp.loops) if comp.loops else 1
+    if not lead:
+        return Element.zero(spec, "tilde")
     k = d1.k
     p1, p2 = d1.partner, d2.partner
     snakes = [b for b in comp.diagram.blocks
               if len(b) == 2 and b[0] < k <= b[1] and p2[p1[b[0]] - k] < k]
-    lead = _loop_factor(spec.delta, comp.loops) if comp.loops else 1
-    return Element(spec, {dd: (-1) ** r * lead
-                          for dd, r in removals(comp.diagram, snakes)}, "tilde")
+    if not snakes:
+        return Element._of(spec, {comp.diagram: lead}, "tilde")
+    return Element._of(spec, {dd: (-1) ** r * lead
+                              for dd, r in removals(comp.diagram, snakes)}, "tilde")
 
 
 def epsilon(spec, i):

@@ -51,8 +51,9 @@ class Diagram:
     met for the first time is validated and stored by :meth:`_of`, so the
     checks run once per distinct ``(k, blocks)``, and the derived data
     computed on first use (kept in the underscored slots: planarity, frames,
-    the partner map and the middle-row ports that :func:`compose` reads)
-    serves every later construction.  ``compose``, ``removals`` and the
+    the partner map and the middle-row ports that :func:`compose` reads;
+    each slot is unset until its accessor first fills it) serves every
+    later construction.  ``compose``, ``removals`` and the
     enumerators call :meth:`_of` directly with tuples that are canonical by
     construction.  Nothing else makes one (``copy`` and ``pickle`` cannot),
     so equality and hashing are the object's own; only the order, by
@@ -89,14 +90,13 @@ class Diagram:
         """The one instance of ``key``, a canonical block tuple of a valid
         k-diagram (each block sorted, blocks ordered by least vertex), made
         and stored on first sight.  It checks nothing: a valid block tuple
-        covers exactly 0..2k-1, so it also fixes k."""
+        covers exactly 0..2k-1, so it also fixes k.  Only ``k`` and
+        ``blocks`` are set here; the cached accessors fill the other slots."""
         self = _INTERNED.get(key)
         if self is None:
             self = object.__new__(cls)
             object.__setattr__(self, "k", k)
             object.__setattr__(self, "blocks", key)
-            for name in ("_partner", "_pb", "_planar", "_frame", "_ports"):
-                object.__setattr__(self, name, None)
             _INTERNED[key] = self
         return self
 
@@ -122,10 +122,12 @@ class Diagram:
     # -- block structure -----------------------------------------------------
 
     def is_partial_brauer(self):
-        pb = self._pb
-        if pb is None:
-            pb = all(len(b) <= 2 for b in self.blocks)
-            object.__setattr__(self, "_pb", pb)
+        try:
+            return self._pb
+        except AttributeError:
+            pass
+        pb = all(len(b) <= 2 for b in self.blocks)
+        object.__setattr__(self, "_pb", pb)
         return pb
 
     def edges(self):
@@ -141,16 +143,18 @@ class Diagram:
     @property
     def partner(self):
         """Vertex -> partner map over the edges (partial Brauer only)."""
-        p = self._partner
-        if p is None:
-            if not self.is_partial_brauer():
-                raise ValueError("partner map requires blocks of size <= 2")
-            p = {}
-            for b in self.blocks:
-                if len(b) == 2:
-                    p[b[0]] = b[1]
-                    p[b[1]] = b[0]
-            object.__setattr__(self, "_partner", p)
+        try:
+            return self._partner
+        except AttributeError:
+            pass
+        if not self.is_partial_brauer():
+            raise ValueError("partner map requires blocks of size <= 2")
+        p = {}
+        for b in self.blocks:
+            if len(b) == 2:
+                p[b[0]] = b[1]
+                p[b[1]] = b[0]
+        object.__setattr__(self, "_partner", p)
         return p
 
     def cups(self):
@@ -181,15 +185,17 @@ class Diagram:
         iff one of them meets at least two of the circular gaps cut out by
         the other.
         """
-        planar = self._planar
-        if planar is None:
-            k = self.k
-            pos = lambda v: v if v < k else 3 * k - 1 - v
-            placed = [sorted(pos(v) for v in b) for b in self.blocks if len(b) > 1]
-            planar = not any(
-                len({bisect.bisect_left(b1, x) % len(b1) for x in b2}) > 1
-                for i, b1 in enumerate(placed) for b2 in placed[i + 1:])
-            object.__setattr__(self, "_planar", planar)
+        try:
+            return self._planar
+        except AttributeError:
+            pass
+        k = self.k
+        pos = lambda v: v if v < k else 3 * k - 1 - v
+        placed = [sorted(pos(v) for v in b) for b in self.blocks if len(b) > 1]
+        planar = not any(
+            len({bisect.bisect_left(b1, x) % len(b1) for x in b2}) > 1
+            for i, b1 in enumerate(placed) for b2 in placed[i + 1:])
+        object.__setattr__(self, "_planar", planar)
         return planar
 
     def _middle_ports(self):
@@ -198,25 +204,27 @@ class Diagram:
         vertices, bottom-row vertices, their columns and whether it is an
         edge; ``is_partial_brauer()``; the blocks that meet the bottom row
         (as indices), those inside the top row and those inside the bottom."""
-        ports = self._ports
-        if ports is None:
-            k = self.k
-            top_of, bot_of, tops, bots = [0] * k, [0] * k, [], []
-            for i, b in enumerate(self.blocks):
-                cut = bisect.bisect_left(b, k)
-                tops.append(b[:cut])
-                bots.append(b[cut:])
-                for v in b[:cut]:
-                    top_of[v] = i
-                for v in b[cut:]:
-                    bot_of[v - k] = i
-            ports = (tuple(top_of), tuple(bot_of), tuple(tops), tuple(bots),
-                     tuple(tuple(v - k for v in u) for u in bots),
-                     tuple(len(b) == 2 for b in self.blocks), self.is_partial_brauer(),
-                     tuple(i for i, u in enumerate(bots) if u),
-                     tuple(b for b, u in zip(self.blocks, bots) if not u),
-                     tuple(b for b, t in zip(self.blocks, tops) if not t))
-            object.__setattr__(self, "_ports", ports)
+        try:
+            return self._ports
+        except AttributeError:
+            pass
+        k = self.k
+        top_of, bot_of, tops, bots = [0] * k, [0] * k, [], []
+        for i, b in enumerate(self.blocks):
+            cut = bisect.bisect_left(b, k)
+            tops.append(b[:cut])
+            bots.append(b[cut:])
+            for v in b[:cut]:
+                top_of[v] = i
+            for v in b[cut:]:
+                bot_of[v - k] = i
+        ports = (tuple(top_of), tuple(bot_of), tuple(tops), tuple(bots),
+                 tuple(tuple(v - k for v in u) for u in bots),
+                 tuple(len(b) == 2 for b in self.blocks), self.is_partial_brauer(),
+                 tuple(i for i, u in enumerate(bots) if u),
+                 tuple(b for b, u in zip(self.blocks, bots) if not u),
+                 tuple(b for b, t in zip(self.blocks, tops) if not t))
+        object.__setattr__(self, "_ports", ports)
         return ports
 
     def is_motzkin(self):
@@ -229,22 +237,24 @@ class Diagram:
 
     def frames(self):
         """Index sets of the non-isolated vertices, split horizontal/vertical."""
-        fr = self._frame
-        if fr is None:
-            if not self.is_partial_brauer():
-                raise ValueError("frames require a partial Brauer diagram")
-            top_h, bot_h, top_v, bot_v = set(), set(), set(), set()
-            for (a, b) in self.cups():
-                top_h.update((a + 1, b + 1))
-            for (a, b) in self.caps():
-                bot_h.update((a + 1, b + 1))
-            for (t, b) in self.verticals():
-                top_v.add(t + 1)
-                bot_v.add(b + 1)
-            fr = Frame(frozenset(top_h | top_v), frozenset(bot_h | bot_v),
-                       frozenset(top_h), frozenset(bot_h),
-                       frozenset(top_v), frozenset(bot_v))
-            object.__setattr__(self, "_frame", fr)
+        try:
+            return self._frame
+        except AttributeError:
+            pass
+        if not self.is_partial_brauer():
+            raise ValueError("frames require a partial Brauer diagram")
+        top_h, bot_h, top_v, bot_v = set(), set(), set(), set()
+        for (a, b) in self.cups():
+            top_h.update((a + 1, b + 1))
+        for (a, b) in self.caps():
+            bot_h.update((a + 1, b + 1))
+        for (t, b) in self.verticals():
+            top_v.add(t + 1)
+            bot_v.add(b + 1)
+        fr = Frame(frozenset(top_h | top_v), frozenset(bot_h | bot_v),
+                   frozenset(top_h), frozenset(bot_h),
+                   frozenset(top_v), frozenset(bot_v))
+        object.__setattr__(self, "_frame", fr)
         return fr
 
     # -- JSON ----------------------------------------------------------------

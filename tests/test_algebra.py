@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptlalg.algebra import (FLAVORS, AlgebraSpec, Element, _expansion, bar_multiply,
-                            bar_of, change_basis, motzkin_spec,
-                            omega_obstruction, ptl_spec, tilde_multiply,
-                            tilde_of, tl_spec)
+                            bar_of, change_basis, motzkin_spec, ptl_spec,
+                            tilde_multiply, tilde_of, tl_spec)
 from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, compose,
                             gen_e, gen_p, gen_r, gen_l, identity,
                             motzkin_diagrams, omega, partial_brauer_diagrams,
@@ -67,6 +66,7 @@ def test_coefficients_outside_the_ring_are_refused():
     refused = [
         lambda: Element.of(M2, e1, q),
         lambda: Element.of(M2, e1).scale(q),
+        lambda: Element.zero(M2).scale(q),
         lambda: q * Element.of(M2, e1),
         lambda: Element.of(M2, e1, XPoly.gen()),
         lambda: Element.of(motzkin_spec(2, 3), e1, delta),
@@ -404,21 +404,27 @@ def test_element_product_admits_each_term_once(monkeypatch):
 
 def test_zero_products_are_the_one_zero_of_their_algebra(monkeypatch):
     """Over all k = 4 pairs a zero bar or tilde product is the shared zero of
-    the spec and basis, and only the nonzero products build an Element."""
+    the spec and basis, and only the nonzero products build an Element, each
+    once through the trusted ``Element._of`` and none through the checks."""
     spec = motzkin_spec(4)
     pool = balanced_motzkin_diagrams(4)
     assert len(pool) ** 2 == 33489
     zeros = {basis: Element.zero(spec, basis) for basis in STRUCTURED}
-    built = []
-    init = Element.__init__
+    built, checked = [], []
+    trusted, init = Element._of.__func__, Element.__init__
 
-    def counting(self, *args, **kwargs):
+    def counting(cls, *args):
         built.append(1)
+        return trusted(cls, *args)
+
+    def checking(self, *args, **kwargs):
+        checked.append(1)
         init(self, *args, **kwargs)
 
     nonzero = n_zero = 0
     with monkeypatch.context() as m:
-        m.setattr(Element, "__init__", counting)
+        m.setattr(Element, "_of", classmethod(counting))
+        m.setattr(Element, "__init__", checking)
         for basis, rule in STRUCTURED.items():
             for d1 in pool:
                 for d2 in pool:
@@ -429,6 +435,7 @@ def test_zero_products_are_the_one_zero_of_their_algebra(monkeypatch):
                         assert prod is zeros[basis] and prod.basis == basis
                         n_zero += 1
     assert n_zero == 52830 and len(built) == nonzero == 66978 - n_zero
+    assert not checked
     assert zeros["bar"].spec is spec and not zeros["bar"].terms
 
 
@@ -452,6 +459,97 @@ def test_each_spec_has_its_own_zeros():
         Element.zero(fresh, "nope")
     assert Element.zero(fresh) == Element(fresh, {}) and not Element.zero(fresh).terms
     assert set(fresh._zeros) == {"diagram"}
+
+
+def test_zero_products_at_delta_one_are_the_one_zero():
+    """(delta0 - 1)^N vanishes at delta0 = 1, so a product that closes a loop
+    is the shared zero of the spec and basis, like every other zero product."""
+    spec = AlgebraSpec("motzkin", 2, 1)
+    e1 = gen_e(1, 2)
+    for basis, rule in STRUCTURED.items():
+        zero = Element.zero(spec, basis)
+        assert rule(spec, e1, e1) is zero
+        x = Element.of(spec, e1, 3, basis)
+        assert x * x is zero
+        assert rule(spec, e1, identity(2)).terms == {e1: 1}
+    x = Element.of(AlgebraSpec("motzkin", 2, 0), e1)
+    assert x * x is Element.zero(x.spec)
+
+
+# -- results built by closure against the validating constructor -----------------
+
+@functools.lru_cache(maxsize=None)
+def admitted_pool(flavor, k, basis):
+    """The partial Brauer k-diagrams that ``flavor`` admits in ``basis``."""
+    spec = AlgebraSpec(flavor, k)
+    return tuple(d for d in partial_brauer_diagrams(k) if spec.admits(d, basis))
+
+
+@functools.lru_cache(maxsize=None)
+def snaking_pairs(flavor, k):
+    """The unobstructed pairs of tilde vectors with an edge that snakes."""
+    pool = admitted_pool(flavor, k, "tilde")
+    return tuple((d1, d2) for d1 in pool for d2 in pool
+                 if reference_snake_set(d1, d2) and not reference_omega_obstruction(d1, d2))
+
+
+@st.composite
+def partition_diagrams(draw, k):
+    """Any k-diagram: each vertex draws the label of its block."""
+    labels = draw(st.lists(st.integers(0, 2 * k - 1), min_size=2 * k, max_size=2 * k))
+    blocks = {}
+    for v, label in enumerate(labels):
+        blocks.setdefault(label, []).append(v)
+    return Diagram(k, blocks.values())
+
+
+@st.composite
+def closure_case(draw):
+    """Two elements of one spec and basis, some of whose terms cancel in
+    x + y or x - y, and one diagram pair for each structured rule (for the
+    tilde rule often one whose product has more than one term)."""
+    flavor = draw(st.sampled_from(("motzkin", "ptl", "partial_brauer", "partition", "tl")))
+    k = draw(st.integers(0, 3))
+    basis = draw(st.sampled_from(("diagram", "bar", "tilde")))
+    delta0 = draw(st.sampled_from((None, 1, 2, Fraction(-1, 2))))
+    spec = AlgebraSpec(flavor, k, delta0, draw(st.sampled_from((1, Fraction(3, 2)))))
+    coeffs = st.sampled_from(COEFFS if delta0 is None
+                             else (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)))
+    pool = admitted_pool(flavor, k, basis)
+    terms = st.just({})  # TL's bar basis is empty at k > 0
+    if pool:
+        diagrams = st.sampled_from(pool)
+        if flavor == "partition" and basis == "diagram" and k:
+            diagrams = st.one_of(diagrams, partition_diagrams(k))
+        terms = st.dictionaries(diagrams, coeffs, max_size=4)
+    xs, ys = draw(terms), draw(terms)
+    sign = draw(st.sampled_from((1, -1)))
+    if xs:
+        ys.update({d: sign * xs[d] for d in draw(st.sets(st.sampled_from(sorted(xs))))})
+    pairs = {}
+    for which in STRUCTURED:
+        rule_pool = admitted_pool(flavor, k, which)
+        if rule_pool:
+            pair = st.tuples(st.sampled_from(rule_pool), st.sampled_from(rule_pool))
+            if which == "tilde" and snaking_pairs(flavor, k):
+                pair = st.one_of(pair, st.sampled_from(snaking_pairs(flavor, k)))
+            pairs[which] = draw(pair)
+    return Element(spec, xs, basis), Element(spec, ys, basis), pairs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(closure_case())
+def test_results_built_by_closure_pass_the_validating_constructor(case):
+    x, y, pairs = case
+    spec = x.spec
+    results = [x + y, x - y, -x, x * y]
+    results += [STRUCTURED[which](spec, d1, d2) for which, (d1, d2) in pairs.items()]
+    for r in results:
+        assert Element(r.spec, r.terms, r.basis) == r
+        assert all(r.terms.values()), "a zero coefficient is stored"
+        assert all(spec.admits(d, r.basis) for d in r.terms)
+        if not r.terms:
+            assert r is Element.zero(spec, r.basis)
 
 
 def test_tilde_multiply_rebuilds_only_the_dropped_composites(monkeypatch):
@@ -590,15 +688,17 @@ def reference_omega_obstruction(d1, d2):
 
 
 def test_omega_obstruction_matches_the_complement_reference():
+    """At generic delta a tilde product vanishes exactly on the obstructed pairs."""
     pools = [motzkin_diagrams(k) for k in range(4)] + [balanced_motzkin_diagrams(4)]
     pairs = obstructed = 0
     for pool in pools:
+        spec = motzkin_spec(pool[0].k)
         for d1 in pool:
             for d2 in pool:
-                got = omega_obstruction(d1, d2)
-                assert got == reference_omega_obstruction(d1, d2), (d1, d2)
+                got = tilde_multiply(spec, d1, d2).is_zero()
+                assert got == bool(reference_omega_obstruction(d1, d2)), (d1, d2)
                 pairs += 1
-                obstructed += bool(got)
+                obstructed += got
     assert pairs == 36176
     assert 0 < obstructed < pairs
 
