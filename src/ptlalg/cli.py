@@ -246,11 +246,23 @@ def cmd_render(args):
     return 0
 
 
+# diagrams per json.dumps call and write of ``enumerate --json``
+_ENUMERATE_CHUNK = 1024
+
+
 def cmd_enumerate(args):
     ds = enumerate_diagrams(args.kind.replace("-", "_"), args.k, args.n)
     if args.json:
-        print(json.dumps({"kind": args.kind, "k": args.k, "count": len(ds),
-                          "diagrams": [d.to_json() for d in ds]}))
+        # the one JSON object, streamed: the header up to the open list,
+        # the diagrams a chunk at a time, then the closing brackets
+        head = json.dumps({"kind": args.kind, "k": args.k, "count": len(ds),
+                           "diagrams": []})
+        write = sys.stdout.write
+        write(head[:-2])
+        for i in range(0, len(ds), _ENUMERATE_CHUNK):
+            chunk = json.dumps([d.to_json() for d in ds[i:i + _ENUMERATE_CHUNK]])
+            write(chunk[1:-1] if i == 0 else ", " + chunk[1:-1])
+        write("]}\n")
     else:
         print("%d diagrams" % len(ds))
         for d in ds:

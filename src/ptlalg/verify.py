@@ -4,6 +4,16 @@ Each check returns (ok, detail); one that raises fails with the exception
 as its detail, and the suite goes on.  The ``all`` suite aggregates
 everything; k caps default to 3 (exhaustive range) and may be raised to 4
 where a check documents an opt-in.  The CLI surfaces these as ``ptl verify``.
+
+The brute-force references expand, act and recollect, and take each
+distinct piece of that work from a table local to one check and one
+algebra: the structured-products oracle forms each product of two
+expansion terms once, and the bar-path check acts each expansion term on
+each plain path once.  They stay independent of the rules they check: the
+oracle multiplies in the diagram basis by compose and the algebra's twist,
+never by ``bar_multiply`` or ``tilde_multiply``, and the bar-path check
+acts through ``cells.act_on_path``, never through ``cells.bar_act``; a
+reference that shared a rule's code would agree with that rule's faults.
 """
 
 from __future__ import annotations
@@ -12,16 +22,48 @@ import random
 from fractions import Fraction
 
 from . import cells, diagram, ptl, qcriteria, repn
-from .algebra import (AlgebraSpec, Element, bar_multiply, bar_of, change_basis,
-                      epsilon, motzkin_spec, tilde_multiply, tilde_of, tl_spec)
+from .algebra import (AlgebraSpec, Element, _twist, bar_multiply, bar_of,
+                      change_basis, epsilon, motzkin_spec, tilde_multiply, tilde_of,
+                      tl_spec)
 from .diagram import (balanced_motzkin_diagrams, compose, gen_e, gen_l, gen_p,
                       gen_r, identity, motzkin_diagrams, tl_diagrams)
 from .scalar import DeltaPoly, LaurentPoly
 
 
-def _oracle(spec, d1, d2, which):
-    expander = bar_of if which == "bar" else tilde_of
-    return change_basis(expander(spec, d1) * expander(spec, d2), which)
+def _oracle(spec):
+    """The expand-multiply-recollect reference for the structured products
+    of ``spec``: ``oracle(d1, d2, which)`` multiplies bar(d1) bar(d2) or
+    tilde(d1) tilde(d2) out in the diagram basis, by compose and the
+    algebra's twist as Element.__mul__ does, and recollects by change_basis.
+    Each diagram is expanded once per basis and each product of two
+    expansion terms is formed once; the tables belong to the returned
+    function, since the twist depends on ``spec``.
+    """
+    expansions = {}
+    products = {}
+
+    def expand(d, which):
+        terms = expansions.get((d, which))
+        if terms is None:
+            expander = bar_of if which == "bar" else tilde_of
+            terms = expansions[(d, which)] = expander(spec, d).terms
+        return terms
+
+    def oracle(d1, d2, which):
+        out = {}
+        terms2 = expand(d2, which)
+        for t1, c1 in expand(d1, which).items():
+            for t2, c2 in terms2.items():
+                hit = products.get((t1, t2))
+                if hit is None:
+                    comp = compose(t1, t2)
+                    hit = products[(t1, t2)] = (comp.diagram, _twist(spec, comp))
+                d, twist = hit
+                out[d] = out.get(d, 0) + c1 * c2 * twist
+        x = Element._of(spec, {d: c for d, c in out.items() if c}, "diagram")
+        return change_basis(x, which)
+
+    return oracle
 
 
 def check_dimensions(kcap):
@@ -57,9 +99,10 @@ def check_structured_products(kcap):
         cases.append((motzkin_spec(4),
                       [(rng.choice(pool), rng.choice(pool)) for _ in range(150)]))
     for spec, pairs in cases:
+        oracle = _oracle(spec)
         for d1, d2 in pairs:
             for which, rule in (("bar", bar_multiply), ("tilde", tilde_multiply)):
-                if rule(spec, d1, d2) != _oracle(spec, d1, d2, which):
+                if rule(spec, d1, d2) != oracle(d1, d2, which):
                     return False, "%s rule fails at %r * %r" % (which, d1, d2)
     return True, "structured products match the oracle (exhaustive k <= 3%s)" % (
         ", sampled k = 4" if kcap >= 4 else "")
@@ -174,14 +217,20 @@ def check_bar_path_action(kcap):
     k = min(kcap, 3)
     spec = motzkin_spec(k)
     bar_paths = {a: cells.bar_path(a) for a in cells.motzkin_paths(k)}
+    # (expansion term, plain path) -> (delta^N, image path), acted once
+    actions = {}
     for d in balanced_motzkin_diagrams(k):
         expansion = bar_of(spec, d)
         for a, bar_a in bar_paths.items():
             acc = {}
             for dt, cd in expansion.terms.items():
                 for p, cp in bar_a.items():
-                    n, b = cells.act_on_path(dt, p)
-                    acc[b] = acc.get(b, 0) + cd * cp * (delta ** n if n else 1)
+                    hit = actions.get((dt, p))
+                    if hit is None:
+                        n, b = cells.act_on_path(dt, p)
+                        hit = actions[(dt, p)] = (delta ** n if n else 1, b)
+                    scalar, b = hit
+                    acc[b] = acc.get(b, 0) + cd * cp * scalar
             brute = cells.collect_bar_paths(acc)
             hit = cells.bar_act(spec, d, a)
             want = {} if hit is None else {hit[1]: hit[0]}

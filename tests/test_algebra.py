@@ -888,3 +888,41 @@ def test_structured_products_check_names_the_failing_pair(monkeypatch):
     monkeypatch.setattr(verify, "tilde_multiply", real)
     assert verify.check_structured_products(3) == (
         True, "structured products match the oracle (exhaustive k <= 3)")
+
+
+def test_tabled_oracle_matches_the_untabled_one(monkeypatch):
+    # verify's reference forms each product of two expansion terms once per
+    # spec; over every Motzkin pair at k <= 3 and the k = 4 sample of the
+    # structured-products check it must equal the untabled expand-multiply-
+    # recollect oracle, never call a structured rule, and compose each
+    # distinct pair of terms exactly once
+    from ptlalg import algebra, verify
+
+    def refused(spec, d1, d2):
+        raise AssertionError("the oracle called a structured rule")
+
+    rng = random.Random(20240404)
+    pool4 = balanced_motzkin_diagrams(4)
+    cases = [(motzkin_spec(k), [(d1, d2) for d1 in motzkin_diagrams(k)
+                                for d2 in motzkin_diagrams(k)]) for k in range(4)]
+    cases.append((motzkin_spec(4), [(rng.choice(pool4), rng.choice(pool4))
+                                    for _ in range(150)]))
+    for spec, pairs in cases:
+        composed = []
+        real_compose = verify.compose
+
+        def counting_compose(d1, d2):
+            composed.append((d1, d2))
+            return real_compose(d1, d2)
+
+        with monkeypatch.context() as m:
+            m.setattr(verify, "compose", counting_compose)
+            for mod in (algebra, verify):
+                m.setattr(mod, "bar_multiply", refused)
+                m.setattr(mod, "tilde_multiply", refused)
+            tabled = verify._oracle(spec)
+            got = [tabled(d1, d2, which) for d1, d2 in pairs for which in ("bar", "tilde")]
+        assert got == [oracle(spec, d1, d2, which)
+                       for d1, d2 in pairs for which in ("bar", "tilde")]
+        assert len(composed) == len(set(composed))
+        assert composed  # the count saw the oracle's compositions

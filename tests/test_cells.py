@@ -178,6 +178,27 @@ def test_bar_path_action_matches_brute_force():
                 assert brute == want
 
 
+@pytest.mark.parametrize("i, j, plant", [
+    (10, 5, lambda hit: None),                    # delta - 1 times bar(b) made zero
+    (10, 5, lambda hit: (hit[0] + 1, hit[1])),    # its coefficient made delta
+    (20, 5, lambda hit: (1, (1, -1, 0))),         # a zero image made nonzero
+], ids=["image-dropped", "coefficient-shifted", "image-planted"])
+def test_bar_path_action_check_names_the_failing_pair(i, j, plant, monkeypatch):
+    from ptlalg import cells, verify
+    real = cells.bar_act
+    spec = motzkin_spec(3)
+    d, a = balanced_motzkin_diagrams(3)[i], motzkin_paths(3)[j]
+    assert (real(spec, d, a) is None) == (i == 20)
+    wrong = plant(real(spec, d, a))
+    monkeypatch.setattr(cells, "bar_act", lambda spec, d1, a1:
+                        wrong if (d1, a1) == (d, a) else real(spec, d1, a1))
+    assert verify.check_bar_path_action(3) == (
+        False, "bar action mismatch at %r, %r" % (d, a))
+    monkeypatch.setattr(cells, "bar_act", real)
+    assert verify.check_bar_path_action(3) == (
+        True, "bar-path action matches brute force at k=3")
+
+
 def test_type_size_preserved_and_even_rank_steps():
     spec = motzkin_spec(3)
     for d in balanced_motzkin_diagrams(3):

@@ -289,6 +289,8 @@ def test_usage_error_exit_code():
     ["enumerate", "--kind", "motzkin", "--k", "6"],
     # the whole report waits in the buffer until the flush at the end
     ["verify", "--suite", "algebra", "--k", "2"],
+    # the JSON object is written a chunk of diagrams at a time
+    ["enumerate", "--kind", "motzkin", "--k", "6", "--json"],
 ])
 def test_closed_stdout_exits_141_without_a_traceback(argv):
     read_end, write_end = os.pipe()
@@ -652,12 +654,42 @@ def test_convert_partition_blocks_to_alternating_bases_exits_2(tmp_path, capsys)
     assert main(["convert", str(f), "--to", "diagram", "--algebra", "partition"]) == 0
 
 
-def test_verify_k4_json_matches_the_pinned_digest(capsys):
+def pinned_cli_digest(verb):
     known = pathlib.Path(__file__).resolve().parents[1] / "bench" / "known.json"
-    pinned = json.loads(known.read_text())["cli"]["verify"]
+    return json.loads(known.read_text())["cli"][verb]
+
+
+def test_verify_k4_json_matches_the_pinned_digest(capsys):
     code, out = run_cli(["verify", "--suite", "all", "--k", "4", "--json"], capsys)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest()[:16] == pinned
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == pinned_cli_digest("verify")
+
+
+def test_enumerate_json_matches_the_pinned_digest(capsys):
+    # 15,511 diagrams: the streamed object crosses several chunk boundaries
+    code, out = run_cli(["enumerate", "--kind", "motzkin", "--k", "6", "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == pinned_cli_digest("enumerate")
+
+
+def test_enumerate_json_of_an_empty_stratum(capsys):
+    assert run_cli(["enumerate", "--kind", "balanced-motzkin-n", "--k", "2", "--n", "3",
+                    "--json"], capsys) == (
+        0, '{"kind": "balanced-motzkin-n", "k": 2, "count": 0, "diagrams": []}\n')
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 763, 764, 765])
+def test_enumerate_json_is_one_dump_at_every_chunk_size(chunk, monkeypatch, capsys):
+    # 764 partial Brauer diagrams at k = 4: chunks of one and of two, a last
+    # chunk of one, one exact chunk, and one chunk with room to spare
+    from ptlalg import cli
+    from ptlalg.diagram import partial_brauer_diagrams
+    monkeypatch.setattr(cli, "_ENUMERATE_CHUNK", chunk)
+    ds = partial_brauer_diagrams(4)
+    want = json.dumps({"kind": "partial-brauer", "k": 4, "count": 764,
+                       "diagrams": [d.to_json() for d in ds]}) + "\n"
+    assert run_cli(["enumerate", "--kind", "partial-brauer", "--k", "4", "--json"],
+                   capsys) == (0, want)
 
 
 # -- negative fractions as option values -------------------------------------------

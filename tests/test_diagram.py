@@ -783,18 +783,18 @@ def reference_noncrossing_matchings(positions, allow_isolated):
                 yield [(a, rest[i])] + m1 + m2
 
 
-def reference_partial_matchings(vertices):
-    """All partial matchings of a list of vertices, as edge lists, by
-    recursion on the first vertex: isolated, then joined to each later one."""
-    if not vertices:
-        yield []
-        return
-    a, rest = vertices[0], vertices[1:]
-    for m in reference_partial_matchings(rest):
-        yield m
-    for i, b in enumerate(rest):
-        for m in reference_partial_matchings(rest[:i] + rest[i + 1:]):
-            yield [(a, b)] + m
+@functools.lru_cache(maxsize=None)
+def reference_perfect_matchings(m):
+    """The perfect matchings of 0..m-1, as tuples of edges (a, b) with a < b:
+    0 joined to each j in turn, the other vertices matched alike."""
+    if m == 0:
+        return [()]
+    out = []
+    for j in range(1, m):
+        rest = [v for v in range(1, m) if v != j]
+        out += [((0, j),) + tuple((rest[a], rest[b]) for a, b in pm)
+                for pm in reference_perfect_matchings(m - 2)]
+    return out
 
 
 def reference_colex_subsets(k, n):
@@ -809,27 +809,53 @@ def reference_unpos(p, k):
     return p if p < k else 3 * k - 1 - p
 
 
-def in_canonical_order(ds):
-    """``sorted(ds)`` for diagrams of one k, compared by block tuple in C."""
-    return sorted(ds, key=lambda d: d.blocks)
+def reference_key(k, edges):
+    """The canonical block tuple of the partial Brauer k-diagram with these
+    edges, built with no Diagram: each edge sorted, every vertex on no edge
+    a singleton, the blocks sorted."""
+    used = {v for e in edges for v in e}
+    return tuple(sorted([tuple(sorted(e)) for e in edges]
+                        + [(v,) for v in range(2 * k) if v not in used]))
 
 
-def reference_partial_brauer_diagrams(k):
-    return in_canonical_order(Diagram.from_edges(k, m)
-                              for m in reference_partial_matchings(list(range(2 * k))))
+def reference_partial_brauer_keys(k):
+    """Every partial matching of the 2k vertices: an even subset S of them
+    perfectly matched, the others singletons; sorted."""
+    n = 2 * k
+    keys = []
+    for r in range(k + 1):
+        for S in itertools.combinations(range(n), 2 * r):
+            singles = [(v,) for v in range(n) if v not in S]
+            keys += [tuple(sorted(singles + [(S[a], S[b]) for a, b in pm]))
+                     for pm in reference_perfect_matchings(2 * r)]
+    return sorted(keys)
 
 
-def reference_planar_diagrams(k, allow_isolated):
-    return in_canonical_order(
-        Diagram.from_edges(k, [(reference_unpos(a, k), reference_unpos(b, k)) for a, b in m])
+def reference_planar_keys(k, allow_isolated):
+    return sorted(
+        reference_key(k, [(reference_unpos(a, k), reference_unpos(b, k)) for a, b in m])
         for m in reference_noncrossing_matchings(list(range(2 * k)), allow_isolated))
 
 
-def reference_balanced_motzkin_diagrams(k):
-    """Grouped by edge count, each stratum in the order of its triples."""
-    return [diagram_of(A, t, B, k) for n in range(k + 1)
-            for A in reference_colex_subsets(k, n) for B in reference_colex_subsets(k, n)
-            for t in reference_planar_diagrams(n, False)]
+def reference_balanced_motzkin_keys(k):
+    """Grouped by edge count, each stratum in the order of its triples
+    (A, t, B): the top vertex u of the TL diagram t goes to column A[u], its
+    bottom vertex u' to column B[u]'."""
+    out = []
+    for n in range(k + 1):
+        ts = reference_planar_keys(n, False)
+        for A in reference_colex_subsets(k, n):
+            for B in reference_colex_subsets(k, n):
+                place = [a - 1 for a in A] + [k + b - 1 for b in B]
+                out += [reference_key(k, [(place[u], place[v]) for u, v in t]) for t in ts]
+    return out
+
+
+def reference_is_balanced(k, key):
+    """As many cups (both ends on top) as caps (both ends on the bottom)."""
+    cups = sum(1 for b in key if len(b) == 2 and b[1] < k)
+    caps = sum(1 for b in key if len(b) == 2 and b[0] >= k)
+    return cups == caps
 
 
 def reference_motzkin_paths(k):
@@ -850,16 +876,18 @@ def reference_motzkin_paths(k):
 
 def test_enumerators_match_the_from_edges_enumerators():
     for k in range(7):
-        motzkin = reference_planar_diagrams(k, True)
-        balanced = reference_balanced_motzkin_diagrams(k)
-        assert in_canonical_order(balanced) == [d for d in motzkin if d.is_balanced()]
-        for got, want in ((partial_brauer_diagrams(k), reference_partial_brauer_diagrams(k)),
+        motzkin = reference_planar_keys(k, True)
+        balanced = reference_balanced_motzkin_keys(k)
+        assert sorted(balanced) == [key for key in motzkin if reference_is_balanced(k, key)]
+        for got, want in ((partial_brauer_diagrams(k), reference_partial_brauer_keys(k)),
                           (motzkin_diagrams(k), motzkin),
-                          (tl_diagrams(k), reference_planar_diagrams(k, False)),
+                          (tl_diagrams(k), reference_planar_keys(k, False)),
                           (balanced_motzkin_diagrams(k), balanced)):
-            assert len(got) == len(want)
-            assert all(a is b for a, b in zip(got, want))
+            assert [d.blocks for d in got] == want
+            # each is the one instance of its block tuple
+            assert all(d.k == k and Diagram._of(k, d.blocks) is d for d in got)
             for d in got[::7 if k < 6 else 49]:
+                assert Diagram.from_edges(k, d.edges()) is d
                 assert_validated_alike(d)
                 assert d.to_json() == reference_to_json(d)
         assert motzkin_paths(k) == reference_motzkin_paths(k)
