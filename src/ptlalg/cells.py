@@ -51,7 +51,7 @@ def rank_of(a):
 
 def motzkin_paths(k):
     """All Motzkin paths of length k, lexicographically ordered."""
-    return list(_walk(k, (-1, 0, 1), False))
+    return list(_walk(k))
 
 
 def path_pairing(a):

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import cells, ptl, qcriteria, repn, verify
 from .algebra import BASES, FLAVORS, AlgebraSpec, Element, change_basis
-from .diagram import Diagram, _check_k, enumerate_diagrams
+from .diagram import Diagram, _check_k, _json_of, count_diagrams, enumerate_keys
 from .render import ascii_diagram, ascii_element, tikz_diagram, tikz_element
 from .scalar import parse_scalar
 
@@ -246,27 +246,50 @@ def cmd_render(args):
     return 0
 
 
-# diagrams per json.dumps call and write of ``enumerate --json``
+# diagrams per json.dumps call and write of ``enumerate``
 _ENUMERATE_CHUNK = 1024
 
 
+def _enumerate_chunks(kind, k, n, write_chunk):
+    """Pass ``write_chunk`` the JSON objects of the family's diagrams in
+    order, ``_ENUMERATE_CHUNK`` at a time, as the enumeration makes them."""
+    size, chunk = _ENUMERATE_CHUNK, []
+
+    def sink(key):
+        chunk.append(_json_of(k, key))
+        if len(chunk) == size:
+            write_chunk(chunk)
+            chunk.clear()
+
+    enumerate_keys(kind, k, sink, n)
+    if chunk:
+        write_chunk(chunk)
+
+
 def cmd_enumerate(args):
-    ds = enumerate_diagrams(args.kind.replace("-", "_"), args.k, args.n)
+    # the count is a closed form, which refuses a bad input before the
+    # first byte; the diagrams are streamed, and none is built or kept
+    kind, k = args.kind.replace("-", "_"), args.k
+    count = count_diagrams(kind, k, args.n)
+    write = sys.stdout.write
     if args.json:
-        # the one JSON object, streamed: the header up to the open list,
-        # the diagrams a chunk at a time, then the closing brackets
-        head = json.dumps({"kind": args.kind, "k": args.k, "count": len(ds),
-                           "diagrams": []})
-        write = sys.stdout.write
+        # the one JSON object: the header up to the open list, the
+        # diagrams a chunk at a time, then the closing brackets
+        head = json.dumps({"kind": args.kind, "k": k, "count": count, "diagrams": []})
         write(head[:-2])
-        for i in range(0, len(ds), _ENUMERATE_CHUNK):
-            chunk = json.dumps([d.to_json() for d in ds[i:i + _ENUMERATE_CHUNK]])
-            write(chunk[1:-1] if i == 0 else ", " + chunk[1:-1])
+        sep = ""
+
+        def write_chunk(objs):
+            nonlocal sep
+            write(sep + json.dumps(objs)[1:-1])
+            sep = ", "
+
+        _enumerate_chunks(kind, k, args.n, write_chunk)
         write("]}\n")
     else:
-        print("%d diagrams" % len(ds))
-        for d in ds:
-            print(json.dumps(d.to_json()))
+        write("%d diagrams\n" % count)
+        _enumerate_chunks(kind, k, args.n,
+                          lambda objs: write("".join(json.dumps(o) + "\n" for o in objs)))
     return 0
 
 

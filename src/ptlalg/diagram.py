@@ -14,13 +14,19 @@ All *column* indices in the public API (generator positions, frames, the
 subsets A, B of a triple) are 1-based, matching the usual subscripts
 e_1, ..., e_{k-1}.
 
-Read around the circle 1..k, k'..1', a Motzkin diagram is a word of
-+1/0/-1 steps with nonnegative partial sums that ends at 0: each +1 is an
-edge to the -1 that closes it and each 0 an isolated vertex; without 0
-steps the words are the Temperley-Lieb diagrams.  Open words of length k
-are the Motzkin paths of :mod:`ptlalg.cells`.  One walk enumerates these
-words lazily in lexicographic order and one pairing pass reads their
-edges, for both the planar enumerators and the paths.
+The diagram families are enumerated by one recursion that places the least
+free vertex, first isolated, then joined to each later free vertex in
+turn, so the block tuples come canonical and in canonical order: all of
+them for partial Brauer, those whose edges do not cross on the circle
+1..k, k'..1' for Motzkin, and those of these with no isolated vertex for
+Temperley-Lieb.  The balanced Motzkin diagrams are carried from the TL
+ones through the triples, stratum by stratum.  The recursion passes each
+tuple to a sink: the enumerators intern them, while
+:func:`enumerate_keys` hands them on unbuilt, and :func:`count_diagrams`
+gives each family's size by closed form.  The Motzkin paths of
+:mod:`ptlalg.cells` are words of +1/0/-1 steps with nonnegative partial
+sums; one walk enumerates them lazily and one pairing pass reads their
+arcs.
 
 Composition stacks the left factor above the right one and counts the
 discarded interior blocks; for partial Brauer diagrams these split into
@@ -36,6 +42,7 @@ import bisect
 import functools
 import itertools
 from dataclasses import dataclass
+from math import comb, factorial
 from typing import NamedTuple
 
 
@@ -260,12 +267,7 @@ class Diagram:
     # -- JSON ----------------------------------------------------------------
 
     def to_json(self):
-        k = self.k
-        name = _vertex_names(k)
-        if self.is_partial_brauer():
-            return {"k": k, "edges": [[name[u], name[v]] for (u, v) in self.edges()]}
-        return {"k": k,
-                "blocks": [[name[v] for v in b] for b in self.blocks if len(b) > 1]}
+        return _json_of(self.k, self.blocks, self.is_partial_brauer())
 
     @classmethod
     def from_json(cls, obj):
@@ -287,6 +289,16 @@ def _check_k(k):
     """Refuse a k that is not a nonnegative int; a bool is not one."""
     if type(k) is not int or k < 0:
         raise ValueError("k must be a nonnegative integer, not %r" % (k,))
+
+
+def _json_of(k, blocks, pb=True):
+    """The JSON object of the k-diagram with canonical ``blocks``: its edges
+    when ``pb`` (no block has more than two vertices), else its blocks of
+    two or more vertices."""
+    name = _vertex_names(k)
+    if pb:
+        return {"k": k, "edges": [[name[b[0]], name[b[1]]] for b in blocks if len(b) == 2]}
+    return {"k": k, "blocks": [[name[v] for v in b] for b in blocks if len(b) > 1]}
 
 
 @functools.lru_cache(maxsize=None)
@@ -567,46 +579,36 @@ def diagram_of(A, t, B, k):
 
 # -- enumeration ---------------------------------------------------------------
 
-def _walk(n, steps, closed):
-    """The words of length ``n`` over ``steps`` (ascending, drawn from -1,
-    0, 1) whose partial sums stay nonnegative and, when ``closed``, end at
-    0, as tuples in lexicographic order, one at a time.
-
-    Depth first, offering at each position only the steps after which the
-    word can still end legally, so it never backs out of a dead end.
-    """
-    even = 0 not in steps
-    # fits[h][r]: the steps from height h after which r more steps can end
-    # legally; to close, the new height must be at most r, and of r's parity
-    # when there is no 0 step
-    fits = [[tuple(s for s in steps
-                   if h + s >= 0 and not (closed and (h + s > r or even and (r - h - s) % 2)))
-             for r in range(n)] for h in range(n)]
+def _walk(n):
+    """The words of length ``n`` over -1, 0, 1 whose partial sums stay
+    nonnegative (the Motzkin paths), as tuples in lexicographic order, one
+    at a time.  Depth first, offering -1 only above height 0, so every
+    prefix extends."""
     if not n:
         yield ()
         return
+    steps = ((0, 1), (-1, 0, 1))     # by whether the height is positive
     word = [0] * n
     height = [0] * n                 # the partial sum before each position
-    options = [fits[0][n - 1]] * n   # the steps offered at each position
-    tried = [0] * n                  # how many of them have been taken
+    tried = [0] * n                  # how many steps have been taken there
     last = n - 1
     i = 0
     while i >= 0:
+        options = steps[height[i] > 0]
         if i == last:
-            for s in options[i]:
+            for s in options:
                 word[i] = s
                 yield tuple(word)
             i -= 1
             continue
         j = tried[i]
-        if j == len(options[i]):
+        if j == len(options):
             i -= 1
             continue
         tried[i] = j + 1
-        word[i] = s = options[i][j]
+        word[i] = s = options[j]
         i += 1
-        height[i] = h = height[i - 1] + s
-        options[i] = fits[h][last - i]
+        height[i] = height[i - 1] + s
         tried[i] = 0
 
 
@@ -623,68 +625,69 @@ def _pairing(word):
     return pairs, unclosed
 
 
-def partial_brauer_diagrams(k):
-    """All partial Brauer k-diagrams, in canonical order: the least free
-    vertex is left isolated, then joined to each later free vertex in turn,
-    and the rest completed alike, so the block tuples are built canonical
-    and in increasing order, and interned with no sort."""
+def _place(k, sink, planar, isolated):
+    """Pass ``sink`` the canonical block tuple of each partial Brauer
+    k-diagram, in canonical order; with ``planar`` only the non-crossing
+    ones, and without ``isolated`` only those with no isolated vertex.
+
+    The least free vertex a is left isolated, then joined to each later
+    free vertex b in turn, and the rest completed alike, so each tuple is
+    built canonical and the tuples come in increasing order.
+
+    For the planar families the vertices sit on the circle 1..k, k'..1',
+    vertex v at v on the top row and at 3k-1-v on the bottom.  The vertices
+    before a fill an arc of the circle next to a, so an earlier chord
+    crosses (a, b) exactly when its other end, no longer free, lies on the
+    circle between a and b.  The partners of a are thus the free run after
+    a: on the top row up to the first taken vertex, and on to the bottom
+    vertices after the last taken one when it reaches the end of the row;
+    on the bottom row up to the first taken vertex.  Every vertex between
+    a and b is then free, and without isolated vertices b must leave an
+    even number of them, an odd distance around the circle, or they could
+    not all be joined.  No choice leads to a dead end.
+    """
     n = 2 * k
     free = [True] * n
     blocks = []
-    out = []
+    circle = list(range(k)) + list(range(2 * k - 1, k - 1, -1))
+
+    def partners(a):
+        if not planar:
+            return [b for b in range(a + 1, n) if free[b]]
+        end = k if a < k else n
+        b = a + 1
+        while b < end and free[b]:
+            b += 1
+        run = list(range(a + 1, b))
+        if b == k:
+            last = n - 1
+            while last >= k and free[last]:
+                last -= 1
+            run += range(last + 1, n)
+        if not isolated:
+            run = [b for b in run if (circle[b] - circle[a]) % 2]
+        return run
 
     def place(a):
         while a < n and not free[a]:
             a += 1
         if a == n:
-            out.append(Diagram._of(k, tuple(blocks)))
+            sink(tuple(blocks))
             return
         free[a] = False
-        blocks.append((a,))
-        place(a + 1)
-        for b in range(a + 1, n):
-            if free[b]:
-                free[b] = False
-                blocks[-1] = (a, b)
-                place(a + 1)
-                free[b] = True
-        blocks.pop()
+        if isolated:
+            blocks.append((a,))
+            place(a + 1)
+            blocks.pop()
+        for b in partners(a):
+            free[b] = False
+            blocks.append((a, b))
+            place(a + 1)
+            blocks.pop()
+            free[b] = True
         free[a] = True
 
     place(0)
-    return out
-
-
-def _planar_diagrams(k, steps):
-    """The diagrams of the closed walks of length 2k over ``steps``, in
-    canonical order.  A word's positions are the vertices in circle order
-    1..k, k'..1'; each pair of :func:`_pairing` is an edge, placed at its
-    lesser vertex, and each 0 an isolated vertex, so every block tuple is
-    built canonical; they are sorted, then interned."""
-    vertex = list(range(k)) + list(range(2 * k - 1, k - 1, -1))
-    singletons = [(v,) for v in range(2 * k)]
-    keys = []
-    for w in _walk(2 * k, steps, True):
-        at = singletons[:]
-        for a, b in _pairing(w)[0]:
-            u, v = vertex[a], vertex[b]
-            if u > v:
-                u, v = v, u
-            at[u] = (u, v)
-            at[v] = None
-        keys.append(tuple(b for b in at if b is not None))
-    keys.sort()
-    return [Diagram._of(k, key) for key in keys]
-
-
-def motzkin_diagrams(k):
-    """All Motzkin k-diagrams (planar partial Brauer), in canonical order."""
-    return _planar_diagrams(k, (-1, 0, 1))
-
-
-def tl_diagrams(k):
-    """All Temperley-Lieb k-diagrams (Catalan many), in canonical order."""
-    return _planar_diagrams(k, (-1, 1))
 
 
 def n_subsets(k, n):
@@ -692,35 +695,124 @@ def n_subsets(k, n):
     return sorted(itertools.combinations(range(1, k + 1), n), key=lambda s: s[::-1])
 
 
+def _stratum_keys(n, k, sink):
+    """Pass ``sink`` the block tuples of the balanced Motzkin k-diagrams with
+    n edges in stratum order: for each A, each B (colex n-subsets) and each
+    TL n-diagram t in canonical order, that of ``diagram_of(A, t, B, k)``.
+    The map of t's vertices onto the columns of A, then of B, is
+    increasing, so each edge of t lands canonical at its lesser vertex; an
+    empty stratum (n > k) makes no TL diagram."""
+    subsets = n_subsets(k, n)
+    if not subsets:
+        return
+    ts = []
+    _place(n, ts.append, True, False)
+    singletons = [(v,) for v in range(2 * k)]
+    for A in subsets:
+        for B in subsets:
+            to = [a - 1 for a in A] + [k + b - 1 for b in B]
+            for t in ts:
+                at = singletons[:]
+                for u, v in t:
+                    at[to[u]] = (to[u], to[v])
+                    at[to[v]] = None
+                sink(tuple(b for b in at if b is not None))
+
+
+_KINDS = ("partial_brauer", "motzkin", "tl", "balanced_motzkin", "balanced_motzkin_n")
+
+
+def _check_family(kind, k, n):
+    """Refuse what no family of :func:`enumerate_diagrams` is: a bad k, an
+    unknown kind, kind balanced_motzkin_n without n (a nonnegative int)
+    or n with another kind."""
+    _check_k(k)
+    if kind == "balanced_motzkin_n":
+        if n is None:
+            raise ValueError("kind balanced_motzkin_n needs n")
+        if type(n) is not int or n < 0:
+            raise ValueError("n must be a nonnegative integer, not %r" % (n,))
+    elif kind not in _KINDS:
+        raise ValueError("unknown diagram family %r" % (kind,))
+    elif n is not None:
+        raise ValueError("n applies only to kind balanced_motzkin_n")
+
+
+def _keys(kind, k, n, sink):
+    """The enumeration behind :func:`enumerate_keys`, of a checked family."""
+    if kind == "balanced_motzkin_n":
+        _stratum_keys(n, k, sink)
+    elif kind == "balanced_motzkin":
+        for j in range(k + 1):
+            _stratum_keys(j, k, sink)
+    else:
+        _place(k, sink, kind != "partial_brauer", kind != "tl")
+
+
+def enumerate_keys(kind, k, sink, n=None):
+    """Pass ``sink`` the block tuple of each diagram of
+    ``enumerate_diagrams(kind, k, n)``, in the same order, as it is made:
+    no Diagram is built and no list of the family is held."""
+    _check_family(kind, k, n)
+    _keys(kind, k, n, sink)
+
+
+def enumerate_diagrams(kind, k, n=None):
+    """The k-diagrams of family ``kind``, interned; the stratum ``n`` (edge
+    count) belongs to kind ``balanced_motzkin_n`` alone."""
+    _check_family(kind, k, n)
+    keys = []
+    _keys(kind, k, n, keys.append)
+    of = Diagram._of
+    return [of(k, key) for key in keys]
+
+
+def catalan(n):
+    """The n-th Catalan number: the TL n-diagrams, and the non-crossing
+    matchings of 2n points on a circle."""
+    return comb(2 * n, n) // (n + 1)
+
+
+def count_diagrams(kind, k, n=None):
+    """``len(enumerate_diagrams(kind, k, n))`` by closed form, refusing what
+    it refuses.  A diagram with j edges is the choice of their 2j ends
+    among the 2k vertices and a matching of those: any of the (2j-1)!! for
+    partial Brauer, a non-crossing one of the Catalan(j) for Motzkin.  A
+    balanced Motzkin diagram with n edges is a triple (A, t, B)."""
+    _check_family(kind, k, n)
+    stratum = lambda j: comb(k, j) ** 2 * catalan(j)
+    if kind == "partial_brauer":
+        return sum(comb(2 * k, 2 * j) * factorial(2 * j) // (2 ** j * factorial(j))
+                   for j in range(k + 1))
+    if kind == "motzkin":
+        return sum(comb(2 * k, 2 * j) * catalan(j) for j in range(k + 1))
+    if kind == "tl":
+        return catalan(k)
+    if kind == "balanced_motzkin":
+        return sum(map(stratum, range(k + 1)))
+    return stratum(n)
+
+
+def partial_brauer_diagrams(k):
+    """All partial Brauer k-diagrams, in canonical order."""
+    return enumerate_diagrams("partial_brauer", k)
+
+
+def motzkin_diagrams(k):
+    """All Motzkin k-diagrams (planar partial Brauer), in canonical order."""
+    return enumerate_diagrams("motzkin", k)
+
+
+def tl_diagrams(k):
+    """All Temperley-Lieb k-diagrams (Catalan many), in canonical order."""
+    return enumerate_diagrams("tl", k)
+
+
 def balanced_motzkin_stratum(n, k):
     """The balanced Motzkin k-diagrams with exactly n edges, via triples."""
-    ts = tl_diagrams(n)
-    subsets = n_subsets(k, n)
-    return [diagram_of(A, t, B, k) for A in subsets for B in subsets for t in ts]
+    return enumerate_diagrams("balanced_motzkin_n", k, n)
 
 
 def balanced_motzkin_diagrams(k):
     """All balanced Motzkin k-diagrams, grouped by edge count."""
-    return [d for n in range(k + 1) for d in balanced_motzkin_stratum(n, k)]
-
-
-_ENUMERATORS = {
-    "partial_brauer": partial_brauer_diagrams,
-    "motzkin": motzkin_diagrams,
-    "tl": tl_diagrams,
-    "balanced_motzkin": balanced_motzkin_diagrams,
-}
-
-
-def enumerate_diagrams(kind, k, n=None):
-    """The k-diagrams of family ``kind``; the stratum ``n`` (edge count)
-    belongs to kind ``balanced_motzkin_n`` alone."""
-    if kind == "balanced_motzkin_n":
-        if n is None:
-            raise ValueError("kind balanced_motzkin_n needs n")
-        return balanced_motzkin_stratum(n, k)
-    if kind not in _ENUMERATORS:
-        raise ValueError("unknown diagram family %r" % (kind,))
-    if n is not None:
-        raise ValueError("n applies only to kind balanced_motzkin_n")
-    return _ENUMERATORS[kind](k)
+    return enumerate_diagrams("balanced_motzkin", k)

@@ -13,15 +13,10 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb
 
 from .algebra import AlgebraSpec, Element, change_basis
-from .diagram import diagram_of, n_subsets, triple_of
+from .diagram import count_diagrams, diagram_of, n_subsets, triple_of
 from .linalg import Echelon, SparseMatrix
-
-
-def catalan(n):
-    return comb(2 * n, n) // (n + 1)
 
 
 def ptl_dimension(k):
@@ -30,7 +25,8 @@ def ptl_dimension(k):
 
 
 def strata_dims(k):
-    return [comb(k, n) ** 2 * catalan(n) for n in range(k + 1)]
+    """dim X(n) = binom(k,n)^2 Catalan(n), the size of stratum n, for n = 0..k."""
+    return [count_diagrams("balanced_motzkin_n", k, n) for n in range(k + 1)]
 
 
 def decompose_x(x):

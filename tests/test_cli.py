@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from ptlalg import diagram
 from ptlalg.algebra import Element, motzkin_spec, ptl_spec, tilde_of
 from ptlalg.cli import main
 from ptlalg.diagram import Diagram, gen_e, motzkin_diagrams, omega
@@ -511,6 +512,30 @@ def test_n_with_a_kind_that_has_no_stratum_exits_2(kind, capsys):
     assert captured.err == "ptl enumerate: error: n applies only to kind balanced_motzkin_n\n"
 
 
+REFUSED_ENUMERATIONS = [
+    (["--kind", "brauer", "--k", "2"], "argument --kind: invalid choice"),
+    (["--kind", "motzkin", "--k", "-1"], "argument --k: not a nonnegative integer"),
+    (["--kind", "balanced-motzkin-n", "--k", "2", "--n", "-1"],
+     "argument --n: not a nonnegative integer"),
+    (["--kind", "balanced-motzkin-n", "--k", "2"], "kind balanced_motzkin_n needs n"),
+] + [(["--kind", kind, "--k", "2", "--n", "1"], "n applies only to kind balanced_motzkin_n")
+     for kind in ("partial-brauer", "motzkin", "tl", "balanced-motzkin")]
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv,reason", REFUSED_ENUMERATIONS,
+                         ids=[" ".join(a) for a, _ in REFUSED_ENUMERATIONS])
+def test_refused_enumeration_writes_nothing_to_stdout(argv, reason, flag, capsys):
+    # the streamed output must not begin before the input is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", *argv, *flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ptl enumerate: error: " + reason)
+    assert len(captured.err.splitlines()) == 1
+
+
 def write_elements(tmp_path):
     """2 e1 and p1-like minus e1 at k = 2, and tilde(e1) in the diagram basis."""
     M2 = motzkin_spec(2)
@@ -670,6 +695,67 @@ def test_enumerate_json_matches_the_pinned_digest(capsys):
     code, out = run_cli(["enumerate", "--kind", "motzkin", "--k", "6", "--json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == pinned_cli_digest("enumerate")
+
+
+# sha256 prefixes of the text output, one diagram's JSON a line after the count
+ENUMERATE_TEXT_DIGESTS = [
+    (["--kind", "motzkin", "--k", "6"], "8835686da37543fb"),
+    (["--kind", "partial-brauer", "--k", "4"], "4d43fa9fec624c0d"),
+    (["--kind", "balanced-motzkin", "--k", "4"], "e82af3a49307cd3a"),
+    (["--kind", "motzkin", "--k", "0"], "de393495fc8c275a"),
+]
+
+
+@pytest.mark.parametrize("argv,want", ENUMERATE_TEXT_DIGESTS,
+                         ids=[" ".join(a) for a, _ in ENUMERATE_TEXT_DIGESTS])
+def test_enumerate_text_matches_the_pinned_digest(argv, want, capsys):
+    code, out = run_cli(["enumerate", *argv], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("family", [
+    ["--kind", "partial-brauer", "--k", "4"],
+    ["--kind", "motzkin", "--k", "4"],
+    ["--kind", "tl", "--k", "5"],
+    ["--kind", "balanced-motzkin", "--k", "3"],
+    ["--kind", "balanced-motzkin-n", "--k", "3", "--n", "2"],
+], ids=lambda a: a[1])
+def test_enumerate_builds_no_diagram(family, flag, monkeypatch, capsys):
+    # an empty table shows every diagram the verb would intern, whatever
+    # earlier tests have interned
+    monkeypatch.setattr(diagram, "_INTERNED", {})
+    code, out = run_cli(["enumerate", *family, *flag], capsys)
+    assert code == 0 and out
+    assert len(diagram._INTERNED) == 0
+
+
+MEMORY_PROBE = """
+import os, resource, sys
+from ptlalg.cli import main
+
+def peak_kib():
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak // 1024 if sys.platform == "darwin" else peak
+
+base = peak_kib()
+sys.stdout = open(os.devnull, "w")
+growth = []
+for flag in ([], ["--json"]):
+    assert main(["enumerate", "--kind", "partial-brauer", "--k", "6", *flag]) == 0
+    growth.append(peak_kib() - base)
+sys.stderr.write(" ".join(map(str, growth)))
+"""
+
+
+def test_enumerate_streams_in_bounded_memory():
+    # 140,152 diagrams on either path; holding them costs about 50 MiB
+    proc = subprocess.run([sys.executable, "-c", MEMORY_PROBE],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    growth_kib = [int(g) for g in proc.stderr.split()]
+    assert len(growth_kib) == 2 and max(growth_kib) < 16 * 1024
 
 
 def test_enumerate_json_of_an_empty_stratum(capsys):

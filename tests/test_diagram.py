@@ -16,7 +16,8 @@ from ptlalg.algebra import bar_multiply, motzkin_spec, tilde_multiply
 from ptlalg.cells import motzkin_paths
 from ptlalg.diagram import (Composition, Diagram,
                             balanced_motzkin_diagrams, balanced_motzkin_stratum,
-                            compose, diagram_of, enumerate_diagrams, gen_b, gen_e, gen_l, gen_p,
+                            catalan as library_catalan, compose, count_diagrams, diagram_of,
+                            enumerate_diagrams, enumerate_keys, gen_b, gen_e, gen_l, gen_p,
                             gen_r, gen_s, identity, l_of_subset, leq,
                             motzkin_diagrams, omega,
                             partial_brauer_diagrams, r_of_subset, removals,
@@ -25,6 +26,10 @@ from ptlalg.diagram import (Composition, Diagram,
 
 def catalan(n):
     return comb(2 * n, n) // (n + 1)
+
+
+def test_library_catalan():
+    assert [library_catalan(n) for n in range(10)] == [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
 
 
 def test_compose_counts():
@@ -892,3 +897,62 @@ def test_enumerators_match_the_from_edges_enumerators():
                 assert d.to_json() == reference_to_json(d)
         assert motzkin_paths(k) == reference_motzkin_paths(k)
     assert len(partial_brauer_diagrams(5)) == 9496
+    # the parity rule of TL one size further (the k = 7 Motzkin reference
+    # would add about 2 s; its count and order are checked below)
+    assert [d.blocks for d in tl_diagrams(8)] == reference_planar_keys(8, False)
+
+
+COUNT_RANGES = (("partial_brauer", 6), ("motzkin", 7), ("tl", 8), ("balanced_motzkin", 6))
+
+
+def test_closed_form_counts_match_the_enumerations():
+    for kind, kmax in COUNT_RANGES:
+        for k in range(kmax + 1):
+            ds = enumerate_diagrams(kind, k)
+            assert count_diagrams(kind, k) == len(ds)
+            if kind != "balanced_motzkin":
+                # strictly increasing: distinct and in canonical order
+                assert all(a.blocks < b.blocks for a, b in zip(ds, ds[1:]))
+    for k in range(7):
+        for n in range(k + 2):
+            assert (count_diagrams("balanced_motzkin_n", k, n)
+                    == len(enumerate_diagrams("balanced_motzkin_n", k, n))
+                    == (comb(k, n) ** 2 * catalan(n) if n <= k else 0))
+    # the counts on their own, against the known sequences
+    assert [count_diagrams("partial_brauer", k) for k in range(7)] == [
+        1, 2, 10, 76, 764, 9496, 140152]
+    assert [count_diagrams("motzkin", k) for k in range(8)] == [
+        1, 2, 9, 51, 323, 2188, 15511, 113634]
+    assert [count_diagrams("tl", k) for k in range(9)] == [catalan(k) for k in range(9)]
+    assert [count_diagrams("balanced_motzkin", k) for k in range(7)] == [
+        1, 2, 7, 33, 183, 1118, 7281]
+
+
+@pytest.mark.parametrize("kind,n", [("partial_brauer", None), ("motzkin", None), ("tl", None),
+                                    ("balanced_motzkin", None), ("balanced_motzkin_n", 0),
+                                    ("balanced_motzkin_n", 2), ("balanced_motzkin_n", 5)])
+def test_enumerate_keys_streams_the_enumerator_order(kind, n):
+    for k in range(5):
+        keys = []
+        assert enumerate_keys(kind, k, keys.append, n) is None
+        assert keys == [d.blocks for d in enumerate_diagrams(kind, k, n)]
+
+
+@pytest.mark.parametrize("args,message", [
+    (("brauer", 2, None), "unknown diagram family 'brauer'"),
+    (("motzkin", -1, None), "k must be a nonnegative integer"),
+    (("tl", True, None), "k must be a nonnegative integer"),
+    (("balanced_motzkin_n", 2, None), "kind balanced_motzkin_n needs n"),
+    (("balanced_motzkin_n", 2, -1), "n must be a nonnegative integer"),
+    (("balanced_motzkin_n", 2, 1.0), "n must be a nonnegative integer"),
+    (("motzkin", 2, 1), "n applies only to kind balanced_motzkin_n"),
+])
+def test_every_family_entry_refuses_alike(args, message):
+    kind, k, n = args
+    sink = []
+    for call in (lambda: enumerate_diagrams(kind, k, n),
+                 lambda: enumerate_keys(kind, k, sink.append, n),
+                 lambda: count_diagrams(kind, k, n)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert sink == []
