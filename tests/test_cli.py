@@ -732,7 +732,7 @@ def test_enumerate_builds_no_diagram(family, flag, monkeypatch, capsys):
 
 
 MEMORY_PROBE = """
-import os, resource, sys
+import contextlib, os, resource, sys
 from ptlalg.cli import main
 
 def peak_kib():
@@ -740,11 +740,12 @@ def peak_kib():
     return peak // 1024 if sys.platform == "darwin" else peak
 
 base = peak_kib()
-sys.stdout = open(os.devnull, "w")
 growth = []
-for flag in ([], ["--json"]):
-    assert main(["enumerate", "--kind", "partial-brauer", "--k", "6", *flag]) == 0
-    growth.append(peak_kib() - base)
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    for flag in ([], ["--json"]):
+        if main(["enumerate", "--kind", "partial-brauer", "--k", "6", *flag]) != 0:
+            raise SystemExit("enumerate failed")
+        growth.append(peak_kib() - base)
 sys.stderr.write(" ".join(map(str, growth)))
 """
 
