@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .diagram import Diagram, _check_k, compose, removals
+from .diagram import Diagram, check_k, compose, removals
 from .scalar import _NUM, DeltaPoly
 
 FLAVORS = ("partition", "partial_brauer", "motzkin", "tl", "ptl")
@@ -59,7 +59,7 @@ class AlgebraSpec:
     def __post_init__(self):
         if self.flavor not in FLAVORS:
             raise ValueError("unknown flavor %r" % (self.flavor,))
-        _check_k(self.k)
+        check_k(self.k)
         if self.delta is None:
             object.__setattr__(self, "delta", DeltaPoly.gen())
         # basis -> Element.zero; not a field, so ==, hash and repr ignore it

@@ -4,10 +4,11 @@ Carriers are paths: a Temperley-Lieb path is a +-1 sequence with
 nonnegative partial sums, a Motzkin path additionally allows zeros.  Paths
 are identified with 1-factors (partial planar involutions): each +1 pairs
 with the nearest later index closing its partial sum, leftover +1 entries
-are fixed points ("lines to infinity"), zeros are isolated vertices.  The
-paths and their pairings come from the walk and the pairing pass that
-:mod:`ptlalg.diagram` enumerates planar diagrams with: a path is an open
-word of that walk.
+are fixed points ("lines to infinity"), zeros are isolated vertices.  One
+rule, partial sums never below zero, both checks a path
+(:func:`is_motzkin_path`) and lists the paths of a length: they are the
+words over -1, 0, 1 that pass it, in lexicographic order.  Each cell
+module's basis is listed once per (kind, k, lambda) and kept as a tuple.
 
 A path is the top half of a diagram (:func:`path_diagram`): its pairs are
 cups, each fixed point c is the through edge c -- c', its zeros stay
@@ -25,11 +26,11 @@ dominance of path types, the partial Temperley-Lieb ones.
 from __future__ import annotations
 
 import functools
+import itertools
 from math import comb
 
-from .algebra import (AlgebraSpec, Element, _expansion, bar_multiply, change_basis,
-                      motzkin_spec)
-from .diagram import Diagram, _pairing, _walk, compose
+from .algebra import AlgebraSpec, Element, bar_multiply, bar_of, change_basis, motzkin_spec
+from .diagram import Diagram, check_k, compose
 from .linalg import SparseMatrix
 from .repn import word_weight
 
@@ -51,7 +52,8 @@ def rank_of(a):
 
 def motzkin_paths(k):
     """All Motzkin paths of length k, lexicographically ordered."""
-    return list(_walk(k))
+    check_k(k)
+    return [a for a in itertools.product((-1, 0, 1), repeat=k) if is_motzkin_path(a)]
 
 
 def path_pairing(a):
@@ -62,8 +64,13 @@ def path_pairing(a):
     """
     if not is_motzkin_path(a):
         raise ValueError("not a Motzkin path: %r" % (a,))
-    pairs, unclosed = _pairing(a)
-    return sorted((i + 1, j + 1) for i, j in pairs), [i + 1 for i in unclosed]
+    pairs, unclosed = [], []
+    for j, x in enumerate(a, 1):
+        if x == 1:
+            unclosed.append(j)
+        elif x == -1:
+            pairs.append((unclosed.pop(), j))
+    return sorted(pairs), unclosed
 
 
 def join_tl(a, b):
@@ -129,13 +136,15 @@ def act_on_path(d, a):
 
 def valid_types(k):
     """All two-part partition types of Motzkin paths of length k."""
+    check_k(k)
     return [(l1, l2) for n in range(k + 1)
             for l2 in range(n // 2 + 1) for l1 in (n - l2,) if l1 >= l2]
 
 
 def bar_path(a):
     """Signed sum over erasures of edges and lines of the 1-factor of ``a``."""
-    return {path_of(d): c for d, c in _expansion(path_diagram(a), "bar").items()}
+    bar = bar_of(motzkin_spec(len(a)), path_diagram(a))
+    return {path_of(d): c for d, c in bar.terms.items()}
 
 
 def collect_bar_paths(combo):
@@ -173,7 +182,17 @@ def bar_act(spec, d, a):
 # -- cell modules ----------------------------------------------------------------
 
 def cell_basis(kind, k, lam):
+    """The paths spanning the cell module of ``kind`` at (k, lam), in
+    lexicographic order, as a tuple listed once per (kind, k, lam)."""
+    check_k(k)
+    return _cell_basis(kind, k, tuple(lam) if kind == "ptl" else lam)
+
+
+@functools.lru_cache(maxsize=None)
+def _cell_basis(kind, k, lam):
     if kind == "tl":
+        if not 0 <= lam <= k:
+            raise ValueError("rank out of range")
         if (k - lam) % 2:
             raise ValueError("k - lambda must be even for TL cell modules")
         keep = lambda a: 0 not in a and rank_of(a) == lam
@@ -182,13 +201,12 @@ def cell_basis(kind, k, lam):
             raise ValueError("rank out of range")
         keep = lambda a: rank_of(a) == lam
     elif kind == "ptl":
-        lam = tuple(lam)
         if lam not in set(valid_types(k)):
             raise ValueError("invalid type %r" % (lam,))
         keep = lambda a: word_weight(a) == lam
     else:
         raise ValueError("unknown cell module kind %r" % (kind,))
-    return [a for a in motzkin_paths(k) if keep(a)]
+    return tuple(a for a in motzkin_paths(k) if keep(a))
 
 
 def cell_action(kind, lam, x):
@@ -232,6 +250,7 @@ def tl_cell_dim(n, m):
 
 def cell_dims(kind, k):
     """lambda -> dimension table for the cell modules of the given tower."""
+    check_k(k)
     if kind == "tl":
         return {m: tl_cell_dim(k, m) for m in range(k % 2, k + 1, 2)}
     if kind == "motzkin":

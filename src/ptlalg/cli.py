@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import cells, ptl, qcriteria, repn, verify
 from .algebra import BASES, FLAVORS, AlgebraSpec, Element, change_basis
-from .diagram import Diagram, _check_k, _json_of, count_diagrams, enumerate_keys
+from .diagram import Diagram, _json_of, check_k, count_diagrams, enumerate_keys
 from .render import ascii_diagram, ascii_element, tikz_diagram, tikz_element
 from .scalar import parse_scalar
 
@@ -43,7 +43,7 @@ def _fraction(text):
 def _nonnegative_int(text):
     try:
         value = int(text)
-        _check_k(value)
+        check_k(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
             "not a nonnegative integer: %r" % (text,)) from None

@@ -23,10 +23,7 @@ Temperley-Lieb.  The balanced Motzkin diagrams are carried from the TL
 ones through the triples, stratum by stratum.  The recursion passes each
 tuple to a sink: the enumerators intern them, while
 :func:`enumerate_keys` hands them on unbuilt, and :func:`count_diagrams`
-gives each family's size by closed form.  The Motzkin paths of
-:mod:`ptlalg.cells` are words of +1/0/-1 steps with nonnegative partial
-sums; one walk enumerates them lazily and one pairing pass reads their
-arcs.
+gives each family's size by closed form.
 
 Composition stacks the left factor above the right one and counts the
 discarded interior blocks; for partial Brauer diagrams these split into
@@ -72,7 +69,7 @@ class Diagram:
     __slots__ = ("k", "blocks", "_partner", "_pb", "_planar", "_frame", "_ports")
 
     def __new__(cls, k, blocks):
-        _check_k(k)
+        check_k(k)
         canon = [tuple(sorted(b)) for b in blocks]
         key = tuple(sorted(canon))
         self = _INTERNED.get(key)
@@ -114,7 +111,7 @@ class Diagram:
     def from_edges(cls, k, edges):
         """Diagram from its listed blocks, for a partial Brauer diagram its
         edges; unlisted vertices are isolated."""
-        _check_k(k)
+        check_k(k)
         blocks = list(edges)
         used = {v for b in blocks for v in b}
         blocks += [(v,) for v in range(2 * k) if v not in used]
@@ -272,7 +269,7 @@ class Diagram:
     @classmethod
     def from_json(cls, obj):
         k = obj["k"]
-        _check_k(k)
+        check_k(k)
 
         def vertex(s):
             row, col = s[0], int(s[1:])
@@ -285,7 +282,7 @@ class Diagram:
         return cls.from_edges(k, [(vertex(a), vertex(b)) for a, b in obj.get("edges", [])])
 
 
-def _check_k(k):
+def check_k(k):
     """Refuse a k that is not a nonnegative int; a bool is not one."""
     if type(k) is not int or k < 0:
         raise ValueError("k must be a nonnegative integer, not %r" % (k,))
@@ -539,25 +536,21 @@ class Triple(NamedTuple):
 def triple_of(d):
     """Balanced Motzkin diagram -> (A, t, B) with t the TL diagram on its frame.
 
-    Cached per diagram: block transport asks for it once per term it moves.
+    The frame vertices, the top ones (columns A) before the bottom ones
+    (columns B), are mapped onto 0..2n-1 in increasing order.  That map keeps
+    each edge's ends and the edges' order, so the relabeled edges are t's
+    canonical block tuple.  Cached per diagram: block transport asks for it
+    once per term it moves.
     """
     if not (d.is_motzkin() and d.is_balanced()):
         raise ValueError("triple_of requires a balanced Motzkin diagram")
     k = d.k
-    fr = d.frames()
-    A = sorted(fr.top)
-    B = sorted(fr.bot)
-    n = len(A)
-    top_index = {a - 1: j for j, a in enumerate(A)}
-    bot_index = {b - 1: j for j, b in enumerate(B)}
-    edges = []
-    for (a, b) in d.cups():
-        edges.append((top_index[a], top_index[b]))
-    for (a, b) in d.caps():
-        edges.append((n + bot_index[a], n + bot_index[b]))
-    for (t, b) in d.verticals():
-        edges.append((top_index[t], n + bot_index[b]))
-    return Triple(tuple(A), Diagram.from_edges(n, edges), tuple(B))
+    edges = d.edges()
+    frame = sorted(v for e in edges for v in e)
+    n = len(frame) // 2
+    to = {v: j for j, v in enumerate(frame)}
+    t = Diagram._of(n, tuple((to[u], to[v]) for u, v in edges))
+    return Triple(tuple(v + 1 for v in frame[:n]), t, tuple(v - k + 1 for v in frame[n:]))
 
 
 def diagram_of(A, t, B, k):
@@ -578,52 +571,6 @@ def diagram_of(A, t, B, k):
 
 
 # -- enumeration ---------------------------------------------------------------
-
-def _walk(n):
-    """The words of length ``n`` over -1, 0, 1 whose partial sums stay
-    nonnegative (the Motzkin paths), as tuples in lexicographic order, one
-    at a time.  Depth first, offering -1 only above height 0, so every
-    prefix extends."""
-    if not n:
-        yield ()
-        return
-    steps = ((0, 1), (-1, 0, 1))     # by whether the height is positive
-    word = [0] * n
-    height = [0] * n                 # the partial sum before each position
-    tried = [0] * n                  # how many steps have been taken there
-    last = n - 1
-    i = 0
-    while i >= 0:
-        options = steps[height[i] > 0]
-        if i == last:
-            for s in options:
-                word[i] = s
-                yield tuple(word)
-            i -= 1
-            continue
-        j = tried[i]
-        if j == len(options):
-            i -= 1
-            continue
-        tried[i] = j + 1
-        word[i] = s = options[j]
-        i += 1
-        height[i] = height[i - 1] + s
-        tried[i] = 0
-
-
-def _pairing(word):
-    """Each +1 of ``word`` paired with the -1 that closes it, as 0-based
-    positions (i, j) in the order of j, and the positions of the +1s that
-    no -1 closes, in order."""
-    pairs, unclosed = [], []
-    for j, x in enumerate(word):
-        if x == 1:
-            unclosed.append(j)
-        elif x == -1:
-            pairs.append((unclosed.pop(), j))
-    return pairs, unclosed
-
 
 def _place(k, sink, planar, isolated):
     """Pass ``sink`` the canonical block tuple of each partial Brauer
@@ -726,7 +673,7 @@ def _check_family(kind, k, n):
     """Refuse what no family of :func:`enumerate_diagrams` is: a bad k, an
     unknown kind, kind balanced_motzkin_n without n (a nonnegative int)
     or n with another kind."""
-    _check_k(k)
+    check_k(k)
     if kind == "balanced_motzkin_n":
         if n is None:
             raise ValueError("kind balanced_motzkin_n needs n")

@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import _check_k, gen_e
+from .diagram import check_k, gen_e
 from .linalg import SparseMatrix, nullity, rank_of_rows
 from .scalar import LaurentPoly
 
@@ -227,7 +227,7 @@ def commutant_dim(k, q0, group="gl2"):
     q0 = n/d the evaluated matrices times (n*d)^k have integer entries, and
     the elimination starts from exact ints instead of Fractions.
     """
-    _check_k(k)
+    check_k(k)
     q0 = Fraction(q0)
     if q0 in (0, 1, -1):
         raise ValueError("q must avoid 0 and +-1, not %s" % (q0,))

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from ptlalg import cells
 from ptlalg.algebra import Element, bar_of, motzkin_spec, tl_spec
 from ptlalg.cells import (act_on_path, bar_act, bar_path, cell_action,
                           cell_basis, cell_dims, collect_bar_paths,
@@ -53,9 +54,31 @@ def dominance_leq(lam, mu):
 
 
 def test_path_counts():
-    assert [len(motzkin_paths(k)) for k in range(5)] == [1, 2, 5, 13, 35]
+    assert ([len(motzkin_paths(k)) for k in range(9)]
+            == [1, 2, 5, 13, 35, 96, 267, 750, 2123])
     assert [len([a for a in motzkin_paths(k) if 0 not in a])
             for k in range(5)] == [1, 1, 2, 3, 6]
+
+
+def reference_motzkin_paths(k):
+    """Motzkin paths of length k by recursion on the prefix, sorted."""
+    out = []
+
+    def extend(prefix, height):
+        if len(prefix) == k:
+            out.append(tuple(prefix))
+            return
+        for step in (-1, 0, 1):
+            if height + step >= 0:
+                extend(prefix + [step], height + step)
+
+    extend([], 0)
+    return sorted(out)
+
+
+def test_motzkin_paths_match_the_prefix_recursion():
+    for k in range(9):
+        assert motzkin_paths(k) == reference_motzkin_paths(k)
 
 
 def test_worked_pairing():
@@ -232,6 +255,58 @@ def test_cell_dims_formula_vs_enumeration_and_branching():
             assert dims[lam] == comb(k, sum(lam)) * tl_cell_dim(sum(lam), lam[0] - lam[1])
         assert dims == pieri_dims(k)
         assert sum(v * v for v in dims.values()) == ptl_dimension(k)
+
+
+def test_cell_basis_is_one_table_per_module(monkeypatch):
+    for k in range(6):
+        modules = [("tl", m) for m in range(k % 2, k + 1, 2)]
+        modules += [("motzkin", m) for m in range(k + 1)]
+        modules += [("ptl", lam) for lam in valid_types(k)]
+        for kind, lam in modules:
+            basis = cell_basis(kind, k, lam)
+            assert type(basis) is tuple and cell_basis(kind, k, lam) is basis
+            if kind == "ptl":
+                assert cell_basis(kind, k, list(lam)) is basis
+                keep = lambda a: word_weight(a) == lam
+            else:
+                keep = lambda a: rank_of(a) == lam and (kind == "motzkin" or 0 not in a)
+            assert basis == tuple(a for a in motzkin_paths(k) if keep(a))
+    assert len(cell_basis("ptl", 4, [1, 0])) == 4
+    # a sweep of actions lists each basis once
+    calls = []
+    listed = cells.motzkin_paths
+    monkeypatch.setattr(cells, "motzkin_paths", lambda k: calls.append(k) or listed(k))
+    cells._cell_basis.cache_clear()
+    modules = set()
+    for k in range(4):
+        mspec, tspec = motzkin_spec(k), tl_spec(k)
+        cases = [("motzkin", m, Element.of(mspec, d)) for m in range(k + 1)
+                 for d in motzkin_diagrams(k)]
+        cases += [("tl", m, Element.of(tspec, d)) for m in range(k % 2, k + 1, 2)
+                  for d in tl_diagrams(k)]
+        cases += [("ptl", lam, Element.of(mspec, d, 1, "bar")) for lam in valid_types(k)
+                  for d in balanced_motzkin_diagrams(k)]
+        for kind, lam, x in cases:
+            cell_action(kind, lam, x)
+            modules.add((kind, k, lam))
+    assert len(calls) == len(modules)
+
+
+def test_cells_refuse_out_of_range_input():
+    x = Element.of(tl_spec(2), identity(2))
+    for call in (lambda: cell_basis("tl", 2, 4),
+                 lambda: cell_basis("tl", 2, -2),
+                 lambda: cell_basis("motzkin", 2, 3),
+                 lambda: cell_action("tl", 4, x),
+                 lambda: cell_basis("tl", -1, 1),
+                 lambda: cell_basis("ptl", True, (1, 0)),
+                 lambda: cell_dims("ptl", -1),
+                 lambda: cell_dims("tl", 1.0),
+                 lambda: valid_types(-1),
+                 lambda: motzkin_paths(-1),
+                 lambda: motzkin_paths(True)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_ptl_cell_action_kills_mismatched_columns():

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptlalg.algebra import bar_multiply, motzkin_spec, tilde_multiply
-from ptlalg.cells import motzkin_paths
 from ptlalg.diagram import (Composition, Diagram,
                             balanced_motzkin_diagrams, balanced_motzkin_stratum,
                             catalan as library_catalan, compose, count_diagrams, diagram_of,
@@ -208,10 +207,15 @@ def test_triple_bijection():
 
 
 def test_triple_round_trip_gives_back_the_instance():
-    for k in range(5):
+    for k in range(6):
         for d in balanced_motzkin_diagrams(k):
-            assert diagram_of(*triple_of(d), d.k) is d
+            A, t, B = triple_of(d)
+            assert diagram_of(A, t, B, d.k) is d
             assert triple_of(d) is triple_of(d)
+            # t is the instance from_edges makes of the frame's relabeled edges
+            to = {a - 1: j for j, a in enumerate(A)}
+            to.update({k + b - 1: len(A) + j for j, b in enumerate(B)})
+            assert t is Diagram.from_edges(len(A), [(to[u], to[v]) for u, v in d.edges()])
 
 
 def test_rtl_factorization():
@@ -863,22 +867,6 @@ def reference_is_balanced(k, key):
     return cups == caps
 
 
-def reference_motzkin_paths(k):
-    """Motzkin paths of length k by recursion on the prefix, sorted."""
-    out = []
-
-    def extend(prefix, height):
-        if len(prefix) == k:
-            out.append(tuple(prefix))
-            return
-        for step in (-1, 0, 1):
-            if height + step >= 0:
-                extend(prefix + [step], height + step)
-
-    extend([], 0)
-    return sorted(out)
-
-
 def test_enumerators_match_the_from_edges_enumerators():
     for k in range(7):
         motzkin = reference_planar_keys(k, True)
@@ -895,7 +883,6 @@ def test_enumerators_match_the_from_edges_enumerators():
                 assert Diagram.from_edges(k, d.edges()) is d
                 assert_validated_alike(d)
                 assert d.to_json() == reference_to_json(d)
-        assert motzkin_paths(k) == reference_motzkin_paths(k)
     assert len(partial_brauer_diagrams(5)) == 9496
     # the parity rule of TL one size further (the k = 7 Motzkin reference
     # would add about 2 s; its count and order are checked below)
