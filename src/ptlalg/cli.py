@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import cells, ptl, qcriteria, repn, verify
 from .algebra import BASES, FLAVORS, AlgebraSpec, Element, change_basis
-from .diagram import Diagram, _json_of, check_k, count_diagrams, enumerate_keys
+from .diagram import Diagram, _edge_json, check_k, count_diagrams, enumerate_keys
 from .render import ascii_diagram, ascii_element, tikz_diagram, tikz_element
 from .scalar import parse_scalar
 
@@ -246,17 +246,19 @@ def cmd_render(args):
     return 0
 
 
-# diagrams per json.dumps call and write of ``enumerate``
+# diagrams per write of ``enumerate``
 _ENUMERATE_CHUNK = 1024
 
 
 def _enumerate_chunks(kind, k, n, write_chunk):
-    """Pass ``write_chunk`` the JSON objects of the family's diagrams in
-    order, ``_ENUMERATE_CHUNK`` at a time, as the enumeration makes them."""
+    """Pass ``write_chunk`` the JSON texts of the family's diagrams in order,
+    ``_ENUMERATE_CHUNK`` at a time, as the enumeration makes them; each
+    text is put together from the per-k table of edge texts."""
     size, chunk = _ENUMERATE_CHUNK, []
+    head, edge = _edge_json(k)
 
     def sink(key):
-        chunk.append(_json_of(k, key))
+        chunk.append(head + ", ".join([edge[b] for b in key if len(b) == 2]) + "]}")
         if len(chunk) == size:
             write_chunk(chunk)
             chunk.clear()
@@ -279,17 +281,16 @@ def cmd_enumerate(args):
         write(head[:-2])
         sep = ""
 
-        def write_chunk(objs):
+        def write_chunk(texts):
             nonlocal sep
-            write(sep + json.dumps(objs)[1:-1])
+            write(sep + ", ".join(texts))
             sep = ", "
 
         _enumerate_chunks(kind, k, args.n, write_chunk)
         write("]}\n")
     else:
         write("%d diagrams\n" % count)
-        _enumerate_chunks(kind, k, args.n,
-                          lambda objs: write("".join(json.dumps(o) + "\n" for o in objs)))
+        _enumerate_chunks(kind, k, args.n, lambda texts: write("\n".join(texts) + "\n"))
     return 0
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import json
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import NamedTuple
@@ -303,6 +304,19 @@ def _vertex_names(k):
     """JSON labels of the 2k vertices: t1..tk, then b1..bk."""
     return (tuple("t%d" % (c + 1) for c in range(k))
             + tuple("b%d" % (c + 1) for c in range(k)))
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_json(k):
+    """The JSON text of a k-diagram's edge object as a table: the head up to
+    its open edge list, and each edge (u, v), u < v, as its list.  The text
+    of canonical ``blocks`` with no block of three or more vertices,
+    ``json.dumps(_json_of(k, blocks))``, is then ``head + ", ".join(edge[b]
+    for b in blocks if len(b) == 2) + "]}"``."""
+    name = _vertex_names(k)
+    head = json.dumps({"k": k, "edges": []})[:-2]
+    return head, {(u, v): json.dumps([name[u], name[v]])
+                  for u, v in itertools.combinations(range(2 * k), 2)}
 
 
 @dataclass(frozen=True, slots=True)

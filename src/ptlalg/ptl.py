@@ -15,7 +15,7 @@ import functools
 from fractions import Fraction
 
 from .algebra import AlgebraSpec, Element, change_basis
-from .diagram import count_diagrams, diagram_of, n_subsets, triple_of
+from .diagram import check_k, count_diagrams, diagram_of, n_subsets, triple_of
 from .linalg import Echelon, SparseMatrix
 
 
@@ -26,6 +26,7 @@ def ptl_dimension(k):
 
 def strata_dims(k):
     """dim X(n) = binom(k,n)^2 Catalan(n), the size of stratum n, for n = 0..k."""
+    check_k(k)
     return [count_diagrams("balanced_motzkin_n", k, n) for n in range(k + 1)]
 
 

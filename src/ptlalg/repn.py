@@ -57,6 +57,8 @@ class RepConfig:
     def __post_init__(self):
         if self.sign not in ("+", "-"):
             raise ValueError("sign must be '+' or '-'")
+        if type(self.alpha) is bool or not isinstance(self.alpha, (int, Fraction)):
+            raise ValueError("alpha must be an int or a Fraction, not %r" % (self.alpha,))
         if not self.alpha:
             raise ValueError("alpha must be nonzero")
 
@@ -171,10 +173,20 @@ def word_weight(w):
     return (w.count(1), w.count(-1))
 
 
-# (letter replaced, new letter, exponent rule): E carries K on the sites right
-# of the one it changes, F carries K^-1 on the sites left of it.
-_LADDERS = {"E": (-1, 1, lambda w, i: sum(w[i + 1:])),
-            "F": (1, -1, lambda w, i: -sum(w[:i]))}
+def _ladder(g, k):
+    """Yield (output word, input word, exponent of q) for each nonzero entry
+    of E or F, the words as indices, input by input and site by site.
+
+    E turns one v_-1 into v_1 and carries K on the sites right of it, F
+    turns one v_1 into v_-1 and carries K^-1 on the sites left of it.
+    Changing site i moves the word's index by 2 * 3^(k-1-i).
+    """
+    for col, w in enumerate(words(k)):
+        for i, x in enumerate(w):
+            if g == "E" and x == -1:
+                yield col - 2 * 3 ** (k - 1 - i), col, sum(w[i + 1:])
+            elif g == "F" and x == 1:
+                yield col + 2 * 3 ** (k - 1 - i), col, -sum(w[:i])
 
 
 def qgen_matrix(g, k):
@@ -190,15 +202,10 @@ def qgen_matrix(g, k):
             i = word_index(w)
             m.set(i, i, LaurentPoly.monomial(sign * e))
         return m
-    if g not in _LADDERS:
+    if g not in ("E", "F"):
         raise ValueError("unknown generator %r" % (g,))
-    old, new, exponent = _LADDERS[g]
-    for w in words(k):
-        col = word_index(w)
-        for i, x in enumerate(w):
-            if x == old:
-                out = w[:i] + (new,) + w[i + 1:]
-                m.add_at(word_index(out), col, LaurentPoly.monomial(exponent(w, i)))
+    for r, c, e in _ladder(g, k):
+        m.add_at(r, c, LaurentPoly.monomial(e))
     return m
 
 
@@ -222,10 +229,13 @@ def commutant_dim(k, q0, group="gl2"):
     The diagonal generators force a block structure on the unknown matrix
     (rational q0 not in {0, 1, -1} has injective power map, so joint
     eigenspaces are exactly the weight classes); the E and F commutation
-    conditions are then solved by exact elimination.  The equations are
-    integer-scaled: every entry of E and F is q^e with |e| < k, so with
-    q0 = n/d the evaluated matrices times (n*d)^k have integer entries, and
-    the elimination starts from exact ints instead of Fractions.
+    conditions are then solved by exact elimination.  Each equation
+    (XG - GX)[u, c] = 0 is gathered straight from G's column c and row u,
+    whose entries come from the same ladder as ``qgen_matrix``'s.  They
+    are integer-scaled: every entry of E and F is q^e with |e| < k, so with
+    q0 = n/d the entry q^e times (n*d)^k is the int n^(k+e) * d^(k-e), one
+    per exponent, and the elimination starts from exact ints instead of
+    Fractions.
     """
     check_k(k)
     q0 = Fraction(q0)
@@ -233,50 +243,52 @@ def commutant_dim(k, q0, group="gl2"):
         raise ValueError("q must avoid 0 and +-1, not %s" % (q0,))
     if group not in ("gl2", "sl2"):
         raise ValueError("group must be 'gl2' or 'sl2'")
-    classes = {}
+    rows, n_unknowns = _commutant_rows(k, q0, group)
+    return nullity(rows, n_unknowns)
+
+
+def _commutant_rows(k, q0, group):
+    """The nonzero rows of ``commutant_dim``'s equations, as dicts from
+    unknown to int coefficient, and the number of unknowns.
+
+    The unknowns are the entries x[u, v] of X with u and v in one weight
+    class, numbered class by class and row by row: x[u, v] is
+    ``off[u] + pos[v]``.  G = E or F maps each class into one other class,
+    so an equation (u, c) is nonzero only for c in a class that G moves and
+    u in the class it moves it to; there it reads G[v, c] on x[u, v] for
+    each v of column c, and -G[u, r] on x[r, c] for each r of row u.  G has
+    no diagonal, so the two parts never meet on one unknown.
+    """
+    classes, cls = {}, []
     for i, w in enumerate(words(k)):
         plus, minus = word_weight(w)
-        classes.setdefault((plus, minus) if group == "gl2" else plus - minus, []).append(i)
-
-    unknowns = {}
+        cls.append((plus, minus) if group == "gl2" else plus - minus)
+        classes.setdefault(cls[i], []).append(i)
+    off, pos, n_unknowns = {}, {}, 0
     for members in classes.values():
-        for r in members:
-            for c in members:
-                unknowns[(r, c)] = len(unknowns)
-    if k == 0:
-        return 1
-
-    rows = {}
-
-    def equation(key):
-        return rows.setdefault(key, {})
-
-    scale = (q0.numerator * q0.denominator) ** k
-
-    def scaled(v):
-        x = v.evaluate(q0) * scale
-        if x.denominator != 1:
-            raise ArithmeticError("E/F entry %s is not integral after scaling" % v)
-        return x.numerator
-
+        for j, u in enumerate(members):
+            pos[u] = j
+            off[u] = n_unknowns + j * len(members)
+        n_unknowns += len(members) ** 2
+    num, den = q0.numerator, q0.denominator
+    power = {e: num ** (k + e) * den ** (k - e) for e in range(1 - k, k)}
+    rows = []
     for g in ("E", "F"):
-        gm = qgen_matrix(g, k).map_values(scaled)
-        by_row = {}
-        by_col = {}
-        for (r, c), v in gm.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-            by_col.setdefault(c, []).append((r, v))
-        for (u, v), idx in unknowns.items():
-            # (XG)_{u,c} picks up x_{u,v} G_{v,c}
-            for (c, val) in by_row.get(v, ()):
-                eq = equation((g, u, c))
-                eq[idx] = eq.get(idx, 0) + val
-            # -(GX)_{r,v} picks up -G_{r,u} x_{u,v}
-            for (r, val) in by_col.get(u, ()):
-                eq = equation((g, r, v))
-                eq[idx] = eq.get(idx, 0) - val
-
-    return nullity(rows.values(), len(unknowns))
+        col, row, image = {}, {}, {}
+        for r, c, e in _ladder(g, k):
+            col.setdefault(c, []).append((pos[r], power[e]))
+            row.setdefault(r, []).append((off[c], -power[e]))
+            image[cls[c]] = cls[r]
+        for source, target in image.items():
+            for c in classes[source]:
+                down, at = col.get(c, ()), pos[c]
+                for u in classes[target]:
+                    eq = {off[u] + p: v for p, v in down}
+                    for o, v in row.get(u, ()):
+                        eq[o + at] = v
+                    if eq:
+                        rows.append(eq)
+    return rows, n_unknowns
 
 
 def representation_rank(elements, q0, cfg):
@@ -302,6 +314,7 @@ def representation_rank(elements, q0, cfg):
 
 def pieri_dims(k):
     """Bratteli path counts: each level keeps the partition or adds one box."""
+    check_k(k)
     counts = {(0, 0): 1}
     for _ in range(k):
         nxt = {}

@@ -768,15 +768,48 @@ def test_enumerate_json_of_an_empty_stratum(capsys):
 @pytest.mark.parametrize("chunk", [1, 2, 763, 764, 765])
 def test_enumerate_json_is_one_dump_at_every_chunk_size(chunk, monkeypatch, capsys):
     # 764 partial Brauer diagrams at k = 4: chunks of one and of two, a last
-    # chunk of one, one exact chunk, and one chunk with room to spare
+    # chunk of one, one exact chunk, and one chunk with room to spare; the
+    # text mode writes the same diagrams one a line after the count
     from ptlalg import cli
     from ptlalg.diagram import partial_brauer_diagrams
     monkeypatch.setattr(cli, "_ENUMERATE_CHUNK", chunk)
-    ds = partial_brauer_diagrams(4)
+    objs = [d.to_json() for d in partial_brauer_diagrams(4)]
     want = json.dumps({"kind": "partial-brauer", "k": 4, "count": 764,
-                       "diagrams": [d.to_json() for d in ds]}) + "\n"
+                       "diagrams": objs}) + "\n"
     assert run_cli(["enumerate", "--kind", "partial-brauer", "--k", "4", "--json"],
                    capsys) == (0, want)
+    want = "764 diagrams\n" + "".join(json.dumps(o) + "\n" for o in objs)
+    assert run_cli(["enumerate", "--kind", "partial-brauer", "--k", "4"],
+                   capsys) == (0, want)
+
+
+def test_enumerate_encodes_no_diagram(monkeypatch, capsys):
+    # the edge table of k = 4 is made once; then only the --json header is dumped
+    calls = []
+    dumps = json.dumps
+    diagram._edge_json(4)
+    monkeypatch.setattr(json, "dumps", lambda *a, **kw: calls.append(a) or dumps(*a, **kw))
+    for flag, want in (([], 0), (["--json"], 1)):
+        calls.clear()
+        code, out = run_cli(["enumerate", "--kind", "partial-brauer", "--k", "4", *flag],
+                            capsys)
+        assert code == 0 and len(calls) == want
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_enumerate_texts_match_the_json_encoder(k):
+    # every family, each balanced stratum and the empty one past k: the
+    # text put together from the edge table is json.dumps of the object
+    from ptlalg import cli
+    families = [(kind, None) for kind in ("partial_brauer", "motzkin", "tl",
+                                          "balanced_motzkin")]
+    families += [("balanced_motzkin_n", n) for n in range(k + 2)]
+    for kind, n in families:
+        keys, texts = [], []
+        diagram.enumerate_keys(kind, k, keys.append, n)
+        cli._enumerate_chunks(kind, k, n, texts.extend)
+        assert texts == [json.dumps(diagram._json_of(k, key)) for key in keys]
+        assert len(texts) == diagram.count_diagrams(kind, k, n)
 
 
 # -- negative fractions as option values -------------------------------------------

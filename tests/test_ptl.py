@@ -70,6 +70,12 @@ def test_dimension_formula():
     assert ptl_dimension(5) == 1 + 25 + 200 + 500 + 350 + 42 == 1118
 
 
+@pytest.mark.parametrize("count", [ptl_dimension, strata_dims], ids=lambda f: f.__name__)
+def test_dimensions_refuse_a_negative_k(count):
+    with pytest.raises(ValueError, match="k must be a nonnegative integer, not -1"):
+        count(-1)
+
+
 def test_basis_strata():
     strata = [balanced_motzkin_stratum(n, 3) for n in range(4)]
     assert len({d for s in strata for d in s}) == 33

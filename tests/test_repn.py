@@ -14,7 +14,7 @@ from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, compose, gen_e,
                             partial_brauer_diagrams, triple_of)
 from ptlalg.linalg import SparseMatrix, rank_of_rows
 from ptlalg.ptl import ptl_dimension
-from ptlalg.repn import (SL2_GENERATORS, RepConfig, b_matrix,
+from ptlalg.repn import (SL2_GENERATORS, RepConfig, _commutant_rows, b_matrix,
                          commutant_dim, diagram_matrix, element_matrix,
                          modified_weight_matrix, pieri_dims,
                          qgen_matrix, representation_rank, word_index,
@@ -344,6 +344,64 @@ def test_commutant_integer_scaling_signs_and_denominators():
             assert commutant_dim(k, q0, "sl2") == len(motzkin_diagrams(k))
 
 
+def reference_commutant_rows(k, q0, group):
+    """The equations of ``commutant_dim`` scattered unknown by unknown: with
+    E and F evaluated at q0 and scaled by (n*d)^k, the unknown x[u, v] adds
+    G[v, c] to equation (u, c) for each c of G's row v, and -G[r, u] to
+    equation (r, v) for each r of G's column u.  Returns the rows and the
+    number of unknowns."""
+    q0 = Fraction(q0)
+    classes = {}
+    for i, w in enumerate(words(k)):
+        plus, minus = word_weight(w)
+        classes.setdefault((plus, minus) if group == "gl2" else plus - minus, []).append(i)
+    unknowns = {}
+    for members in classes.values():
+        for r in members:
+            for c in members:
+                unknowns[(r, c)] = len(unknowns)
+    scale = (q0.numerator * q0.denominator) ** k
+
+    def scaled(v):
+        x = v.evaluate(q0) * scale
+        assert x.denominator == 1
+        return x.numerator
+
+    rows = {}
+    for g in ("E", "F"):
+        gm = qgen_matrix(g, k).map_values(scaled)
+        by_row, by_col = {}, {}
+        for (r, c), v in gm.entries.items():
+            by_row.setdefault(r, []).append((c, v))
+            by_col.setdefault(c, []).append((r, v))
+        for (u, v), idx in unknowns.items():
+            for c, val in by_row.get(v, ()):
+                eq = rows.setdefault((g, u, c), {})
+                eq[idx] = eq.get(idx, 0) + val
+            for r, val in by_col.get(u, ()):
+                eq = rows.setdefault((g, r, v), {})
+                eq[idx] = eq.get(idx, 0) - val
+    return list(rows.values()), len(unknowns)
+
+
+@pytest.mark.parametrize("q0", [2, Fraction(3, 2), Fraction(5, 3), Fraction(-3, 7)],
+                         ids=str)
+@pytest.mark.parametrize("group", ["gl2", "sl2"])
+def test_commutant_rows_match_the_scatter_reference(group, q0):
+    for k in range(5):
+        rows, n_unknowns = _commutant_rows(k, Fraction(q0), group)
+        want, want_unknowns = reference_commutant_rows(k, q0, group)
+        assert n_unknowns == want_unknowns
+        assert (sorted(sorted(row.items()) for row in rows)
+                == sorted(sorted(row.items()) for row in want))
+
+
+def test_commutant_rows_count_at_k5():
+    # 4,653 unknowns, the sum of the squared gl2 class sizes
+    rows, n_unknowns = _commutant_rows(5, Fraction(3, 2), "gl2")
+    assert (len(rows), n_unknowns) == (7070, 4653)
+
+
 def test_b_matrix_randomized_alpha():
     rng = random.Random(41)
     for _ in range(20):
@@ -366,6 +424,23 @@ def test_representation_rank():
     x = Element.of(motzkin_spec(2), gen_e(1, 2), DeltaPoly.gen() + Fraction(3, 2))
     assert representation_rank([x], 2, RepConfig(sign="-")) == 0
     assert representation_rank([x], 2, RepConfig(sign="+")) == 1
+
+
+def test_pieri_dims_refuses_a_negative_k():
+    with pytest.raises(ValueError, match="k must be a nonnegative integer, not -1"):
+        pieri_dims(-1)
+
+
+@pytest.mark.parametrize("alpha", [0.5, True, "1", None], ids=repr)
+def test_rep_config_refuses_an_alpha_that_is_not_rational(alpha):
+    with pytest.raises(ValueError, match="alpha must be an int or a Fraction"):
+        RepConfig(alpha)
+
+
+def test_rep_config_takes_int_and_fraction_alpha():
+    assert RepConfig(2).top_form()[(1, -1)] == LaurentPoly({1: -2})
+    assert RepConfig(Fraction(-3, 7), "+").bottom_form()[(-1, 1)] == LaurentPoly(
+        {-1: Fraction(-7, 3)})
 
 
 def test_pieri_dims():
@@ -454,7 +529,7 @@ def test_qgen_matrix_matches_mirrored_reference():
             got = qgen_matrix(g, k)
             assert got == mirrored_qgen_matrix(g, k)
             assert list(got.entries) == list(mirrored_qgen_matrix(g, k).entries)
-    for g in ("Einv", "inv", "K3", "k1", "F "):
+    for g in ("X", "Einv", "inv", "K3", "k1", "F "):
         with pytest.raises(ValueError, match="unknown generator"):
             qgen_matrix(g, 2)
         with pytest.raises(ValueError, match="unknown generator"):
