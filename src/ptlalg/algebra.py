@@ -4,8 +4,8 @@ An :class:`Element` is a sparse combination of diagrams over an exact
 scalar ring, tagged with the basis its coordinates refer to:
 
 * ``diagram`` -- the diagram basis, multiplied by the twisted product
-  d1 d2 = delta^{N1} delta'^{N2} (d1 o d2) (one exponent delta^N for the
-  partition algebra);
+  d1 d2 = delta^N (d1 o d2), N the closed loops of the stack, an open path
+  weighing 1 (for the partition algebra N counts every discarded block);
 * ``bar`` -- the alternating basis obtained by inclusion-exclusion removal
   of all edges, where products collapse to a single term
   (delta-1)^{N1} bar(d1 o d2), or vanish when the frames mismatch;
@@ -38,8 +38,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .diagram import Diagram, check_k, compose, removals
-from .scalar import _NUM, DeltaPoly
+from .diagram import Diagram, check_k, compose, gen_e, identity, removals
+from .scalar import _NUM, DeltaPoly, IntPoly, parse_scalar
 
 FLAVORS = ("partition", "partial_brauer", "motzkin", "tl", "ptl")
 BASES = ("diagram", "bar", "tilde")
@@ -47,14 +47,13 @@ BASES = ("diagram", "bar", "tilde")
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """Which twisted diagram algebra we are working in; ``delta=None`` is the
-    generic delta of Z[delta].  Its elements' coefficients are ints,
-    Fractions, and scalars of the type of delta or of delta'."""
+    """Which twisted diagram algebra we are working in, at the loop parameter
+    ``delta``: an int, a Fraction or an ``IntPoly``, ``None`` for the generic
+    delta of Z[delta].  Its coefficients are ints, Fractions and the type of delta."""
 
     flavor: str
     k: int
     delta: object = None
-    delta_prime: object = 1
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
@@ -62,6 +61,8 @@ class AlgebraSpec:
         check_k(self.k)
         if self.delta is None:
             object.__setattr__(self, "delta", DeltaPoly.gen())
+        elif type(self.delta) is bool or not isinstance(self.delta, _NUM + (IntPoly,)):
+            raise ValueError("delta %r is not an int, Fraction or IntPoly" % (self.delta,))
         # basis -> Element.zero; not a field, so ==, hash and repr ignore it
         object.__setattr__(self, "_zeros", {})
 
@@ -71,8 +72,8 @@ class AlgebraSpec:
         if d.k != self.k:
             return False
         if self.flavor == "partition":
-            # bar and tilde expansions remove edges, so they need partial Brauer diagrams
-            return basis == "diagram" or d.is_partial_brauer()
+            # the bar and tilde rules weigh loops, this twist every discarded block
+            return basis == "diagram"
         if not d.is_partial_brauer():
             return False
         if self.flavor == "partial_brauer":
@@ -106,9 +107,8 @@ def tl_spec(k, delta=None):
 
 def _check_scalar(spec, c):
     """Refuse a coefficient outside the ring of ``spec``: ints, Fractions
-    and scalars of the type of delta or of delta'."""
-    if not (isinstance(c, _NUM) or type(c) is type(spec.delta)
-            or type(c) is type(spec.delta_prime)):
+    and scalars of the type of delta."""
+    if not (isinstance(c, _NUM) or type(c) is type(spec.delta)):
         raise ValueError("coefficient %s is not a scalar of %s at delta = %s"
                          % (c, spec.flavor, spec.delta))
 
@@ -168,7 +168,6 @@ class Element:
 
     @classmethod
     def unit(cls, spec):
-        from .diagram import identity
         return cls(spec, {identity(spec.k): 1})
 
     def is_zero(self):
@@ -249,13 +248,12 @@ class Element:
     __repr__ = __str__
 
     def specialize(self, x0):
-        """delta -> x0 in delta, delta' and every coefficient, for ``x0`` as in
+        """delta -> x0 in delta and every coefficient, for ``x0`` as in
         ``IntPoly.evaluate``; ints and Fractions stay as they are."""
         def at(c):
             return c.evaluate(x0) if isinstance(c, DeltaPoly) else c
 
-        spec = self.spec
-        nspec = AlgebraSpec(spec.flavor, spec.k, at(spec.delta), at(spec.delta_prime))
+        nspec = AlgebraSpec(self.spec.flavor, self.spec.k, at(self.spec.delta))
         return Element(nspec, {d: at(c) for d, c in self.terms.items()}, self.basis)
 
     def to_json(self):
@@ -265,7 +263,6 @@ class Element:
 
     @classmethod
     def from_json(cls, spec, obj):
-        from .scalar import parse_scalar
         terms = {}
         for t in obj["terms"]:
             d = Diagram.from_json(t["diagram"])
@@ -274,16 +271,10 @@ class Element:
 
 
 def _twist(spec, comp):
-    """Scalar attached to a composition by the algebra's multiplication rule."""
-    if spec.flavor == "partition":
-        return _power(spec.delta, comp.blocks)
-    return _power(spec.delta, comp.loops) * _power(spec.delta_prime, comp.paths)
-
-
-def _power(scalar, n):
-    if n == 0:
-        return 1
-    return scalar ** n
+    """Scalar attached to a composition by the algebra's multiplication rule:
+    delta per discarded block for partition, per closed loop otherwise."""
+    n = comp.blocks if spec.flavor == "partition" else comp.loops
+    return spec.delta ** n if n else 1
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -397,5 +388,4 @@ def tilde_multiply(spec, d1, d2):
 
 def epsilon(spec, i):
     """tilde(e_i) = (1 - p_i) e_i (1 - p_i), as a 4-term diagram-basis element."""
-    from .diagram import gen_e
     return tilde_of(spec, gen_e(i, spec.k))

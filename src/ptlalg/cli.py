@@ -105,8 +105,7 @@ def _element_from_json(args, obj):
                              'or terms that share one')
         # the object's own "k" goes to the spec, which refuses a bool or a
         # float that the set took for the int it equals
-        spec = AlgebraSpec(args.algebra, obj.get("k", ks.pop()),
-                           delta_prime=args.delta_prime)
+        spec = AlgebraSpec(args.algebra, obj.get("k", ks.pop()))
         return Element.from_json(spec, obj)
     except _LOAD_ERRORS as exc:
         raise _input_error("element", exc) from exc
@@ -304,8 +303,6 @@ def build_parser():
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if algebra:
             p.add_argument("--algebra", default="motzkin", choices=FLAVORS)
-            p.add_argument("--delta-prime", dest="delta_prime", type=_fraction,
-                           default=1, help="second loop parameter (default 1)")
 
     p = sub.add_parser("mul", help="multiply two elements (JSON files or '-')")
     p.add_argument("x")

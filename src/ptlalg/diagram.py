@@ -27,8 +27,8 @@ gives each family's size by closed form.
 
 Composition stacks the left factor above the right one and counts the
 discarded interior blocks; for partial Brauer diagrams these split into
-closed loops and open paths, the exponents of the two parameters of the
-twisted product.  It finds the components of the stack by walking from
+closed loops, which the twisted product weighs by delta, and open paths,
+which it weighs by 1.  It finds the components of the stack by walking from
 block to block through the shared middle row, alternating between the
 two factors, so it touches each block once and no vertex set is merged.
 """
@@ -39,6 +39,7 @@ import bisect
 import functools
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import NamedTuple
@@ -269,16 +270,19 @@ class Diagram:
 
     @classmethod
     def from_json(cls, obj):
+        """The diagram of ``{"k": k, "edges": [...]}`` or ``{"k": k, "blocks": [...]}``."""
         k = obj["k"]
         check_k(k)
 
         def vertex(s):
-            row, col = s[0], int(s[1:])
-            if row not in "tb" or not 1 <= col <= k:
+            col = int(s[1:]) if type(s) is str and re.fullmatch("[tb][1-9][0-9]*", s) else 0
+            if not 1 <= col <= k:
                 raise ValueError("bad vertex label %r" % (s,))
-            return col - 1 if row == "t" else k + col - 1
+            return col - 1 if s[0] == "t" else k + col - 1
 
         if "blocks" in obj:
+            if "edges" in obj:
+                raise ValueError('a diagram has "edges" or "blocks", not both')
             return cls.from_edges(k, [[vertex(s) for s in b] for b in obj["blocks"]])
         return cls.from_edges(k, [(vertex(a), vertex(b)) for a, b in obj.get("edges", [])])
 
@@ -473,6 +477,7 @@ def identity(k):
     return Diagram(k, [(i, k + i) for i in range(k)])
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def omega(k):
     """The diagram with all 2k vertices isolated."""
     return Diagram(k, [(v,) for v in range(2 * k)])
@@ -568,20 +573,33 @@ def triple_of(d):
 
 
 def diagram_of(A, t, B, k):
-    """Inverse of :func:`triple_of`."""
-    A = sorted(A)
-    B = sorted(B)
+    """Inverse of :func:`triple_of`, for n-subsets A, B of 1..k and a TL n-diagram t."""
+    check_k(k)
     n = t.k
-    if len(A) != n or len(B) != n:
-        raise ValueError("|A| and |B| must equal the number of columns of t")
+    A, B = sorted(A), sorted(B)
+    for S in (A, B):
+        if len(S) != n or len(set(S)) != n or not all(
+                type(c) is int and 1 <= c <= k for c in S):
+            raise ValueError("A and B must be %d-subsets of 1..%d, not %r" % (n, k, S))
     if not t.is_tl():
         raise ValueError("t must be a Temperley-Lieb diagram")
-    edges = []
-    for (u, v) in t.edges():
-        mu = A[u] - 1 if u < n else k + B[u - n] - 1
-        mv = A[v] - 1 if v < n else k + B[v - n] - 1
-        edges.append((mu, mv))
-    return Diagram.from_edges(k, edges)
+    return Diagram._of(k, _triple_keys(A, B, k)(t.blocks))
+
+
+def _triple_keys(A, B, k):
+    """t's block tuple -> that of ``diagram_of(A, t, B, k)``, unchecked: t's vertex j
+    goes to column A[j], then B[j - n], an increasing map that keeps edges canonical."""
+    to = [a - 1 for a in A] + [k + b - 1 for b in B]
+    singletons = list(omega(k).blocks)  # shared by every key, as each key is kept
+
+    def key(t):
+        at = singletons[:]
+        for u, v in t:
+            at[to[u]] = (to[u], to[v])
+            at[to[v]] = None
+        return tuple(b for b in at if b is not None)
+
+    return key
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -659,25 +677,18 @@ def n_subsets(k, n):
 def _stratum_keys(n, k, sink):
     """Pass ``sink`` the block tuples of the balanced Motzkin k-diagrams with
     n edges in stratum order: for each A, each B (colex n-subsets) and each
-    TL n-diagram t in canonical order, that of ``diagram_of(A, t, B, k)``.
-    The map of t's vertices onto the columns of A, then of B, is
-    increasing, so each edge of t lands canonical at its lesser vertex; an
-    empty stratum (n > k) makes no TL diagram."""
+    TL n-diagram t in canonical order, that of ``diagram_of(A, t, B, k)``;
+    an empty stratum (n > k) makes no TL diagram."""
     subsets = n_subsets(k, n)
     if not subsets:
         return
     ts = []
     _place(n, ts.append, True, False)
-    singletons = [(v,) for v in range(2 * k)]
     for A in subsets:
         for B in subsets:
-            to = [a - 1 for a in A] + [k + b - 1 for b in B]
+            key = _triple_keys(A, B, k)
             for t in ts:
-                at = singletons[:]
-                for u, v in t:
-                    at[to[u]] = (to[u], to[v])
-                    at[to[v]] = None
-                sink(tuple(b for b in at if b is not None))
+                sink(key(t))
 
 
 _KINDS = ("partial_brauer", "motzkin", "tl", "balanced_motzkin", "balanced_motzkin_n")

@@ -67,7 +67,7 @@ class RepConfig:
         return 1 if self.sign == "+" else -1
 
     def delta_value(self):
-        """delta's image 1 +- (q + q^-1); ``x.specialize(cfg.delta_value())``
+        """The image 1 +- (q + q^-1) of delta; ``x.specialize(cfg.delta_value())``
         specializes an element ``x``."""
         return LaurentPoly({0: 1, 1: self.s, -1: self.s})
 

@@ -3,8 +3,7 @@
 Three rings are used throughout:
 
 * ``Z[delta]`` -- integer polynomials in the loop parameter, class
-  :class:`DeltaPoly`.  The second parameter delta' of the two-parameter
-  partial Brauer product is carried by the same type.
+  :class:`DeltaPoly`.
 * ``Z[q, q^-1]`` -- integer Laurent polynomials in the quantum parameter,
   class :class:`LaurentPoly`.
 * ``Q`` -- exact rationals, via :class:`fractions.Fraction`.

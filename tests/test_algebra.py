@@ -1,5 +1,6 @@
 """Element arithmetic, alternating bases, and the structured product rules."""
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -41,15 +42,19 @@ def test_diagram_multiplication():
     assert one * e1 == e1 and e1 * one == e1
     M2 = motzkin_spec(2)
     p1 = Element.of(M2, gen_p(1, 2))
-    assert p1 * p1 == p1  # delta' = 1
+    assert p1 * p1 == p1  # an open path weighs 1
 
 
-def test_two_parameter_rule():
-    spec = AlgebraSpec("partial_brauer", 2, delta, delta_prime=7)
-    p1 = Element.of(spec, gen_p(1, 2))
-    assert p1 * p1 == 7 * p1
-    e = Element.of(spec, gen_e(1, 2))
-    assert e * e == delta * e
+def test_one_parameter_rule():
+    # delta is the one parameter: a closed loop weighs delta and an open
+    # path 1, in every flavor whose twist counts loops
+    assert [f.name for f in dataclasses.fields(AlgebraSpec)] == ["flavor", "k", "delta"]
+    for flavor in ("partial_brauer", "motzkin", "ptl"):
+        spec = AlgebraSpec(flavor, 2)
+        p1 = Element.of(spec, gen_p(1, 2))
+        assert p1 * p1 == p1
+        e = Element.of(spec, gen_e(1, 2))
+        assert e * e == delta * e
 
 
 def test_none_is_the_generic_delta():
@@ -86,13 +91,14 @@ def test_coefficients_inside_the_ring_are_kept():
             x = Element.of(spec, e1, c)
             assert x.terms == {e1: c} and type(x.terms[e1]) is type(c)
     assert Element.of(motzkin_spec(2), e1, delta - 2).terms == {e1: delta - 2}
-    # numeric delta and delta': products stay rational
-    spec = AlgebraSpec("partial_brauer", 2, 3, Fraction(-3, 7))
+    # a numeric delta: products stay rational
+    spec = AlgebraSpec("partial_brauer", 2, Fraction(-3, 7))
     p, e = Element.of(spec, p1), Element.of(spec, e1)
-    assert p * p == Element.of(spec, p1, Fraction(-3, 7)) and e * e == 3 * e
-    # a polynomial delta' widens the ring by its type
-    spec = AlgebraSpec("partial_brauer", 2, 3, delta)
-    assert (Element.of(spec, p1) * Element.of(spec, p1)).terms == {p1: delta}
+    assert p * p == p and e * e == Element.of(spec, e1, Fraction(-3, 7))
+    # a delta of another polynomial ring brings its type into the ring
+    q = LaurentPoly.gen()
+    spec = AlgebraSpec("partial_brauer", 2, q)
+    assert (Element.of(spec, e1, q) * Element.of(spec, e1)).terms == {e1: q * q}
 
 
 def test_specialize_maps_delta_everywhere():
@@ -102,7 +108,7 @@ def test_specialize_maps_delta_everywhere():
     y = x.specialize(Fraction(7, 3))
     assert y.spec == motzkin_spec(2, Fraction(7, 3)) and y.basis == "diagram"
     assert y.terms == {e1: Fraction(40, 9), identity(2): 3, gen_p(1, 2): Fraction(1, 2)}
-    assert type(y.terms[identity(2)]) is int and type(y.spec.delta_prime) is int
+    assert type(y.terms[identity(2)]) is int
     # delta -> 1 - q - q^-1: the coefficients move into Z[q, q^-1]
     value = LaurentPoly({0: 1, 1: -1, -1: -1})
     z = Element.of(M2, e1, delta, "bar").specialize(value)
@@ -117,6 +123,19 @@ def test_partition_flavor_uses_total_blocks():
     spec = AlgebraSpec("partition", 2)
     p1 = Element.of(spec, gen_p(1, 2))
     assert p1 * p1 == delta * p1
+
+
+def test_spec_refuses_an_inexact_delta():
+    for delta0 in (0.5, 2.0, True, "2", 1j):
+        for flavor in FLAVORS:
+            with pytest.raises(ValueError, match="is not an int, Fraction or IntPoly"):
+                AlgebraSpec(flavor, 2, delta0)
+    for delta0 in (0, -3, Fraction(1, 2), delta - 1, LaurentPoly.gen(), XPoly.gen()):
+        assert AlgebraSpec("motzkin", 2, delta0).delta == delta0
+    # e1 e1 at delta = 1/2 stays exact
+    spec = motzkin_spec(2, Fraction(1, 2))
+    x = Element.of(spec, gen_e(1, 2), Fraction(1, 4))
+    assert (x * x).terms == {gen_e(1, 2): Fraction(1, 32)}
 
 
 def test_mismatched_specs_rejected():
@@ -222,12 +241,31 @@ def test_tilde_oracle_exhaustive_motzkin_k2():
 
 
 def test_structured_oracles_exhaustive_motzkin_k3():
-    M3 = motzkin_spec(3)
-    pool = motzkin_diagrams(3)
-    for d1 in pool:
-        for d2 in pool:
-            assert tilde_multiply(M3, d1, d2) == oracle(M3, d1, d2, "tilde")
-            assert bar_multiply(M3, d1, d2) == oracle(M3, d1, d2, "bar")
+    # every flavor's bar and tilde vectors, through the public rules and
+    # through Element products: each admitted pair at k <= 2, each Motzkin
+    # pair at k = 3 and a seeded sample of partial Brauer pairs at k = 3
+    def all_pairs(pool):
+        return [(d1, d2) for d1 in pool for d2 in pool]
+
+    pb3 = admitted_pool("partial_brauer", 3, "bar")
+    rng = random.Random(25)
+    pb3_pairs = [(rng.choice(pb3), rng.choice(pb3)) for _ in range(300)]
+    cases = [(flavor, k, which, all_pairs(admitted_pool(flavor, k, which)))
+             for flavor in FLAVORS for k in range(3) for which in STRUCTURED]
+    for which in STRUCTURED:
+        cases.append(("motzkin", 3, which, all_pairs(motzkin_diagrams(3))))
+        cases.append(("partial_brauer", 3, which, pb3_pairs))
+    for flavor, k, which, pairs in cases:
+        spec = AlgebraSpec(flavor, k)
+        for d1, d2 in pairs:
+            want = oracle(spec, d1, d2, which)
+            assert STRUCTURED[which](spec, d1, d2) == want, (flavor, which, d1, d2)
+            x, y = Element.of(spec, d1, 1, which), Element.of(spec, d2, 1, which)
+            assert x * y == want, (flavor, which, d1, d2)
+    # the partition twist weighs every discarded block, and the rules only
+    # loops: that algebra has no bar or tilde vector
+    assert not any(admitted_pool("partition", k, which)
+                   for k in range(4) for which in STRUCTURED)
 
 
 def test_structured_oracles_sampled_k4():
@@ -512,11 +550,11 @@ def closure_case(draw):
     k = draw(st.integers(0, 3))
     basis = draw(st.sampled_from(("diagram", "bar", "tilde")))
     delta0 = draw(st.sampled_from((None, 1, 2, Fraction(-1, 2))))
-    spec = AlgebraSpec(flavor, k, delta0, draw(st.sampled_from((1, Fraction(3, 2)))))
+    spec = AlgebraSpec(flavor, k, delta0)
     coeffs = st.sampled_from(COEFFS if delta0 is None
                              else (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)))
     pool = admitted_pool(flavor, k, basis)
-    terms = st.just({})  # TL's bar basis is empty at k > 0
+    terms = st.just({})  # TL's bar basis is empty at k > 0, partition's alternating ones always
     if pool:
         diagrams = st.sampled_from(pool)
         if flavor == "partition" and basis == "diagram" and k:
@@ -793,8 +831,10 @@ def test_spec_refuses_a_k_that_is_not_a_nonnegative_int(k):
 
 
 def flavor_holds(flavor, d):
-    """What a flavor asks of an alternating vector's own diagram."""
-    return {"partition": True,
+    """What a flavor asks of an alternating vector's own diagram; the
+    partition algebra has none, as its twist weighs every discarded block
+    where the bar and tilde rules weigh loops alone."""
+    return {"partition": False,
             "partial_brauer": d.is_partial_brauer(),
             "motzkin": d.is_motzkin(),
             "tl": d.is_tl(),
@@ -824,7 +864,9 @@ def test_admits_is_expansion_membership():
     # TL keeps only the empty diagram in bar and the identities in tilde
     assert admitted["tl", "bar"] == 1
     assert admitted["tl", "tilde"] == 4
-    assert all(admitted[f, b] > 4 for f in FLAVORS if f != "tl" for b in ("bar", "tilde"))
+    assert admitted["partition", "bar"] == admitted["partition", "tilde"] == 0
+    assert all(admitted[f, b] > 4 for f in FLAVORS if f not in ("tl", "partition")
+               for b in ("bar", "tilde"))
 
 
 def test_partition_diagrams_stay_in_the_diagram_basis():
@@ -833,9 +875,10 @@ def test_partition_diagrams_stay_in_the_diagram_basis():
     assert spec.admits(PARTITION_BLOCK, "diagram")
     for basis in ("bar", "tilde"):
         assert not spec.admits(PARTITION_BLOCK, basis)
-        assert spec.admits(gen_e(1, 3), basis)
-        with pytest.raises(ValueError, match="not admitted"):
-            Element.of(spec, PARTITION_BLOCK, 1, basis)
+        assert not spec.admits(gen_e(1, 3), basis)
+        for d in (PARTITION_BLOCK, gen_e(1, 3)):
+            with pytest.raises(ValueError, match="not admitted"):
+                Element.of(spec, d, 1, basis)
     x = Element.of(spec, PARTITION_BLOCK)
     for which in ("bar", "tilde"):
         with pytest.raises(ValueError, match="not admitted"):
@@ -843,12 +886,14 @@ def test_partition_diagrams_stay_in_the_diagram_basis():
     for to in ("bar", "tilde"):
         with pytest.raises(ValueError, match="not admitted"):
             change_basis(x, to)
-    # partial Brauer diagrams of the partition algebra still change basis
+    # nor do its partial Brauer diagrams, though their expansions exist
     e = Element.of(spec, gen_e(1, 3))
-    assert change_basis(change_basis(e, "bar"), "diagram") == e
+    for to in ("bar", "tilde"):
+        with pytest.raises(ValueError, match="not admitted by partition/%s" % to):
+            change_basis(e, to)
 
 
-class CountingDelta:
+class CountingDelta(DeltaPoly):
     """A loop parameter that counts how often delta - 1 is formed."""
 
     subtractions = 0
@@ -859,7 +904,7 @@ class CountingDelta:
 
 
 def test_loop_factor_is_formed_only_for_loops():
-    d = CountingDelta()
+    d = CountingDelta({1: 1})
     spec = AlgebraSpec("motzkin", 2, d)
     e, one = gen_e(1, 2), identity(2)
     CountingDelta.subtractions = 0

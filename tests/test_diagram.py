@@ -218,6 +218,21 @@ def test_triple_round_trip_gives_back_the_instance():
             assert t is Diagram.from_edges(len(A), [(to[u], to[v]) for u, v in d.edges()])
 
 
+def test_diagram_of_refuses_what_is_not_a_triple():
+    t = gen_e(1, 2)
+    assert diagram_of((1, 3), t, (2, 3), 3) is Diagram.from_edges(3, [(0, 2), (4, 5)])
+    subsets = "A and B must be 2-subsets of 1..3"
+    for A, t, B, message in (((1, 4), t, (2, 3), subsets),     # a column past k
+                             ((1, 2), t, (0, 3), subsets),     # a column before 1
+                             ((1, 1), t, (2, 3), subsets),     # a repeated column
+                             ((1, 1, 2), t, (2, 3), subsets),  # repeated among n + 1
+                             ((1, 2, 3), t, (2, 3), subsets),  # more columns than t has
+                             ((1, 2), t, (True, 2), subsets),  # a column that is no int
+                             ((1, 2), omega(2), (1, 2), "Temperley-Lieb")):
+        with pytest.raises(ValueError, match=message):
+            diagram_of(A, t, B, 3)
+
+
 def test_rtl_factorization():
     # d(A, t, B) composes as r_A (t x omega) l_B with no discarded blocks
     for d in balanced_motzkin_diagrams(3):
@@ -526,6 +541,18 @@ def test_blocks_json_matches_padding_reference():
     for edge in (["t1", "t2", "b1"], ["t1"]):
         with pytest.raises(ValueError):
             Diagram.from_json({"k": 2, "edges": [edge]})
+
+
+def test_json_vertex_labels_are_a_row_and_a_plain_column():
+    assert Diagram.from_json({"k": 10, "edges": [["t10", "b1"]]}) == Diagram.from_edges(
+        10, [(9, 10)])
+    for label in ("t1_0", "t 1", " t1", "t1 ", "b01", "t+1", "t-1", "t0", "T1", "t",
+                  "t1\n", "t\u0661", 1, None, ["t1"]):
+        for obj in ({"k": 10, "edges": [[label, "b2"]]}, {"k": 10, "blocks": [[label]]}):
+            with pytest.raises(ValueError, match="bad vertex label"):
+                Diagram.from_json(obj)
+    with pytest.raises(ValueError, match='"edges" or "blocks", not both'):
+        Diagram.from_json({"k": 2, "blocks": [["t1"]], "edges": [["t1", "t2"]]})
 
 
 def test_planar_families_share_the_matching_enumeration():

@@ -16,13 +16,13 @@ from ptlalg.scalar import DeltaPoly
 
 
 def reference_specialize(x, delta0):
-    """delta -> delta0 in delta, delta' and the coefficients, with every
-    rational scalar made a Fraction."""
+    """delta -> delta0 in delta and the coefficients, with every rational
+    scalar made a Fraction."""
     def at(c):
         return c.evaluate(delta0) if isinstance(c, DeltaPoly) else Fraction(c)
 
     spec = x.spec
-    nspec = AlgebraSpec(spec.flavor, spec.k, at(spec.delta), at(spec.delta_prime))
+    nspec = AlgebraSpec(spec.flavor, spec.k, at(spec.delta))
     return Element(nspec, {d: at(c) for d, c in x.terms.items()}, x.basis)
 
 
@@ -43,7 +43,7 @@ def test_specialize_matches_the_fraction_reference():
         for x in elements:
             y = x.specialize(delta0)
             assert y == reference_specialize(x, delta0)
-            assert y.spec.delta == delta0 and type(y.spec.delta_prime) is int
+            assert y.spec.delta == delta0
             for d, c in x.terms.items():
                 if type(c) is int:
                     assert type(y.terms[d]) is int
