@@ -271,6 +271,8 @@ class Diagram:
     @classmethod
     def from_json(cls, obj):
         """The diagram of ``{"k": k, "edges": [...]}`` or ``{"k": k, "blocks": [...]}``."""
+        if not isinstance(obj, dict):
+            raise ValueError("a diagram is a JSON object, not %r" % (obj,))
         k = obj["k"]
         check_k(k)
 
@@ -280,11 +282,16 @@ class Diagram:
                 raise ValueError("bad vertex label %r" % (s,))
             return col - 1 if s[0] == "t" else k + col - 1
 
-        if "blocks" in obj:
-            if "edges" in obj:
-                raise ValueError('a diagram has "edges" or "blocks", not both')
-            return cls.from_edges(k, [[vertex(s) for s in b] for b in obj["blocks"]])
-        return cls.from_edges(k, [(vertex(a), vertex(b)) for a, b in obj.get("edges", [])])
+        if "blocks" in obj and "edges" in obj:
+            raise ValueError('a diagram has "edges" or "blocks", not both')
+        key = "blocks" if "blocks" in obj else "edges"
+        parts = obj.get(key, [])
+        if not isinstance(parts, (list, tuple)):
+            raise ValueError("bad %s %r" % (key, parts))
+        for p in parts:  # an edge is a pair, a block any list
+            if not isinstance(p, (list, tuple)) or (key == "edges" and len(p) != 2):
+                raise ValueError("bad %s %r" % (key[:-1], p))
+        return cls.from_edges(k, [[vertex(s) for s in p] for p in parts])
 
 
 def check_k(k):

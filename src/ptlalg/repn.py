@@ -18,20 +18,22 @@ generators act through the coproduct
 
 with single-site matrices E: v_-1 -> v_1, F: v_1 -> v_-1, K_1 =
 diag(q,1,1), K_2 = diag(1,1,q).  One word weight, (#v_1, #v_-1), gives the
-K exponents and the gl2/sl2 weight classes.  Everything is exact: matrices carry
-integer (or rational, for non-integer alpha) Laurent polynomials in q, and
-commutant dimensions are computed by exact elimination at a rational q.
+K exponents and the gl2/sl2 weight classes.  Everything is exact: a diagram's
+entries are monomials c * q^e, carried as (e, c), and one Laurent polynomial
+is built per entry of a finished matrix; commutant dimensions and the rank
+are found by exact elimination at a rational q, on ints from one power table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import check_k, gen_e
 from .linalg import SparseMatrix, nullity, rank_of_rows
-from .scalar import LaurentPoly
+from .scalar import LaurentPoly, _tidy
 
 LETTERS = (1, 0, -1)  # site basis order: v_1, v_0, v_-1
 
@@ -87,56 +89,74 @@ class RepConfig:
                 (-1, 1): LaurentPoly({-1: s * ainv})}
 
 
-def diagram_matrix(d, cfg, correction=None):
-    """Action of a Motzkin diagram on the word basis, columns = input words.
+@functools.lru_cache(maxsize=None)
+def _forms(cfg, corrected):
+    """The cup and cap form values as ((i, j), e, c) for c * q^e."""
+    return tuple(tuple((ij, e, c) for ij, f in form.items() for e, c in f.coeffs.items()
+                       if not (corrected and ij == (0, 0)))
+                 for form in (cfg.top_form(), cfg.bottom_form()))
 
-    Each block of ``d`` contributes its own list of choices: a cap the keys
-    of the bottom form, a cup the keys of the top form, a vertical edge one
-    letter for both its ends, an isolated vertex the fixed letter 0.  A
-    choice carries its offset to the row index, its offset to the column
-    index and its weight (the form value, or 1), so the product over the
-    blocks yields every nonzero entry exactly once, with the product of its
-    block weights.  ``correction`` subtracts delta_{i,0} delta_{j,0} from
-    the weight of every edge ("bar") or of the horizontal edges only
-    ("tilde"), realizing the alternating elements directly: the forms lose
-    their (0, 0) key, and under "bar" a vertical edge carries only +-1.
+
+def _entries(d, cfg, correction):
+    """Yield (row * 3^k + column, e, c) for each nonzero entry c * q^e of d.
+
+    Each block of ``d`` contributes its own list of choices, each with its
+    offset to the flat index and its weight: a cup the keys of the top form,
+    a cap those of the bottom form, a vertical edge one letter at both ends,
+    an isolated vertex the letter 0.  The product over the blocks yields
+    every nonzero entry once; exponents add and coefficients multiply.
+    ``correction`` subtracts delta_{i,0} delta_{j,0} from the weight of every
+    edge ("bar") or of the horizontal edges only ("tilde"), realizing the
+    alternating elements directly: the forms lose their (0, 0) key, and
+    under "bar" a vertical edge carries only +-1.
     """
     if not d.is_motzkin():
         raise ValueError("diagram_matrix needs a planar partial Brauer diagram")
     if correction not in (None, "bar", "tilde"):
         raise ValueError("correction must be None, 'bar' or 'tilde'")
     k = d.k
-    # site p of a word adds LETTERS.index(x) * 3^(k-1-p) to its index
-    place = [3 ** (k - 1 - p) for p in range(k)]
-    digit = {x: i for i, x in enumerate(LETTERS)}
-    tform = cfg.top_form()
-    bform = cfg.bottom_form()
-    if correction is not None:
-        tform.pop((0, 0))
-        bform.pop((0, 0))
-    one = LaurentPoly.one()
+    # letter x at vertex v adds LETTERS.index(x) = 1 - x times 3^(2k-1-v) to the
+    # flat index row * 3^k + column: the top row spells the row's word
+    place = [3 ** (2 * k - 1 - v) for v in range(2 * k)]
+    tform, bform = _forms(cfg, correction is not None)
     through = (1, -1) if correction == "bar" else LETTERS
-    blocks = [[(digit[i] * place[x] + digit[j] * place[y], 0, f)
-               for (i, j), f in tform.items()] for x, y in d.cups()]
-    blocks += [[(0, digit[i] * place[x] + digit[j] * place[y], f)
-                for (i, j), f in bform.items()] for x, y in d.caps()]
-    blocks += [[(digit[i] * place[t], digit[i] * place[b], one) for i in through]
-               for t, b in d.verticals()]
-    for v in d.isolated():
-        off = digit[0] * place[v % k]
-        blocks.append([(off, 0, one) if v < k else (0, off, one)])
-    entries = {}
+    blocks = [[(place[v], 0, 1)] for v in d.isolated()]
+    for x, y in d.edges():
+        if x < k <= y:  # a vertical edge: one letter at both ends
+            blocks.append([((1 - i) * (place[x] + place[y]), 0, 1) for i in through])
+        else:
+            blocks.append([((1 - i) * place[x] + (1 - j) * place[y], e, f)
+                           for (i, j), e, f in (tform if y < k else bform)])
     for choice in itertools.product(*blocks):
-        r = c = 0
-        w = one
-        for dr, dc, f in choice:
-            r += dr
-            c += dc
-            if f is not one:  # unit weights multiply nothing
-                w = f if w is one else w * f
-        entries[(r, c)] = w
-    n = 3 ** k
-    return SparseMatrix(n, n, entries)
+        at, e, w = 0, 0, 1
+        for da, de, f in choice:
+            at += da
+            e += de
+            w *= f
+        yield at, e, w
+
+
+def _laurent_matrix(k, terms, cfg, correction):
+    """The matrix of the sum of c * d over the (d, c) of ``terms``: one
+    LaurentPoly per entry, a Laurent c shifting the exponents."""
+    acc, m = {}, SparseMatrix(3 ** k, 3 ** k)
+    for d, c in terms:
+        shifts = c.coeffs.items() if isinstance(c, LaurentPoly) else ((0, c),)
+        for at, e, w in _entries(d, cfg, correction):
+            for s, a in shifts:
+                acc[at, e + s] = acc.get((at, e + s), 0) + a * w
+    for (at, e), v in acc.items():
+        if v:
+            m.entries.setdefault(divmod(at, m.ncols), {})[e] = v
+    for rc, p in m.entries.items():
+        m.entries[rc] = LaurentPoly._of(_tidy(p))
+    return m
+
+
+def diagram_matrix(d, cfg, correction=None):
+    """Action of a Motzkin diagram on the word basis, columns = input words,
+    its weights corrected under ``correction`` as in ``_entries``."""
+    return _laurent_matrix(d.k, ((d, 1),), cfg, correction)
 
 
 def modified_weight_matrix(d, variant, cfg):
@@ -159,13 +179,7 @@ def element_matrix(x, cfg):
     """
     x = x.specialize(cfg.delta_value())
     correction = None if x.basis == "diagram" else x.basis
-    k = x.spec.k
-    m = SparseMatrix(3 ** k, 3 ** k)
-    for d, c in x.terms.items():
-        unit = c == 1  # a coefficient 1 adds each entry itself
-        for (r, col), v in diagram_matrix(d, cfg, correction).entries.items():
-            m.add_at(r, col, v if unit else c * v)
-    return m
+    return _laurent_matrix(x.spec.k, x.terms.items(), cfg, correction)
 
 
 def word_weight(w):
@@ -231,11 +245,9 @@ def commutant_dim(k, q0, group="gl2"):
     eigenspaces are exactly the weight classes); the E and F commutation
     conditions are then solved by exact elimination.  Each equation
     (XG - GX)[u, c] = 0 is gathered straight from G's column c and row u,
-    whose entries come from the same ladder as ``qgen_matrix``'s.  They
-    are integer-scaled: every entry of E and F is q^e with |e| < k, so with
-    q0 = n/d the entry q^e times (n*d)^k is the int n^(k+e) * d^(k-e), one
-    per exponent, and the elimination starts from exact ints instead of
-    Fractions.
+    whose entries come from the same ladder as ``qgen_matrix``'s.  Every
+    entry of E and F is q^e with |e| < k, read scaled from ``_q_powers``, so
+    the elimination starts from exact ints instead of Fractions.
     """
     check_k(k)
     q0 = Fraction(q0)
@@ -270,8 +282,7 @@ def _commutant_rows(k, q0, group):
             pos[u] = j
             off[u] = n_unknowns + j * len(members)
         n_unknowns += len(members) ** 2
-    num, den = q0.numerator, q0.denominator
-    power = {e: num ** (k + e) * den ** (k - e) for e in range(1 - k, k)}
+    power = _q_powers(q0, k)
     rows = []
     for g in ("E", "F"):
         col, row, image = {}, {}, {}
@@ -291,22 +302,33 @@ def _commutant_rows(k, q0, group):
     return rows, n_unknowns
 
 
+def _q_powers(q0, k):
+    """e -> q0^e * (n*d)^k = n^(k+e) * d^(k-e), an int, for q0 = n/d, |e| <= k."""
+    num, den = q0.numerator, q0.denominator
+    return {e: num ** (k + e) * den ** (k - e) for e in range(-k, k + 1)}
+
+
 def representation_rank(elements, q0, cfg):
     """Rank of the span of the flattened matrices of the given elements.
 
-    Each distinct entry polynomial is evaluated at q0 once per call."""
+    Each element is specialized at the number 1 +- (q0 + q0^-1), as
+    evaluation at q0 is a ring map, and each row is scaled by (n*d)^k for
+    q0 = n/d: an entry c * q^e (|e| <= k/2) reads c * n^(k+e) * d^(k-e)."""
     q0 = Fraction(q0)
     if q0 == 0:
         raise ValueError("q must be nonzero, not %s" % (q0,))
-    values = {}
-
-    def at_q0(v):
-        x = values.get(v)
-        if x is None:
-            x = values[v] = v.evaluate(q0)
-        return x
-
-    rows = (element_matrix(x, cfg).map_values(at_q0).entries for x in elements)
+    delta0 = 1 + cfg.s * (q0 + 1 / q0)
+    rows = []
+    for x in elements:
+        x = x.specialize(delta0)
+        correction = None if x.basis == "diagram" else x.basis
+        power, row = _q_powers(q0, x.spec.k), {}
+        for d, c in x.terms.items():
+            if isinstance(c, LaurentPoly):  # a spec whose delta is already in q
+                c = c.evaluate(q0)
+            for at, e, w in _entries(d, cfg, correction):
+                row[at] = row.get(at, 0) + c * w * power[e]
+        rows.append(row)
     return rank_of_rows(rows)
 
 

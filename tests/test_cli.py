@@ -416,6 +416,34 @@ def test_bad_diagram_render_exits_2(obj, tmp_path, capsys):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"k":2,"edges":[["t1","t2","b1"]]}', "bad edge ['t1', 't2', 'b1']"),
+    ('{"k":2,"edges":"t1"}', "bad edges 't1'"),
+    ('{"k":2,"edges":[5]}', "bad edge 5"),
+    ('{"k":2,"blocks":[5]}', "bad block 5"),
+    ('{"k":2,"edges":null}', "bad edges None"),
+    ("[1]", "a diagram is a JSON object, not [1]"),
+], ids=["edge-of-three", "edges-string", "edge-int", "block-int", "edges-null", "list"])
+def test_malformed_diagram_shape_is_named(text, message, tmp_path, capsys):
+    f = tmp_path / "d.json"
+    f.write_text(text)
+    for argv in (["render", str(f)], ["render", str(f), "--format", "matrix"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == "ptl render: error: %s\n" % message
+
+
+def test_malformed_edge_has_no_traceback_end_to_end():
+    proc = subprocess.run(
+        [sys.executable, "-m", "ptlalg.cli", "render", "-"],
+        input='{"k":2,"edges":[["t1","t2","b1"]]}', capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "ptl render: error: bad edge ['t1', 't2', 'b1']\n"
+
+
 def test_bad_input_has_no_traceback_end_to_end():
     proc = subprocess.run(
         [sys.executable, "-m", "ptlalg.cli", "render", "-"],
@@ -904,3 +932,41 @@ def test_non_rational_option_value_has_no_traceback_end_to_end():
     assert not proc.stdout
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+# an element of k = 3 with delta-polynomial coefficients, as CI pipes it
+MATRIX_K3 = {"basis": "tilde", "terms": [
+    {"coeff": "delta^2 - 1", "diagram": E1_K3},
+    {"coeff": "3", "diagram": {"k": 3, "edges": [["t1", "b1"], ["t2", "b2"], ["t3", "b3"]]}},
+    {"coeff": "-1/2*delta", "diagram": E2_K3}]}
+
+
+def matrix_k4(basis):
+    """Every fifth balanced Motzkin 4-diagram, with coefficients from Q[delta]."""
+    coeffs = ("delta^2 - 1", "3", "-2*delta", "1/2*delta + 1", "-1")
+    pool = diagram.balanced_motzkin_diagrams(4)[::5]
+    return {"basis": basis, "terms": [{"coeff": coeffs[i % len(coeffs)], "diagram": d.to_json()}
+                                      for i, d in enumerate(pool)]}
+
+
+# sha256 prefixes of ``render --format matrix``
+MATRIX_DIGESTS = [
+    ("k4-diagram", [], "e8cbb26792fa2bf8"),
+    ("k4-bar", [], "be407ee54624fa9e"),
+    ("k4-tilde", [], "b77f36c1e357f582"),
+    ("k4-diagram", ["--alpha", "2/3", "--sign", "+"], "63c5d932702469df"),
+    ("k4-bar", ["--alpha", "2/3", "--sign", "+"], "6e64739f6f76ff35"),
+    ("k4-tilde", ["--alpha", "2/3", "--sign", "+"], "fc9217f13ac458bb"),
+    ("k3-tilde", ["--alpha", "2/3"], "5bc715fc31a9ab67"),
+]
+
+
+@pytest.mark.parametrize("name,flags,want", MATRIX_DIGESTS,
+                         ids=[n + ("-alpha" if f else "") for n, f, _ in MATRIX_DIGESTS])
+def test_render_matrix_matches_the_pinned_digest(name, flags, want, tmp_path, capsys):
+    obj = MATRIX_K3 if name == "k3-tilde" else matrix_k4(name.split("-")[1])
+    f = tmp_path / "x.json"
+    f.write_text(json.dumps(obj))
+    code, out = run_cli(["render", str(f), "--format", "matrix", *flags], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want

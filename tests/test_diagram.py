@@ -555,6 +555,35 @@ def test_json_vertex_labels_are_a_row_and_a_plain_column():
         Diagram.from_json({"k": 2, "blocks": [["t1"]], "edges": [["t1", "t2"]]})
 
 
+# malformed shapes, each refused by name rather than by Python's unpacking
+MALFORMED_JSON = {
+    "edge-of-three": ({"k": 2, "edges": [["t1", "t2", "b1"]]}, "bad edge ['t1', 't2', 'b1']"),
+    "edge-of-one": ({"k": 2, "edges": [["t1"]]}, "bad edge ['t1']"),
+    "edges-string": ({"k": 2, "edges": "t1"}, "bad edges 't1'"),
+    "edge-int": ({"k": 2, "edges": [5]}, "bad edge 5"),
+    "edges-null": ({"k": 2, "edges": None}, "bad edges None"),
+    "block-int": ({"k": 2, "blocks": [5]}, "bad block 5"),
+    "blocks-int": ({"k": 2, "blocks": 5}, "bad blocks 5"),
+    "list": ([1], "a diagram is a JSON object, not [1]"),
+    "string": ("t1", "a diagram is a JSON object, not 't1'"),
+}
+
+
+@pytest.mark.parametrize("obj,message", MALFORMED_JSON.values(), ids=MALFORMED_JSON)
+def test_from_json_names_a_malformed_entry(obj, message):
+    with pytest.raises(ValueError) as exc:
+        Diagram.from_json(obj)
+    assert str(exc.value) == message
+
+
+def test_from_json_reads_edges_and_blocks_alike():
+    want = Diagram.from_edges(2, [(0, 3), (1, 2)])
+    for edges in ([["t1", "b2"], ["t2", "b1"]], [("t1", "b2"), ("t2", "b1")]):
+        assert Diagram.from_json({"k": 2, "edges": edges}) == want
+        assert Diagram.from_json({"k": 2, "blocks": edges}) == want
+    assert Diagram.from_json({"k": 2}) == Diagram.from_json({"k": 2, "blocks": []})
+
+
 def test_planar_families_share_the_matching_enumeration():
     for k in range(5):
         ms = motzkin_diagrams(k)

@@ -92,6 +92,19 @@ def reference_element_matrix(x, cfg):
     return m
 
 
+def reference_rank_rows(elements, cfg):
+    """The Laurent route to the rank: each element's matrix over
+    Q[q, q^-1], flattened to one row; ``reference_rank`` evaluates it."""
+    return [element_matrix(x, cfg).entries for x in elements]
+
+
+def reference_rank(rows, q0):
+    """The rank of Laurent rows with every distinct entry evaluated at q0."""
+    values = {}
+    return rank_of_rows({rc: values[v] if v in values else values.setdefault(v, v.evaluate(q0))
+                         for rc, v in row.items()} for row in rows)
+
+
 def epsilon_matrix(i, k, sign="-"):
     """The scaled projection at sites (i, i+1) from its own 4-entry local
     table: v_{1,-1}, v_{-1,1} survive."""
@@ -669,34 +682,41 @@ def test_element_matrix_does_not_expand(monkeypatch):
             assert element_matrix(x, cfg) == modified_weight_matrix(d, basis, cfg)
 
 
-def test_element_matrix_adds_the_entries_of_a_unit_coefficient_themselves(monkeypatch):
-    import ptlalg.repn
-
-    built = []
-
-    def recording(d, c, correction=None):
-        built.append(diagram_matrix(d, c, correction))
-        return built[-1]
-
-    monkeypatch.setattr(ptlalg.repn, "diagram_matrix", recording)
+def test_element_matrix_of_a_scaled_vector_is_the_scaled_matrix():
     spec = motzkin_spec(3)
+    delta = DeltaPoly.gen()
     for d in balanced_motzkin_diagrams(3):
         for basis in ("bar", "tilde"):
-            got = element_matrix(Element.of(spec, d, 1, basis), cfg)
-            want = built.pop()
-            assert got == want
-            assert all(got.entries[rc] is v for rc, v in want.entries.items())
-            assert element_matrix(Element.of(spec, d, 3, basis), cfg) == built.pop().scale(3)
+            want = modified_weight_matrix(d, basis, cfg)
+            # delta - 1 acts as its image under delta = 1 - (q + q^-1)
+            for c, at_q in ((1, 1), (3, 3), (delta - 1, cfg.delta_value() - 1)):
+                assert element_matrix(Element.of(spec, d, c, basis), cfg) == want.scale(at_q)
 
 
-def test_representation_rank_evaluates_each_distinct_entry_once(monkeypatch):
+def test_a_laurent_coefficient_shifts_the_exponents():
+    # over a spec whose delta is already a Laurent polynomial, and not one
+    # symmetric under q -> q^-1 as the images of delta are
+    spec = AlgebraSpec("motzkin", 3, q * q + 1)
+    for d in balanced_motzkin_diagrams(3):
+        for basis in ("diagram", "bar", "tilde"):
+            for coeff in (q * q - 3 * qi, Fraction(2, 3) * q - 1):
+                want = diagram_matrix(d, cfg, None if basis == "diagram" else basis)
+                x = Element.of(spec, d, coeff, basis)
+                assert element_matrix(x, cfg) == want.scale(coeff)
+    # q - q0 vanishes at q0 alone, not at 1 / q0
+    for q0 in RANK_POINTS:
+        x = Element.of(spec, identity(3), q - q0)
+        assert (representation_rank([x], q0, cfg), representation_rank([x], 1 / q0, cfg)) == (0, 1)
+
+
+def test_representation_rank_evaluates_no_entry_at_q0(monkeypatch):
     import ptlalg.scalar
 
     evaluate = ptlalg.scalar.IntPoly.evaluate
     calls = []
 
     def counting(self, x0):
-        if isinstance(x0, Fraction):  # at q0, not specializing delta
+        if not isinstance(x0, LaurentPoly) and x0 == 2:  # at q0, not specializing delta
             calls.append(self)
         return evaluate(self, x0)
 
@@ -707,15 +727,11 @@ def test_representation_rank_evaluates_each_distinct_entry_once(monkeypatch):
             diagram_basis = [Element.of(spec, d) for d in motzkin_diagrams(k)]
             bases.append((diagram_basis, len(diagram_basis)))
         for basis, rank in bases:
-            matrices = [element_matrix(x, cfg).entries for x in basis]
-            # the rank with every entry evaluated where it stands
-            assert rank_of_rows({rc: v.evaluate(2) for rc, v in m.items()}
-                                for m in matrices) == rank
-            del calls[:]
+            assert reference_rank(reference_rank_rows(basis, cfg), 2) == rank
             with monkeypatch.context() as patch:
                 patch.setattr(ptlalg.scalar.IntPoly, "evaluate", counting)
                 assert representation_rank(basis, 2, cfg) == rank
-            assert len(calls) <= len({v for m in matrices for v in m.values()})
+            assert calls == []
 
 
 def test_epsilon_route_matches_the_local_table():
@@ -731,3 +747,59 @@ def test_b_matrix_matches_the_form_product():
         for sign in ("+", "-"):
             c = RepConfig(alpha, sign)
             assert b_matrix(c) == form_product_b_matrix(c)
+
+
+# -- the faithfulness rank against the Laurent route -----------------------------
+
+RANK_CONFIGS = [RepConfig(Fraction(alpha), sign)
+                for alpha in (1, 2, Fraction(1, 3), Fraction(-5, 7)) for sign in ("+", "-")]
+RANK_POINTS = (Fraction(2), Fraction(3, 2), Fraction(-3), Fraction(1, 5))
+
+
+def rank_samples(k, c):
+    """Element lists at k: each basis's vectors; delta-polynomial
+    combinations of them, also read over Z[q, q^-1] through ``c``; and the
+    vectors of a spec with a numeric delta."""
+    spec = motzkin_spec(k)
+    delta = DeltaPoly.gen()
+    samples = []
+    for basis in ("diagram", "bar", "tilde"):
+        pool = motzkin_diagrams(k) if basis == "diagram" else balanced_motzkin_diagrams(k)
+        vectors = [Element.of(spec, d, 1, basis) for d in pool]
+        unit = Element.of(spec, identity(k), 1, basis)
+        mixed = [(delta ** 2 - 1) * x + 3 * unit for x in vectors[::3]]
+        mixed += [x.scale(delta * Fraction(-2, 7) + 1) - y
+                  for x, y in zip(vectors[::3], vectors[1::3])]
+        samples += [vectors, mixed, [x.specialize(c.delta_value()) for x in mixed]]
+    numeric = AlgebraSpec("motzkin", k, Fraction(5, 2))
+    samples.append([Element.of(numeric, d, coeff) for d, coeff in
+                    zip(motzkin_diagrams(k), itertools.cycle((1, -2, Fraction(1, 3))))])
+    return samples
+
+
+@pytest.mark.parametrize("c", RANK_CONFIGS,
+                         ids=lambda c: ("%s%s" % (c.alpha, c.sign)).replace("/", "_"))
+def test_representation_rank_matches_the_laurent_route(c):
+    for k in range(4):
+        for elements in rank_samples(k, c):
+            rows = reference_rank_rows(elements, c)
+            for q0 in RANK_POINTS:
+                assert representation_rank(elements, q0, c) == reference_rank(rows, q0), (k, q0)
+        spec = motzkin_spec(k)
+        for q0 in RANK_POINTS:
+            # delta - delta0 vanishes at q0: the route specializes delta there
+            delta0 = 1 + c.s * (q0 + 1 / q0)
+            dying = [Element.of(spec, d, DeltaPoly.gen() - delta0)
+                     for d in motzkin_diagrams(k)[:3]]
+            dying += [x.specialize(c.delta_value()) for x in dying]
+            assert representation_rank(dying, q0, c) == 0
+            assert reference_rank(reference_rank_rows(dying, c), q0) == 0
+
+
+def test_representation_rank_of_the_k4_tilde_vectors_matches_the_laurent_route():
+    spec = motzkin_spec(4)
+    tilde_vectors = [tilde_of(spec, d) for d in balanced_motzkin_diagrams(4)]
+    rows = reference_rank_rows(tilde_vectors, cfg)
+    for q0 in RANK_POINTS:
+        assert representation_rank(tilde_vectors, q0, cfg) == reference_rank(rows, q0)
+        assert reference_rank(rows, q0) == ptl_dimension(4)
