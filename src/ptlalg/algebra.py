@@ -315,9 +315,9 @@ def tilde_of(spec, d):
 def change_basis(x, to):
     """Exact coordinate change between the diagram, bar and tilde bases.
 
-    Into the diagram basis each bar(d) / tilde(d) expands to its signed
-    subdiagram sum; out of it each d is the unsigned sum of the bar / tilde
-    vectors of the same subdiagrams (Moebius inversion on the edge subsets).
+    Into the diagram basis each bar(d) / tilde(d) expands to its signed sum
+    over edge removals; out of it each d is the unsigned sum of the bar /
+    tilde vectors of the same removals (Moebius inversion on the edge subsets).
     bar <-> tilde passes through the diagram basis.
     """
     if to not in BASES:

@@ -183,29 +183,35 @@ def bar_act(spec, d, a):
 
 def cell_basis(kind, k, lam):
     """The paths spanning the cell module of ``kind`` at (k, lam), in
-    lexicographic order, as a tuple listed once per (kind, k, lam)."""
+    lexicographic order, as a tuple listed once per (kind, k, lam).  A TL or
+    Motzkin lam is an int rank, a PTL lam a pair of ints; a bool is neither."""
     check_k(k)
-    return _cell_basis(kind, k, tuple(lam) if kind == "ptl" else lam)
+    if kind == "ptl":
+        if not (isinstance(lam, (tuple, list)) and len(lam) == 2
+                and all(type(v) is int for v in lam)):
+            raise ValueError("a ptl lambda is a pair of integers, not %r" % (lam,))
+        lam = tuple(lam)
+    elif kind not in ("tl", "motzkin"):
+        raise ValueError("unknown cell module kind %r" % (kind,))
+    elif type(lam) is not int:
+        raise ValueError("a %s lambda is an integer, not %r" % (kind, lam))
+    return _cell_basis(kind, k, lam)
 
 
 @functools.lru_cache(maxsize=None)
 def _cell_basis(kind, k, lam):
-    if kind == "tl":
-        if not 0 <= lam <= k:
-            raise ValueError("rank out of range")
-        if (k - lam) % 2:
-            raise ValueError("k - lambda must be even for TL cell modules")
-        keep = lambda a: 0 not in a and rank_of(a) == lam
-    elif kind == "motzkin":
-        if not 0 <= lam <= k:
-            raise ValueError("rank out of range")
-        keep = lambda a: rank_of(a) == lam
-    elif kind == "ptl":
-        if lam not in set(valid_types(k)):
+    if kind == "ptl":
+        if lam not in valid_types(k):
             raise ValueError("invalid type %r" % (lam,))
         keep = lambda a: word_weight(a) == lam
+    elif not 0 <= lam <= k:
+        raise ValueError("rank out of range")
+    elif kind == "motzkin":
+        keep = lambda a: rank_of(a) == lam
+    elif (k - lam) % 2:
+        raise ValueError("k - lambda must be even for TL cell modules")
     else:
-        raise ValueError("unknown cell module kind %r" % (kind,))
+        keep = lambda a: 0 not in a and rank_of(a) == lam
     return tuple(a for a in motzkin_paths(k) if keep(a))
 
 

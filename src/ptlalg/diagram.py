@@ -431,29 +431,6 @@ def tensor(d1, d2):
     return Diagram(k, blocks)
 
 
-# -- the edge-removal partial order -------------------------------------------
-
-def leq(d1, d2):
-    """True iff every block of ``d1`` is contained in some block of ``d2``.
-
-    For partial Brauer diagrams this says every edge of d1 is an edge of d2.
-    """
-    if d1.k != d2.k:
-        raise ValueError("diagrams must have equal k")
-    owner = {}
-    for i, b in enumerate(d2.blocks):
-        for v in b:
-            owner[v] = i
-    return all(len({owner[v] for v in b}) == 1 for b in d1.blocks)
-
-
-def subdiagrams(d):
-    """All diagrams obtained from a partial Brauer ``d`` by excising edges."""
-    if not d.is_partial_brauer():
-        raise ValueError("subdiagrams require a partial Brauer diagram")
-    return [sub for sub, _ in removals(d, d.edges())]
-
-
 def removals(d, edge_pool):
     """(diagram, #removed) for every way of excising a subset of ``edge_pool``,
     distinct edges of ``d`` (``ValueError`` otherwise).
@@ -532,22 +509,6 @@ def gen_r(i, k):
 def gen_l(i, k):
     """s_i p_i: edge from top column i down to bottom column i+1."""
     return _two_column(k, i, [(0, 3), (1,), (2,)])
-
-
-def r_of_subset(A, k):
-    """Vertical edges from bottom columns 1..n up to the top columns in A, in order."""
-    A = sorted(A)
-    if any(not 1 <= a <= k for a in A):
-        raise ValueError("subset out of range")
-    return Diagram.from_edges(k, [(a - 1, k + j) for j, a in enumerate(A)])
-
-
-def l_of_subset(B, k):
-    """Vertical edges from top columns 1..n down to the bottom columns in B, in order."""
-    B = sorted(B)
-    if any(not 1 <= b <= k for b in B):
-        raise ValueError("subset out of range")
-    return Diagram.from_edges(k, [(j, k + b - 1) for j, b in enumerate(B)])
 
 
 # -- the triple bijection ------------------------------------------------------

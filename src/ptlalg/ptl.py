@@ -15,7 +15,7 @@ import functools
 from fractions import Fraction
 
 from .algebra import AlgebraSpec, Element, change_basis
-from .diagram import check_k, count_diagrams, diagram_of, n_subsets, triple_of
+from .diagram import check_k, count_diagrams, n_subsets, triple_of
 from .linalg import Echelon, SparseMatrix
 
 
@@ -30,29 +30,13 @@ def strata_dims(k):
     return [count_diagrams("balanced_motzkin_n", k, n) for n in range(k + 1)]
 
 
-def decompose_x(x):
-    """Split a bar-coordinate element into its X(n) components."""
-    if x.basis != "bar":
-        raise ValueError("decompose_x expects bar coordinates")
-    parts = {}
-    for d, c in x.terms.items():
-        if not d.is_balanced():
-            raise ValueError("support must consist of balanced diagrams")
-        parts.setdefault(d.n_edges(), {})[d] = c
-    return {n: Element(x.spec, terms, "bar") for n, terms in sorted(parts.items())}
-
-
-def tl_entry_spec(spec, n):
-    """TL_n(delta - 1), the entry algebra of the n-th block."""
-    return AlgebraSpec("tl", n, spec.delta - 1)
-
-
 @functools.lru_cache(maxsize=None)
 def _stratum(spec, n):
     """The colex n-subsets of {1..k}, their positions and the entry algebra
-    of X(n), formed once per (spec, n)."""
+    TL_n(delta - 1) of X(n), formed once per (spec, n)."""
     subsets = n_subsets(spec.k, n)
-    return subsets, {A: i for i, A in enumerate(subsets)}, tl_entry_spec(spec, n)
+    tspec = AlgebraSpec("tl", n, spec.delta - 1)
+    return subsets, {A: i for i, A in enumerate(subsets)}, tspec
 
 
 def to_block(x, n=None):
@@ -78,17 +62,6 @@ def to_block(x, n=None):
         A, t, B = triple_of(d)
         block.add_at(idx[A], idx[B], Element.of(tspec, t, c))
     return block
-
-
-def from_block(spec, n, block):
-    """Inverse of :func:`to_block` for the stratum X(n) of ``spec``."""
-    subsets = _stratum(spec, n)[0]
-    terms = {}
-    for (i, j), el in block.entries.items():
-        for t, c in el.terms.items():
-            d = diagram_of(subsets[i], t, subsets[j], spec.k)
-            terms[d] = terms.get(d, 0) + c
-    return Element(spec, terms, "bar")
 
 
 # -- generated subalgebra dimension ---------------------------------------------

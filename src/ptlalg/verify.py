@@ -23,10 +23,10 @@ from fractions import Fraction
 
 from . import cells, diagram, ptl, qcriteria, repn
 from .algebra import (AlgebraSpec, Element, _twist, bar_multiply, bar_of,
-                      change_basis, epsilon, motzkin_spec, tilde_multiply, tilde_of,
-                      tl_spec)
-from .diagram import (balanced_motzkin_diagrams, compose, gen_e, gen_l, gen_p,
-                      gen_r, identity, motzkin_diagrams, tl_diagrams)
+                      change_basis, epsilon, motzkin_spec, ptl_spec, tilde_multiply,
+                      tilde_of, tl_spec)
+from .diagram import (balanced_motzkin_diagrams, compose, diagram_of, gen_e, gen_l,
+                      gen_p, gen_r, identity, motzkin_diagrams, tl_diagrams, triple_of)
 from .scalar import DeltaPoly, LaurentPoly
 
 
@@ -166,8 +166,11 @@ def check_generator_identities(kcap):
 def check_block_isomorphism(kcap):
     kmax = min(kcap, 4)
     for k in range(2, kmax + 1):
-        spec = AlgebraSpec("ptl", k)
+        spec = ptl_spec(k)
         basis = balanced_motzkin_diagrams(k)
+        # to_block puts bar(d) at entry (A, B) as t: one-to-one on the basis
+        if any(diagram_of(*triple_of(d), k) is not d for d in basis):
+            return False, "triple bijection does not invert at k=%d" % k
         blocks = {d: ptl.to_block(Element.of(spec, d, 1, "bar")) for d in basis}
         edges = {d: d.n_edges() for d in basis}
         for d1 in basis:
@@ -185,7 +188,7 @@ def check_block_isomorphism(kcap):
 
 def check_generated_dimension(kcap):
     for k in range(2, min(kcap, 3) + 1):
-        spec = AlgebraSpec("ptl", k)
+        spec = ptl_spec(k)
         gens = []
         for i in range(1, k):
             gens += [Element.of(spec, gen_r(i, k)), Element.of(spec, gen_l(i, k)),

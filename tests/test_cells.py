@@ -309,6 +309,29 @@ def test_cells_refuse_out_of_range_input():
             call()
 
 
+@pytest.mark.parametrize("kind, lam, want", [
+    ("ptl", 1, "a ptl lambda is a pair of integers, not 1"),
+    ("ptl", (1,), "a ptl lambda is a pair of integers"),
+    ("ptl", (1, 0, 0), "a ptl lambda is a pair of integers"),
+    ("ptl", (True, 0), "a ptl lambda is a pair of integers"),
+    ("ptl", (1.0, 0), "a ptl lambda is a pair of integers"),
+    ("ptl", "10", "a ptl lambda is a pair of integers"),
+    ("tl", (1,), "a tl lambda is an integer, not \\(1,\\)"),
+    ("tl", [1], "a tl lambda is an integer"),
+    ("tl", True, "a tl lambda is an integer"),
+    ("motzkin", "x", "a motzkin lambda is an integer, not 'x'"),
+    ("motzkin", 1.0, "a motzkin lambda is an integer"),
+    ("brauer", [1], "unknown cell module kind 'brauer'"),
+])
+def test_cells_refuse_a_badly_typed_lambda(kind, lam, want):
+    spec = tl_spec(3) if kind == "tl" else motzkin_spec(3)
+    x = Element.of(spec, identity(3), 1, "bar" if kind == "ptl" else "diagram")
+    for call in (lambda: cell_basis(kind, 3, lam), lambda: cell_action(kind, lam, x)):
+        with pytest.raises(ValueError, match=want) as err:
+            call()
+        assert "\n" not in str(err.value)
+
+
 def test_ptl_cell_action_kills_mismatched_columns():
     spec = motzkin_spec(2)
     e_bar = Element.of(spec, gen_e(1, 2), 1, "bar")

@@ -8,10 +8,9 @@ import pytest
 from ptlalg.algebra import (AlgebraSpec, Element, bar_multiply, change_basis, epsilon,
                             ptl_spec)
 from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, balanced_motzkin_stratum,
-                            gen_e, gen_l, gen_r, motzkin_diagrams, triple_of)
-from ptlalg.ptl import (decompose_x, from_block,
-                        generated_dimension, ptl_dimension, strata_dims,
-                        to_block)
+                            diagram_of, gen_e, gen_l, gen_r, motzkin_diagrams, n_subsets,
+                            triple_of)
+from ptlalg.ptl import generated_dimension, ptl_dimension, strata_dims, to_block
 from ptlalg.scalar import DeltaPoly
 
 
@@ -85,7 +84,10 @@ def test_basis_strata():
 def test_decompose_identity():
     spec = AlgebraSpec("ptl", 2)
     one_bar = change_basis(Element.unit(spec), "bar")
-    parts = decompose_x(one_bar)
+    by_stratum = {}
+    for d, c in one_bar.terms.items():
+        by_stratum.setdefault(d.n_edges(), {})[d] = c
+    parts = {n: Element(spec, terms, "bar") for n, terms in by_stratum.items()}
     assert sorted(parts) == [0, 1, 2]
     total = Element.zero(spec, "bar")
     for x in parts.values():
@@ -95,6 +97,16 @@ def test_decompose_identity():
         for n2, x2 in parts.items():
             if n1 != n2:
                 assert (x1 * x2).is_zero()
+
+
+def test_block_isomorphism_check_needs_the_triple_inverse(monkeypatch):
+    from ptlalg import verify
+    assert verify.check_block_isomorphism(3) == (True, "block transport verified for k <= 3")
+    real = verify.diagram_of
+    # an inverse that swaps A and B fails on the first diagram with A != B
+    monkeypatch.setattr(verify, "diagram_of", lambda A, t, B, k: real(B, t, A, k))
+    assert verify.check_block_isomorphism(3) == (
+        False, "triple bijection does not invert at k=2")
 
 
 def test_cross_stratum_products_vanish():
@@ -120,6 +132,18 @@ def test_block_transport_all_pairs():
                 lhs = blocks[d1] * blocks[d2]
                 rhs = to_block(prod, n)
                 assert lhs == rhs
+
+
+def from_block(spec, n, block):
+    """The inverse of to_block on the stratum X(n) of ``spec``: entry (i, j)
+    holding t goes back to diagram_of(A_i, t, A_j) for the colex n-subsets."""
+    subsets = n_subsets(spec.k, n)
+    terms = {}
+    for (i, j), el in block.entries.items():
+        for t, c in el.terms.items():
+            d = diagram_of(subsets[i], t, subsets[j], spec.k)
+            terms[d] = terms.get(d, 0) + c
+    return Element(spec, terms, "bar")
 
 
 def test_block_round_trip():
