@@ -44,11 +44,14 @@ def to_block(x, n=None):
 
     The block is a binom(k,n)-square :class:`SparseMatrix` with
     TL_n(delta - 1) :class:`Element` entries; row and column i are the i-th
-    n-subset of {1..k} in colexicographic order.  With ``n`` given, the
-    zero element maps to the empty block.
+    n-subset of {1..k} in colexicographic order.  With ``n`` given (an int
+    in 0..k), the zero element maps to the empty block.
     """
     if x.basis != "bar":
         raise ValueError("to_block expects bar coordinates")
+    k = x.spec.k
+    if n is not None and (type(n) is not int or not 0 <= n <= k):
+        raise ValueError("stratum n must be an integer in 0..k = %d, not %r" % (k, n))
     strata = {d.n_edges() for d in x.terms}
     if n is None:
         if len(strata) != 1:

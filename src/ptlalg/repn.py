@@ -313,12 +313,14 @@ def representation_rank(elements, q0, cfg):
 
     Each element is specialized at the number 1 +- (q0 + q0^-1), as
     evaluation at q0 is a ring map, and each row is scaled by (n*d)^k for
-    q0 = n/d: an entry c * q^e (|e| <= k/2) reads c * n^(k+e) * d^(k-e)."""
+    q0 = n/d: an entry c * q^e (|e| <= k/2) reads c * n^(k+e) * d^(k-e).
+    A diagram's entries are generated once per call, however many of the
+    elements hold it."""
     q0 = Fraction(q0)
     if q0 == 0:
         raise ValueError("q must be nonzero, not %s" % (q0,))
     delta0 = 1 + cfg.s * (q0 + 1 / q0)
-    rows = []
+    rows, entries = [], {}
     for x in elements:
         x = x.specialize(delta0)
         correction = None if x.basis == "diagram" else x.basis
@@ -326,7 +328,10 @@ def representation_rank(elements, q0, cfg):
         for d, c in x.terms.items():
             if isinstance(c, LaurentPoly):  # a spec whose delta is already in q
                 c = c.evaluate(q0)
-            for at, e, w in _entries(d, cfg, correction):
+            key = (d, correction)
+            if key not in entries:
+                entries[key] = list(_entries(d, cfg, correction))
+            for at, e, w in entries[key]:
                 row[at] = row.get(at, 0) + c * w * power[e]
         rows.append(row)
     return rank_of_rows(rows)

@@ -14,6 +14,14 @@ oracle multiplies in the diagram basis by compose and the algebra's twist,
 never by ``bar_multiply`` or ``tilde_multiply``, and the bar-path check
 acts through ``cells.act_on_path``, never through ``cells.bar_act``; a
 reference that shared a rule's code would agree with that rule's faults.
+
+The block-isomorphism check takes its right-hand side from matrix units.
+Each basis block ``to_block(bar d)`` must be the single entry (A, B) -> t of
+the triple (A, t, B) of d over TL_n(delta - 1).  Then bar(d1) bar(d2),
+formed by ``bar_multiply`` for every ordered pair, must be zero unless d1
+and d2 share a stratum and B1 = A2, and otherwise its block must be the
+single entry (A1, B2) -> t1 t2.  Each TL product t1 t2 is formed once per k
+by ``Element`` multiplication in TL_n(delta - 1), and no block is multiplied.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ from .algebra import (AlgebraSpec, Element, _twist, bar_multiply, bar_of,
                       change_basis, epsilon, motzkin_spec, ptl_spec, tilde_multiply,
                       tilde_of, tl_spec)
 from .diagram import (balanced_motzkin_diagrams, compose, diagram_of, gen_e, gen_l,
-                      gen_p, gen_r, identity, motzkin_diagrams, tl_diagrams, triple_of)
+                      gen_p, gen_r, motzkin_diagrams, n_subsets, tl_diagrams, triple_of)
+from .linalg import SparseMatrix
 from .scalar import DeltaPoly, LaurentPoly
 
 
@@ -171,19 +180,47 @@ def check_block_isomorphism(kcap):
         # to_block puts bar(d) at entry (A, B) as t: one-to-one on the basis
         if any(diagram_of(*triple_of(d), k) is not d for d in basis):
             return False, "triple bijection does not invert at k=%d" % k
-        blocks = {d: ptl.to_block(Element.of(spec, d, 1, "bar")) for d in basis}
+        # stratum n: the positions of the colex n-subsets and TL_n(delta - 1)
+        strata = [({A: i for i, A in enumerate(n_subsets(k, n))}, tl_spec(n, spec.delta - 1))
+                  for n in range(k + 1)]
+        triples = {d: triple_of(d) for d in basis}
         edges = {d: d.n_edges() for d in basis}
+        # each basis block is the matrix unit (A, B) -> t
+        for d in basis:
+            A, t, B = triples[d]
+            idx, tspec = strata[edges[d]]
+            want = _unit(idx, A, B, Element.of(tspec, t))
+            if ptl.to_block(Element.of(spec, d, 1, "bar")) != want:
+                return False, "block transport fails at %r" % (d,)
+        # so bar(d1) bar(d2) is zero unless d1, d2 share a stratum and B1 = A2,
+        # and then its block is the unit (A1, B2) -> t1 t2
+        tl_products = {}
         for d1 in basis:
+            A1, t1, B1 = triples[d1]
+            n = edges[d1]
+            idx, tspec = strata[n]
             for d2 in basis:
                 prod = bar_multiply(spec, d1, d2)
-                if edges[d1] != edges[d2]:
+                if edges[d2] != n:
                     if not prod.is_zero():
                         return False, "cross-stratum product nonzero"
                     continue
-                lhs = blocks[d1] * blocks[d2]
-                if lhs != ptl.to_block(prod, edges[d1]):
+                A2, t2, B2 = triples[d2]
+                if B1 == A2:
+                    tt = tl_products.get((t1, t2))
+                    if tt is None:
+                        tt = tl_products[(t1, t2)] = Element.of(tspec, t1) * Element.of(tspec, t2)
+                    ok = ptl.to_block(prod, n) == _unit(idx, A1, B2, tt)
+                else:
+                    ok = prod.is_zero()
+                if not ok:
                     return False, "block transport fails at %r, %r" % (d1, d2)
     return True, "block transport verified for k <= %d" % kmax
+
+
+def _unit(idx, A, B, entry):
+    """The square block over the subsets of ``idx`` holding ``entry`` at (A, B) alone."""
+    return SparseMatrix(len(idx), len(idx), {(idx[A], idx[B]): entry})
 
 
 def check_generated_dimension(kcap):

@@ -8,7 +8,7 @@ import pytest
 from ptlalg.algebra import (AlgebraSpec, Element, bar_multiply, change_basis, epsilon,
                             ptl_spec)
 from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, balanced_motzkin_stratum,
-                            diagram_of, gen_e, gen_l, gen_r, motzkin_diagrams, n_subsets,
+                            compose, diagram_of, gen_e, gen_l, gen_r, motzkin_diagrams, n_subsets,
                             triple_of)
 from ptlalg.ptl import generated_dimension, ptl_dimension, strata_dims, to_block
 from ptlalg.scalar import DeltaPoly
@@ -107,6 +107,111 @@ def test_block_isomorphism_check_needs_the_triple_inverse(monkeypatch):
     monkeypatch.setattr(verify, "diagram_of", lambda A, t, B, k: real(B, t, A, k))
     assert verify.check_block_isomorphism(3) == (
         False, "triple bijection does not invert at k=2")
+
+
+def _k3_pairs():
+    """The k = 3 triples and the first same-stratum pairs, in the check's
+    order, with a loop and with B1 != A2."""
+    basis = balanced_motzkin_diagrams(3)
+    tr = {d: triple_of(d) for d in basis}
+    same = [(d1, d2) for d1 in basis for d2 in basis if d1.n_edges() == d2.n_edges()]
+    looped = next((d1, d2) for d1, d2 in same
+                  if tr[d1][2] == tr[d2][0] and compose(d1, d2).loops)
+    mismatched = next((d1, d2) for d1, d2 in same if tr[d1][2] != tr[d2][0])
+    return basis, tr, looped, mismatched
+
+
+def test_block_isomorphism_check_catches_a_transposed_block(monkeypatch):
+    # to_block placing bar(d) at (B, A) at k = 3 fails on the first basis
+    # block with A != B
+    from ptlalg import ptl, verify
+    basis, tr, _, _ = _k3_pairs()
+    real = ptl.triple_of
+    monkeypatch.setattr(ptl, "triple_of", lambda d: real(d)[::-1] if d.k == 3 else real(d))
+    assert verify.check_block_isomorphism(2) == (True, "block transport verified for k <= 2")
+    first = next(d for d in basis if tr[d][0] != tr[d][2])
+    assert verify.check_block_isomorphism(3) == (False, "block transport fails at %r" % (first,))
+
+
+@pytest.mark.parametrize("fault", ["loop factor dropped", "nonzero for B1 != A2",
+                                   "cross-stratum nonzero"])
+def test_block_isomorphism_check_catches_a_faulty_product(monkeypatch, fault):
+    # a bar_multiply fault planted at k = 3 fails with the detail of the
+    # first pair it reaches
+    from ptlalg import verify
+    _, _, looped, mismatched = _k3_pairs()
+    real = verify.bar_multiply
+
+    def planted(spec, d1, d2):
+        prod = real(spec, d1, d2)
+        if spec.k != 3:
+            return prod
+        if fault == "loop factor dropped":
+            return Element(spec, dict.fromkeys(prod.terms, 1), "bar")
+        same = d1.n_edges() == d2.n_edges()
+        if prod.is_zero() and same == (fault == "nonzero for B1 != A2"):
+            return Element(spec, {d1: 1}, "bar")
+        return prod
+
+    want = {"loop factor dropped": "block transport fails at %r, %r" % looped,
+            "nonzero for B1 != A2": "block transport fails at %r, %r" % mismatched,
+            "cross-stratum nonzero": "cross-stratum product nonzero"}
+    monkeypatch.setattr(verify, "bar_multiply", planted)
+    assert verify.check_block_isomorphism(2) == (True, "block transport verified for k <= 2")
+    assert verify.check_block_isomorphism(3) == (False, want[fault])
+
+
+def test_block_isomorphism_check_forms_each_product_once(monkeypatch):
+    # every basis block is one matrix unit, so the check needs one TL product
+    # per distinct (t1, t2), one to_block per basis vector and per pair of a
+    # stratum with B1 = A2, and no block product
+    from ptlalg import linalg, ptl, verify
+    rounds, blocks, matmuls = [], [], []
+    real_spec, real_mul, real_to_block = verify.ptl_spec, Element.__mul__, ptl.to_block
+
+    def counting_spec(k):
+        rounds.append([])
+        return real_spec(k)
+
+    def counting_mul(x, y):
+        rounds[-1].append((x.spec, tuple(x.terms), tuple(y.terms)))
+        return real_mul(x, y)
+
+    def counting_to_block(x, n=None):
+        blocks.append(n)
+        return real_to_block(x, n)
+
+    def counting_matmul(a, b):
+        matmuls.append(1)
+        return NotImplemented
+
+    monkeypatch.setattr(verify, "ptl_spec", counting_spec)
+    monkeypatch.setattr(Element, "__mul__", counting_mul)
+    monkeypatch.setattr(ptl, "to_block", counting_to_block)
+    monkeypatch.setattr(linalg.SparseMatrix, "__mul__", counting_matmul)
+    assert verify.check_block_isomorphism(4) == (True, "block transport verified for k <= 4")
+    # one table per k: Catalan(n)^2 products for each stratum n <= k
+    catalan = [1, 1, 2, 5, 14]
+    assert [len(set(r)) for r in rounds] == [len(r) for r in rounds] == [
+        sum(catalan[n] ** 2 for n in range(k + 1)) for k in (2, 3, 4)] == [6, 31, 227]
+    assert all(spec.flavor == "tl" for r in rounds for spec, _, _ in r)
+    want = 0
+    for k in (2, 3, 4):
+        basis = balanced_motzkin_diagrams(k)
+        tr = {d: triple_of(d) for d in basis}
+        want += len(basis) + sum(1 for d1 in basis for d2 in basis
+                                 if d1.n_edges() == d2.n_edges() and tr[d1][2] == tr[d2][0])
+    assert len(blocks) == want == 3122
+    assert matmuls == []
+
+
+def test_to_block_refuses_a_bad_stratum():
+    zero = Element.zero(ptl_spec(2), "bar")
+    for n in (3, -1, True, 1.0, "1"):
+        with pytest.raises(ValueError) as info:
+            to_block(zero, n)
+        assert str(info.value) == "stratum n must be an integer in 0..k = 2, not %r" % (n,)
+    assert [to_block(zero, n).nrows for n in (0, 1, 2)] == [1, 2, 1]
 
 
 def test_cross_stratum_products_vanish():

@@ -803,3 +803,28 @@ def test_representation_rank_of_the_k4_tilde_vectors_matches_the_laurent_route()
     for q0 in RANK_POINTS:
         assert representation_rank(tilde_vectors, q0, cfg) == reference_rank(rows, q0)
         assert reference_rank(rows, q0) == ptl_dimension(4)
+
+
+def test_representation_rank_generates_each_diagram_once(monkeypatch):
+    # the 183 k = 4 tilde_of expansions hold 570 terms over 297 distinct diagrams
+    import ptlalg.repn
+
+    real, generated = ptlalg.repn._entries, []
+
+    def counting(d, c, correction):
+        generated.append((d, correction))
+        return real(d, c, correction)
+
+    spec = motzkin_spec(4)
+    basis = balanced_motzkin_diagrams(4)
+    expansions = [tilde_of(spec, d) for d in basis]
+    monkeypatch.setattr(ptlalg.repn, "_entries", counting)
+    assert representation_rank(expansions, 2, cfg) == 183
+    assert sum(len(x.terms) for x in expansions) == 570
+    assert len(generated) == len(set(generated)) == 297
+    # a diagram read as a tilde vector and as itself is generated once each way
+    generated.clear()
+    both = [Element.of(spec, d, 1, "tilde") for d in basis] + [Element.of(spec, d) for d in basis]
+    representation_rank(both + both, 2, cfg)
+    assert sorted(generated, key=repr) == sorted(
+        [(d, "tilde") for d in basis] + [(d, None) for d in basis], key=repr)
