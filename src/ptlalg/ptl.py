@@ -30,12 +30,14 @@ def strata_dims(k):
     return [count_diagrams("balanced_motzkin_n", k, n) for n in range(k + 1)]
 
 
-@functools.lru_cache(maxsize=None)
-def _stratum(spec, n):
+@functools.lru_cache(maxsize=None, typed=True)
+def _stratum(k, delta, n):
     """The colex n-subsets of {1..k}, their positions and the entry algebra
-    TL_n(delta - 1) of X(n), formed once per (spec, n)."""
-    subsets = n_subsets(spec.k, n)
-    tspec = AlgebraSpec("tl", n, spec.delta - 1)
+    TL_n(delta - 1) of X(n), formed once per (k, delta, n).  Keyed by the
+    spec's fields, not the spec, so the cache keeps no spec, nor the
+    products its table holds, alive."""
+    subsets = n_subsets(k, n)
+    tspec = AlgebraSpec("tl", n, delta - 1)
     return subsets, {A: i for i, A in enumerate(subsets)}, tspec
 
 
@@ -59,7 +61,7 @@ def to_block(x, n=None):
         n = strata.pop()
     elif strata - {n}:
         raise ValueError("support crosses stratum %d" % (n,))
-    subsets, idx, tspec = _stratum(x.spec, n)
+    subsets, idx, tspec = _stratum(k, x.spec.delta, n)
     block = SparseMatrix(len(subsets), len(subsets))
     for d, c in x.terms.items():
         A, t, B = triple_of(d)

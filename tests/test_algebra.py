@@ -442,8 +442,9 @@ def test_element_product_admits_each_term_once(monkeypatch):
 
 def test_zero_products_are_the_one_zero_of_their_algebra(monkeypatch):
     """Over all k = 4 pairs a zero bar or tilde product is the shared zero of
-    the spec and basis, and only the nonzero products build an Element, each
-    once through the trusted ``Element._of`` and none through the checks."""
+    the spec and basis, and a nonzero product builds an Element only for the
+    first pair of its key, through the checks of ``Element(...)``; every
+    other pair with that key gets the same instance."""
     spec = motzkin_spec(4)
     pool = balanced_motzkin_diagrams(4)
     assert len(pool) ** 2 == 33489
@@ -459,6 +460,7 @@ def test_zero_products_are_the_one_zero_of_their_algebra(monkeypatch):
         checked.append(1)
         init(self, *args, **kwargs)
 
+    distinct = set()
     nonzero = n_zero = 0
     with monkeypatch.context() as m:
         m.setattr(Element, "_of", classmethod(counting))
@@ -469,11 +471,20 @@ def test_zero_products_are_the_one_zero_of_their_algebra(monkeypatch):
                     prod = rule(spec, d1, d2)
                     if prod.terms:
                         nonzero += 1
+                        distinct.add(id(prod))
                     else:
                         assert prod is zeros[basis] and prod.basis == basis
                         n_zero += 1
-    assert n_zero == 52830 and len(built) == nonzero == 66978 - n_zero
-    assert not checked
+    assert n_zero == 52830 and nonzero == 66978 - n_zero == 14148
+    assert len(checked) == len(distinct) == len(spec._products) == 682
+    assert not built
+    # 300 bar results, 300 one-term tilde results and 82 snake expansions
+    kinds = {}
+    for (basis, _, _, snakes), r in spec._products.items():
+        assert r.basis == basis and len(r.terms) == 2 ** len(snakes)
+        kind = (basis, len(r.terms) > 1)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds == {("bar", False): 300, ("tilde", False): 300, ("tilde", True): 82}
     assert zeros["bar"].spec is spec and not zeros["bar"].terms
 
 
@@ -497,6 +508,42 @@ def test_each_spec_has_its_own_zeros():
         Element.zero(fresh, "nope")
     assert Element.zero(fresh) == Element(fresh, {}) and not Element.zero(fresh).terms
     assert set(fresh._zeros) == {"diagram"}
+
+
+def test_structured_products_are_shared_per_spec():
+    """The same pair twice gives the identical result, tied to the spec
+    object that made it; an equal spec builds results of its own, and the
+    table changes neither the spec's equality, hash nor repr."""
+    spec, again = motzkin_spec(3), motzkin_spec(3)
+    before = (hash(spec), repr(spec))
+    pool = balanced_motzkin_diagrams(3)
+    pairs = [(d1, d2) for d1 in pool[::5] for d2 in pool[::3]]
+    for rule in STRUCTURED.values():
+        for d1, d2 in pairs:
+            r = rule(spec, d1, d2)
+            assert rule(spec, d1, d2) is r and r.spec is spec
+            r2 = rule(again, d1, d2)
+            assert r2 == r and r2.spec is again
+            if r:
+                assert r2 is not r
+    assert spec._products and spec == again == motzkin_spec(3)
+    assert (hash(spec), repr(spec)) == before == (hash(again), repr(again))
+    assert len({spec, again, motzkin_spec(3)}) == 1
+
+
+def test_structured_products_refuse_results_outside_the_algebra():
+    """A result the spec does not admit in the rule's basis raises one
+    ValueError and leaves nothing in the spec's table."""
+    e1, p1 = gen_e(1, 2), gen_p(1, 2)
+    cases = [(bar_multiply, tl_spec(2), e1, "tl/bar"),
+             (tilde_multiply, tl_spec(2), e1, "tl/tilde"),
+             (bar_multiply, AlgebraSpec("partition", 2), p1, "partition/bar")]
+    for rule, spec, d, where in cases:
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not admitted by " + where) as err:
+                rule(spec, d, d)
+            assert "\n" not in str(err.value)
+            assert not spec._products
 
 
 def test_zero_products_at_delta_one_are_the_one_zero():
@@ -591,14 +638,16 @@ def test_results_built_by_closure_pass_the_validating_constructor(case):
 
 
 def test_tilde_multiply_rebuilds_only_the_dropped_composites(monkeypatch):
-    """The composite itself is the empty-subset term; only the 2^|S| - 1
-    terms that drop through edges are built again, each interned through
-    ``Diagram._of`` while ``removals`` runs."""
+    """``removals`` runs once per distinct (composite, loops, snakes), on
+    the key's first product.  The composite itself is the empty-subset term;
+    only the 2^|S| - 1 terms that drop through edges are built again, each
+    interned through ``Diagram._of`` while ``removals`` runs."""
     from ptlalg import algebra
 
     spec = motzkin_spec(3)
     pool = balanced_motzkin_diagrams(3)
     built = []
+    runs = []
     in_removals = []
     of = Diagram._of.__func__
 
@@ -608,20 +657,25 @@ def test_tilde_multiply_rebuilds_only_the_dropped_composites(monkeypatch):
         return of(cls, k, key)
 
     def watched_removals(d, edge_pool):
+        runs.append(d)
         in_removals.append(d)
         try:
             return removals(d, edge_pool)
         finally:
             in_removals.pop()
 
-    expected = 0
+    keys = {}
     with monkeypatch.context() as m:
         m.setattr(Diagram, "_of", classmethod(counting))
         m.setattr(algebra, "removals", watched_removals)
         for d1 in pool:
             for d2 in pool:
                 if tilde_multiply(spec, d1, d2):
-                    expected += 2 ** len(reference_snake_set(d1, d2)) - 1
+                    comp = compose(d1, d2)
+                    snakes = frozenset(reference_snake_set(d1, d2))
+                    keys[(comp.diagram, comp.loops, snakes)] = len(snakes)
+    assert len(runs) == len(keys) == len(spec._products)
+    expected = sum(2 ** n - 1 for n in keys.values())
     assert 0 < expected == len(built)
 
 

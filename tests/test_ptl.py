@@ -1,5 +1,7 @@
 """Strata, block transport, orthogonal ideals, and the generators theorem."""
 
+import gc
+import weakref
 from fractions import Fraction
 from math import comb
 
@@ -212,6 +214,21 @@ def test_to_block_refuses_a_bad_stratum():
             to_block(zero, n)
         assert str(info.value) == "stratum n must be an integer in 0..k = 2, not %r" % (n,)
     assert [to_block(zero, n).nrows for n in (0, 1, 2)] == [1, 2, 1]
+
+
+def test_to_block_keeps_no_spec_alive():
+    """The stratum cache is keyed by (k, delta, n), so a spec and the bar
+    products its table holds are freed once its elements are."""
+    spec = ptl_spec(3, Fraction(5, 2))
+    basis = balanced_motzkin_stratum(2, 3)
+    x = bar_multiply(spec, basis[0], basis[0])
+    assert x and spec._products and to_block(x, 2).nrows == 3
+    ref = weakref.ref(spec)
+    del spec, x
+    gc.collect()
+    assert ref() is None
+    again = ptl_spec(3, Fraction(5, 2))
+    assert to_block(Element.of(again, basis[0], 1, "bar"), 2).nrows == 3
 
 
 def test_cross_stratum_products_vanish():
