@@ -156,6 +156,13 @@ def collect_bar_paths(combo):
     return {path_of(d): c for d, c in change_basis(x, "bar").terms.items()}
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _partial_brauer(k, delta):
+    """The partial Brauer algebra ``bar_act`` multiplies in, formed once per
+    (k, delta), so its product table serves every later call."""
+    return AlgebraSpec("partial_brauer", k, delta)
+
+
 def bar_act(spec, d, a):
     """Action of a balanced bar-basis diagram on a bar path: the bar rule on
     d and the half-diagram of ``a`` (partial Brauer, loop parameter of
@@ -168,8 +175,7 @@ def bar_act(spec, d, a):
     """
     if not d.is_balanced():
         raise ValueError("bar_act needs a balanced diagram")
-    pb = AlgebraSpec("partial_brauer", d.k, spec.delta)
-    prod = bar_multiply(pb, d, path_diagram(a))
+    prod = bar_multiply(_partial_brauer(d.k, spec.delta), d, path_diagram(a))
     if not prod:
         return None
     (image, coeff), = prod.terms.items()

@@ -22,6 +22,9 @@ K exponents and the gl2/sl2 weight classes.  Everything is exact: a diagram's
 entries are monomials c * q^e, carried as (e, c), and one Laurent polynomial
 is built per entry of a finished matrix; commutant dimensions and the rank
 are found by exact elimination at a rational q, on ints from one power table.
+E and F never move a v_0 letter, so the commutant system splits by the v_0
+sites (the zero patterns) of the row and column words into independent
+blocks, solved one at a time.
 """
 
 from __future__ import annotations
@@ -243,11 +246,15 @@ def commutant_dim(k, q0, group="gl2"):
     The diagonal generators force a block structure on the unknown matrix
     (rational q0 not in {0, 1, -1} has injective power map, so joint
     eigenspaces are exactly the weight classes); the E and F commutation
-    conditions are then solved by exact elimination.  Each equation
-    (XG - GX)[u, c] = 0 is gathered straight from G's column c and row u,
-    whose entries come from the same ladder as ``qgen_matrix``'s.  Every
-    entry of E and F is q^e with |e| < k, read scaled from ``_q_powers``, so
-    the elimination starts from exact ints instead of Fractions.
+    conditions are then solved by exact elimination.  E and F never move a
+    v_0 letter, so the system splits further by the zero patterns of the
+    row and column words into independent blocks; the dimension is the sum
+    of the blocks' nullities, and only one block's equations are held at a
+    time.  Each equation (XG - GX)[u, c] = 0 is gathered straight from G's
+    column c and row u, whose entries come from the same ladder as
+    ``qgen_matrix``'s.  Every entry of E and F is q^e with |e| < k, read
+    scaled from ``_q_powers``, so the elimination starts from exact ints
+    instead of Fractions.
     """
     check_k(k)
     q0 = Fraction(q0)
@@ -255,51 +262,69 @@ def commutant_dim(k, q0, group="gl2"):
         raise ValueError("q must avoid 0 and +-1, not %s" % (q0,))
     if group not in ("gl2", "sl2"):
         raise ValueError("group must be 'gl2' or 'sl2'")
-    rows, n_unknowns = _commutant_rows(k, q0, group)
-    return nullity(rows, n_unknowns)
+    return sum(nullity(rows, n_unknowns)
+               for rows, n_unknowns in _commutant_blocks(k, q0, group))
 
 
-def _commutant_rows(k, q0, group):
-    """The nonzero rows of ``commutant_dim``'s equations, as dicts from
-    unknown to int coefficient, and the number of unknowns.
+def _commutant_blocks(k, q0, group):
+    """Yield ``commutant_dim``'s equations one block at a time: the block's
+    nonzero rows, as dicts from unknown to int coefficient, and its number
+    of unknowns.
 
     The unknowns are the entries x[u, v] of X with u and v in one weight
-    class, numbered class by class and row by row: x[u, v] is
-    ``off[u] + pos[v]``.  G = E or F maps each class into one other class,
-    so an equation (u, c) is nonzero only for c in a class that G moves and
-    u in the class it moves it to; there it reads G[v, c] on x[u, v] for
-    each v of column c, and -G[u, r] on x[r, c] for each r of row u.  G has
-    no diagonal, so the two parts never meet on one unknown.
+    class.  The zero pattern of a word is the set of its v_0 sites, which E
+    and F keep, so the unknowns split into blocks by the zero patterns
+    (A, B) of u and v, one block per pair of patterns that share a class.
+    A block numbers its unknowns as the whole system would, class by class
+    (in word order) and row by row: x[u, v] is ``off[u] + pos[v]``, where
+    pos[v] is the place of v among the words of its class and pattern.
+    G = E or F maps each class into one other class, so an equation (u, c)
+    is nonzero only for c in a class that G moves and u in the class it
+    moves it to; there it reads G[v, c] on x[u, v] for each v of column c,
+    and -G[u, r] on x[r, c] for each r of row u.  Both lie in the block of
+    (Z_u, Z_c), which therefore holds every equation of its unknowns.  G
+    has no diagonal, so the two parts never meet on one unknown.
     """
-    classes, cls = {}, []
+    cls, patterns = [], {}
     for i, w in enumerate(words(k)):
         plus, minus = word_weight(w)
         cls.append((plus, minus) if group == "gl2" else plus - minus)
-        classes.setdefault(cls[i], []).append(i)
-    off, pos, n_unknowns = {}, {}, 0
-    for members in classes.values():
-        for j, u in enumerate(members):
-            pos[u] = j
-            off[u] = n_unknowns + j * len(members)
-        n_unknowns += len(members) ** 2
+        patterns.setdefault(tuple(x == 0 for x in w), {}).setdefault(cls[i], []).append(i)
+    classes = dict.fromkeys(cls)  # in word order
+    pos = {u: j for classes in patterns.values() for members in classes.values()
+           for j, u in enumerate(members)}
     power = _q_powers(q0, k)
-    rows = []
+    ladders = []
     for g in ("E", "F"):
         col, row, image = {}, {}, {}
         for r, c, e in _ladder(g, k):
             col.setdefault(c, []).append((pos[r], power[e]))
-            row.setdefault(r, []).append((off[c], -power[e]))
+            row.setdefault(r, []).append((c, -power[e]))
             image[cls[c]] = cls[r]
-        for source, target in image.items():
-            for c in classes[source]:
-                down, at = col.get(c, ()), pos[c]
-                for u in classes[target]:
-                    eq = {off[u] + p: v for p, v in down}
-                    for o, v in row.get(u, ()):
-                        eq[o + at] = v
-                    if eq:
-                        rows.append(eq)
-    return rows, n_unknowns
+        ladders.append((col, row, image))
+    for left in patterns.values():
+        for right in patterns.values():
+            shared = [c for c in classes if c in left and c in right]
+            if not shared:
+                continue
+            off, n_unknowns = {}, 0
+            for c in shared:
+                width = len(right[c])
+                for j, u in enumerate(left[c]):
+                    off[u] = n_unknowns + j * width
+                n_unknowns += len(left[c]) * width
+            rows = []
+            for col, row, image in ladders:
+                for source, target in image.items():
+                    for c in right.get(source, ()):
+                        down, at = col.get(c, ()), pos[c]
+                        for u in left.get(target, ()):
+                            eq = {off[u] + p: v for p, v in down}
+                            for r, v in row.get(u, ()):
+                                eq[off[r] + at] = v
+                            if eq:
+                                rows.append(eq)
+            yield rows, n_unknowns
 
 
 def _q_powers(q0, k):

@@ -7,7 +7,8 @@ from math import comb
 import pytest
 
 from ptlalg import cells
-from ptlalg.algebra import Element, bar_of, motzkin_spec, tl_spec
+from ptlalg.algebra import (AlgebraSpec, Element, bar_multiply, bar_of, motzkin_spec,
+                            tl_spec)
 from ptlalg.cells import (act_on_path, bar_act, bar_path, cell_action,
                           cell_basis, cell_dims, collect_bar_paths,
                           is_motzkin_path, join_tl, motzkin_paths,
@@ -627,6 +628,41 @@ def test_bar_act_at_delta_one_drops_zero_images():
     assert frame_bar_act(spec, e, (1, -1)) == (0, (1, -1))
     assert bar_act(spec, e, (1, -1)) is None
     assert bar_act(spec, identity(2), (1, -1)) == (1, (1, -1))
+
+
+def fresh_spec_bar_act(spec, d, a):
+    """``bar_act`` through a partial Brauer spec formed for this call alone."""
+    prod = bar_multiply(AlgebraSpec("partial_brauer", d.k, spec.delta), d, path_diagram(a))
+    if not prod:
+        return None
+    (image, coeff), = prod.terms.items()
+    b = path_of(image)
+    return None if rank_of(b) != rank_of(a) else (coeff, b)
+
+
+def test_bar_act_matches_the_fresh_spec_route():
+    for k in range(4):
+        for delta_value in (delta, 3, Fraction(-1, 2), 1):
+            spec = motzkin_spec(k, delta_value)
+            for d in balanced_motzkin_diagrams(k):
+                for a in motzkin_paths(k):
+                    assert bar_act(spec, d, a) == fresh_spec_bar_act(spec, d, a)
+
+
+def test_a_repeated_bar_act_builds_no_second_checked_element(monkeypatch):
+    pairs = [(d, a) for d in balanced_motzkin_diagrams(3) for a in motzkin_paths(3)]
+    first = [bar_act(motzkin_spec(3, Fraction(5, 2)), d, a) for d, a in pairs]
+    assert any(first)
+    checked = []
+    init = Element.__init__
+
+    def checking(self, *args, **kwargs):
+        checked.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Element, "__init__", checking)
+    assert [bar_act(motzkin_spec(3, Fraction(5, 2)), d, a) for d, a in pairs] == first
+    assert not checked
 
 
 def test_cell_action_matches_two_loop_reference():

@@ -2,11 +2,14 @@
 
 import functools
 import itertools
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from ptlalg import linalg
 from ptlalg.algebra import (FLAVORS, AlgebraSpec, Element, bar_of, change_basis,
                             motzkin_spec, tilde_of, tl_spec)
 from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, compose, gen_e,
@@ -14,7 +17,7 @@ from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, compose, gen_e,
                             partial_brauer_diagrams, triple_of)
 from ptlalg.linalg import SparseMatrix, rank_of_rows
 from ptlalg.ptl import ptl_dimension
-from ptlalg.repn import (SL2_GENERATORS, RepConfig, _commutant_rows, b_matrix,
+from ptlalg.repn import (SL2_GENERATORS, RepConfig, _commutant_blocks, b_matrix,
                          commutant_dim, diagram_matrix, element_matrix,
                          modified_weight_matrix, pieri_dims,
                          qgen_matrix, representation_rank, word_index,
@@ -361,18 +364,14 @@ def reference_commutant_rows(k, q0, group):
     """The equations of ``commutant_dim`` scattered unknown by unknown: with
     E and F evaluated at q0 and scaled by (n*d)^k, the unknown x[u, v] adds
     G[v, c] to equation (u, c) for each c of G's row v, and -G[r, u] to
-    equation (r, v) for each r of G's column u.  Returns the rows and the
-    number of unknowns."""
+    equation (r, v) for each r of G's column u.  Returns the rows, keyed by
+    the unknowns (u, v), and the number of unknowns."""
     q0 = Fraction(q0)
     classes = {}
     for i, w in enumerate(words(k)):
         plus, minus = word_weight(w)
         classes.setdefault((plus, minus) if group == "gl2" else plus - minus, []).append(i)
-    unknowns = {}
-    for members in classes.values():
-        for r in members:
-            for c in members:
-                unknowns[(r, c)] = len(unknowns)
+    unknowns = [(r, c) for members in classes.values() for r in members for c in members]
     scale = (q0.numerator * q0.denominator) ** k
 
     def scaled(v):
@@ -387,14 +386,51 @@ def reference_commutant_rows(k, q0, group):
         for (r, c), v in gm.entries.items():
             by_row.setdefault(r, []).append((c, v))
             by_col.setdefault(c, []).append((r, v))
-        for (u, v), idx in unknowns.items():
+        for u, v in unknowns:
             for c, val in by_row.get(v, ()):
                 eq = rows.setdefault((g, u, c), {})
-                eq[idx] = eq.get(idx, 0) + val
+                eq[u, v] = eq.get((u, v), 0) + val
             for r, val in by_col.get(u, ()):
                 eq = rows.setdefault((g, r, v), {})
-                eq[idx] = eq.get(idx, 0) - val
+                eq[u, v] = eq.get((u, v), 0) - val
     return list(rows.values()), len(unknowns)
+
+
+def zero_patterns(k):
+    """The zero pattern of each word, in word order: which sites hold v_0."""
+    return [tuple(x == 0 for x in w) for w in words(k)]
+
+
+def reference_block_unknowns(k, group):
+    """The unknowns (u, v) of each block of ``commutant_dim``, in the order
+    the blocks come and numbered as they are: one block per pair of zero
+    patterns (in word order) that share a weight class, its unknowns sorted
+    by class (in word order), then u, then v."""
+    ws, zs = words(k), zero_patterns(k)
+    cls = [(w.count(1), w.count(-1)) if group == "gl2" else w.count(1) - w.count(-1)
+           for w in ws]
+    rank = {}
+    for c in cls:
+        rank.setdefault(c, len(rank))
+    blocks = {}
+    for u, v in itertools.product(range(len(ws)), repeat=2):
+        if cls[u] == cls[v]:
+            blocks.setdefault((zs[u], zs[v]), []).append((u, v))
+    patterns = list(dict.fromkeys(zs))
+    return [(a, b, sorted(blocks[a, b], key=lambda uv: (rank[cls[uv[0]]], uv)))
+            for a in patterns for b in patterns if (a, b) in blocks]
+
+
+def commutant_blocks_by_word(k, q0, group):
+    """``_commutant_blocks`` with each block's unknowns read back as (u, v)
+    through ``reference_block_unknowns``: (A, B, unknowns, rows)."""
+    out = []
+    for (rows, n_unknowns), (a, b, unknowns) in zip(
+            _commutant_blocks(k, Fraction(q0), group), reference_block_unknowns(k, group),
+            strict=True):
+        assert n_unknowns == len(unknowns)
+        out.append((a, b, unknowns, [{unknowns[i]: v for i, v in row.items()} for row in rows]))
+    return out
 
 
 @pytest.mark.parametrize("q0", [2, Fraction(3, 2), Fraction(5, 3), Fraction(-3, 7)],
@@ -402,17 +438,64 @@ def reference_commutant_rows(k, q0, group):
 @pytest.mark.parametrize("group", ["gl2", "sl2"])
 def test_commutant_rows_match_the_scatter_reference(group, q0):
     for k in range(5):
-        rows, n_unknowns = _commutant_rows(k, Fraction(q0), group)
+        blocks = commutant_blocks_by_word(k, q0, group)
         want, want_unknowns = reference_commutant_rows(k, q0, group)
-        assert n_unknowns == want_unknowns
+        assert sum(len(unknowns) for _, _, unknowns, _ in blocks) == want_unknowns
+        rows = [row for _, _, _, block_rows in blocks for row in block_rows]
         assert (sorted(sorted(row.items()) for row in rows)
                 == sorted(sorted(row.items()) for row in want))
 
 
 def test_commutant_rows_count_at_k5():
     # 4,653 unknowns, the sum of the squared gl2 class sizes
-    rows, n_unknowns = _commutant_rows(5, Fraction(3, 2), "gl2")
-    assert (len(rows), n_unknowns) == (7070, 4653)
+    blocks = list(_commutant_blocks(5, Fraction(3, 2), "gl2"))
+    assert (sum(len(rows) for rows, _ in blocks), sum(n for _, n in blocks)) == (7070, 4653)
+
+
+@pytest.mark.parametrize("group", ["gl2", "sl2"])
+def test_commutant_blocks_split_by_zero_pattern(group):
+    for k in range(5):
+        blocks, zs = commutant_blocks_by_word(k, 2, group), zero_patterns(k)
+        seen = []
+        for a, b, unknowns, rows in blocks:
+            for u, v in unknowns:
+                assert (zs[u], zs[v]) == (a, b)
+            assert all(row.keys() <= set(unknowns) for row in rows)
+            seen += unknowns
+        classes = {}
+        for w in words(k):
+            key = word_weight(w) if group == "gl2" else w.count(1) - w.count(-1)
+            classes[key] = classes.get(key, 0) + 1
+        assert len(seen) == len(set(seen)) == sum(n * n for n in classes.values())
+        if group == "gl2":
+            assert len(blocks) == sum(math.comb(k, n) ** 2 for n in range(k + 1))
+    assert len(list(_commutant_blocks(5, 2, "gl2"))) == 252
+
+
+def test_commutant_dim_holds_one_block_at_a_time(monkeypatch):
+    # built whole, the k = 5 gl2 system peaked at 4.66 MiB; block by block,
+    # 0.64 MiB
+    adds = [0]
+    add = linalg.Echelon.add
+
+    def counted(self, row):
+        adds[0] += 1
+        return add(self, row)
+
+    monkeypatch.setattr(linalg.Echelon, "add", counted)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert commutant_dim(5, Fraction(3, 2)) == ptl_dimension(5) == 1118
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20
+    assert adds[0] == 7070
 
 
 def test_b_matrix_randomized_alpha():
