@@ -219,7 +219,8 @@ def cmd_verify(args):
     return 1 if failures else 0
 
 
-# format -> (element view, diagram view); both take the item and the RepConfig
+# format -> (element view, diagram view); both take the item and the RepConfig,
+# under which the matrix view acts with delta = 1 - (q + q^-1)
 _RENDERERS = {
     "ascii": (lambda x, cfg: ascii_element(x), lambda d, cfg: ascii_diagram(d)),
     "tikz": (lambda x, cfg: tikz_element(x), lambda d, cfg: tikz_diagram(d)),
@@ -231,7 +232,7 @@ _RENDERERS = {
 
 def cmd_render(args):
     obj = _read_json(args.input)
-    cfg = repn.RepConfig(args.alpha, args.sign)
+    cfg = repn.RepConfig(args.alpha)
     is_element = isinstance(obj, dict) and "terms" in obj
     if is_element:
         item = _element_from_json(args, obj)
@@ -360,8 +361,6 @@ def build_parser():
     p.add_argument("--format", default="ascii", choices=tuple(_RENDERERS))
     p.add_argument("--alpha", type=_fraction, default=Fraction(1),
                    help="form parameter for the tensor-space matrix")
-    p.add_argument("--sign", default="-", choices=("+", "-"),
-                   help="sign in delta = 1 +- (q + q^-1)")
     common(p, algebra=True)
     p.set_defaults(fn=cmd_render)
 

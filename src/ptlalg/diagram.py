@@ -344,15 +344,15 @@ class Composition(NamedTuple):
     diagram: Diagram
     blocks: int          # discarded interior blocks
     loops: int | None    # closed interior loops (partial Brauer inputs)
-    paths: int | None    # open interior paths, single vertices included
 
 
 def compose(d1, d2):
     """Stack ``d1`` above ``d2`` and discard the middle row.
 
     Returns the composite diagram together with the number of discarded
-    interior blocks; when both inputs are partial Brauer these split into
-    ``loops + paths``.
+    interior blocks and, when both inputs are partial Brauer, the number
+    ``loops`` of them that are closed loops; the other ``blocks - loops``
+    are open paths, single vertices included.
 
     The middle row is column c of d1's bottom row glued to column c of
     d2's top row.  Each connected component is found by walking from a
@@ -415,9 +415,7 @@ def compose(d1, d2):
                 n_loops += 1
     new_blocks.sort()
     d3 = Diagram._of(d1.k, tuple(new_blocks))
-    if pb1 and pb2:
-        return Composition(d3, n_blocks, n_loops, n_blocks - n_loops)
-    return Composition(d3, n_blocks, None, None)
+    return Composition(d3, n_blocks, n_loops if pb1 and pb2 else None)
 
 
 def tensor(d1, d2):

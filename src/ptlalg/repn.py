@@ -54,27 +54,20 @@ def word_index(w):
 
 @dataclass(frozen=True)
 class RepConfig:
-    """Form parameter alpha (nonzero rational) and the sign in delta = 1 +- (q + q^-1)."""
+    """Form parameter alpha (nonzero rational); delta acts as 1 - (q + q^-1)."""
 
     alpha: Fraction = Fraction(1)
-    sign: str = "-"
 
     def __post_init__(self):
-        if self.sign not in ("+", "-"):
-            raise ValueError("sign must be '+' or '-'")
         if type(self.alpha) is bool or not isinstance(self.alpha, (int, Fraction)):
             raise ValueError("alpha must be an int or a Fraction, not %r" % (self.alpha,))
         if not self.alpha:
             raise ValueError("alpha must be nonzero")
 
-    @property
-    def s(self):
-        return 1 if self.sign == "+" else -1
-
     def delta_value(self):
-        """The image 1 +- (q + q^-1) of delta; ``x.specialize(cfg.delta_value())``
+        """The image 1 - (q + q^-1) of delta; ``x.specialize(cfg.delta_value())``
         specializes an element ``x``."""
-        return LaurentPoly({0: 1, 1: self.s, -1: self.s})
+        return LaurentPoly({0: 1, 1: -1, -1: -1})
 
     def top_form(self):
         """Cup weights <v_i, v_j>_t, nonzero entries only."""
@@ -86,10 +79,9 @@ class RepConfig:
     def bottom_form(self):
         """Cap weights <v_i, v_j>_b, nonzero entries only."""
         ainv = 1 / self.alpha
-        s = self.s
-        return {(1, -1): LaurentPoly({0: -s * ainv}),
+        return {(1, -1): LaurentPoly({0: ainv}),
                 (0, 0): LaurentPoly.one(),
-                (-1, 1): LaurentPoly({-1: s * ainv})}
+                (-1, 1): LaurentPoly({-1: -ainv})}
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,8 +169,7 @@ def element_matrix(x, cfg):
     Each bar or tilde vector acts through the corrected block weights of
     ``diagram_matrix``, not through its diagram-basis expansion; the
     element's algebra admitted it only if that expansion lies in the
-    algebra.  The element is specialized through delta = 1 +- (q + q^-1),
-    matching the configured sign.
+    algebra.  The element is specialized through delta = 1 - (q + q^-1).
     """
     x = x.specialize(cfg.delta_value())
     correction = None if x.basis == "diagram" else x.basis
@@ -336,7 +327,7 @@ def _q_powers(q0, k):
 def representation_rank(elements, q0, cfg):
     """Rank of the span of the flattened matrices of the given elements.
 
-    Each element is specialized at the number 1 +- (q0 + q0^-1), as
+    Each element is specialized at the number 1 - (q0 + q0^-1), as
     evaluation at q0 is a ring map, and each row is scaled by (n*d)^k for
     q0 = n/d: an entry c * q^e (|e| <= k/2) reads c * n^(k+e) * d^(k-e).
     A diagram's entries are generated once per call, however many of the
@@ -344,7 +335,7 @@ def representation_rank(elements, q0, cfg):
     q0 = Fraction(q0)
     if q0 == 0:
         raise ValueError("q must be nonzero, not %s" % (q0,))
-    delta0 = 1 + cfg.s * (q0 + 1 / q0)
+    delta0 = cfg.delta_value().evaluate(q0)
     rows, entries = [], {}
     for x in elements:
         x = x.specialize(delta0)

@@ -317,18 +317,14 @@ def check_commutation(kcap):
 
 
 def check_projections(kcap):
-    q_plus_qi = LaurentPoly({1: 1, -1: 1})
-    for sign in ("+", "-"):
-        s = 1 if sign == "+" else -1
-        eps = repn.modified_weight_matrix(gen_e(1, 2), "tilde",
-                                          repn.RepConfig(sign=sign))
-        if eps * eps != eps.scale(s * q_plus_qi):
-            return False, "eps^2 != +-(q + q^-1) eps"
-        for alpha in (Fraction(1), Fraction(2), Fraction(1, 3)):
-            cfg = repn.RepConfig(alpha, sign)
-            b = repn.b_matrix(cfg)
-            if b * b != b.scale(cfg.delta_value()):
-                return False, "B(alpha,%s)^2 mismatch at alpha=%s" % (sign, alpha)
+    eps = repn.modified_weight_matrix(gen_e(1, 2), "tilde", repn.RepConfig())
+    if eps * eps != eps.scale(LaurentPoly({1: -1, -1: -1})):
+        return False, "eps^2 != -(q + q^-1) eps"
+    for alpha in (Fraction(1), Fraction(2), Fraction(1, 3)):
+        cfg = repn.RepConfig(alpha)
+        b = repn.b_matrix(cfg)
+        if b * b != b.scale(cfg.delta_value()):
+            return False, "B(alpha)^2 mismatch at alpha=%s" % alpha
     return True, "projection relations hold"
 
 

@@ -217,15 +217,14 @@ def test_criterion_8_representation_relations():
                 ok &= all(gm.commutator(u).is_zero() for u in sl2)
             for gm in (epsilon_matrix(i, k), trio[1], trio[2]):
                 ok &= all(gm.commutator(u).is_zero() for u in gl2)
-    for sign, s in (("+", 1), ("-", -1)):
-        eps = epsilon_matrix(1, 2, sign)
-        ok &= eps * eps == eps.scale((q + qi) * s)
-        for alpha in (Fraction(1), Fraction(2), Fraction(1, 3)):
-            cfg2 = RepConfig(alpha, sign)
-            B = b_matrix(cfg2)
-            ok &= B * B == B.scale(cfg2.delta_value())
+    eps = epsilon_matrix(1, 2)
+    ok &= eps * eps == eps.scale(-(q + qi))
+    for alpha in (Fraction(1), Fraction(2), Fraction(1, 3)):
+        cfg2 = RepConfig(alpha)
+        B = b_matrix(cfg2)
+        ok &= B * B == B.scale(cfg2.delta_value())
     _report(8, ok, time.monotonic() - t0, 60,
-            "symbolic commutation k <= 3; eps^2 and B(alpha,+-)^2 relations")
+            "symbolic commutation k <= 3; eps^2 and B(alpha)^2 relations")
 
 
 def test_criterion_9_schur_weyl_dimensions():

@@ -33,10 +33,10 @@ def test_library_catalan():
 def test_compose_counts():
     e = gen_e(1, 2)
     c = compose(e, e)
-    assert c.diagram == e and c.loops == 1 and c.paths == 0
+    assert c.diagram == e and c.loops == 1 and c.blocks - c.loops == 0
     p = gen_p(1, 1)
     cp = compose(p, p)
-    assert cp.diagram == p and cp.loops == 0 and cp.paths == 1
+    assert cp.diagram == p and cp.loops == 0 and cp.blocks - cp.loops == 1
     for d in motzkin_diagrams(2):
         c = compose(identity(2), d)
         assert c.diagram == d and c.blocks == 0
@@ -249,7 +249,8 @@ def test_composition_associative_with_counts():
             right2 = compose(d1, right1.diagram)
             assert left2.diagram == right2.diagram
             assert left1.loops + left2.loops == right1.loops + right2.loops
-            assert left1.paths + left2.paths == right1.paths + right2.paths
+            assert (left1.blocks - left1.loops + left2.blocks - left2.loops
+                    == right1.blocks - right1.loops + right2.blocks - right2.loops)
             assert left1.blocks + left2.blocks == right1.blocks + right2.blocks
 
 
@@ -258,7 +259,8 @@ def test_loops_plus_paths_equals_blocks():
     for d1 in pool:
         for d2 in pool:
             c = compose(d1, d2)
-            assert c.blocks == c.loops + c.paths
+            # the open paths, blocks - loops, are never negative
+            assert 0 <= c.loops <= c.blocks
 
 
 def test_json_round_trip():
@@ -313,22 +315,16 @@ def union_find_compose(d1, d2):
                 interior_edges[r] = interior_edges.get(r, 0) + 1
 
     new_blocks = []
-    n_blocks = n_loops = n_paths = 0
+    n_blocks = n_loops = 0
     for root, verts in members.items():
         outer = [v for v in verts if v < k or v >= 2 * k]
         if outer:
             new_blocks.append(tuple(v if v < k else v - k for v in outer))
         else:
             n_blocks += 1
-            if pb:
-                if interior_edges.get(root, 0) == len(verts):
-                    n_loops += 1
-                else:
-                    n_paths += 1
-    d3 = Diagram(k, new_blocks)
-    if pb:
-        return Composition(d3, n_blocks, n_loops, n_paths)
-    return Composition(d3, n_blocks, None, None)
+            if pb and interior_edges.get(root, 0) == len(verts):
+                n_loops += 1
+    return Composition(Diagram(k, new_blocks), n_blocks, n_loops if pb else None)
 
 
 def assert_same_composition(d1, d2):
@@ -345,7 +341,7 @@ def test_compose_matches_reference_on_all_partial_brauer_3_pairs():
         for d2 in pool:
             c = assert_same_composition(d1, d2)
             loops += c.loops
-            paths += c.paths
+            paths += c.blocks - c.loops
     assert loops > 0 and paths > 0
 
 
@@ -378,9 +374,9 @@ def test_compose_matches_reference_on_partition_words():
     for d1 in big[::3]:
         for d2 in sorted(reached):
             c = assert_same_composition(d1, d2)
-            assert c.loops is None and c.paths is None
+            assert c.loops is None
             c = assert_same_composition(d2, d1)
-            assert c.loops is None and c.paths is None
+            assert c.loops is None
 
 
 def test_compose_matches_reference_on_partition_words_k4():
@@ -401,7 +397,7 @@ def test_compose_matches_reference_on_partition_words_k4():
     for _ in range(600):
         d1, d2 = rng.choice(words), rng.choice(big)
         for c in (assert_same_composition(d1, d2), assert_same_composition(d2, d1)):
-            assert c.loops is None and c.paths is None
+            assert c.loops is None
             discarded += c.blocks
     assert discarded > 0
 
@@ -421,7 +417,8 @@ def test_compose_associative_with_counts_on_motzkin_5(data):
     right2 = assert_same_composition(d1, right1.diagram)
     assert left2.diagram == right2.diagram
     assert left1.loops + left2.loops == right1.loops + right2.loops
-    assert left1.paths + left2.paths == right1.paths + right2.paths
+    assert (left1.blocks - left1.loops + left2.blocks - left2.loops
+            == right1.blocks - right1.loops + right2.blocks - right2.loops)
 
 
 # -- Diagram validation ----------------------------------------------------------

@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from ptlalg import linalg
-from ptlalg.algebra import (FLAVORS, AlgebraSpec, Element, bar_of, change_basis,
-                            motzkin_spec, tilde_of, tl_spec)
+from ptlalg.algebra import (FLAVORS, AlgebraSpec, Element, bar_multiply, bar_of,
+                            change_basis, motzkin_spec, ptl_spec, tilde_of, tl_spec)
 from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, compose, gen_e,
                             gen_l, gen_r, identity, motzkin_diagrams,
                             partial_brauer_diagrams, triple_of)
@@ -89,7 +89,7 @@ def reference_element_matrix(x, cfg):
     m = SparseMatrix(3 ** k, 3 ** k)
     for d, c in x.terms.items():
         if isinstance(c, DeltaPoly):
-            c = reference_substitute_delta(c, cfg.sign)
+            c = reference_substitute_delta(c)
         for (r, col), v in _plain_diagram_matrix(d, cfg).entries.items():
             m.add_at(r, col, c * v)
     return m
@@ -108,19 +108,18 @@ def reference_rank(rows, q0):
                          for rc, v in row.items()} for row in rows)
 
 
-def epsilon_matrix(i, k, sign="-"):
+def epsilon_matrix(i, k):
     """The scaled projection at sites (i, i+1) from its own 4-entry local
     table: v_{1,-1}, v_{-1,1} survive."""
     if not 1 <= i <= k - 1:
         raise ValueError("index out of range")
-    s = 1 if sign == "+" else -1
     n = 3 ** k
     m = SparseMatrix(n, n)
     local = {
-        ((1, -1), (1, -1)): LaurentPoly({1: s}),
-        ((-1, 1), (1, -1)): LaurentPoly({0: -s}),
-        ((1, -1), (-1, 1)): LaurentPoly({0: -s}),
-        ((-1, 1), (-1, 1)): LaurentPoly({-1: s}),
+        ((1, -1), (1, -1)): LaurentPoly({1: -1}),
+        ((-1, 1), (1, -1)): LaurentPoly({0: 1}),
+        ((1, -1), (-1, 1)): LaurentPoly({0: 1}),
+        ((-1, 1), (-1, 1)): LaurentPoly({-1: -1}),
     }
     for w in words(k):
         pair = (w[i - 1], w[i])
@@ -171,7 +170,7 @@ def test_identity_matrix():
 
 
 def test_b_matrix_at_alpha_one():
-    B = b_matrix(RepConfig(Fraction(1), "-"))
+    B = b_matrix(RepConfig(Fraction(1)))
     want = [[-q, -q, one], [one, one, -qi], [one, one, -qi]]
     for r in range(3):
         for c in range(3):
@@ -187,10 +186,9 @@ def test_b_matrix_at_alpha_one():
 
 def test_b_matrix_projection_relation():
     for alpha in (Fraction(1), Fraction(2), Fraction(1, 3)):
-        for sign in ("+", "-"):
-            c = RepConfig(alpha, sign)
-            B = b_matrix(c)
-            assert B * B == B.scale(c.delta_value())
+        c = RepConfig(alpha)
+        B = b_matrix(c)
+        assert B * B == B.scale(c.delta_value())
 
 
 def test_quantum_generator_relations():
@@ -222,43 +220,57 @@ def test_trivial_word_component():
 
 
 def test_epsilon():
-    for sign, s in (("+", 1), ("-", -1)):
-        eps = epsilon_matrix(1, 2, sign)
-        assert eps * eps == eps.scale((q + qi) * s)
-        # only v_{1,-1} and v_{-1,1} survive
-        cols = {rc[1] for rc in eps.entries}
-        assert cols == {word_index((1, -1)), word_index((-1, 1))}
+    eps = epsilon_matrix(1, 2)
+    assert eps * eps == eps.scale(-(q + qi))
+    # only v_{1,-1} and v_{-1,1} survive
+    cols = {rc[1] for rc in eps.entries}
+    assert cols == {word_index((1, -1)), word_index((-1, 1))}
     # matches the signed sum over the tilde expansion, independently of alpha
     M2 = motzkin_spec(2)
     for alpha in (Fraction(1), Fraction(2), Fraction(1, 3)):
-        c = RepConfig(alpha, "-")
+        c = RepConfig(alpha)
         acc = SparseMatrix(9, 9)
         for d, coeff in tilde_of(M2, gen_e(1, 2)).terms.items():
             acc = acc + diagram_matrix(d, c).scale(coeff)
-        assert acc == epsilon_matrix(1, 2, "-")
+        assert acc == epsilon_matrix(1, 2)
 
 
 def test_homomorphism_exhaustive_k2():
     pool = motzkin_diagrams(2)
     for alpha in (Fraction(1), Fraction(2), Fraction(1, 3)):
-        for sign in ("+", "-"):
-            c = RepConfig(alpha, sign)
-            mats = {d: diagram_matrix(d, c) for d in pool}
-            for d1 in pool:
-                for d2 in pool:
-                    comp = compose(d1, d2)
-                    coeff = (DeltaPoly.gen() ** comp.loops).evaluate(c.delta_value())
-                    assert mats[d1] * mats[d2] == mats[comp.diagram].scale(coeff)
+        c = RepConfig(alpha)
+        mats = {d: diagram_matrix(d, c) for d in pool}
+        for d1 in pool:
+            for d2 in pool:
+                comp = compose(d1, d2)
+                coeff = (DeltaPoly.gen() ** comp.loops).evaluate(c.delta_value())
+                assert mats[d1] * mats[d2] == mats[comp.diagram].scale(coeff)
 
 
 def test_homomorphism_exhaustive_k3():
+    # k = 3 is the first k with a snake, e1 e2 e1 = e1 and the like: it
+    # straightens to the identity on every letter only because the forms
+    # make delta act as 1 - (q + q^-1)
     pool = motzkin_diagrams(3)
-    mats = {d: diagram_matrix(d, cfg) for d in pool}
-    for d1 in pool:
-        for d2 in pool:
-            comp = compose(d1, d2)
-            coeff = (DeltaPoly.gen() ** comp.loops).evaluate(cfg.delta_value())
-            assert mats[d1] * mats[d2] == mats[comp.diagram].scale(coeff)
+    for c in CONFIGS:
+        mats = {d: diagram_matrix(d, c) for d in pool}
+        for d1 in pool:
+            for d2 in pool:
+                comp = compose(d1, d2)
+                coeff = (DeltaPoly.gen() ** comp.loops).evaluate(c.delta_value())
+                assert mats[d1] * mats[d2] == mats[comp.diagram].scale(coeff), (c, d1, d2)
+
+
+def test_bar_products_are_matrix_products_k3():
+    spec = ptl_spec(3)
+    pool = balanced_motzkin_diagrams(3)
+    assert len(pool) ** 2 == 1089
+    for c in CONFIGS:
+        mats = {d: element_matrix(Element.of(spec, d, 1, "bar"), c) for d in pool}
+        for d1 in pool:
+            for d2 in pool:
+                product = element_matrix(bar_multiply(spec, d1, d2), c)
+                assert product == mats[d1] * mats[d2], (c, d1, d2)
 
 
 def test_commutation_symbolic():
@@ -289,7 +301,7 @@ def test_modified_weights_match_expansions():
             assert acc == modified_weight_matrix(d, variant, cfg)
     assert modified_weight_matrix(identity(2), "tilde", cfg) == \
         SparseMatrix.identity(9).map_values(lambda v: one)
-    assert modified_weight_matrix(gen_e(1, 2), "tilde", cfg) == epsilon_matrix(1, 2, "-")
+    assert modified_weight_matrix(gen_e(1, 2), "tilde", cfg) == epsilon_matrix(1, 2)
 
 
 def test_bar_images_respect_summands():
@@ -502,8 +514,7 @@ def test_b_matrix_randomized_alpha():
     rng = random.Random(41)
     for _ in range(20):
         alpha = Fraction(rng.randrange(1, 30), rng.randrange(1, 30))
-        sign = rng.choice("+-")
-        c = RepConfig(alpha, sign)
+        c = RepConfig(alpha)
         B = b_matrix(c)
         assert B * B == B.scale(c.delta_value())
 
@@ -515,11 +526,11 @@ def test_representation_rank():
         assert representation_rank(tilde_basis, 2, cfg) == ptl_dimension(k)
         diagram_basis = [Element.of(spec, d) for d in motzkin_diagrams(k)]
         assert representation_rank(diagram_basis, 2, cfg) == len(diagram_basis)
-    # delta = 1 - (q + q^-1) = -3/2 at q = 2 kills (delta + 3/2) e_1;
-    # delta = 1 + (q + q^-1) = 7/2 does not
-    x = Element.of(motzkin_spec(2), gen_e(1, 2), DeltaPoly.gen() + Fraction(3, 2))
-    assert representation_rank([x], 2, RepConfig(sign="-")) == 0
-    assert representation_rank([x], 2, RepConfig(sign="+")) == 1
+    # delta = 1 - (q + q^-1) = -3/2 at q = 2 kills (delta + 3/2) e_1, and
+    # not (delta - 7/2) e_1, which 1 + (q + q^-1) = 7/2 would kill
+    for root, rank in ((Fraction(-3, 2), 0), (Fraction(7, 2), 1)):
+        x = Element.of(motzkin_spec(2), gen_e(1, 2), DeltaPoly.gen() - root)
+        assert representation_rank([x], 2, cfg) == rank
 
 
 def test_pieri_dims_refuses_a_negative_k():
@@ -535,8 +546,8 @@ def test_rep_config_refuses_an_alpha_that_is_not_rational(alpha):
 
 def test_rep_config_takes_int_and_fraction_alpha():
     assert RepConfig(2).top_form()[(1, -1)] == LaurentPoly({1: -2})
-    assert RepConfig(Fraction(-3, 7), "+").bottom_form()[(-1, 1)] == LaurentPoly(
-        {-1: Fraction(-7, 3)})
+    assert RepConfig(Fraction(-3, 7)).bottom_form()[(-1, 1)] == LaurentPoly(
+        {-1: Fraction(7, 3)})
 
 
 def test_pieri_dims():
@@ -559,7 +570,7 @@ def test_element_matrix_specializes_delta():
 def test_element_matrix_reads_the_specialized_element():
     delta = DeltaPoly.gen()
     M2 = motzkin_spec(2)
-    for c in (RepConfig(), RepConfig(Fraction(2, 3), "+")):
+    for c in (RepConfig(), RepConfig(Fraction(2, 3))):
         for basis in ("diagram", "bar", "tilde"):
             x = Element(M2, {gen_e(1, 2): delta * delta - 1, identity(2): 3}, basis)
             y = x.specialize(c.delta_value())
@@ -650,8 +661,7 @@ def test_weight_classes_match_counted_references():
 
 # -- element matrices through corrected weights, against the expansion route -----
 
-CONFIGS = [RepConfig(alpha, sign) for alpha in (Fraction(1), Fraction(2), Fraction(1, 3))
-           for sign in ("+", "-")]
+CONFIGS = [RepConfig(Fraction(alpha)) for alpha in (1, 2, Fraction(1, 3), Fraction(2, 3))]
 CORRECTIONS = (None, "bar", "tilde")
 
 
@@ -700,7 +710,7 @@ def test_element_matrix_matches_the_expansion_route():
             x = Element.of(spec, d, 1, basis)
             want = reference_element_matrix(x, c)
             assert element_matrix(x, c) == want, (d, basis, c)
-            # a delta coefficient specializes to 1 +- (q + q^-1)
+            # a delta coefficient specializes to 1 - (q + q^-1)
             x = Element.of(spec, d, delta, basis)
             assert element_matrix(x, c) == want.scale(c.delta_value()), (d, basis, c)
 
@@ -814,7 +824,9 @@ def test_representation_rank_evaluates_no_entry_at_q0(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(ptlalg.scalar.IntPoly, "evaluate", counting)
                 assert representation_rank(basis, 2, cfg) == rank
-            assert calls == []
+            # the one evaluation at q0 is that of delta's image
+            assert calls == [cfg.delta_value()]
+            calls.clear()
 
 
 def test_epsilon_route_matches_the_local_table():
@@ -822,20 +834,18 @@ def test_epsilon_route_matches_the_local_table():
         for i in range(1, k):
             for c in CONFIGS:
                 got = modified_weight_matrix(gen_e(i, k), "tilde", c)
-                assert got == epsilon_matrix(i, k, c.sign), (k, i, c)
+                assert got == epsilon_matrix(i, k), (k, i, c)
 
 
 def test_b_matrix_matches_the_form_product():
     for alpha in (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-5, 7)):
-        for sign in ("+", "-"):
-            c = RepConfig(alpha, sign)
-            assert b_matrix(c) == form_product_b_matrix(c)
+        c = RepConfig(alpha)
+        assert b_matrix(c) == form_product_b_matrix(c)
 
 
 # -- the faithfulness rank against the Laurent route -----------------------------
 
-RANK_CONFIGS = [RepConfig(Fraction(alpha), sign)
-                for alpha in (1, 2, Fraction(1, 3), Fraction(-5, 7)) for sign in ("+", "-")]
+RANK_CONFIGS = [RepConfig(Fraction(alpha)) for alpha in (1, 2, Fraction(1, 3), Fraction(-5, 7))]
 RANK_POINTS = (Fraction(2), Fraction(3, 2), Fraction(-3), Fraction(1, 5))
 
 
@@ -860,8 +870,9 @@ def rank_samples(k, c):
     return samples
 
 
+# the ids end in "-", the sign in delta = 1 - (q + q^-1)
 @pytest.mark.parametrize("c", RANK_CONFIGS,
-                         ids=lambda c: ("%s%s" % (c.alpha, c.sign)).replace("/", "_"))
+                         ids=lambda c: ("%s-" % c.alpha).replace("/", "_"))
 def test_representation_rank_matches_the_laurent_route(c):
     for k in range(4):
         for elements in rank_samples(k, c):
@@ -871,7 +882,7 @@ def test_representation_rank_matches_the_laurent_route(c):
         spec = motzkin_spec(k)
         for q0 in RANK_POINTS:
             # delta - delta0 vanishes at q0: the route specializes delta there
-            delta0 = 1 + c.s * (q0 + 1 / q0)
+            delta0 = 1 - (q0 + 1 / q0)
             dying = [Element.of(spec, d, DeltaPoly.gen() - delta0)
                      for d in motzkin_diagrams(k)[:3]]
             dying += [x.specialize(c.delta_value()) for x in dying]

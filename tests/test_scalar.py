@@ -18,10 +18,14 @@ qi = LaurentPoly.monomial(-1)
 
 # -- references: the earlier specialization maps ---------------------------------
 
-def reference_substitute_delta(p, sign):
-    """delta -> 1 +- (q + q^-1) by Horner's rule, highest exponent first."""
-    s = 1 if sign == "+" else -1
-    base = LaurentPoly({0: 1, 1: s, -1: s})
+# delta's image 1 - (q + q^-1) in the tensor-space representation, and one
+# more Laurent point at which to specialize delta
+DELTA_IMAGE = 1 - q - qi
+POINTS = (DELTA_IMAGE, 1 + q + qi)
+
+
+def reference_substitute_delta(p, base=DELTA_IMAGE):
+    """delta -> base by Horner's rule, highest exponent first."""
     result = LaurentPoly.zero()
     for e in range(p.max_exponent(), -1, -1):
         result = result * base + p.coeffs.get(e, 0)
@@ -41,9 +45,9 @@ def test_basic_products():
 
 
 def test_substitute_delta():
-    minus, plus = RepConfig(sign="-").delta_value(), RepConfig(sign="+").delta_value()
+    minus = RepConfig().delta_value()
     assert d.evaluate(minus) == 1 - q - qi
-    assert (d - 1).evaluate(plus) == q + qi
+    assert (d - 1).evaluate(1 + q + qi) == q + qi
     assert (d ** 2).evaluate(minus) == q ** 2 + qi ** 2 - 2 * q - 2 * qi + 3
 
 
@@ -58,13 +62,13 @@ def test_evaluate_q():
 
 def test_substitution_matches_horner_reference():
     rng = random.Random(19)
-    for sign in ("+", "-"):
-        base = RepConfig(sign=sign).delta_value()
+    assert RepConfig().delta_value() == DELTA_IMAGE
+    for base in POINTS:
         for _ in range(150):
             p = DeltaPoly({e: rng.randrange(-6, 7) for e in range(rng.randrange(8))})
             got = p.evaluate(base)
             assert type(got) is LaurentPoly
-            assert got == reference_substitute_delta(p, sign)
+            assert got == reference_substitute_delta(p, base)
 
 
 def test_rational_evaluation_matches_power_sum():
@@ -133,8 +137,8 @@ def test_substitution_is_ring_homomorphism():
     for _ in range(100):
         a = _random_poly(rng, DeltaPoly, False)
         b = _random_poly(rng, DeltaPoly, False)
-        for sign in ("+", "-"):
-            f = lambda p: p.evaluate(RepConfig(sign=sign).delta_value())
+        for base in POINTS:
+            f = lambda p: p.evaluate(base)
             assert f(a * b) == f(a) * f(b)
             assert f(a + b) == f(a) + f(b)
 
