@@ -5,8 +5,8 @@ Internally vertices are encoded as ``0..k-1`` for the top row (printed
 ``1..k``) and ``k..2k-1`` for the bottom row (printed ``1'..k'``); blocks
 are stored as a sorted tuple of sorted tuples.  There is one instance per
 distinct diagram, so identity is equality: planarity, frames, partner maps
-and the middle-row ports that composition reads are computed once per
-diagram however often products rebuild it.  Public input
+and the half-diagram signatures that composition reads are computed once
+per diagram however often products rebuild it.  Public input
 (``Diagram(...)``, ``from_edges``, ``from_json``) is canonicalized and
 validated; ``compose``, ``removals`` and the enumerators build canonical
 block tuples from valid diagrams or matchings and intern them unchecked.
@@ -28,9 +28,13 @@ gives each family's size by closed form.
 Composition stacks the left factor above the right one and counts the
 discarded interior blocks; for partial Brauer diagrams these split into
 closed loops, which the twisted product weighs by delta, and open paths,
-which it weighs by 1.  It finds the components of the stack by walking from
-block to block through the shared middle row, alternating between the
-two factors, so it touches each block once and no vertex set is merged.
+which it weighs by 1.  How the middle row glues the factors' blocks depends
+only on the partition that the left factor's blocks cut its bottom row
+into, and the right factor's its top row, with which blocks reach the
+outer rows: the two half-diagram signatures.  So the gluing is worked out
+once per pair of signatures, a plan kept in a table keyed by their
+numbers, and each product only looks its plan up and joins the outer-row
+pieces of its blocks that the plan names.
 """
 
 from __future__ import annotations
@@ -47,6 +51,12 @@ from typing import NamedTuple
 
 # canonical block tuple -> its one Diagram instance (see Diagram)
 _INTERNED = {}
+# half-diagram signature (see Diagram._halves) -> its number
+_SIGNATURES = {}
+# bottom signature number -> {top signature number: plan} (see compose)
+_PLANS = []
+# plan -> itself, so that equal plans are one object
+_PLAN_POOL = {}
 
 
 class Diagram:
@@ -57,9 +67,9 @@ class Diagram:
     met for the first time is validated and stored by :meth:`_of`, so the
     checks run once per distinct ``(k, blocks)``, and the derived data
     computed on first use (kept in the underscored slots: planarity, frames,
-    the partner map and the middle-row ports that :func:`compose` reads;
-    each slot is unset until its accessor first fills it) serves every
-    later construction.  ``compose``, ``removals`` and the
+    the partner map and the two half-diagram signatures with the pieces
+    that :func:`compose` reads; each slot is unset until its accessor first
+    fills it) serves every later construction.  ``compose``, ``removals`` and the
     enumerators call :meth:`_of` directly with tuples that are canonical by
     construction.  Nothing else makes one (``copy`` and ``pickle`` cannot),
     so equality and hashing are the object's own; only the order, by
@@ -68,7 +78,7 @@ class Diagram:
     of the process.
     """
 
-    __slots__ = ("k", "blocks", "_partner", "_pb", "_planar", "_frame", "_ports")
+    __slots__ = ("k", "blocks", "_partner", "_pb", "_planar", "_frame", "_half")
 
     def __new__(cls, k, blocks):
         check_k(k)
@@ -204,34 +214,38 @@ class Diagram:
         object.__setattr__(self, "_planar", planar)
         return planar
 
-    def _middle_ports(self):
-        """What :func:`compose` reads of either factor: the block index at
-        each top-row and at each bottom-row column; per block its top-row
-        vertices, bottom-row vertices, their columns and whether it is an
-        edge; ``is_partial_brauer()``; the blocks that meet the bottom row
-        (as indices), those inside the top row and those inside the bottom."""
+    def _halves(self):
+        """What :func:`compose` reads of either factor: for the top row and
+        then for the bottom row, the row's signature number, the pieces of
+        its labelled blocks and the blocks that miss the row; last
+        ``is_partial_brauer()``.
+
+        The blocks that meet a row are labelled 0, 1, ... in the order of
+        their first column on it.  The row's signature is the tuple of the
+        labels of its k columns together with, per label, whether that block
+        reaches the other row; :func:`_signature` numbers it.  A label's
+        piece is its block's vertices on the other row, empty when the block
+        does not reach it."""
         try:
-            return self._ports
+            return self._half
         except AttributeError:
             pass
-        k = self.k
-        top_of, bot_of, tops, bots = [0] * k, [0] * k, [], []
-        for i, b in enumerate(self.blocks):
-            cut = bisect.bisect_left(b, k)
-            tops.append(b[:cut])
-            bots.append(b[cut:])
-            for v in b[:cut]:
-                top_of[v] = i
-            for v in b[cut:]:
-                bot_of[v - k] = i
-        ports = (tuple(top_of), tuple(bot_of), tuple(tops), tuple(bots),
-                 tuple(tuple(v - k for v in u) for u in bots),
-                 tuple(len(b) == 2 for b in self.blocks), self.is_partial_brauer(),
-                 tuple(i for i, u in enumerate(bots) if u),
-                 tuple(b for b, u in zip(self.blocks, bots) if not u),
-                 tuple(b for b, t in zip(self.blocks, tops) if not t))
-        object.__setattr__(self, "_ports", ports)
-        return ports
+        k, blocks = self.k, self.blocks
+        block_at = {v: b for b in blocks for v in b}
+        half = ()
+        for row in (range(k), range(k, 2 * k)):
+            label, pieces = {}, []
+            for v in row:
+                b = block_at[v]
+                if b not in label:
+                    label[b] = len(label)
+                    pieces.append(tuple(u for u in b if u not in row))
+            labels = tuple(label[block_at[v]] for v in row)
+            half += (_signature((labels, tuple(map(bool, pieces)))), tuple(pieces),
+                     tuple(b for b in blocks if b not in label))
+        half += (self.is_partial_brauer(),)
+        object.__setattr__(self, "_half", half)
+        return half
 
     def is_motzkin(self):
         return self.is_partial_brauer() and self.is_planar()
@@ -346,6 +360,9 @@ class Composition(NamedTuple):
     loops: int | None    # closed interior loops (partial Brauer inputs)
 
 
+_tuple_new = tuple.__new__
+
+
 def compose(d1, d2):
     """Stack ``d1`` above ``d2`` and discard the middle row.
 
@@ -355,67 +372,97 @@ def compose(d1, d2):
     are open paths, single vertices included.
 
     The middle row is column c of d1's bottom row glued to column c of
-    d2's top row.  Each connected component is found by walking from a
-    block of d1 to the blocks of d2 that share one of its middle columns,
-    and from those back to blocks of d1, until no new block is reached.
-    The outer vertices a component meets (d1's top row, d2's bottom row)
-    form one block of the composite.  A component with no outer vertex is
-    discarded; for partial Brauer inputs it is a closed loop when every
-    block on it is an edge, and an open path otherwise.  A block of d2
-    with no middle vertex is reached from no block of d1 and passes
-    through unchanged, as does a block of d1 with no middle vertex.  The
-    column-to-block maps and each block's rows come from the factors'
-    ports (``Diagram._middle_ports``, computed once per diagram), so the
-    walk itself only follows indices.  The composite's blocks are sorted
-    once and interned unchecked: they partition the outer rows because the
-    factors' blocks partition theirs.
+    d2's top row.  How its components run depends only on d1's bottom
+    signature and d2's top one (``Diagram._halves``, computed once per
+    diagram), so it is looked up: ``_PLANS[bottom][top]`` is the plan that
+    :func:`_plan` builds on first sight of the pair.  It lists the outer
+    blocks as the pieces they join (d1's top-row vertices, d2's bottom-row
+    vertices) and counts the discarded blocks and loops.  A block of d1
+    with no middle vertex passes through unchanged, as does one of d2.
+    The composite's blocks are sorted once and interned unchecked: they
+    partition the outer rows because the factors' blocks partition theirs.
     """
     if d1.k != d2.k:
         raise ValueError("cannot compose diagrams with k=%d and k=%d" % (d1.k, d2.k))
-    # below[c]: d1's block at middle column c; above[c]: d2's block there.
-    # d1's outer vertices are its top row, d2's its bottom row.
-    _, below, outer1, _, mids1, edge1, pb1, starts1, upper1, _ = d1._middle_ports()
-    above, _, tops2, outer2, _, edge2, pb2, _, _, lower2 = d2._middle_ports()
-    seen1 = [False] * len(outer1)
-    seen2 = [False] * len(outer2)
-    new_blocks = list(upper1)
-    new_blocks += lower2
-    n_blocks = n_loops = 0
-    for i in starts1:
-        if seen1[i]:
-            continue
-        seen1[i] = True
-        todo = [i]
-        outer = []
-        edges_only = True
-        while todo:
-            i1 = todo.pop()
-            outer += outer1[i1]
-            if not edge1[i1]:
-                edges_only = False
-            for c in mids1[i1]:
-                j = above[c]
-                if seen2[j]:
-                    continue
-                seen2[j] = True
-                outer += outer2[j]
-                if not edge2[j]:
-                    edges_only = False
-                for c2 in tops2[j]:
-                    i2 = below[c2]
-                    if not seen1[i2]:
-                        seen1[i2] = True
-                        todo.append(i2)
-        if outer:
-            outer.sort()
-            new_blocks.append(tuple(outer))
-        else:
+    try:  # the filled slots read directly, without two accessor calls
+        half1, half2 = d1._half, d2._half
+    except AttributeError:
+        half1, half2 = d1._halves(), d2._halves()
+    _, _, _, bottom, pieces1, upper, pb1 = half1
+    top, pieces2, lower, _, _, _, pb2 = half2
+    plan = _PLANS[bottom].get(top)
+    if plan is None:
+        plan = _plan(bottom, top)
+    pairs, merged, n_blocks, n_loops = plan
+    piece = pieces1 + pieces2
+    blocks = list(upper)
+    blocks += lower
+    for i, j in pairs:
+        blocks.append(piece[i] + piece[j])
+    for join in merged:
+        blocks.append(tuple(sorted(v for i in join for v in piece[i])))
+    blocks.sort()
+    key = tuple(blocks)
+    d3 = _INTERNED.get(key)
+    if d3 is None:
+        d3 = Diagram._of(d1.k, key)
+    # what Composition(...) makes, without the call through its __new__
+    return _tuple_new(Composition, (d3, n_blocks, n_loops if pb1 and pb2 else None))
+
+
+def _signature(key):
+    """The number of the half-diagram signature ``key``, given on first
+    sight; it is also the signature's row of ``_PLANS``."""
+    n = _SIGNATURES.setdefault(key, len(_SIGNATURES))
+    if n == len(_PLANS):
+        _PLANS.append({})
+    return n
+
+
+def _plan(bottom, top):
+    """Build and store the plan of :func:`compose` for a left factor of
+    bottom signature ``bottom`` over a right factor of top signature ``top``.
+
+    The nodes are the left factor's labels 0..m-1, then the right factor's
+    labels shifted by m, so node i's piece is ``(pieces1 + pieces2)[i]``;
+    column c joins node below[c] to node m + above[c].  Every label holds a
+    column, so every component holds nodes of both factors.  One with no
+    node that reaches an outer row is a discarded block; it is a closed
+    loop when each node holds two middle columns, for its blocks are then
+    edges.  Any other is one outer block: a pair (i, j) of a left node i
+    and a right node j when at most one node per side reaches out (a side
+    that has none gives a node whose piece is empty), since top-row
+    vertices come before bottom-row ones; else the tuple of its reaching
+    nodes, whose pieces are merged and sorted.  Equal plans are stored as
+    one object.
+    """
+    keys = list(_SIGNATURES)
+    (below, reach1), (above, reach2) = keys[bottom], keys[top]
+    m = len(reach1)
+    reach = reach1 + reach2
+    ends = below + tuple(m + j for j in above)  # the node at each middle vertex
+    comp = list(range(len(reach)))
+    for i, j in zip(below, above):
+        a, b = comp[i], comp[m + j]
+        if a != b:
+            comp = [a if c == b else c for c in comp]
+    components = {}
+    for node, c in enumerate(comp):
+        components.setdefault(c, []).append(node)
+    pairs, merged, n_blocks, n_loops = [], [], 0, 0
+    for nodes in components.values():
+        left = [i for i in nodes if i < m and reach[i]]
+        right = [j for j in nodes if j >= m and reach[j]]
+        if not left and not right:
             n_blocks += 1
-            if edges_only:
-                n_loops += 1
-    new_blocks.sort()
-    d3 = Diagram._of(d1.k, tuple(new_blocks))
-    return Composition(d3, n_blocks, n_loops if pb1 and pb2 else None)
+            n_loops += all(ends.count(i) == 2 for i in nodes)
+        elif len(left) <= 1 and len(right) <= 1:
+            pairs.append(((left or nodes)[0], (right or nodes)[-1]))
+        else:
+            merged.append(tuple(left + right))
+    plan = (tuple(pairs), tuple(merged), n_blocks, n_loops)
+    plan = _PLANS[bottom][top] = _PLAN_POOL.setdefault(plan, plan)
+    return plan
 
 
 def tensor(d1, d2):

@@ -265,8 +265,9 @@ def _commutant_blocks(k, q0, group):
     The unknowns are the entries x[u, v] of X with u and v in one weight
     class.  The zero pattern of a word is the set of its v_0 sites, which E
     and F keep, so the unknowns split into blocks by the zero patterns
-    (A, B) of u and v, one block per pair of patterns that share a class.
-    A block numbers its unknowns as the whole system would, class by class
+    (A, B) of u and v, one block per pair of patterns that share a class;
+    the patterns are indexed by the classes they hold, so no other pair is
+    visited.  A block numbers its unknowns as the whole system would, class by class
     (in word order) and row by row: x[u, v] is ``off[u] + pos[v]``, where
     pos[v] is the place of v among the words of its class and pattern.
     G = E or F maps each class into one other class, so an equation (u, c)
@@ -293,11 +294,15 @@ def _commutant_blocks(k, q0, group):
             row.setdefault(r, []).append((c, -power[e]))
             image[cls[c]] = cls[r]
         ladders.append((col, row, image))
-    for left in patterns.values():
-        for right in patterns.values():
+    patterns = list(patterns.values())
+    holders = {}  # class -> the indices of the patterns that hold it
+    for n, pattern in enumerate(patterns):
+        for c in pattern:
+            holders.setdefault(c, []).append(n)
+    for left in patterns:
+        for n in sorted({n for c in left for n in holders[c]}):
+            right = patterns[n]
             shared = [c for c in classes if c in left and c in right]
-            if not shared:
-                continue
             off, n_unknowns = {}, 0
             for c in shared:
                 width = len(right[c])

@@ -12,6 +12,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ptlalg import diagram
 from ptlalg.algebra import bar_multiply, motzkin_spec, tilde_multiply
 from ptlalg.diagram import (Composition, Diagram,
                             balanced_motzkin_diagrams, balanced_motzkin_stratum,
@@ -392,7 +393,7 @@ def test_compose_matches_reference_on_partition_words_k4():
         words.append(d)
     big = sorted({d for d in words if max(map(len, d.blocks)) >= 3})
     assert len(big) >= 50
-    assert all(d._middle_ports() == reference_ports(d) for d in big)
+    assert all(d._halves() == reference_halves(d) for d in big)
     discarded = 0
     for _ in range(600):
         d1, d2 = rng.choice(words), rng.choice(big)
@@ -400,6 +401,50 @@ def test_compose_matches_reference_on_partition_words_k4():
             assert c.loops is None
             discarded += c.blocks
     assert discarded > 0
+
+
+def random_set_partition(rng, k):
+    """A k-diagram whose blocks are a random set partition of its 2k vertices."""
+    vertices = list(range(2 * k))
+    rng.shuffle(vertices)
+    cuts = sorted(rng.sample(range(1, 2 * k), rng.randint(0, 2 * k - 1)))
+    return Diagram(k, [vertices[i:j] for i, j in zip([0] + cuts, cuts + [2 * k])])
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_compose_matches_reference_on_random_set_partitions(k):
+    rng = random.Random(k)
+    pool = [random_set_partition(rng, k) for _ in range(400)]
+    assert sum(max(map(len, d.blocks)) >= 3 for d in pool) > 200  # mostly not partial Brauer
+    discarded = merged = 0
+    for _ in range(1500):
+        d1, d2 = rng.choice(pool), rng.choice(pool)
+        for left, right in ((d1, d2), (d2, d1)):
+            discarded += assert_same_composition(left, right).blocks
+            plan = diagram._PLANS[left._halves()[3]][right._halves()[0]]
+            merged += len(plan[1]) > 0
+    assert discarded > 0 and merged > 0  # some outer block takes two pieces of one factor
+
+
+def test_each_signature_pair_plan_is_built_once(monkeypatch):
+    pool = balanced_motzkin_diagrams(4)
+    for plans in diagram._PLANS:
+        plans.clear()  # a cache: a plan is rebuilt when it is next needed
+    built, build = [], diagram._plan
+    monkeypatch.setattr(diagram, "_plan", lambda bottom, top: (
+        built.append((bottom, top)), build(bottom, top))[1])
+    for d1 in pool:
+        for d2 in pool:
+            compose(d1, d2)
+    bottoms = {reference_halves(d)[3] for d in pool}
+    tops = {reference_halves(d)[0] for d in pool}
+    assert sorted(built) == sorted(itertools.product(bottoms, tops))
+    assert len(built) == len(bottoms) * len(tops) < len(pool) ** 2 // 25
+    built.clear()
+    for d1 in pool:
+        for d2 in pool:
+            compose(d1, d2)
+    assert built == []
 
 
 @functools.lru_cache(maxsize=None)
@@ -666,18 +711,24 @@ def reference_partner(d):
     return p
 
 
-def reference_ports(d):
-    """The middle-row ports from their definitions, computed afresh."""
+def reference_halves(d):
+    """``Diagram._halves`` from its definition, computed afresh: for the top
+    row, then the bottom row, the number of the row's signature (the labels
+    of its columns, the blocks meeting it numbered by their first column on
+    it, and per label whether the block reaches the other row), each
+    label's vertices on the other row and the blocks that miss the row;
+    last whether every block has at most two vertices."""
     k = d.k
-    block_at = lambda v: next(i for i, b in enumerate(d.blocks) if v in b)
-    tops = tuple(tuple(v for v in b if v < k) for b in d.blocks)
-    bots = tuple(tuple(v for v in b if v >= k) for b in d.blocks)
-    return (tuple(block_at(c) for c in range(k)), tuple(block_at(k + c) for c in range(k)),
-            tops, bots, tuple(tuple(v - k for v in b) for b in bots),
-            tuple(len(b) == 2 for b in d.blocks), all(len(b) <= 2 for b in d.blocks),
-            tuple(i for i, b in enumerate(bots) if b),
-            tuple(b for b, bb in zip(d.blocks, bots) if not bb),
-            tuple(b for b, t in zip(d.blocks, tops) if not t))
+    record = ()
+    for row in (range(k), range(k, 2 * k)):
+        meeting = sorted((b for b in d.blocks if any(v in row for v in b)),
+                         key=lambda b: min(v for v in b if v in row))
+        labels = tuple(next(i for i, b in enumerate(meeting) if v in b) for v in row)
+        pieces = tuple(tuple(v for v in b if v not in row) for b in meeting)
+        signature = (labels, tuple(len(p) > 0 for p in pieces))
+        record += (diagram._SIGNATURES[signature], pieces,
+                   tuple(b for b in d.blocks if b not in meeting))
+    return record + (all(len(b) <= 2 for b in d.blocks),)
 
 
 def test_derived_data_of_fresh_and_interned_diagrams_match_the_formulas():
@@ -694,23 +745,23 @@ def test_derived_data_of_fresh_and_interned_diagrams_match_the_formulas():
     cold = 0
     for n, d in enumerate(sample):
         # a slot is unset until its accessor first fills it
-        cold += not any(hasattr(d, s) for s in ("_planar", "_frame", "_partner", "_ports"))
+        cold += not any(hasattr(d, s) for s in ("_planar", "_frame", "_partner", "_half"))
         if n % 2:
-            # ports first filled with d as the right factor, then read as the left
+            # halves first filled with d as the right factor, then read as the left
             assert_same_composition(identity(d.k), d)
             assert_same_composition(d, identity(d.k))
         fr = d.frames()
         first = (d.is_planar(), (fr.top, fr.bot, fr.top_h, fr.bot_h, fr.top_v, fr.bot_v),
-                 dict(d.partner), d._middle_ports())
+                 dict(d.partner), d._halves())
         blocks = [b[::-1] for b in d.blocks]
         rng.shuffle(blocks)
         again = Diagram(d.k, blocks)
         assert again is d
         fr = again.frames()
         assert (again.is_planar(), (fr.top, fr.bot, fr.top_h, fr.bot_h, fr.top_v, fr.bot_v),
-                again.partner, again._middle_ports()) == first
+                again.partner, again._halves()) == first
         assert first == (reference_is_planar(d), reference_frames(d), reference_partner(d),
-                         reference_ports(d))
+                         reference_halves(d))
     assert cold >= 250  # most of the sample was met here first, with empty caches
     assert all(d.is_planar() for d in sample[:150])
     assert not all(d.is_planar() for d in sample[150:300])
