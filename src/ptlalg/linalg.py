@@ -38,10 +38,6 @@ class SparseMatrix:
                         raise ValueError("entry (%d, %d) out of range" % (r, c))
                     self.entries[(r, c)] = v
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
     def __getitem__(self, rc):
         return self.entries.get(rc, 0)
 
@@ -110,10 +106,6 @@ class SparseMatrix:
             return NotImplemented
         return ((self.nrows, self.ncols) == (other.nrows, other.ncols)
                 and self.entries == other.entries)
-
-    def map_values(self, f):
-        return SparseMatrix(self.nrows, self.ncols,
-                            {rc: f(v) for rc, v in self.entries.items()})
 
     def to_coord_text(self):
         """One ``row col value`` line per stored entry, sorted."""
@@ -210,9 +202,6 @@ class Echelon:
         order.insert(at, piv)
         self.pivots[piv] = row
         return True
-
-    def contains(self, row):
-        return not self._reduce(row)
 
     @property
     def rank(self):

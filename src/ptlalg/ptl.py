@@ -71,10 +71,10 @@ def to_block(x, n=None):
 
 # -- generated subalgebra dimension ---------------------------------------------
 
-def generated_dimension(gens, delta0=Fraction(7, 3)):
+def generated_dimension(gens):
     """Dimension of the unital subalgebra generated by ``gens``.
 
-    Coefficients are specialized at a generic rational delta (any
+    Coefficients are specialized at the generic rational delta = 7/3 (any
     specialization can only drop the rank, so hitting the target dimension
     at one rational point certifies the generic statement).
 
@@ -87,7 +87,7 @@ def generated_dimension(gens, delta0=Fraction(7, 3)):
     if not gens:
         raise ValueError("need at least one generator")
     gens = [change_basis(g, "diagram") if g.basis != "diagram" else g for g in gens]
-    gens = [g.specialize(delta0) for g in gens]
+    gens = [g.specialize(Fraction(7, 3)) for g in gens]
     one = Element.unit(gens[0].spec)
 
     ech = Echelon()

@@ -2,15 +2,20 @@
 
 The word basis of V^(x)k is indexed by sequences over {1, 0, -1} (site
 basis v_1, v_0, v_-1 in that order, lexicographic word order).  Motzkin
-diagrams act through bilinear-form weights attached to their blocks, and the
-blocks act independently: a diagram's matrix is built as the product over
-its blocks of each block's letter choices, entry by nonzero entry, never by
-scanning the 3^k words.  The bar and tilde vectors act through the same
-weights, corrected: bar(d) is the signed sum of d with each subset of its
-edges removed, the matrix is multilinear in the edge weights, so
-subtracting delta_{i,0} delta_{j,0} from the weight of every removable edge
-gives the matrix of the whole sum without expanding it.  Quantum-group
-generators act through the coproduct
+diagrams act through the cup and cap bilinear forms, whose nonzero weights
+are monomials in alpha, stated once in ``_forms``: a cup weighs
+<v_1, v_-1> = -alpha q and <v_-1, v_1> = alpha, a cap 1/alpha and
+-q^-1/alpha, and <v_0, v_0> = 1 on both.  The blocks act independently: a
+diagram's matrix is built as the product over its blocks of each block's
+letter choices, entry by nonzero entry, never by scanning the 3^k words.
+The bar and tilde vectors act through the same weights, corrected: bar(d)
+is the signed sum of d with each subset of its edges removed, the matrix is
+multilinear in the edge weights, so subtracting delta_{i,0} delta_{j,0} from
+the weight of every removable edge gives the matrix of the whole sum without
+expanding it.  ``diagram_matrix`` acts by a plain diagram,
+``modified_weight_matrix`` by bar(d) or tilde(d) of a balanced one, and
+``element_matrix`` by any element in its own basis.  The quantum-group
+generators E, F, K_1, K_2 and K = K_1 K_2^-1 act through the coproduct
 
     E -> sum_i 1 x ... x E x K x ... x K,
     F -> sum_i K^-1 x ... x F x 1 x ... x 1,
@@ -54,7 +59,8 @@ def word_index(w):
 
 @dataclass(frozen=True)
 class RepConfig:
-    """Form parameter alpha (nonzero rational); delta acts as 1 - (q + q^-1)."""
+    """Form parameter alpha (a nonzero int or Fraction, kept as a Fraction);
+    delta acts as 1 - (q + q^-1)."""
 
     alpha: Fraction = Fraction(1)
 
@@ -63,52 +69,42 @@ class RepConfig:
             raise ValueError("alpha must be an int or a Fraction, not %r" % (self.alpha,))
         if not self.alpha:
             raise ValueError("alpha must be nonzero")
+        object.__setattr__(self, "alpha", Fraction(self.alpha))
 
     def delta_value(self):
         """The image 1 - (q + q^-1) of delta; ``x.specialize(cfg.delta_value())``
         specializes an element ``x``."""
         return LaurentPoly({0: 1, 1: -1, -1: -1})
 
-    def top_form(self):
-        """Cup weights <v_i, v_j>_t, nonzero entries only."""
-        a = self.alpha
-        return {(1, -1): LaurentPoly({1: -a}),
-                (0, 0): LaurentPoly.one(),
-                (-1, 1): LaurentPoly({0: a})}
-
-    def bottom_form(self):
-        """Cap weights <v_i, v_j>_b, nonzero entries only."""
-        ainv = 1 / self.alpha
-        return {(1, -1): LaurentPoly({0: ainv}),
-                (0, 0): LaurentPoly.one(),
-                (-1, 1): LaurentPoly({-1: -ainv})}
-
 
 @functools.lru_cache(maxsize=None)
 def _forms(cfg, corrected):
-    """The cup and cap form values as ((i, j), e, c) for c * q^e."""
-    return tuple(tuple((ij, e, c) for ij, f in form.items() for e, c in f.coeffs.items()
-                       if not (corrected and ij == (0, 0)))
-                 for form in (cfg.top_form(), cfg.bottom_form()))
+    """The cup and cap weights <v_i, v_j>, nonzero entries only, as
+    ((i, j), e, c) for c * q^e: a cup weighs <v_1, v_-1> = -alpha q and
+    <v_-1, v_1> = alpha, a cap 1/alpha and -q^-1/alpha, and <v_0, v_0> = 1
+    on both unless ``corrected``.  Integral weights are ints."""
+    a, ainv = _tidy({1: cfg.alpha, -1: 1 / cfg.alpha}).values()
+    zero = () if corrected else (((0, 0), 0, 1),)
+    return ((((1, -1), 1, -a), *zero, ((-1, 1), 0, a)),
+            (((1, -1), 0, ainv), *zero, ((-1, 1), -1, -ainv)))
 
 
 def _entries(d, cfg, correction):
     """Yield (row * 3^k + column, e, c) for each nonzero entry c * q^e of d.
 
     Each block of ``d`` contributes its own list of choices, each with its
-    offset to the flat index and its weight: a cup the keys of the top form,
-    a cap those of the bottom form, a vertical edge one letter at both ends,
+    offset to the flat index and its weight: a cup the cup weights of
+    ``_forms``, a cap its cap weights, a vertical edge one letter at both ends,
     an isolated vertex the letter 0.  The product over the blocks yields
     every nonzero entry once; exponents add and coefficients multiply.
     ``correction`` subtracts delta_{i,0} delta_{j,0} from the weight of every
     edge ("bar") or of the horizontal edges only ("tilde"), realizing the
-    alternating elements directly: the forms lose their (0, 0) key, and
-    under "bar" a vertical edge carries only +-1.
+    alternating elements directly: the forms lose their (0, 0) weight, and
+    under "bar" a vertical edge carries only +-1.  Callers pass a valid
+    ``correction``.
     """
     if not d.is_motzkin():
         raise ValueError("diagram_matrix needs a planar partial Brauer diagram")
-    if correction not in (None, "bar", "tilde"):
-        raise ValueError("correction must be None, 'bar' or 'tilde'")
     k = d.k
     # letter x at vertex v adds LETTERS.index(x) = 1 - x times 3^(2k-1-v) to the
     # flat index row * 3^k + column: the top row spells the row's word
@@ -148,10 +144,9 @@ def _laurent_matrix(k, terms, cfg, correction):
     return m
 
 
-def diagram_matrix(d, cfg, correction=None):
-    """Action of a Motzkin diagram on the word basis, columns = input words,
-    its weights corrected under ``correction`` as in ``_entries``."""
-    return _laurent_matrix(d.k, ((d, 1),), cfg, correction)
+def diagram_matrix(d, cfg):
+    """Action of a Motzkin diagram on the word basis, columns = input words."""
+    return _laurent_matrix(d.k, ((d, 1),), cfg, None)
 
 
 def modified_weight_matrix(d, variant, cfg):
@@ -160,14 +155,14 @@ def modified_weight_matrix(d, variant, cfg):
         raise ValueError("variant must be 'bar' or 'tilde'")
     if not (d.is_motzkin() and d.is_balanced()):
         raise ValueError("modified weights apply to balanced Motzkin diagrams")
-    return diagram_matrix(d, cfg, correction=variant)
+    return _laurent_matrix(d.k, ((d, 1),), cfg, variant)
 
 
 def element_matrix(x, cfg):
     """Matrix of an algebra element on the word basis, read in its own basis.
 
     Each bar or tilde vector acts through the corrected block weights of
-    ``diagram_matrix``, not through its diagram-basis expansion; the
+    ``_entries``, not through its diagram-basis expansion; the
     element's algebra admitted it only if that expansion lies in the
     algebra.  The element is specialized through delta = 1 - (q + q^-1).
     """
@@ -201,14 +196,12 @@ def qgen_matrix(g, k):
     """Action of a quantum-group generator on the word basis (exact in q)."""
     n = 3 ** k
     m = SparseMatrix(n, n)
-    name = g.removesuffix("inv")
-    if name in ("K1", "K2", "K"):
-        sign = 1 if name == g else -1
+    if g in ("K1", "K2", "K"):
         for w in words(k):
             plus, minus = word_weight(w)
-            e = {"K1": plus, "K2": minus, "K": plus - minus}[name]
+            e = {"K1": plus, "K2": minus, "K": plus - minus}[g]
             i = word_index(w)
-            m.set(i, i, LaurentPoly.monomial(sign * e))
+            m.set(i, i, LaurentPoly.monomial(e))
         return m
     if g not in ("E", "F"):
         raise ValueError("unknown generator %r" % (g,))
@@ -227,7 +220,6 @@ def b_matrix(cfg):
 
 # -- exact commutant computation ---------------------------------------------
 
-GL2_GENERATORS = ("E", "F", "K1", "K2")
 SL2_GENERATORS = ("E", "F", "K")
 
 

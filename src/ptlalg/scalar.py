@@ -90,8 +90,9 @@ class IntPoly:
         return cls({1: 1})
 
     @classmethod
-    def monomial(cls, exponent, coefficient=1):
-        return cls({exponent: coefficient})
+    def monomial(cls, exponent):
+        """The variable to the power ``exponent``."""
+        return cls({exponent: 1})
 
     # -- ring structure ----------------------------------------------------
 

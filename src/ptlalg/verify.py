@@ -5,15 +5,17 @@ as its detail, and the suite goes on.  The ``all`` suite aggregates
 everything; k caps default to 3 (exhaustive range) and may be raised to 4
 where a check documents an opt-in.  The CLI surfaces these as ``ptl verify``.
 
-The brute-force references expand, act and recollect, and take each
-distinct piece of that work from a table local to one check and one
-algebra: the structured-products oracle forms each product of two
-expansion terms once, and the bar-path check acts each expansion term on
-each plain path once.  They stay independent of the rules they check: the
-oracle multiplies in the diagram basis by compose and the algebra's twist,
-never by ``bar_multiply`` or ``tilde_multiply``, and the bar-path check
-acts through ``cells.act_on_path``, never through ``cells.bar_act``; a
-reference that shared a rule's code would agree with that rule's faults.
+The brute-force references expand, act and recollect.  They read each
+expansion from the ``_expansion`` cache that ``change_basis`` reads, and
+take each other distinct piece of that work from a table local to one
+check and one algebra: the structured-products oracle forms each product
+of two expansion terms once, and the bar-path check acts each expansion
+term on each plain path once.  They stay independent of the rules they
+check: the oracle multiplies in the diagram basis by compose and the
+algebra's twist, never by ``bar_multiply`` or ``tilde_multiply``, and the
+bar-path check acts through ``cells.act_on_path``, never through
+``cells.bar_act``; a reference that shared a rule's code would agree with
+that rule's faults.
 
 The block-isomorphism check takes its right-hand side from matrix units.
 Each basis block ``to_block(bar d)`` must be the single entry (A, B) -> t of
@@ -30,7 +32,7 @@ import random
 from fractions import Fraction
 
 from . import cells, diagram, ptl, qcriteria, repn
-from .algebra import (AlgebraSpec, Element, _twist, bar_multiply, bar_of,
+from .algebra import (AlgebraSpec, Element, _expansion, _twist, bar_multiply, bar_of,
                       change_basis, epsilon, motzkin_spec, ptl_spec, tilde_multiply,
                       tilde_of, tl_spec)
 from .diagram import (balanced_motzkin_diagrams, compose, diagram_of, gen_e, gen_l,
@@ -44,24 +46,17 @@ def _oracle(spec):
     of ``spec``: ``oracle(d1, d2, which)`` multiplies bar(d1) bar(d2) or
     tilde(d1) tilde(d2) out in the diagram basis, by compose and the
     algebra's twist as Element.__mul__ does, and recollects by change_basis.
-    Each diagram is expanded once per basis and each product of two
-    expansion terms is formed once; the tables belong to the returned
-    function, since the twist depends on ``spec``.
+    The expansions come from the ``_expansion`` cache that ``change_basis``
+    reads, which neither rule calls.  Each product of two expansion terms is
+    formed once; its table belongs to the returned function, since the twist
+    depends on ``spec``.
     """
-    expansions = {}
     products = {}
-
-    def expand(d, which):
-        terms = expansions.get((d, which))
-        if terms is None:
-            expander = bar_of if which == "bar" else tilde_of
-            terms = expansions[(d, which)] = expander(spec, d).terms
-        return terms
 
     def oracle(d1, d2, which):
         out = {}
-        terms2 = expand(d2, which)
-        for t1, c1 in expand(d1, which).items():
+        terms2 = _expansion(d2, which)
+        for t1, c1 in _expansion(d1, which).items():
             for t2, c2 in terms2.items():
                 hit = products.get((t1, t2))
                 if hit is None:

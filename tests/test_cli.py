@@ -972,11 +972,14 @@ MATRIX_DIGESTS = [
     ("k4-bar", ["--alpha", "2/3"], "be407ee54624fa9e"),
     ("k4-tilde", ["--alpha", "2/3"], "b77f36c1e357f582"),
     ("k3-tilde", ["--alpha", "2/3"], "5bc715fc31a9ab67"),
+    # an integral alpha, whose cap weights 1/alpha are not integral
+    ("k4-diagram", ["--alpha", "2"], "e940da81aaa701ab"),
 ]
 
 
 @pytest.mark.parametrize("name,flags,want", MATRIX_DIGESTS,
-                         ids=[n + ("-alpha" if f else "") for n, f, _ in MATRIX_DIGESTS])
+                         ids=[n + ("-alpha" if f else "") + ("-int" if f and "/" not in f[1] else "")
+                              for n, f, _ in MATRIX_DIGESTS])
 def test_render_matrix_matches_the_pinned_digest(name, flags, want, tmp_path, capsys):
     obj = MATRIX_K3 if name == "k3-tilde" else matrix_k4(name.split("-")[1])
     f = tmp_path / "x.json"

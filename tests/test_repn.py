@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from ptlalg import linalg
+from ptlalg import linalg, repn
 from ptlalg.algebra import (FLAVORS, AlgebraSpec, Element, bar_multiply, bar_of,
                             change_basis, motzkin_spec, ptl_spec, tilde_of, tl_spec)
 from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, compose, gen_e,
@@ -33,6 +33,15 @@ cfg = RepConfig()
 
 # -- references: the word filter, the expansion route, the local blocks ----------
 
+def reference_forms(cfg):
+    """The cup and cap forms <v_i, v_j>, nonzero entries only, as Laurent
+    polynomials: a cup weighs -alpha q and alpha, a cap 1/alpha and
+    -q^-1/alpha, and <v_0, v_0> = 1 on both."""
+    a = Fraction(cfg.alpha)
+    return ({(1, -1): LaurentPoly({1: -a}), (0, 0): one, (-1, 1): LaurentPoly({0: a})},
+            {(1, -1): LaurentPoly({0: 1 / a}), (0, 0): one, (-1, 1): LaurentPoly({-1: -1 / a})})
+
+
 def reference_diagram_matrix(d, cfg, correction=None):
     """The word filter: walk every input word, reject those a cap, an
     isolated bottom vertex or a barred vertical edge kills, and add up the
@@ -44,8 +53,7 @@ def reference_diagram_matrix(d, cfg, correction=None):
     k = d.k
     cups, caps, verts = d.cups(), d.caps(), d.verticals()
     iso_bot = [v - k for v in d.isolated() if v >= k]
-    tform = dict(cfg.top_form())
-    bform = dict(cfg.bottom_form())
+    tform, bform = reference_forms(cfg)
     if correction is not None:
         tform.pop((0, 0))
         bform.pop((0, 0))
@@ -137,8 +145,7 @@ def epsilon_matrix(i, k):
 def form_product_b_matrix(cfg):
     """e on the 0-weight words v_{1,-1}, v_{0,0}, v_{-1,1} as the product of
     the cup and cap forms."""
-    t = cfg.top_form()
-    b = cfg.bottom_form()
+    t, b = reference_forms(cfg)
     order = [(1, -1), (0, 0), (-1, 1)]
     m = SparseMatrix(3, 3)
     for r, out in enumerate(order):
@@ -164,9 +171,12 @@ def test_r_and_l_action():
             assert not l_out
 
 
+def unit_matrix(n):
+    return SparseMatrix(n, n, {(i, i): one for i in range(n)})
+
+
 def test_identity_matrix():
-    assert diagram_matrix(identity(2), cfg) == SparseMatrix.identity(9).map_values(
-        lambda v: one)
+    assert diagram_matrix(identity(2), cfg) == unit_matrix(9)
 
 
 def test_b_matrix_at_alpha_one():
@@ -193,16 +203,17 @@ def test_b_matrix_projection_relation():
 
 def test_quantum_generator_relations():
     for k in (1, 2, 3):
-        E, F = qgen_matrix("E", k), qgen_matrix("F", k)
-        K, Ki = qgen_matrix("K", k), qgen_matrix("Kinv", k)
+        E, F, K = qgen_matrix("E", k), qgen_matrix("F", k), qgen_matrix("K", k)
         K1, K2 = qgen_matrix("K1", k), qgen_matrix("K2", k)
-        assert (E * F - F * E).scale(q - qi) == K - Ki
+        # (EF - FE)(q - q^-1) = K - K^-1, multiplied through by K
+        assert K * (E * F - F * E).scale(q - qi) == K * K - unit_matrix(3 ** k)
         assert K1 * K2 == K2 * K1
-        assert qgen_matrix("K1inv", k) * K1 == SparseMatrix.identity(3 ** k)
-        assert K1 * E * qgen_matrix("K1inv", k) == E.scale(q)
-        assert K2 * E * qgen_matrix("K2inv", k) == E.scale(qi)
-        assert K1 * F * qgen_matrix("K1inv", k) == F.scale(qi)
-        assert K2 * F * qgen_matrix("K2inv", k) == F.scale(q)
+        assert K1 * K2 * K == K1 * K1
+        assert K * E == (E * K).scale(q * q)
+        assert K1 * E == (E * K1).scale(q)
+        assert K2 * E == (E * K2).scale(qi)
+        assert K1 * F == (F * K1).scale(qi)
+        assert K2 * F == (F * K2).scale(q)
 
 
 def test_k1_single_site():
@@ -299,8 +310,7 @@ def test_modified_weights_match_expansions():
             for dd, c in expander(M2, d).terms.items():
                 acc = acc + diagram_matrix(dd, cfg).scale(c)
             assert acc == modified_weight_matrix(d, variant, cfg)
-    assert modified_weight_matrix(identity(2), "tilde", cfg) == \
-        SparseMatrix.identity(9).map_values(lambda v: one)
+    assert modified_weight_matrix(identity(2), "tilde", cfg) == unit_matrix(9)
     assert modified_weight_matrix(gen_e(1, 2), "tilde", cfg) == epsilon_matrix(1, 2)
 
 
@@ -393,9 +403,9 @@ def reference_commutant_rows(k, q0, group):
 
     rows = {}
     for g in ("E", "F"):
-        gm = qgen_matrix(g, k).map_values(scaled)
         by_row, by_col = {}, {}
-        for (r, c), v in gm.entries.items():
+        for (r, c), v in qgen_matrix(g, k).entries.items():
+            v = scaled(v)
             by_row.setdefault(r, []).append((c, v))
             by_col.setdefault(c, []).append((r, v))
         for u, v in unknowns:
@@ -545,9 +555,38 @@ def test_rep_config_refuses_an_alpha_that_is_not_rational(alpha):
 
 
 def test_rep_config_takes_int_and_fraction_alpha():
-    assert RepConfig(2).top_form()[(1, -1)] == LaurentPoly({1: -2})
-    assert RepConfig(Fraction(-3, 7)).bottom_form()[(-1, 1)] == LaurentPoly(
-        {-1: Fraction(7, 3)})
+    assert RepConfig(2) == RepConfig(Fraction(2))
+    assert type(RepConfig(2).alpha) is Fraction
+    # e's 0-weight block reads the cup weight -alpha q and the cap weight
+    # 1/alpha against <v_0, v_0> = 1, and the cap weight -q^-1/alpha
+    B = b_matrix(RepConfig(2))
+    assert (B[(0, 1)], B[(1, 0)]) == (LaurentPoly({1: -2}), LaurentPoly({0: Fraction(1, 2)}))
+    assert b_matrix(RepConfig(Fraction(-3, 7)))[(1, 2)] == LaurentPoly({-1: Fraction(7, 3)})
+
+
+@pytest.mark.parametrize("alpha", [1, 2, -1, -3])
+def test_an_int_alpha_acts_as_its_fraction(alpha):
+    # RepConfig(2) == RepConfig(Fraction(2)), so the cache answers one for the
+    # other: empty it, and ask with the int config first
+    repn._forms.cache_clear()
+    c, f = RepConfig(alpha), RepConfig(Fraction(alpha))
+    spec, delta = motzkin_spec(3), DeltaPoly.gen()
+    pool = motzkin_diagrams(3)
+    x = Element(spec, {d: delta - i for i, d in enumerate(balanced_motzkin_diagrams(3))},
+                "tilde")
+    basis = [tilde_of(spec, d) for d in balanced_motzkin_diagrams(3)]
+    got = ([diagram_matrix(d, c) for d in pool], b_matrix(c), element_matrix(x, c),
+           representation_rank(basis, 2, c))
+    want = ([diagram_matrix(d, f) for d in pool], b_matrix(f), element_matrix(x, f),
+            representation_rank(basis, 2, f))
+    assert got == want
+    assert want[-1] == ptl_dimension(3)
+    # integral weights are ints, which Echelon takes without a Fraction: every
+    # entry at alpha = +-1, and every entry of a diagram with no cap (no 1/alpha)
+    for d in pool:
+        if abs(alpha) == 1 or not d.caps():
+            for corr in CORRECTIONS:
+                assert all(type(w) is int for _, _, w in repn._entries(d, c, corr)), (d, corr)
 
 
 def test_pieri_dims():
@@ -595,16 +634,14 @@ def mirrored_qgen_matrix(g, k):
     """Reference generator action: E and F as mirrored branches, weights counted."""
     n = 3 ** k
     m = SparseMatrix(n, n)
-    if g in ("K1", "K2", "K", "K1inv", "K2inv", "Kinv"):
+    if g in ("K1", "K2", "K"):
         for w in words(k):
-            if g.startswith("K1"):
+            if g == "K1":
                 e = sum(1 for x in w if x == 1)
-            elif g.startswith("K2"):
+            elif g == "K2":
                 e = sum(1 for x in w if x == -1)
             else:
                 e = sum(w)
-            if g.endswith("inv"):
-                e = -e
             i = word_index(w)
             m.set(i, i, LaurentPoly.monomial(e))
         return m
@@ -627,7 +664,7 @@ def mirrored_qgen_matrix(g, k):
     raise ValueError("unknown generator %r" % (g,))
 
 
-GENERATOR_NAMES = ("E", "F", "K", "K1", "K2", "Kinv", "K1inv", "K2inv")
+GENERATOR_NAMES = ("E", "F", "K", "K1", "K2")
 
 
 def test_qgen_matrix_matches_mirrored_reference():
@@ -636,7 +673,7 @@ def test_qgen_matrix_matches_mirrored_reference():
             got = qgen_matrix(g, k)
             assert got == mirrored_qgen_matrix(g, k)
             assert list(got.entries) == list(mirrored_qgen_matrix(g, k).entries)
-    for g in ("X", "Einv", "inv", "K3", "k1", "F "):
+    for g in ("X", "Einv", "inv", "K3", "k1", "F ", "Kinv", "K1inv", "K2inv"):
         with pytest.raises(ValueError, match="unknown generator"):
             qgen_matrix(g, 2)
         with pytest.raises(ValueError, match="unknown generator"):
@@ -665,6 +702,14 @@ CONFIGS = [RepConfig(Fraction(alpha)) for alpha in (1, 2, Fraction(1, 3), Fracti
 CORRECTIONS = (None, "bar", "tilde")
 
 
+def corrected_matrix(d, cfg, correction):
+    """The matrix of d, or of bar(d) or tilde(d) for a d of any shape: the
+    latter through ``element_matrix`` of a Motzkin element."""
+    if correction is None:
+        return diagram_matrix(d, cfg)
+    return element_matrix(Element.of(motzkin_spec(d.k), d, 1, correction), cfg)
+
+
 def test_diagram_matrix_matches_the_word_filter_up_to_k4():
     pool = [d for k in range(5) for d in motzkin_diagrams(k)]
     assert len(pool) == 1 + 2 + 9 + 51 + 323
@@ -672,7 +717,7 @@ def test_diagram_matrix_matches_the_word_filter_up_to_k4():
         for c in CONFIGS:
             for correction in CORRECTIONS:
                 want = reference_diagram_matrix(d, c, correction)
-                assert diagram_matrix(d, c, correction) == want, (d, c, correction)
+                assert corrected_matrix(d, c, correction) == want, (d, c, correction)
 
 
 def test_diagram_matrix_walks_no_words(monkeypatch):
@@ -686,7 +731,7 @@ def test_diagram_matrix_walks_no_words(monkeypatch):
     monkeypatch.setattr("ptlalg.repn.word_index", refuse)
     monkeypatch.setattr(SparseMatrix, "add_at", refuse)
     for (d, corr), m in want.items():
-        assert diagram_matrix(d, cfg, corr) == m
+        assert corrected_matrix(d, cfg, corr) == m
 
 
 def test_diagram_matrix_matches_the_word_filter_on_a_k5_sample():
@@ -695,7 +740,7 @@ def test_diagram_matrix_matches_the_word_filter_on_a_k5_sample():
         c = rng.choice(CONFIGS)
         for correction in CORRECTIONS:
             want = reference_diagram_matrix(d, c, correction)
-            assert diagram_matrix(d, c, correction) == want, (d, c, correction)
+            assert corrected_matrix(d, c, correction) == want, (d, c, correction)
 
 
 def test_element_matrix_matches_the_expansion_route():
@@ -793,7 +838,8 @@ def test_a_laurent_coefficient_shifts_the_exponents():
     for d in balanced_motzkin_diagrams(3):
         for basis in ("diagram", "bar", "tilde"):
             for coeff in (q * q - 3 * qi, Fraction(2, 3) * q - 1):
-                want = diagram_matrix(d, cfg, None if basis == "diagram" else basis)
+                want = (diagram_matrix(d, cfg) if basis == "diagram"
+                        else modified_weight_matrix(d, basis, cfg))
                 x = Element.of(spec, d, coeff, basis)
                 assert element_matrix(x, cfg) == want.scale(coeff)
     # q - q0 vanishes at q0 alone, not at 1 / q0

@@ -1,5 +1,5 @@
-"""The public surface: every public name in src/ptlalg has a caller, and
-README's quick tour runs against the exports."""
+"""The public surface: every public name, method and constant in src/ptlalg
+has a reader, and README's quick tour runs against the exports."""
 
 import ast
 import pathlib
@@ -8,7 +8,8 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ptlalg"
 
-# Public names kept with no caller in src/ or bench/, each for a job of its own.
+# Public names, methods (as Class.method) and constants kept with no reader
+# in src/ or bench/, each for a job of its own.
 KEPT = {
     # with p_j and b_i it generates the partition monoid, closed to Bell(6) = 203
     "gen_s",
@@ -19,15 +20,26 @@ KEPT = {
 }
 
 
-def names_read_in_src():
-    """Every name read in src/ptlalg, bare or as an attribute."""
+def trees():
+    """(module name, parsed module) for each file of src/ptlalg but __init__,
+    which only re-exports."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            yield path.stem, ast.parse(path.read_text())
+
+
+def loads_in_src(bare):
+    """Every name src/ptlalg loads as an attribute (``.name``), and with
+    ``bare`` also as a bare name; an assignment is no read."""
     seen = set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                seen.add(node.id)
-            elif isinstance(node, ast.Attribute):
+    for _, tree in trees():
+        for node in ast.walk(tree):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if isinstance(node, ast.Attribute):
                 seen.add(node.attr)
+            elif bare and isinstance(node, ast.Name):
+                seen.add(node.id)
     return seen
 
 
@@ -37,17 +49,41 @@ def words_in_bench():
             for w in re.findall(r"\w+", path.read_text())}
 
 
+def public_members():
+    """(qualified name, name, is a method) for each public method of a public
+    class and each public module constant."""
+    for module, tree in trees():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield "%s.%s.%s" % (module, node.name, item.name), item.name, True
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for t in targets:
+                if isinstance(t, ast.Name) and not t.id.startswith("_"):
+                    yield "%s.%s" % (module, t.id), t.id, False
+
+
 def test_every_public_name_has_a_caller():
-    called = names_read_in_src() | words_in_bench() | KEPT
+    called = loads_in_src(bare=True) | words_in_bench() | KEPT
     uncalled = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.parse(path.read_text()).body:
+    for module, tree in trees():
+        for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_") and node.name not in called):
-                uncalled.append("%s.%s" % (path.stem, node.name))
+                uncalled.append("%s.%s" % (module, node.name))
     assert not uncalled, "public names with no caller in src/ or bench/: %s" % uncalled
+
+
+def test_every_public_method_and_constant_has_a_reader():
+    # a bare-name read does not count for a method: diagram.identity would
+    # otherwise hide a SparseMatrix.identity
+    bench = words_in_bench()
+    read = {True: loads_in_src(bare=False) | bench, False: loads_in_src(bare=True) | bench}
+    unread = [qual for qual, name, method in public_members()
+              if name not in read[method] and qual.split(".", 1)[1] not in KEPT]
+    assert not unread, "public methods and constants nothing in src/ or bench/ reads: %s" % unread
 
 
 def test_readme_quick_tour_runs(capsys):
