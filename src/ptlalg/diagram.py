@@ -71,8 +71,8 @@ class Diagram:
     that :func:`compose` reads; each slot is unset until its accessor first
     fills it) serves every later construction.  ``compose``, ``removals`` and the
     enumerators call :meth:`_of` directly with tuples that are canonical by
-    construction.  Nothing else makes one (``copy`` and ``pickle`` cannot),
-    so equality and hashing are the object's own; only the order, by
+    construction.  ``copy``, ``deepcopy`` and ``pickle`` go through the
+    table too, so equality and hashing are the object's own; only the order, by
     ``(k, blocks)``, is defined here.  The table is unbounded, like the
     expansion cache it feeds: it holds every distinct diagram for the life
     of the process.
@@ -118,6 +118,9 @@ class Diagram:
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
+
+    def __reduce__(self):
+        return Diagram, (self.k, self.blocks)
 
     @classmethod
     def from_edges(cls, k, edges):

@@ -9,17 +9,15 @@ integers (Bareiss-style cross-multiplication, each row divided by its
 content), which keeps the arithmetic exact and the fill-in tolerable at the
 sizes this package needs (a few thousand unknowns at most).
 
-A stored row's pivot is the least column of its support, so a new pivot can
-only occur in rows whose pivots come before it: back-substitution scans just
-those, found by bisection in the sorted pivot labels.  :func:`rank_of_rows`
-feeds its rows bottom-up, in descending order of their least column, so that
-almost every new pivot comes before all stored ones and back-substitution
-has next to nothing to do.
+A stored row's pivot is the least column of its support, and no two stored
+rows share a pivot: the stored rows are in row echelon form, not reduced.  An
+incoming row is eliminated only at its least column, again and again, until
+that column holds no pivot.  That tells whether the rank grew, which is all
+any caller asks; no stored row is ever revisited.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -147,60 +145,42 @@ def _eliminate(row, a, prow, b):
 
 
 class Echelon:
-    """Incremental reduced row echelon form over the integers.
+    """Incremental row echelon form over the integers.
 
     Rows are sparse dicts keyed by an arbitrary orderable column label, with
     int or Fraction values.  Each incoming row is scaled to integers once;
     stored pivot rows are primitive (content 1) with a positive entry in
-    their pivot column, the least column of their support.  Pivot rows are
-    kept fully reduced against one another, so reducing an incoming row is a
-    single pass in any column order.  A new pivot is cleared from the stored
-    rows whose pivots precede it, the only ones that can hold it; the pivot
-    labels are kept sorted to find them.
+    their pivot column, the least column of their support.  An incoming row
+    is reduced against the stored row of its least column until that column
+    has none; what is left, if anything, is stored as it is.  Stored rows are
+    never reduced against one another.
     """
 
     def __init__(self):
         self.pivots = {}  # pivot column label -> primitive integer row (dict)
-        self._order = []  # the pivot labels, ascending
 
-    def _reduce(self, row):
+    def add(self, row):
+        """Reduce ``row`` against the span; returns True if the rank grew."""
         row = {c: v for c, v in row.items() if v}
         if not all(type(v) is int for v in row.values()):
             row = {c: Fraction(v) for c, v in row.items()}
             den = lcm(*(v.denominator for v in row.values()))
             row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
-        for col in list(row):
-            a = row.get(col)
-            if a and col in self.pivots:
-                prow = self.pivots[col]
-                _eliminate(row, a, prow, prow[col])
-        return row
-
-    def add(self, row):
-        """Reduce ``row`` against the span; returns True if the rank grew."""
-        row = self._reduce(row)
-        if not row:
+        pivots = self.pivots
+        while row:
+            piv = min(row)
+            prow = pivots.get(piv)
+            if prow is None:
+                break
+            _eliminate(row, row[piv], prow, prow[piv])
+        else:
             return False
-        piv = min(row)
         g = _content(row)
         if row[piv] < 0:
             g = -g
         if g != 1:
             row = {c: v // g for c, v in row.items()}
-        b = row[piv]
-        order = self._order
-        at = bisect_left(order, piv)
-        for p in order[:at]:
-            prow = self.pivots[p]
-            a = prow.get(piv)
-            if a:
-                _eliminate(prow, a, row, b)
-                g = _content(prow)
-                if g != 1:
-                    for c in prow:
-                        prow[c] //= g
-        order.insert(at, piv)
-        self.pivots[piv] = row
+        pivots[piv] = row
         return True
 
     @property
@@ -213,7 +193,8 @@ def rank_of_rows(rows):
 
     The rows are added bottom-up: zero rows first, then the others in
     descending order of their least nonzero column (ties keep their input
-    order), so that new pivots rarely lie behind stored ones.
+    order), so that most rows arrive with a least column that holds no
+    pivot yet and are stored without an elimination.
     """
     zero, keyed = [], []
     for row in rows:

@@ -27,9 +27,10 @@ K exponents and the gl2/sl2 weight classes.  Everything is exact: a diagram's
 entries are monomials c * q^e, carried as (e, c), and one Laurent polynomial
 is built per entry of a finished matrix; commutant dimensions and the rank
 are found by exact elimination at a rational q, on ints from one power table.
-E and F never move a v_0 letter, so the commutant system splits by the v_0
-sites (the zero patterns) of the row and column words into independent
-blocks, solved one at a time.
+Away from the roots of unity the K and E equations alone cut out the
+commutant.  E never moves a v_0 letter, so the commutant system splits by
+the v_0 sites (the zero patterns) of the row and column words into
+independent blocks, solved one at a time.
 """
 
 from __future__ import annotations
@@ -100,8 +101,9 @@ def _entries(d, cfg, correction):
     ``correction`` subtracts delta_{i,0} delta_{j,0} from the weight of every
     edge ("bar") or of the horizontal edges only ("tilde"), realizing the
     alternating elements directly: the forms lose their (0, 0) weight, and
-    under "bar" a vertical edge carries only +-1.  Callers pass a valid
-    ``correction``.
+    under "bar" a vertical edge carries only +-1.  Integral products, a cup's
+    alpha against a cap's 1/alpha among them, are yielded as ints.  Callers
+    pass a valid ``correction``.
     """
     if not d.is_motzkin():
         raise ValueError("diagram_matrix needs a planar partial Brauer diagram")
@@ -124,7 +126,7 @@ def _entries(d, cfg, correction):
             at += da
             e += de
             w *= f
-        yield at, e, w
+        yield at, e, w.numerator if w.denominator == 1 else w
 
 
 def _laurent_matrix(k, terms, cfg, correction):
@@ -228,16 +230,22 @@ def commutant_dim(k, q0, group="gl2"):
 
     The diagonal generators force a block structure on the unknown matrix
     (rational q0 not in {0, 1, -1} has injective power map, so joint
-    eigenspaces are exactly the weight classes); the E and F commutation
-    conditions are then solved by exact elimination.  E and F never move a
-    v_0 letter, so the system splits further by the zero patterns of the
-    row and column words into independent blocks; the dimension is the sum
-    of the blocks' nullities, and only one block's equations are held at a
-    time.  Each equation (XG - GX)[u, c] = 0 is gathered straight from G's
-    column c and row u, whose entries come from the same ladder as
-    ``qgen_matrix``'s.  Every entry of E and F is q^e with |e| < k, read
-    scaled from ``_q_powers``, so the elimination starts from exact ints
-    instead of Fractions.
+    eigenspaces are exactly the weight classes); the E commutation
+    conditions are then solved by exact elimination.  The F conditions are
+    not needed: a rational q0 not in {0, 1, -1} is no root of unity, so
+    V^(x)k is a direct sum of simple modules, each spanned by the E-powers
+    of its lowest-weight vector.  A weight-preserving X that commutes with E
+    sends that vector to a vector of the same weight that the same power of
+    E kills, so into the isotypic part of the same simple module, and X is
+    a module map there: E and K already force the commutant.  E never
+    moves a v_0 letter, so the system splits further by the zero patterns
+    of the row and column words into independent blocks; the dimension is
+    the sum of the blocks' nullities, and only one block's equations are
+    held at a time.  Each equation (XE - EX)[u, c] = 0 is gathered straight
+    from E's column c and row u, whose entries come from the same ladder as
+    ``qgen_matrix``'s.  Every entry of E is q^e with |e| < k, read scaled
+    from ``_q_powers``, so the elimination starts from exact ints instead of
+    Fractions.
     """
     check_k(k)
     q0 = Fraction(q0)
@@ -256,18 +264,18 @@ def _commutant_blocks(k, q0, group):
 
     The unknowns are the entries x[u, v] of X with u and v in one weight
     class.  The zero pattern of a word is the set of its v_0 sites, which E
-    and F keep, so the unknowns split into blocks by the zero patterns
+    keeps, so the unknowns split into blocks by the zero patterns
     (A, B) of u and v, one block per pair of patterns that share a class;
     the patterns are indexed by the classes they hold, so no other pair is
     visited.  A block numbers its unknowns as the whole system would, class by class
     (in word order) and row by row: x[u, v] is ``off[u] + pos[v]``, where
     pos[v] is the place of v among the words of its class and pattern.
-    G = E or F maps each class into one other class, so an equation (u, c)
-    is nonzero only for c in a class that G moves and u in the class it
-    moves it to; there it reads G[v, c] on x[u, v] for each v of column c,
-    and -G[u, r] on x[r, c] for each r of row u.  Both lie in the block of
-    (Z_u, Z_c), which therefore holds every equation of its unknowns.  G
-    has no diagonal, so the two parts never meet on one unknown.
+    E maps each class into one other class, so an equation (u, c) is nonzero
+    only for c in a class that E moves and u in the class it moves it to;
+    there it reads E[v, c] on x[u, v] for each v of column c, and -E[u, r]
+    on x[r, c] for each r of row u.  Both lie in the block of (Z_u, Z_c),
+    which therefore holds every equation of its unknowns.  E has no
+    diagonal, so the two parts never meet on one unknown.
     """
     cls, patterns = [], {}
     for i, w in enumerate(words(k)):
@@ -278,14 +286,11 @@ def _commutant_blocks(k, q0, group):
     pos = {u: j for classes in patterns.values() for members in classes.values()
            for j, u in enumerate(members)}
     power = _q_powers(q0, k)
-    ladders = []
-    for g in ("E", "F"):
-        col, row, image = {}, {}, {}
-        for r, c, e in _ladder(g, k):
-            col.setdefault(c, []).append((pos[r], power[e]))
-            row.setdefault(r, []).append((c, -power[e]))
-            image[cls[c]] = cls[r]
-        ladders.append((col, row, image))
+    col, row, image = {}, {}, {}
+    for r, c, e in _ladder("E", k):
+        col.setdefault(c, []).append((pos[r], power[e]))
+        row.setdefault(r, []).append((c, -power[e]))
+        image[cls[c]] = cls[r]
     patterns = list(patterns.values())
     holders = {}  # class -> the indices of the patterns that hold it
     for n, pattern in enumerate(patterns):
@@ -302,16 +307,15 @@ def _commutant_blocks(k, q0, group):
                     off[u] = n_unknowns + j * width
                 n_unknowns += len(left[c]) * width
             rows = []
-            for col, row, image in ladders:
-                for source, target in image.items():
-                    for c in right.get(source, ()):
-                        down, at = col.get(c, ()), pos[c]
-                        for u in left.get(target, ()):
-                            eq = {off[u] + p: v for p, v in down}
-                            for r, v in row.get(u, ()):
-                                eq[off[r] + at] = v
-                            if eq:
-                                rows.append(eq)
+            for source, target in image.items():
+                for c in right.get(source, ()):
+                    down, at = col.get(c, ()), pos[c]
+                    for u in left.get(target, ()):
+                        eq = {off[u] + p: v for p, v in down}
+                        for r, v in row.get(u, ()):
+                            eq[off[r] + at] = v
+                        if eq:
+                            rows.append(eq)
             yield rows, n_unknowns
 
 

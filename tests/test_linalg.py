@@ -70,7 +70,22 @@ def random_rows(rng, cols, n):
     return rows
 
 
+def in_span(row, rref):
+    """Whether ``row`` lies in the span of the reduced rows ``rref``: then it
+    is the sum of its entry at each pivot times that pivot's row."""
+    comb = {}
+    for piv, prow in rref.items():
+        if row.get(piv):
+            for c, v in prow.items():
+                comb[c] = comb.get(c, 0) + row[piv] * v
+    return {c: v for c, v in comb.items() if v} == {c: v for c, v in row.items() if v}
+
+
 def check_against_reference(rows):
+    """What a row echelon form guarantees: ``add`` tells whether the rank
+    grew, the pivots are those of the reduced form, each stored row is a
+    primitive int row with a positive entry at its pivot, its least column,
+    and every stored row lies in the span of the rows."""
     ech = Echelon()
     for i, row in enumerate(rows):
         grew = ech.add(row)
@@ -79,14 +94,13 @@ def check_against_reference(rows):
     assert ech.rank == len(ref)
     assert set(ech.pivots) == set(ref)
     for piv, prow in ech.pivots.items():
-        # primitive integer rows with a positive pivot, the least column
         assert all(type(v) is int for v in prow.values())
         assert min(prow) == piv and prow[piv] > 0
         g = 0
         for v in prow.values():
             g = gcd(g, v)
         assert g == 1
-        assert prow == {c: prow[piv] * v for c, v in ref[piv].items()}
+        assert in_span(prow, ref)
     return ech
 
 
@@ -110,9 +124,7 @@ def test_diagram_column_labels():
         rows = random_rows(rng, cols, rng.randint(1, 12))
         ech = check_against_reference(rows)
         outside = {cols[0]: 1, cols[-1]: Fraction(-2, 3)}
-        # the copy shares the column labels: a Diagram has no copy of its own
-        trial = copy.deepcopy(ech, {id(d): d for d in cols})
-        assert trial.add(outside) == (reference_rank(rows + [outside]) > ech.rank)
+        assert copy.deepcopy(ech).add(outside) == (reference_rank(rows + [outside]) > ech.rank)
 
 
 def test_edge_rows():
@@ -125,7 +137,8 @@ def test_edge_rows():
     assert ech.add({0: -3, 1: 2}) is False           # a multiple
     assert ech.add({0: Fraction(1, 2), 1: Fraction(-1, 3)}) is False  # a duplicate
     assert ech.add({1: -4, 2: 6}) is True
-    assert ech.pivots == {0: {0: 1, 2: -1}, 1: {1: 2, 2: -3}}
+    # stored as it came, made primitive; the row of pivot 0 keeps its column 1
+    assert ech.pivots == {0: {0: 3, 1: -2}, 1: {1: 2, 2: -3}}
     assert ech.add({0: 1, 1: 2, 2: -4}) is False
     assert copy.deepcopy(ech).add({2: 1}) is True
     assert ech.rank == 2
@@ -167,15 +180,18 @@ def test_rank_is_independent_of_row_order(case):
 
 
 def test_commutant_system_elimination_count(monkeypatch):
-    # Added in equation order these rows take 6,500 eliminations; bottom-up
-    # (descending least column) about 3,400.
-    calls = []
+    # Added in equation order these rows take 1,111 eliminations that read
+    # 9,150 pivot-row entries; bottom-up (descending least column) 1,179
+    # that read 6,027.
+    calls, read = [], []
     eliminate = linalg._eliminate
 
-    def counted(*args):
+    def counted(row, a, prow, b):
         calls.append(1)
-        return eliminate(*args)
+        read.append(len(prow))
+        return eliminate(row, a, prow, b)
 
     monkeypatch.setattr(linalg, "_eliminate", counted)
     assert commutant_dim(4, 2, "sl2") == len(motzkin_diagrams(4)) == 323
-    assert len(calls) <= 3500
+    assert len(calls) <= 1200
+    assert sum(read) <= 6500

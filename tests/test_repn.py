@@ -15,7 +15,7 @@ from ptlalg.algebra import (FLAVORS, AlgebraSpec, Element, bar_multiply, bar_of,
 from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, compose, gen_e,
                             gen_l, gen_r, identity, motzkin_diagrams,
                             partial_brauer_diagrams, triple_of)
-from ptlalg.linalg import SparseMatrix, rank_of_rows
+from ptlalg.linalg import SparseMatrix, nullity, rank_of_rows
 from ptlalg.ptl import ptl_dimension
 from ptlalg.repn import (SL2_GENERATORS, RepConfig, _commutant_blocks, b_matrix,
                          commutant_dim, diagram_matrix, element_matrix,
@@ -382,12 +382,12 @@ def test_commutant_integer_scaling_signs_and_denominators():
             assert commutant_dim(k, q0, "sl2") == len(motzkin_diagrams(k))
 
 
-def reference_commutant_rows(k, q0, group):
-    """The equations of ``commutant_dim`` scattered unknown by unknown: with
-    E and F evaluated at q0 and scaled by (n*d)^k, the unknown x[u, v] adds
-    G[v, c] to equation (u, c) for each c of G's row v, and -G[r, u] to
-    equation (r, v) for each r of G's column u.  Returns the rows, keyed by
-    the unknowns (u, v), and the number of unknowns."""
+def reference_commutant_rows(k, q0, group, gens=("E", "F")):
+    """The commutation equations XG = GX of the generators ``gens`` scattered
+    unknown by unknown: with G evaluated at q0 and scaled by (n*d)^k, the
+    unknown x[u, v] adds G[v, c] to equation (u, c) for each c of G's row v,
+    and -G[r, u] to equation (r, v) for each r of G's column u.  Returns the
+    rows, keyed by the unknowns (u, v), and the number of unknowns."""
     q0 = Fraction(q0)
     classes = {}
     for i, w in enumerate(words(k)):
@@ -402,7 +402,7 @@ def reference_commutant_rows(k, q0, group):
         return x.numerator
 
     rows = {}
-    for g in ("E", "F"):
+    for g in gens:
         by_row, by_col = {}, {}
         for (r, c), v in qgen_matrix(g, k).entries.items():
             v = scaled(v)
@@ -461,17 +461,31 @@ def commutant_blocks_by_word(k, q0, group):
 def test_commutant_rows_match_the_scatter_reference(group, q0):
     for k in range(5):
         blocks = commutant_blocks_by_word(k, q0, group)
-        want, want_unknowns = reference_commutant_rows(k, q0, group)
+        want, want_unknowns = reference_commutant_rows(k, q0, group, ("E",))
         assert sum(len(unknowns) for _, _, unknowns, _ in blocks) == want_unknowns
         rows = [row for _, _, _, block_rows in blocks for row in block_rows]
         assert (sorted(sorted(row.items()) for row in rows)
                 == sorted(sorted(row.items()) for row in want))
 
 
+@pytest.mark.parametrize("q0", [2, Fraction(3, 2), Fraction(5, 3), Fraction(-3, 7)],
+                         ids=str)
+@pytest.mark.parametrize("group", ["gl2", "sl2"])
+def test_the_e_equations_force_the_f_equations(group, q0):
+    # away from the roots of unity E and K already force the commutant: the
+    # F equations of the whole E + F system add nothing to the E equations
+    for k in range(5):
+        e_only = sum(nullity(rows, n) for rows, n in _commutant_blocks(k, Fraction(q0), group))
+        rows, n_unknowns = reference_commutant_rows(k, q0, group)
+        assert e_only == nullity(rows, n_unknowns)
+
+
 def test_commutant_rows_count_at_k5():
-    # 4,653 unknowns, the sum of the squared gl2 class sizes
+    # 4,653 unknowns, the sum of the squared gl2 class sizes; the 3,535 E
+    # equations are independent, the 3,535 F equations would add nothing
     blocks = list(_commutant_blocks(5, Fraction(3, 2), "gl2"))
-    assert (sum(len(rows) for rows, _ in blocks), sum(n for _, n in blocks)) == (7070, 4653)
+    assert (sum(len(rows) for rows, _ in blocks), sum(n for _, n in blocks)) == (3535, 4653)
+    assert sum(n for _, n in blocks) - 3535 == commutant_dim(5, Fraction(3, 2)) == 1118
 
 
 @pytest.mark.parametrize("group", ["gl2", "sl2"])
@@ -495,8 +509,8 @@ def test_commutant_blocks_split_by_zero_pattern(group):
 
 
 def test_commutant_dim_holds_one_block_at_a_time(monkeypatch):
-    # built whole, the k = 5 gl2 system peaked at 4.66 MiB; block by block,
-    # 0.64 MiB
+    # built whole, the k = 5 gl2 E and F system peaked at 4.66 MiB; block by
+    # block, 0.64 MiB, and the E equations alone 0.46 MiB
     adds = [0]
     add = linalg.Echelon.add
 
@@ -516,8 +530,8 @@ def test_commutant_dim_holds_one_block_at_a_time(monkeypatch):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 1.5 * 2 ** 20
-    assert adds[0] == 7070
+    assert peak < 2 ** 20
+    assert adds[0] == 3535
 
 
 def test_b_matrix_randomized_alpha():
@@ -587,6 +601,20 @@ def test_an_int_alpha_acts_as_its_fraction(alpha):
         if abs(alpha) == 1 or not d.caps():
             for corr in CORRECTIONS:
                 assert all(type(w) is int for _, _, w in repn._entries(d, c, corr)), (d, corr)
+
+
+@pytest.mark.parametrize("alpha", [2, Fraction(2, 3), -3], ids=str)
+def test_integral_entries_are_ints(alpha):
+    # a cup's alpha against a cap's 1/alpha multiplies to an integral
+    # Fraction, which must reach Echelon as an int: at alpha = 2 that was 84
+    # of the 220 tilde entries of the balanced k = 3 diagrams
+    c = RepConfig(alpha)
+    for d in motzkin_diagrams(3):
+        for corr in CORRECTIONS:
+            for _, _, w in repn._entries(d, c, corr):
+                assert type(w) is int or w.denominator != 1, (d, corr, w)
+    balanced = [w for d in balanced_motzkin_diagrams(3) for _, _, w in repn._entries(d, c, "tilde")]
+    assert len(balanced) == 220 and all(type(w) is int for w in balanced)
 
 
 def test_pieri_dims():
