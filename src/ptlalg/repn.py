@@ -267,9 +267,12 @@ def _commutant_blocks(k, q0, group):
     keeps, so the unknowns split into blocks by the zero patterns
     (A, B) of u and v, one block per pair of patterns that share a class;
     the patterns are indexed by the classes they hold, so no other pair is
-    visited.  A block numbers its unknowns as the whole system would, class by class
-    (in word order) and row by row: x[u, v] is ``off[u] + pos[v]``, where
-    pos[v] is the place of v among the words of its class and pattern.
+    visited.  A block numbers its unknowns class by class (in word order)
+    and row by row: x[u, v] is ``off[u] + pos[v]``, where pos[v] is the
+    place of v among the words of its class and pattern counted from the
+    last: ``rank_of_rows`` adds rows by descending least column, and with
+    the later words on the lower columns it eliminates about a quarter less
+    (k = 5, gl2: 8,629 ``_eliminate`` calls against 11,663).
     E maps each class into one other class, so an equation (u, c) is nonzero
     only for c in a class that E moves and u in the class it moves it to;
     there it reads E[v, c] on x[u, v] for each v of column c, and -E[u, r]
@@ -284,7 +287,7 @@ def _commutant_blocks(k, q0, group):
         patterns.setdefault(tuple(x == 0 for x in w), {}).setdefault(cls[i], []).append(i)
     classes = dict.fromkeys(cls)  # in word order
     pos = {u: j for classes in patterns.values() for members in classes.values()
-           for j, u in enumerate(members)}
+           for j, u in enumerate(reversed(members))}
     power = _q_powers(q0, k)
     col, row, image = {}, {}, {}
     for r, c, e in _ladder("E", k):

@@ -561,6 +561,100 @@ def test_zero_products_at_delta_one_are_the_one_zero():
     assert x * x is Element.zero(x.spec)
 
 
+def per_term_product(x, y):
+    """The diagram-basis product pair by pair: each composite weighed in
+    place by delta ** n, n its closed loops (its discarded blocks for the
+    partition algebra)."""
+    spec, out = x.spec, {}
+    for d1, c1 in x.terms.items():
+        for d2, c2 in y.terms.items():
+            comp = compose(d1, d2)
+            n = comp.blocks if spec.flavor == "partition" else comp.loops
+            out[comp.diagram] = out.get(comp.diagram, 0) + c1 * c2 * spec.delta ** n
+    return Element(spec, out)
+
+
+@functools.lru_cache(maxsize=None)
+def weight_collisions(flavor, k):
+    """(d1, d1p, d2, n, np): d1 d2 and d1p d2 are one composite, weighed
+    delta^n and delta^np with n != np."""
+    pool = admitted_pool(flavor, k, "diagram")
+    out = []
+    for d2 in pool:
+        seen = {}
+        for d1 in pool:
+            comp = compose(d1, d2)
+            n = comp.blocks if flavor == "partition" else comp.loops
+            first = seen.setdefault(comp.diagram, (d1, n))
+            if first[1] != n:
+                out.append((first[0], d1, d2, first[1], n))
+    return tuple(out)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_diagram_product_matches_the_per_term_reference(data):
+    flavor = data.draw(st.sampled_from(("motzkin", "tl", "ptl", "partition")))
+    k = data.draw(st.integers(2, 3))
+    delta0 = data.draw(st.sampled_from((None, 0, 1, Fraction(-2, 3))))
+    spec = AlgebraSpec(flavor, k, delta0)
+    scalars = (1, -3, Fraction(2, 5), Fraction(-7, 3))
+    if delta0 is None:
+        scalars += (delta, Fraction(1, 2) * delta - 1, 2 * delta ** 2 - 3)
+    coeffs = st.sampled_from(scalars)
+    diagrams = st.sampled_from(admitted_pool(flavor, k, "diagram"))
+    if flavor == "partition":
+        diagrams = st.one_of(diagrams, partition_diagrams(k))
+    xs = data.draw(st.dictionaries(diagrams, coeffs, max_size=5))
+    ys = data.draw(st.dictionaries(diagrams, coeffs, max_size=5))
+    forced = data.draw(st.booleans())
+    if forced:
+        # one composite reached with two weights, the two terms scaled so
+        # that they cancel only once each is weighed
+        d1, d1p, d2, n, np = data.draw(st.sampled_from(weight_collisions(flavor, k)))
+        c = data.draw(coeffs)
+        xs = {d1: c * spec.delta ** np, d1p: -c * spec.delta ** n}
+        ys = {d2: data.draw(coeffs)}
+    x, y = Element(spec, xs), Element(spec, ys)
+    prod = x * y
+    assert prod == per_term_product(x, y)
+    assert all(prod.terms.values())
+    if forced:
+        assert prod is Element.zero(spec)
+
+
+def test_structured_rules_on_cold_frame_slots(monkeypatch):
+    """Both rules on freshly built k = 5 diagrams, whose frame slots are
+    still empty (both factors, or the right one alone), give the products
+    of the same diagrams once warm; a diagram with a block of three
+    vertices has no frames, and both rules refuse it."""
+    from ptlalg import diagram
+
+    warm = balanced_motzkin_5()[::37]
+    spec, fresh = motzkin_spec(5), motzkin_spec(5)
+    for which, rule in STRUCTURED.items():
+        for i, (a, b) in enumerate(itertools.product(warm, warm)):
+            with monkeypatch.context() as m:
+                m.setattr(diagram, "_INTERNED", {})
+                d1, d2 = Diagram(5, a.blocks), Diagram(5, b.blocks)
+                if i % 2:
+                    d1.frames()
+                else:
+                    assert not hasattr(d1, "_frame")
+                assert not hasattr(d2, "_frame")
+                got = rule(fresh, d1, d2)
+            want = rule(spec, a, b)
+            assert got.basis == want.basis == which
+            assert ({d.blocks: c for d, c in got.terms.items()}
+                    == {d.blocks: c for d, c in want.terms.items()}), (which, a, b)
+    three = Diagram(2, [(0, 1, 2), (3,)])
+    e1 = gen_e(1, 2)
+    for rule in STRUCTURED.values():
+        for d1, d2 in ((three, e1), (e1, three), (three, three)):
+            with pytest.raises(ValueError, match="frames require a partial Brauer diagram"):
+                rule(motzkin_spec(2), d1, d2)
+
+
 # -- results built by closure against the validating constructor -----------------
 
 @functools.lru_cache(maxsize=None)

@@ -960,6 +960,27 @@ def matrix_k4(basis):
                                       for i, d in enumerate(pool)]}
 
 
+def mul_factor_k4():
+    """Every seventh balanced Motzkin 4-diagram from the fourth, with
+    fraction and Q[delta] coefficients: the right factor of the pinned
+    diagram-basis product."""
+    coeffs = ("-1/3", "delta^3 - 2", "3/4*delta", "2")
+    pool = diagram.balanced_motzkin_diagrams(4)[3::7]
+    return {"basis": "diagram", "terms": [{"coeff": coeffs[i % len(coeffs)], "diagram": d.to_json()}
+                                          for i, d in enumerate(pool)]}
+
+
+def test_diagram_basis_mul_matches_the_pinned_digest(tmp_path, capsys):
+    # 37 x 26 terms at k = 4, as CI multiplies them: 183 terms of degree <= 5
+    fx, fy = tmp_path / "x.json", tmp_path / "y.json"
+    fx.write_text(json.dumps(matrix_k4("diagram")))
+    fy.write_text(json.dumps(mul_factor_k4()))
+    code, out = run_cli(["mul", str(fx), str(fy), "--json"], capsys)
+    assert code == 0
+    assert len(json.loads(out)["terms"]) == 183
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "52b4e61c59421a33"
+
+
 # sha256 prefixes of ``render --format matrix``.  The bar and tilde matrices
 # do not move with alpha: a balanced diagram has as many cups (weights in
 # alpha) as caps (in 1/alpha), and the corrected forms drop the alpha-free

@@ -427,7 +427,7 @@ def reference_block_unknowns(k, group):
     """The unknowns (u, v) of each block of ``commutant_dim``, in the order
     the blocks come and numbered as they are: one block per pair of zero
     patterns (in word order) that share a weight class, its unknowns sorted
-    by class (in word order), then u, then v."""
+    by class (in word order), then u, then v from the last."""
     ws, zs = words(k), zero_patterns(k)
     cls = [(w.count(1), w.count(-1)) if group == "gl2" else w.count(1) - w.count(-1)
            for w in ws]
@@ -439,7 +439,7 @@ def reference_block_unknowns(k, group):
         if cls[u] == cls[v]:
             blocks.setdefault((zs[u], zs[v]), []).append((u, v))
     patterns = list(dict.fromkeys(zs))
-    return [(a, b, sorted(blocks[a, b], key=lambda uv: (rank[cls[uv[0]]], uv)))
+    return [(a, b, sorted(blocks[a, b], key=lambda uv: (rank[cls[uv[0]]], uv[0], -uv[1])))
             for a in patterns for b in patterns if (a, b) in blocks]
 
 
