@@ -420,19 +420,13 @@ def tilde_multiply(spec, d1, d2):
     (delta-1)^{#loops} prod_{t in S} (1 - p_t) tilde(d1 o d2), expanded as a
     signed sum of tilde-basis vectors over the subsets of S (each p_t drops
     one through edge).  S holds the through edges of the composite that
-    snake through an interior cup or cap: a through edge t -- b' snakes
-    exactly when d2 sends the middle end of d1's edge at t into its top row.
+    snake through an interior cup or cap, read from ``compose``, whose
+    composition plan names them once per pair of half-diagram signatures.
     With S empty the product is the one term tilde(d1 o d2).  The result is
     shared and immutable: one ``Element`` per spec object and (composite,
     loops, S), built and checked on first sight, so a result ``spec`` does
-    not admit in the tilde basis raises ``ValueError``.
-
-    Frames and zeros are read as in :func:`bar_multiply`.  A snake starts
-    with a through edge of d1 whose middle end meets a cup of d2, so S is
-    ``()`` without a scan of the composite when the bottom vertical frame
-    of d1 misses the top horizontal frame of d2.  Of the 11,423
-    unobstructed pairs of balanced Motzkin 4-diagrams that settles 8,894;
-    836 pairs snake.
+    not admit in the tilde basis raises ``ValueError``.  Frames and zeros
+    are read as in :func:`bar_multiply`.
     """
     try:
         f1, f2 = d1._frame, d2._frame
@@ -442,14 +436,7 @@ def tilde_multiply(spec, d1, d2):
         z = spec._zeros.get("tilde")
         return Element.zero(spec, "tilde") if z is None else z
     comp = compose(d1, d2)
-    if f1.bot_v.isdisjoint(f2.top_h):  # no through edge of d1 ends on a cup of d2
-        snakes = ()
-    else:
-        k = d1.k
-        p1, p2 = d1.partner, d2.partner
-        snakes = tuple([b for b in comp.diagram.blocks
-                        if len(b) == 2 and b[0] < k <= b[1] and p2[p1[b[0]] - k] < k])
-    key = ("tilde", comp.diagram, comp.loops, snakes)
+    key = ("tilde", comp.diagram, comp.loops, comp.snakes)
     r = spec._products.get(key)
     return _structured(spec, key) if r is None else r
 

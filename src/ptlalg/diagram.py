@@ -4,9 +4,9 @@ A k-diagram is a set partition of 2k vertices arranged in two rows of k.
 Internally vertices are encoded as ``0..k-1`` for the top row (printed
 ``1..k``) and ``k..2k-1`` for the bottom row (printed ``1'..k'``); blocks
 are stored as a sorted tuple of sorted tuples.  There is one instance per
-distinct diagram, so identity is equality: planarity, frames, partner maps
-and the half-diagram signatures that composition reads are computed once
-per diagram however often products rebuild it.  Public input
+distinct diagram, so identity is equality: planarity, frames and the
+half-diagram signatures that composition reads are computed once per
+diagram however often products rebuild it.  Public input
 (``Diagram(...)``, ``from_edges``, ``from_json``) is canonicalized and
 validated; ``compose``, ``removals`` and the enumerators build canonical
 block tuples from valid diagrams or matchings and intern them unchecked.
@@ -34,7 +34,9 @@ into, and the right factor's its top row, with which blocks reach the
 outer rows: the two half-diagram signatures.  So the gluing is worked out
 once per pair of signatures, a plan kept in a table keyed by their
 numbers, and each product only looks its plan up and joins the outer-row
-pieces of its blocks that the plan names.
+pieces of its blocks that the plan names.  The plan also names the
+through paths that snake, meeting the middle row more than once, whose
+edges the tilde product weighs by (1 - p_t).
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ class Diagram:
     of blocks sorted) and looked up in a process-wide table.  A block tuple
     met for the first time is validated and stored by :meth:`_of`, so the
     checks run once per distinct ``(k, blocks)``, and the derived data
-    computed on first use (kept in the underscored slots: planarity, frames,
-    the partner map and the two half-diagram signatures with the pieces
-    that :func:`compose` reads; each slot is unset until its accessor first
+    computed on first use (kept in the underscored slots: planarity, frames
+    and the two half-diagram signatures with the pieces that
+    :func:`compose` reads; each slot is unset until its accessor first
     fills it) serves every later construction.  ``compose``, ``removals`` and the
     enumerators call :meth:`_of` directly with tuples that are canonical by
     construction.  ``copy``, ``deepcopy`` and ``pickle`` go through the
@@ -78,7 +80,7 @@ class Diagram:
     of the process.
     """
 
-    __slots__ = ("k", "blocks", "_partner", "_pb", "_planar", "_frame", "_half")
+    __slots__ = ("k", "blocks", "_pb", "_planar", "_frame", "_half")
 
     def __new__(cls, k, blocks):
         check_k(k)
@@ -158,23 +160,6 @@ class Diagram:
 
     def isolated(self):
         return [b[0] for b in self.blocks if len(b) == 1]
-
-    @property
-    def partner(self):
-        """Vertex -> partner map over the edges (partial Brauer only)."""
-        try:
-            return self._partner
-        except AttributeError:
-            pass
-        if not self.is_partial_brauer():
-            raise ValueError("partner map requires blocks of size <= 2")
-        p = {}
-        for b in self.blocks:
-            if len(b) == 2:
-                p[b[0]] = b[1]
-                p[b[1]] = b[0]
-        object.__setattr__(self, "_partner", p)
-        return p
 
     def cups(self):
         """Horizontal edges in the top row, as 0-based column pairs."""
@@ -359,8 +344,9 @@ class Frame:
 
 class Composition(NamedTuple):
     diagram: Diagram
-    blocks: int          # discarded interior blocks
-    loops: int | None    # closed interior loops (partial Brauer inputs)
+    blocks: int           # discarded interior blocks
+    loops: int | None     # closed interior loops (partial Brauer inputs)
+    snakes: tuple | None  # through edges that snake (partial Brauer inputs)
 
 
 _tuple_new = tuple.__new__
@@ -371,8 +357,11 @@ def compose(d1, d2):
 
     Returns the composite diagram together with the number of discarded
     interior blocks and, when both inputs are partial Brauer, the number
-    ``loops`` of them that are closed loops; the other ``blocks - loops``
-    are open paths, single vertices included.
+    ``loops`` of them that are closed loops (the other ``blocks - loops``
+    are open paths, single vertices included) and the sorted tuple
+    ``snakes`` of the composite's through edges that snake: their path
+    meets the middle row more than once, so it runs through at least one
+    interior cup and cap.
 
     The middle row is column c of d1's bottom row glued to column c of
     d2's top row.  How its components run depends only on d1's bottom
@@ -380,8 +369,9 @@ def compose(d1, d2):
     diagram), so it is looked up: ``_PLANS[bottom][top]`` is the plan that
     :func:`_plan` builds on first sight of the pair.  It lists the outer
     blocks as the pieces they join (d1's top-row vertices, d2's bottom-row
-    vertices) and counts the discarded blocks and loops.  A block of d1
-    with no middle vertex passes through unchanged, as does one of d2.
+    vertices), names the pairs that snake and counts the discarded blocks
+    and loops.  A block of d1 with no middle vertex passes through
+    unchanged, as does one of d2.
     The composite's blocks are sorted once and interned unchecked: they
     partition the outer rows because the factors' blocks partition theirs.
     """
@@ -396,7 +386,7 @@ def compose(d1, d2):
     plan = _PLANS[bottom].get(top)
     if plan is None:
         plan = _plan(bottom, top)
-    pairs, merged, n_blocks, n_loops = plan
+    pairs, merged, n_blocks, n_loops, snaking = plan
     piece = pieces1 + pieces2
     blocks = list(upper)
     blocks += lower
@@ -410,7 +400,10 @@ def compose(d1, d2):
     if d3 is None:
         d3 = Diagram._of(d1.k, key)
     # what Composition(...) makes, without the call through its __new__
-    return _tuple_new(Composition, (d3, n_blocks, n_loops if pb1 and pb2 else None))
+    if not (pb1 and pb2):
+        return _tuple_new(Composition, (d3, n_blocks, None, None))
+    snakes = tuple(sorted([piece[i] + piece[j] for i, j in snaking])) if snaking else ()
+    return _tuple_new(Composition, (d3, n_blocks, n_loops, snakes))
 
 
 def _signature(key):
@@ -436,8 +429,10 @@ def _plan(bottom, top):
     and a right node j when at most one node per side reaches out (a side
     that has none gives a node whose piece is empty), since top-row
     vertices come before bottom-row ones; else the tuple of its reaching
-    nodes, whose pieces are merged and sorted.  Equal plans are stored as
-    one object.
+    nodes, whose pieces are merged and sorted.  A pair snakes when both of
+    its nodes reach out and the component holds more: for partial Brauer
+    factors that is a through path that meets the middle row more than
+    once.  Equal plans are stored as one object.
     """
     keys = list(_SIGNATURES)
     (below, reach1), (above, reach2) = keys[bottom], keys[top]
@@ -452,7 +447,7 @@ def _plan(bottom, top):
     components = {}
     for node, c in enumerate(comp):
         components.setdefault(c, []).append(node)
-    pairs, merged, n_blocks, n_loops = [], [], 0, 0
+    pairs, merged, n_blocks, n_loops, snaking = [], [], 0, 0, []
     for nodes in components.values():
         left = [i for i in nodes if i < m and reach[i]]
         right = [j for j in nodes if j >= m and reach[j]]
@@ -461,9 +456,11 @@ def _plan(bottom, top):
             n_loops += all(ends.count(i) == 2 for i in nodes)
         elif len(left) <= 1 and len(right) <= 1:
             pairs.append(((left or nodes)[0], (right or nodes)[-1]))
+            if left and right and len(nodes) > 2:
+                snaking.append(pairs[-1])
         else:
             merged.append(tuple(left + right))
-    plan = (tuple(pairs), tuple(merged), n_blocks, n_loops)
+    plan = (tuple(pairs), tuple(merged), n_blocks, n_loops, tuple(snaking))
     plan = _PLANS[bottom][top] = _PLAN_POOL.setdefault(plan, plan)
     return plan
 

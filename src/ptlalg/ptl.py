@@ -83,12 +83,22 @@ def generated_dimension(gens):
     by every generator.  Starting from 1, each newly independent element is
     multiplied on the right by each generator, so every element of the
     spanning set is tried against every generator exactly once.
+
+    The rank does not depend on the basis, so the words are multiplied in
+    the one where the generators have the fewest terms (diagram on a tie,
+    and for generators the tilde vectors of their algebra do not span):
+    tilde for PTL's r_i, l_i and tilde(e_i), whose products are one term or a few.
     """
     if not gens:
         raise ValueError("need at least one generator")
-    gens = [change_basis(g, "diagram") if g.basis != "diagram" else g for g in gens]
+    moved = [[change_basis(g, "diagram") for g in gens]]
+    try:
+        moved.append([change_basis(g, "tilde") for g in gens])
+    except ValueError:
+        pass
+    gens = min(moved, key=lambda m: sum(len(g.terms) for g in m))
     gens = [g.specialize(Fraction(7, 3)) for g in gens]
-    one = Element.unit(gens[0].spec)
+    one = change_basis(Element.unit(gens[0].spec), gens[0].basis)
 
     ech = Echelon()
     ech.add(dict(one.terms))

@@ -780,7 +780,7 @@ def reference_snake_set(d1, d2):
     traverses at least one interior cup or cap, found by walking the stack
     through both partner maps."""
     k = d1.k
-    p1, p2 = d1.partner, d2.partner
+    p1, p2 = reference_partner(d1), reference_partner(d2)
     out = []
     for t in range(k):
         mate = p1.get(t)
@@ -805,6 +805,34 @@ def reference_snake_set(d1, d2):
         if end is not None and horiz > 0:
             out.append(t + 1)
     return frozenset(out)
+
+
+def reference_partner(d):
+    """Vertex -> the other end of its edge, for the vertices on an edge."""
+    p = {}
+    for b in d.blocks:
+        if len(b) == 2:
+            p[b[0]], p[b[1]] = b[1], b[0]
+    return p
+
+
+def test_compose_names_the_walked_snakes():
+    """``compose(d1, d2).snakes`` holds the through edges that the walk finds,
+    on every pair of partial Brauer 3-diagrams and of balanced Motzkin
+    4-diagrams, obstructed pairs included."""
+    counts = []
+    for pool in (partial_brauer_diagrams(3), balanced_motzkin_diagrams(4)):
+        unobstructed = snaking = 0
+        for d1 in pool:
+            for d2 in pool:
+                snakes = compose(d1, d2).snakes
+                assert snakes == tuple(sorted(snakes))
+                assert {t + 1 for t, _ in snakes} == reference_snake_set(d1, d2), (d1, d2)
+                if not reference_omega_obstruction(d1, d2):
+                    unobstructed += 1
+                    snaking += bool(snakes)
+        counts.append((unobstructed, snaking))
+    assert counts == [(3352, 216), (11423, 836)]
 
 
 def reference_tilde_multiply(spec, d1, d2):

@@ -275,7 +275,9 @@ def test_json_round_trip():
 # -- compose against a union-find reference -------------------------------------
 
 def union_find_compose(d1, d2):
-    """Reference composition: union-find over the 3k vertices of the stack."""
+    """Reference composition: union-find over the 3k vertices of the stack.
+    For partial Brauer factors a through edge snakes when its component
+    also holds an interior edge, a cap of d1 or a cup of d2."""
     k = d1.k
     # nodes: 0..k-1 top, k..2k-1 middle, 2k..3k-1 bottom
     parent = list(range(3 * k))
@@ -315,17 +317,23 @@ def union_find_compose(d1, d2):
                 r = find(u + k)
                 interior_edges[r] = interior_edges.get(r, 0) + 1
 
-    new_blocks = []
+    new_blocks, snakes = [], []
     n_blocks = n_loops = 0
     for root, verts in members.items():
         outer = [v for v in verts if v < k or v >= 2 * k]
         if outer:
-            new_blocks.append(tuple(v if v < k else v - k for v in outer))
+            block = tuple(v if v < k else v - k for v in outer)
+            new_blocks.append(block)
+            if (pb and len(outer) == 2 and outer[0] < k and outer[1] >= 2 * k
+                    and interior_edges.get(root, 0) > 0):
+                snakes.append(block)
         else:
             n_blocks += 1
             if pb and interior_edges.get(root, 0) == len(verts):
                 n_loops += 1
-    return Composition(Diagram(k, new_blocks), n_blocks, n_loops if pb else None)
+    if not pb:
+        return Composition(Diagram(k, new_blocks), n_blocks, None, None)
+    return Composition(Diagram(k, new_blocks), n_blocks, n_loops, tuple(sorted(snakes)))
 
 
 def assert_same_composition(d1, d2):
@@ -337,13 +345,14 @@ def assert_same_composition(d1, d2):
 def test_compose_matches_reference_on_all_partial_brauer_3_pairs():
     pool = partial_brauer_diagrams(3)
     assert len(pool) == 76
-    loops = paths = 0
+    loops = paths = snaking = 0
     for d1 in pool:
         for d2 in pool:
             c = assert_same_composition(d1, d2)
             loops += c.loops
             paths += c.blocks - c.loops
-    assert loops > 0 and paths > 0
+            snaking += bool(c.snakes)
+    assert loops > 0 and paths > 0 and snaking > 0
 
 
 def partition_words_3(product):
@@ -698,15 +707,6 @@ def reference_frames(d):
     return (top_h | top_v, bot_h | bot_v, top_h, bot_h, top_v, bot_v)
 
 
-def reference_partner(d):
-    p = {}
-    for b in d.blocks:
-        if len(b) == 2:
-            p[b[0]] = b[1]
-            p[b[1]] = b[0]
-    return p
-
-
 def reference_halves(d):
     """``Diagram._halves`` from its definition, computed afresh: for the top
     row, then the bottom row, the number of the row's signature (the labels
@@ -741,23 +741,22 @@ def test_derived_data_of_fresh_and_interned_diagrams_match_the_formulas():
     cold = 0
     for n, d in enumerate(sample):
         # a slot is unset until its accessor first fills it
-        cold += not any(hasattr(d, s) for s in ("_planar", "_frame", "_partner", "_half"))
+        cold += not any(hasattr(d, s) for s in ("_planar", "_frame", "_half"))
         if n % 2:
             # halves first filled with d as the right factor, then read as the left
             assert_same_composition(identity(d.k), d)
             assert_same_composition(d, identity(d.k))
         fr = d.frames()
         first = (d.is_planar(), (fr.top, fr.bot, fr.top_h, fr.bot_h, fr.top_v, fr.bot_v),
-                 dict(d.partner), d._halves())
+                 d._halves())
         blocks = [b[::-1] for b in d.blocks]
         rng.shuffle(blocks)
         again = Diagram(d.k, blocks)
         assert again is d
         fr = again.frames()
         assert (again.is_planar(), (fr.top, fr.bot, fr.top_h, fr.bot_h, fr.top_v, fr.bot_v),
-                again.partner, again._halves()) == first
-        assert first == (reference_is_planar(d), reference_frames(d), reference_partner(d),
-                         reference_halves(d))
+                again._halves()) == first
+        assert first == (reference_is_planar(d), reference_frames(d), reference_halves(d))
     assert cold >= 250  # most of the sample was met here first, with empty caches
     assert all(d.is_planar() for d in sample[:150])
     assert not all(d.is_planar() for d in sample[150:300])

@@ -12,6 +12,7 @@ from ptlalg.algebra import (AlgebraSpec, Element, bar_multiply, change_basis, ep
 from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, balanced_motzkin_stratum,
                             compose, diagram_of, gen_e, gen_l, gen_r, motzkin_diagrams, n_subsets,
                             triple_of)
+from ptlalg.linalg import Echelon
 from ptlalg.ptl import generated_dimension, ptl_dimension, strata_dims, to_block
 from ptlalg.scalar import DeltaPoly
 
@@ -349,13 +350,66 @@ def test_generated_dimensions():
     assert generated_dimension(gens3) == 33
 
 
-def test_generated_dimension_k4():
+def test_generated_dimension_k4(monkeypatch):
+    """PTL_4's words, multiplied in tilde coordinates, stay sparse: the
+    eliminations read about 1,200 stored-row entries, where the diagram
+    basis read over 25,000."""
+    from ptlalg import linalg
+    read = []
+    eliminate = linalg._eliminate
+
+    def counting(row, a, prow, b):
+        read.append(len(prow))
+        return eliminate(row, a, prow, b)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
     spec4 = AlgebraSpec("ptl", 4)
     gens4 = []
     for i in (1, 2, 3):
         gens4 += [Element.of(spec4, gen_r(i, 4)), Element.of(spec4, gen_l(i, 4)),
                   epsilon(spec4, i)]
     assert generated_dimension(gens4) == ptl_dimension(4) == 183
+    assert 0 < sum(read) <= 1300
+
+
+def reference_generated_dimension(gens, basis):
+    """The rank of the words in ``gens`` at delta = 7/3, closed under right
+    multiplication from 1 with every product taken in ``basis``."""
+    gens = [change_basis(g, basis).specialize(Fraction(7, 3)) for g in gens]
+    words = [change_basis(Element.unit(gens[0].spec), basis)]
+    span = Echelon()
+    span.add(dict(words[0].terms))
+    for a in words:  # grows while it is walked
+        for g in gens:
+            prod = a * g
+            if span.add(dict(prod.terms)):
+                words.append(prod)
+    return span.rank
+
+
+@pytest.mark.parametrize("flavor", ["ptl", "motzkin", "partial_brauer"])
+def test_generated_dimension_is_the_same_in_both_bases(flavor):
+    for k in range(2, 5):
+        spec = AlgebraSpec(flavor, k)
+        gens = []
+        for i in range(1, k):
+            e = epsilon(spec, i) if flavor == "ptl" else Element.of(spec, gen_e(i, k))
+            gens += [Element.of(spec, gen_r(i, k)), Element.of(spec, gen_l(i, k)), e]
+        dim = generated_dimension(gens)
+        assert dim == reference_generated_dimension(gens, "diagram")
+        assert dim == reference_generated_dimension(gens, "tilde")
+        if flavor == "ptl":
+            assert dim == ptl_dimension(k)
+
+
+def test_generated_dimension_outside_the_tilde_span():
+    """e_1 and e_2 lie in the Motzkin algebra that PTL's diagram basis
+    spans but not in PTL: they generate TL_3 there as in TL itself."""
+    for spec in (ptl_spec(3), AlgebraSpec("tl", 3)):
+        gens = [Element.of(spec, gen_e(i, 3)) for i in (1, 2)]
+        with pytest.raises(ValueError):
+            change_basis(gens[0], "tilde")
+        assert generated_dimension(gens) == reference_generated_dimension(gens, "diagram") == 5
 
 
 def test_motzkin_generated_by_e_r_l():
