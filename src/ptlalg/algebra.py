@@ -93,11 +93,12 @@ class AlgebraSpec:
             return False
         if self.flavor == "tl":
             # removing an edge of a TL diagram leaves isolated vertices, so an
-            # expansion stays in TL only if it removes nothing (and a TL
-            # diagram with no cup has no cap)
+            # expansion stays in TL only if it removes nothing (a TL diagram
+            # is partial Brauer, its cup ends are its frames' top_h, and with
+            # no cup it has no cap)
             if d.isolated():
                 return False
-            return basis == "diagram" or not (d.edges() if basis == "bar" else d.cups())
+            return basis == "diagram" or not (d.edges() if basis == "bar" else d.frames().top_h)
         if self.flavor == "ptl" and basis in ("bar", "tilde"):
             # tilde/bar coordinates of PTL elements live on balanced diagrams
             return d.is_balanced()
@@ -285,10 +286,21 @@ class Element:
                 "terms": [{"coeff": str(c), "diagram": d.to_json()}
                           for d, c in sorted(self.terms.items())]}
 
+    @staticmethod
+    def json_terms(obj):
+        """An element JSON object's ``terms``, refused unless a list of objects."""
+        terms = obj["terms"]
+        if not isinstance(terms, (list, tuple)):
+            raise ValueError("bad terms %r" % (terms,))
+        for t in terms:
+            if not isinstance(t, dict):
+                raise ValueError("bad term %r in terms" % (t,))
+        return terms
+
     @classmethod
     def from_json(cls, spec, obj):
         terms = {}
-        for t in obj["terms"]:
+        for t in cls.json_terms(obj):
             d = Diagram.from_json(t["diagram"])
             terms[d] = terms.get(d, 0) + parse_scalar(t["coeff"])
         return cls(spec, terms, obj.get("basis", "diagram"))

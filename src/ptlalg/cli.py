@@ -97,7 +97,7 @@ def _element_from_json(args, obj):
     """The element of an element JSON object; its k is ``"k"`` when present,
     otherwise the common k of its terms."""
     try:
-        ks = {t["diagram"]["k"] for t in obj["terms"]}
+        ks = {t["diagram"]["k"] for t in Element.json_terms(obj)}
         if "k" in obj:
             ks.add(obj["k"])
         if len(ks) != 1:

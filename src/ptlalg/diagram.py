@@ -12,7 +12,8 @@ validated; ``compose``, ``removals`` and the enumerators build canonical
 block tuples from valid diagrams or matchings and intern them unchecked.
 All *column* indices in the public API (generator positions, frames, the
 subsets A, B of a triple) are 1-based, matching the usual subscripts
-e_1, ..., e_{k-1}.
+e_1, ..., e_{k-1}.  ``Diagram.frames`` alone splits edges into cups (both
+ends in the top row), caps (both in the bottom row) and through edges.
 
 The diagram families are enumerated by one recursion that places the least
 free vertex, first isolated, then joined to each later free vertex in
@@ -161,21 +162,6 @@ class Diagram:
     def isolated(self):
         return [b[0] for b in self.blocks if len(b) == 1]
 
-    def cups(self):
-        """Horizontal edges in the top row, as 0-based column pairs."""
-        k = self.k
-        return [b for b in self.edges() if b[1] < k]
-
-    def caps(self):
-        """Horizontal edges in the bottom row, as 0-based column pairs."""
-        k = self.k
-        return [(b[0] - k, b[1] - k) for b in self.edges() if b[0] >= k]
-
-    def verticals(self):
-        """Through edges as (top column, bottom column), 0-based."""
-        k = self.k
-        return [(b[0], b[1] - k) for b in self.edges() if b[0] < k <= b[1]]
-
     def is_balanced(self):
         """As many cups as caps (partial Brauer only)."""
         fr = self.frames()
@@ -244,24 +230,26 @@ class Diagram:
     # -- frames ----------------------------------------------------------------
 
     def frames(self):
-        """Index sets of the non-isolated vertices, split horizontal/vertical."""
+        """The :class:`Frame` of a partial Brauer diagram, from one walk that
+        splits its edges into cups, caps and through edges."""
         try:
             return self._frame
         except AttributeError:
             pass
         if not self.is_partial_brauer():
             raise ValueError("frames require a partial Brauer diagram")
-        top_h, bot_h, top_v, bot_v = set(), set(), set(), set()
-        for (a, b) in self.cups():
-            top_h.update((a + 1, b + 1))
-        for (a, b) in self.caps():
-            bot_h.update((a + 1, b + 1))
-        for (t, b) in self.verticals():
-            top_v.add(t + 1)
-            bot_v.add(b + 1)
-        fr = Frame(frozenset(top_h | top_v), frozenset(bot_h | bot_v),
-                   frozenset(top_h), frozenset(bot_h),
-                   frozenset(top_v), frozenset(bot_v))
+        k = self.k
+        top, bot, top_h, bot_h = [], [], [], []
+        for u, v in self.edges():
+            if v < k:
+                top_h += (u + 1, v + 1)
+            elif u >= k:
+                bot_h += (u - k + 1, v - k + 1)
+            else:
+                top.append(u + 1)
+                bot.append(v - k + 1)
+        fr = Frame(frozenset(top + top_h), frozenset(bot + bot_h),
+                   frozenset(top_h), frozenset(bot_h))
         object.__setattr__(self, "_frame", fr)
         return fr
 
@@ -334,12 +322,14 @@ def _edge_json(k):
 
 @dataclass(frozen=True, slots=True)
 class Frame:
+    """A partial Brauer diagram's frames, as sets of 1-based columns: ``top``
+    and ``bot`` are the non-isolated columns of the top and bottom rows, and
+    ``top_h`` and ``bot_h`` the cup and cap ends among them."""
+
     top: frozenset
     bot: frozenset
     top_h: frozenset
     bot_h: frozenset
-    top_v: frozenset
-    bot_v: frozenset
 
 
 class Composition(NamedTuple):

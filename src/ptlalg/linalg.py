@@ -191,22 +191,18 @@ class Echelon:
 def rank_of_rows(rows):
     """Rank of an iterable of sparse int/Fraction rows.
 
-    The rows are added bottom-up: zero rows first, then the others in
-    descending order of their least nonzero column (ties keep their input
-    order), so that most rows arrive with a least column that holds no
-    pivot yet and are stored without an elimination.
+    A zero row adds nothing to the rank, so it is dropped.  The others are
+    added bottom-up, in descending order of their least nonzero column (ties
+    keep their input order), so that most rows arrive with a least column
+    that holds no pivot yet and are stored without an elimination.
     """
-    zero, keyed = [], []
+    keyed = []
     for row in rows:
         least = min((c for c, v in row.items() if v), default=None)
-        if least is None:
-            zero.append(row)
-        else:
+        if least is not None:
             keyed.append((least, row))
     keyed.sort(key=lambda t: t[0], reverse=True)
     ech = Echelon()
-    for row in zero:
-        ech.add(row)
     for _, row in keyed:
         ech.add(row)
     return ech.rank

@@ -20,6 +20,7 @@ from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, gen_b, gen_e,
 from ptlalg.linalg import SparseMatrix
 from ptlalg.repn import pieri_dims, word_weight
 from ptlalg.scalar import DeltaPoly
+from test_diagram import edge_kinds
 
 delta = DeltaPoly.gen()
 
@@ -165,7 +166,7 @@ def test_action_is_associative():
 def test_rank_inequality():
     for k in (2, 3):
         for d in motzkin_diagrams(k):
-            d_rank = len(d.verticals())
+            d_rank = len(edge_kinds(d)[2])
             for a in motzkin_paths(k):
                 _, b = act_on_path(d, a)
                 assert rank_of(b) <= min(d_rank, rank_of(a))
@@ -452,9 +453,10 @@ def test_path_diagram_is_the_top_half():
             assert path_of(d) == a
             assert d.is_motzkin()
             pairs, fixed, zeros = one_factor_of(a)
-            assert sorted(d.cups()) == [(i - 1, j - 1) for (i, j) in pairs]
-            assert d.verticals() == [(c - 1, c - 1) for c in fixed]
-            assert not d.caps()
+            cups, caps, through = edge_kinds(d)
+            assert sorted(cups) == [(i - 1, j - 1) for (i, j) in pairs]
+            assert through == [(c - 1, c - 1) for c in fixed]
+            assert not caps
     with pytest.raises(ValueError):
         path_diagram((1, -1, -1))
 

@@ -436,6 +436,30 @@ def test_malformed_diagram_shape_is_named(text, message, tmp_path, capsys):
         assert captured.err == "ptl render: error: %s\n" % message
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"k":2,"terms":{}}', "bad terms {}"),
+    ('{"terms":{"a":1}}', "bad terms {'a': 1}"),
+    ('{"terms":"ab"}', "bad terms 'ab'"),
+    ('{"k":2,"terms":null}', "bad terms None"),
+    ('{"terms":[5]}', "bad term 5 in terms"),
+    ('{"k":2,"terms":["t1"]}', "bad term 't1' in terms"),
+], ids=["terms-object", "terms-object-no-k", "terms-string", "terms-null", "term-int",
+        "term-string"])
+def test_malformed_element_shape_is_named(text, message, tmp_path, capsys):
+    f = tmp_path / "x.json"
+    f.write_text(text)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(Element.of(motzkin_spec(2), gen_e(1, 2)).to_json()))
+    for argv in (["convert", str(f), "--to", "bar"], ["mul", str(f), str(good)],
+                 ["mul", str(good), str(f)], ["render", str(f)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == "ptl %s: error: %s\n" % (argv[0], message)
+
+
 def test_malformed_edge_has_no_traceback_end_to_end():
     proc = subprocess.run(
         [sys.executable, "-m", "ptlalg.cli", "render", "-"],

@@ -2,6 +2,7 @@
 
 import bisect
 import copy
+import dataclasses
 import functools
 import itertools
 import json
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from ptlalg import diagram
 from ptlalg.algebra import bar_multiply, motzkin_spec, tilde_multiply
-from ptlalg.diagram import (Composition, Diagram,
+from ptlalg.diagram import (Composition, Diagram, Frame,
                             balanced_motzkin_diagrams, balanced_motzkin_stratum,
                             catalan as library_catalan, compose, count_diagrams, diagram_of,
                             enumerate_diagrams, enumerate_keys, gen_b, gen_e, gen_l, gen_p,
@@ -104,16 +105,38 @@ def test_balanced():
     assert not Diagram.from_edges(2, [(0, 1)]).is_balanced()
 
 
+def edge_kinds(d):
+    """A partial Brauer diagram's cups, caps and through edges, read from its
+    blocks: a cup or a cap as the 0-based columns of its two ends, a through
+    edge as (top column, bottom column), each list in block order."""
+    cups, caps, through = [], [], []
+    for b in d.blocks:
+        if len(b) == 2:
+            (r1, c1), (r2, c2) = divmod(b[0], d.k), divmod(b[1], d.k)
+            (through if r1 != r2 else caps if r1 else cups).append((c1, c2))
+    return cups, caps, through
+
+
 def test_frames():
     fr = gen_e(1, 2).frames()
     assert fr.top == fr.top_h == frozenset({1, 2})
     assert fr.bot == fr.bot_h == frozenset({1, 2})
-    assert not fr.top_v and not fr.bot_v
     frr = gen_r(1, 2).frames()
     assert frr.top == frozenset({2}) and frr.bot == frozenset({1})
     assert not frr.top_h and not frr.bot_h
     fid = identity(3).frames()
-    assert fid.top == fid.top_v == frozenset({1, 2, 3})
+    assert fid.top == fid.bot == frozenset({1, 2, 3})
+    assert not fid.top_h and not fid.bot_h
+    assert [f.name for f in dataclasses.fields(Frame)] == ["top", "bot", "top_h", "bot_h"]
+
+
+def test_frames_match_the_vertex_reference_on_every_partial_brauer_diagram():
+    for k in range(5):
+        pool = partial_brauer_diagrams(k)
+        assert len(pool) == (1, 2, 10, 76, 764)[k]
+        for d in pool:
+            fr = d.frames()
+            assert (fr.top, fr.bot, fr.top_h, fr.bot_h) == reference_frames(d), d
 
 
 def test_frames_read_their_cache_before_any_check(monkeypatch):
@@ -130,7 +153,7 @@ def test_frames_read_their_cache_before_any_check(monkeypatch):
 def test_frames_refuse_a_partition_diagram_every_time():
     d = Diagram(2, [(0, 1, 2), (3,)])
     for _ in range(3):
-        with pytest.raises(ValueError, match="partial Brauer"):
+        with pytest.raises(ValueError, match="^frames require a partial Brauer diagram$"):
             d.frames()
 
 
@@ -269,7 +292,7 @@ def test_json_round_trip():
         assert Diagram.from_json(json.loads(json.dumps(d.to_json()))) == d
     obj = {"k": 3, "edges": [["t1", "t2"], ["b1", "b3"], ["t3", "b2"]]}
     d = Diagram.from_json(obj)
-    assert d.cups() == [(0, 1)] and d.caps() == [(0, 2)] and d.verticals() == [(2, 1)]
+    assert edge_kinds(d) == ([(0, 1)], [(0, 2)], [(2, 1)])
 
 
 # -- compose against a union-find reference -------------------------------------
@@ -695,16 +718,21 @@ def reference_is_planar(d):
 
 
 def reference_frames(d):
-    """The parent's frame sets, from the cups, caps and through edges."""
-    top_h, bot_h, top_v, bot_v = set(), set(), set(), set()
-    for (a, b) in d.cups():
-        top_h.update((a + 1, b + 1))
-    for (a, b) in d.caps():
-        bot_h.update((a + 1, b + 1))
-    for (t, b) in d.verticals():
-        top_v.add(t + 1)
-        bot_v.add(b + 1)
-    return (top_h | top_v, bot_h | bot_v, top_h, bot_h, top_v, bot_v)
+    """``(top, bot, top_h, bot_h)`` of a partial Brauer diagram from its
+    blocks, vertex by vertex: a vertex's 1-based column is in its row's
+    frame when its block holds another vertex, and among the row's
+    horizontal-edge ends when every other vertex of the block is in the
+    same row."""
+    k = d.k
+    frame, ends = (set(), set()), (set(), set())
+    for b in d.blocks:
+        for v in b:
+            others = [u for u in b if u != v]
+            if others:
+                frame[v // k].add(v % k + 1)
+                if all(u // k == v // k for u in others):
+                    ends[v // k].add(v % k + 1)
+    return frame + ends
 
 
 def reference_halves(d):
@@ -747,14 +775,14 @@ def test_derived_data_of_fresh_and_interned_diagrams_match_the_formulas():
             assert_same_composition(identity(d.k), d)
             assert_same_composition(d, identity(d.k))
         fr = d.frames()
-        first = (d.is_planar(), (fr.top, fr.bot, fr.top_h, fr.bot_h, fr.top_v, fr.bot_v),
+        first = (d.is_planar(), (fr.top, fr.bot, fr.top_h, fr.bot_h),
                  d._halves())
         blocks = [b[::-1] for b in d.blocks]
         rng.shuffle(blocks)
         again = Diagram(d.k, blocks)
         assert again is d
         fr = again.frames()
-        assert (again.is_planar(), (fr.top, fr.bot, fr.top_h, fr.bot_h, fr.top_v, fr.bot_v),
+        assert (again.is_planar(), (fr.top, fr.bot, fr.top_h, fr.bot_h),
                 again._halves()) == first
         assert first == (reference_is_planar(d), reference_frames(d), reference_halves(d))
     assert cold >= 250  # most of the sample was met here first, with empty caches

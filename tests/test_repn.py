@@ -23,6 +23,7 @@ from ptlalg.repn import (SL2_GENERATORS, RepConfig, _commutant_blocks, b_matrix,
                          qgen_matrix, representation_rank, word_index,
                          word_weight, words)
 from ptlalg.scalar import DeltaPoly, LaurentPoly
+from test_diagram import edge_kinds
 from test_scalar import reference_substitute_delta
 
 q = LaurentPoly.gen()
@@ -51,7 +52,7 @@ def reference_diagram_matrix(d, cfg, correction=None):
     if correction not in (None, "bar", "tilde"):
         raise ValueError("correction must be None, 'bar' or 'tilde'")
     k = d.k
-    cups, caps, verts = d.cups(), d.caps(), d.verticals()
+    cups, caps, verts = edge_kinds(d)
     iso_bot = [v - k for v in d.isolated() if v >= k]
     tform, bform = reference_forms(cfg)
     if correction is not None:
@@ -598,7 +599,7 @@ def test_an_int_alpha_acts_as_its_fraction(alpha):
     # integral weights are ints, which Echelon takes without a Fraction: every
     # entry at alpha = +-1, and every entry of a diagram with no cap (no 1/alpha)
     for d in pool:
-        if abs(alpha) == 1 or not d.caps():
+        if abs(alpha) == 1 or not edge_kinds(d)[1]:
             for corr in CORRECTIONS:
                 assert all(type(w) is int for _, _, w in repn._entries(d, c, corr)), (d, corr)
 
