@@ -288,22 +288,26 @@ class Element:
 
     @staticmethod
     def json_terms(obj):
-        """An element JSON object's ``terms``, refused unless a list of objects."""
+        """An element JSON object's terms as a dict, diagram -> the sum of its
+        coefficients; refused unless ``obj`` is an object whose ``terms`` is a
+        list of objects.  Each term is read once, its diagram by
+        ``Diagram.from_json`` and its coefficient by ``parse_scalar``."""
+        if not isinstance(obj, dict):
+            raise ValueError("an element is a JSON object, not %r" % (obj,))
         terms = obj["terms"]
         if not isinstance(terms, (list, tuple)):
             raise ValueError("bad terms %r" % (terms,))
+        out = {}
         for t in terms:
             if not isinstance(t, dict):
                 raise ValueError("bad term %r in terms" % (t,))
-        return terms
+            d = Diagram.from_json(t["diagram"])
+            out[d] = out.get(d, 0) + parse_scalar(t["coeff"])
+        return out
 
     @classmethod
     def from_json(cls, spec, obj):
-        terms = {}
-        for t in cls.json_terms(obj):
-            d = Diagram.from_json(t["diagram"])
-            terms[d] = terms.get(d, 0) + parse_scalar(t["coeff"])
-        return cls(spec, terms, obj.get("basis", "diagram"))
+        return cls(spec, cls.json_terms(obj), obj.get("basis", "diagram"))
 
 
 def _twist(spec, comp):

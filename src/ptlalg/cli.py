@@ -97,7 +97,8 @@ def _element_from_json(args, obj):
     """The element of an element JSON object; its k is ``"k"`` when present,
     otherwise the common k of its terms."""
     try:
-        ks = {t["diagram"]["k"] for t in Element.json_terms(obj)}
+        terms = Element.json_terms(obj)
+        ks = {d.k for d in terms}
         if "k" in obj:
             ks.add(obj["k"])
         if len(ks) != 1:
@@ -106,7 +107,7 @@ def _element_from_json(args, obj):
         # the object's own "k" goes to the spec, which refuses a bool or a
         # float that the set took for the int it equals
         spec = AlgebraSpec(args.algebra, obj.get("k", ks.pop()))
-        return Element.from_json(spec, obj)
+        return Element(spec, terms, obj.get("basis", "diagram"))
     except _LOAD_ERRORS as exc:
         raise _input_error("element", exc) from exc
 

@@ -4,10 +4,13 @@ Matrices carry entries from any exact ring: the scalars of
 :mod:`ptlalg.scalar`, or algebra elements (the blocks of :mod:`ptlalg.ptl`).
 No zero entries are stored, and no entry is ever added to the int 0.  Rank
 and nullity computations take sparse rows of ints and Fractions, clear their
-denominators once (int rows are taken as they are), and eliminate over the
-integers (Bareiss-style cross-multiplication, each row divided by its
-content), which keeps the arithmetic exact and the fill-in tolerable at the
-sizes this package needs (a few thousand unknowns at most).
+denominators once, and eliminate over the integers (Bareiss-style
+cross-multiplication, each row divided by its content, one ``gcd`` of all its
+entries), which keeps the arithmetic exact and the fill-in tolerable at the
+sizes this package needs (a few thousand unknowns at most).  A clean row, all
+of whose entries are nonzero ints (every row of a commutant system), is
+recognized in one pass over its values and copied as it is; any other row
+has its zeros dropped and is scaled to integers.
 
 A stored row's pivot is the least column of its support, and no two stored
 rows share a pivot: the stored rows are in row echelon form, not reduced.  An
@@ -117,12 +120,7 @@ class SparseMatrix:
 
 def _content(row):
     """The gcd of a nonempty integer row's entries (always positive)."""
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    return g
+    return gcd(*row.values())
 
 
 def _eliminate(row, a, prow, b):
@@ -160,12 +158,18 @@ class Echelon:
         self.pivots = {}  # pivot column label -> primitive integer row (dict)
 
     def add(self, row):
-        """Reduce ``row`` against the span; returns True if the rank grew."""
-        row = {c: v for c, v in row.items() if v}
-        if not all(type(v) is int for v in row.values()):
-            row = {c: Fraction(v) for c, v in row.items()}
-            den = lcm(*(v.denominator for v in row.values()))
-            row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+        """Reduce ``row`` against the span; returns True if the rank grew.
+        ``row`` itself is left unchanged: a clean row (nonzero ints only, no
+        bool) is copied, and any other is rebuilt without its zeros."""
+        vals = row.values()
+        if all(vals) and set(map(type, vals)) == {int}:
+            row = dict(row)
+        else:
+            row = {c: v for c, v in row.items() if v}
+            if not all(type(v) is int for v in row.values()):
+                row = {c: Fraction(v) for c, v in row.items()}
+                den = lcm(*(v.denominator for v in row.values()))
+                row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
         pivots = self.pivots
         while row:
             piv = min(row)
@@ -198,7 +202,10 @@ def rank_of_rows(rows):
     """
     keyed = []
     for row in rows:
-        least = min((c for c, v in row.items() if v), default=None)
+        if all(row.values()):  # no zero entry: the least key
+            least = min(row, default=None)
+        else:
+            least = min((c for c, v in row.items() if v), default=None)
         if least is not None:
             keyed.append((least, row))
     keyed.sort(key=lambda t: t[0], reverse=True)

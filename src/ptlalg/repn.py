@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from .diagram import check_k, gen_e
 from .linalg import SparseMatrix, nullity, rank_of_rows
-from .scalar import LaurentPoly, _tidy
+from .scalar import DeltaPoly, LaurentPoly, _tidy
 
 LETTERS = (1, 0, -1)  # site basis order: v_1, v_0, v_-1
 
@@ -331,23 +331,28 @@ def _q_powers(q0, k):
 def representation_rank(elements, q0, cfg):
     """Rank of the span of the flattened matrices of the given elements.
 
-    Each element is specialized at the number 1 - (q0 + q0^-1), as
-    evaluation at q0 is a ring map, and each row is scaled by (n*d)^k for
-    q0 = n/d: an entry c * q^e (|e| <= k/2) reads c * n^(k+e) * d^(k-e).
-    A diagram's entries are generated once per call, however many of the
-    elements hold it."""
+    Each coefficient is evaluated in place, as ``Element.specialize`` would
+    evaluate it: a polynomial in delta at the number delta0 = 1 - (q0 + q0^-1),
+    one in q (of a spec whose delta is already in q) at q0.  This is exact
+    because delta -> delta0 and q -> q0 are ring maps, and it builds no spec
+    and no element.  Each row is scaled by (n*d)^k for q0 = n/d: an entry
+    c * q^e (|e| <= k/2) reads c * n^(k+e) * d^(k-e).  A diagram's entries
+    are generated once per call, however many of the elements hold it."""
     q0 = Fraction(q0)
     if q0 == 0:
         raise ValueError("q must be nonzero, not %s" % (q0,))
     delta0 = cfg.delta_value().evaluate(q0)
     rows, entries = [], {}
     for x in elements:
-        x = x.specialize(delta0)
         correction = None if x.basis == "diagram" else x.basis
         power, row = _q_powers(q0, x.spec.k), {}
         for d, c in x.terms.items():
-            if isinstance(c, LaurentPoly):  # a spec whose delta is already in q
+            if isinstance(c, DeltaPoly):
+                c = c.evaluate(delta0)
+            elif isinstance(c, LaurentPoly):
                 c = c.evaluate(q0)
+            if not c:
+                continue
             key = (d, correction)
             if key not in entries:
                 entries[key] = list(_entries(d, cfg, correction))

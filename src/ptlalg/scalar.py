@@ -306,6 +306,8 @@ def _tokenize(text, var):
 def parse_scalar(text):
     """Parse the textual form back; the ring is inferred from the variable.
     With none, the terms are rationals, read as a polynomial's constants."""
+    if not isinstance(text, str):
+        raise ValueError("a scalar is a string, not %r" % (text,))
     t = text.strip()
     if "delta" in t:
         return DeltaPoly.parse(t)

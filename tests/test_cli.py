@@ -436,16 +436,26 @@ def test_malformed_diagram_shape_is_named(text, message, tmp_path, capsys):
         assert captured.err == "ptl render: error: %s\n" % message
 
 
-@pytest.mark.parametrize("text,message", [
-    ('{"k":2,"terms":{}}', "bad terms {}"),
-    ('{"terms":{"a":1}}', "bad terms {'a': 1}"),
-    ('{"terms":"ab"}', "bad terms 'ab'"),
-    ('{"k":2,"terms":null}', "bad terms None"),
-    ('{"terms":[5]}', "bad term 5 in terms"),
-    ('{"k":2,"terms":["t1"]}', "bad term 't1' in terms"),
+# render reads a JSON value that is not an object with "terms" as a diagram,
+# so it names the diagram where the element loaders name the element
+@pytest.mark.parametrize("text,message,render_message", [
+    ('{"k":2,"terms":{}}', "bad terms {}", None),
+    ('{"terms":{"a":1}}', "bad terms {'a': 1}", None),
+    ('{"terms":"ab"}', "bad terms 'ab'", None),
+    ('{"k":2,"terms":null}', "bad terms None", None),
+    ('{"terms":[5]}', "bad term 5 in terms", None),
+    ('{"k":2,"terms":["t1"]}', "bad term 't1' in terms", None),
+    ('[1]', "an element is a JSON object, not [1]", "a diagram is a JSON object, not [1]"),
+    ('"x"', "an element is a JSON object, not 'x'", "a diagram is a JSON object, not 'x'"),
+    ('{"terms":[{"coeff":"1","diagram":5}]}', "a diagram is a JSON object, not 5", None),
+    ('{"terms":[{"coeff":1,"diagram":%s}]}' % json.dumps(E1_K2),
+     "a scalar is a string, not 1", None),
+    ('{"terms":[{"coeff":null,"diagram":%s}]}' % json.dumps(E1_K2),
+     "a scalar is a string, not None", None),
 ], ids=["terms-object", "terms-object-no-k", "terms-string", "terms-null", "term-int",
-        "term-string"])
-def test_malformed_element_shape_is_named(text, message, tmp_path, capsys):
+        "term-string", "element-list", "element-string", "diagram-int", "coeff-int",
+        "coeff-null"])
+def test_malformed_element_shape_is_named(text, message, render_message, tmp_path, capsys):
     f = tmp_path / "x.json"
     f.write_text(text)
     good = tmp_path / "good.json"
@@ -457,7 +467,8 @@ def test_malformed_element_shape_is_named(text, message, tmp_path, capsys):
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert not captured.out
-        assert captured.err == "ptl %s: error: %s\n" % (argv[0], message)
+        want = render_message if argv[0] == "render" and render_message else message
+        assert captured.err == "ptl %s: error: %s\n" % (argv[0], want)
 
 
 def test_malformed_edge_has_no_traceback_end_to_end():

@@ -146,6 +146,18 @@ def test_edge_rows():
     assert nullity([{0: 1}, {0: 2}, {1: 1}], 5) == 3
 
 
+def test_add_leaves_its_row_unchanged():
+    # a clean int row is copied; a row with a zero, a Fraction or a bool is
+    # rebuilt; both are eliminated against the stored row of pivot 0
+    for row in ({0: 4, 1: -6, 3: 10}, {0: 3, 1: 0, 2: Fraction(1, 2), 3: True}):
+        ech = Echelon()
+        assert ech.add({0: 1, 1: 1, 2: 1}) is True
+        before = dict(row)
+        assert ech.add(row) is True
+        assert row == before and all(type(row[c]) is type(before[c]) for c in row)
+        assert all(type(v) is int for prow in ech.pivots.values() for v in prow.values())
+
+
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 
 

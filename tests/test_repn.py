@@ -974,6 +974,37 @@ def test_representation_rank_of_the_k4_tilde_vectors_matches_the_laurent_route()
         assert reference_rank(rows, q0) == ptl_dimension(4)
 
 
+def test_representation_rank_builds_no_element_and_no_spec(monkeypatch):
+    # each coefficient is evaluated in place: no specialized copy per element
+    spec = motzkin_spec(4)
+    tilde_vectors = [tilde_of(spec, d) for d in balanced_motzkin_diagrams(4)]
+    mixed = [x.scale(DeltaPoly.gen() - 2) for x in tilde_vectors[::5]]
+    built = []
+    init, post_init, trusted = Element.__init__, AlgebraSpec.__post_init__, Element._of.__func__
+
+    def counting_init(self, *args):
+        built.append(Element)
+        init(self, *args)
+
+    def counting_post_init(self):
+        built.append(AlgebraSpec)
+        post_init(self)
+
+    def counting_of(cls, *args):
+        built.append(Element)
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(Element, "__init__", counting_init)
+    monkeypatch.setattr(Element, "_of", classmethod(counting_of))
+    monkeypatch.setattr(AlgebraSpec, "__post_init__", counting_post_init)
+    tilde_vectors[0].specialize(Fraction(-3, 2))  # the counters see a specialization
+    assert built == [AlgebraSpec, Element]
+    built.clear()
+    assert representation_rank(tilde_vectors, 2, cfg) == 183
+    assert representation_rank(mixed, Fraction(3, 2), cfg) == len(mixed)
+    assert built == []
+
+
 def test_representation_rank_generates_each_diagram_once(monkeypatch):
     # the 183 k = 4 tilde_of expansions hold 570 terms over 297 distinct diagrams
     import ptlalg.repn

@@ -1,6 +1,7 @@
 """Exact ring arithmetic and the specialization maps."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,12 @@ def test_parse_scalar_inverts_str_of_a_fraction(x):
 def test_parse_scalar_refuses_zero_denominators_and_unsigned_terms(text):
     with pytest.raises(ValueError):
         parse_scalar(text)
+
+
+@pytest.mark.parametrize("value", [1, None, 1.5, True, ["1"]], ids=repr)
+def test_parse_scalar_names_a_value_that_is_not_a_string(value):
+    with pytest.raises(ValueError, match="^a scalar is a string, not %s$" % re.escape(repr(value))):
+        parse_scalar(value)
 
 
 @pytest.mark.parametrize("text, want", [

@@ -78,6 +78,15 @@ FAULTS = [
           "elimination keeps its zero entries, and rows never empty", timeout=30),
     Fault("diagram.py", "elif u >= k:", "elif u > k:", "tests/test_diagram.py", "killed",
           "frames take a cap at the first bottom column for a through edge"),
+    Fault("linalg.py", "if all(vals) and set(map(type, vals))", "if set(map(type, vals))",
+          "tests/test_linalg.py", "killed",
+          "an int row with an explicit 0 is taken as clean and stores a zero entry"),
+    Fault("repn.py", "c = c.evaluate(delta0)", "c = c", "tests/test_repn.py", "killed",
+          "representation_rank leaves a delta-polynomial coefficient unevaluated"),
+    Fault("linalg.py", "if all(row.values()):", "if True:", "tests/test_linalg.py",
+          "equivalent",
+          "rank_of_rows orders a row with a zero by its least key: the order "
+          "changes, the rank does not, and a zero row adds nothing in Echelon.add"),
 ]
 
 
