@@ -100,13 +100,14 @@ def _element_from_json(args, obj):
         terms = Element.json_terms(obj)
         ks = {d.k for d in terms}
         if "k" in obj:
+            # checked before the set takes it: a list would not hash, and a
+            # bool or a float would pass for the int it equals
+            check_k(obj["k"])
             ks.add(obj["k"])
         if len(ks) != 1:
             raise ValueError('needs one k: a nonnegative integer "k", '
                              'or terms that share one')
-        # the object's own "k" goes to the spec, which refuses a bool or a
-        # float that the set took for the int it equals
-        spec = AlgebraSpec(args.algebra, obj.get("k", ks.pop()))
+        spec = AlgebraSpec(args.algebra, ks.pop())
         return Element(spec, terms, obj.get("basis", "diagram"))
     except _LOAD_ERRORS as exc:
         raise _input_error("element", exc) from exc
@@ -191,17 +192,13 @@ def cmd_bratteli(args):
 
 
 def cmd_semisimple(args):
-    ok, bad = qcriteria.tl_semisimple_witness(args.k, args.q)
+    ok = qcriteria.tl_semisimple(args.k, args.q)
     if args.json:
-        payload = {"k": args.k, "q": str(args.q), "semisimple": ok}
-        if not ok:
-            payload["vanishing_factor"] = "<%d>_q" % bad
-        print(json.dumps(payload))
+        print(json.dumps({"k": args.k, "q": str(args.q), "semisimple": ok}))
+    elif ok:
+        print("semisimple: <n>_q nonzero at q=%s for all n <= %d" % (args.q, args.k))
     else:
-        if ok:
-            print("semisimple: <n>_q nonzero at q=%s for all n <= %d" % (args.q, args.k))
-        else:
-            print("NOT semisimple: <%d>_q vanishes at q=%s" % (bad, args.q))
+        print("NOT semisimple: some <n>_q with n <= %d vanishes at q=%s" % (args.k, args.q))
     return 0
 
 
@@ -326,7 +323,7 @@ def build_parser():
     p = sub.add_parser("cell-dims", help="cell module dimension table")
     p.add_argument("--k", type=_nonnegative_int, required=True)
     p.add_argument("--algebra", default="ptl", choices=("tl", "motzkin", "ptl"))
-    p.add_argument("--json", action="store_true")
+    common(p)
     p.set_defaults(fn=cmd_cell_dims)
 
     p = sub.add_parser("centralizer", help="exact commutant dimension on tensor space")

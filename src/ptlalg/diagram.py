@@ -12,8 +12,11 @@ validated; ``compose``, ``removals`` and the enumerators build canonical
 block tuples from valid diagrams or matchings and intern them unchecked.
 All *column* indices in the public API (generator positions, frames, the
 subsets A, B of a triple) are 1-based, matching the usual subscripts
-e_1, ..., e_{k-1}.  ``Diagram.frames`` alone splits edges into cups (both
-ends in the top row), caps (both in the bottom row) and through edges.
+e_1, ..., e_{k-1}.  An edge is a cup (both ends in the top row), a cap
+(both in the bottom row) or a through edge; ``Diagram.frames`` sorts them
+once per diagram for the products, while the pictures, the tensor-space
+entries, the tilde expansion and ``cells.path_of`` each read an edge's rows
+from its two ends.
 
 The diagram families are enumerated by one recursion that places the least
 free vertex, first isolated, then joined to each later free vertex in

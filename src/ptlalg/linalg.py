@@ -8,9 +8,10 @@ denominators once, and eliminate over the integers (Bareiss-style
 cross-multiplication, each row divided by its content, one ``gcd`` of all its
 entries), which keeps the arithmetic exact and the fill-in tolerable at the
 sizes this package needs (a few thousand unknowns at most).  A clean row, all
-of whose entries are nonzero ints (every row of a commutant system), is
-recognized in one pass over its values and copied as it is; any other row
-has its zeros dropped and is scaled to integers.
+of whose entries are nonzero ints (every row of a commutant system, and
+every rank row of integral elements), is recognized in one pass over its
+values and copied as it is; any other row has its zeros dropped and is
+scaled to integers.
 
 A stored row's pivot is the least column of its support, and no two stored
 rows share a pivot: the stored rows are in row echelon form, not reduced.  An
@@ -118,11 +119,6 @@ class SparseMatrix:
         return "SparseMatrix(%dx%d, %d entries)" % (self.nrows, self.ncols, self.nnz())
 
 
-def _content(row):
-    """The gcd of a nonempty integer row's entries (always positive)."""
-    return gcd(*row.values())
-
-
 def _eliminate(row, a, prow, b):
     """``row <- (b/g)*row - (a/g)*prow`` in place, with ``g = gcd(a, b)``.
 
@@ -179,7 +175,7 @@ class Echelon:
             _eliminate(row, row[piv], prow, prow[piv])
         else:
             return False
-        g = _content(row)
+        g = gcd(*row.values())
         if row[piv] < 0:
             g = -g
         if g != 1:
@@ -195,22 +191,16 @@ class Echelon:
 def rank_of_rows(rows):
     """Rank of an iterable of sparse int/Fraction rows.
 
-    A zero row adds nothing to the rank, so it is dropped.  The others are
-    added bottom-up, in descending order of their least nonzero column (ties
-    keep their input order), so that most rows arrive with a least column
-    that holds no pivot yet and are stored without an elimination.
+    An empty row adds nothing to the rank, so it is dropped.  The others are
+    added bottom-up, in descending order of their least key (ties keep their
+    input order), so that most rows arrive with a least column that holds no
+    pivot yet and are stored without an elimination.  The library's callers
+    pass rows with no zero entry, whose least key is their least column; a
+    row with zeros may be ordered by a zero's key, which changes the order
+    but not the rank.
     """
-    keyed = []
-    for row in rows:
-        if all(row.values()):  # no zero entry: the least key
-            least = min(row, default=None)
-        else:
-            least = min((c for c, v in row.items() if v), default=None)
-        if least is not None:
-            keyed.append((least, row))
-    keyed.sort(key=lambda t: t[0], reverse=True)
     ech = Echelon()
-    for _, row in keyed:
+    for row in sorted(filter(None, rows), key=min, reverse=True):
         ech.add(row)
     return ech.rank
 

@@ -101,14 +101,14 @@ def generated_dimension(gens):
     one = change_basis(Element.unit(gens[0].spec), gens[0].basis)
 
     ech = Echelon()
-    ech.add(dict(one.terms))
+    ech.add(one.terms)
     frontier = [one]
     while frontier:
         fresh = []
         for a in frontier:
             for g in gens:
                 prod = a * g
-                if prod and ech.add(dict(prod.terms)):
+                if prod and ech.add(prod.terms):
                     fresh.append(prod)
         frontier = fresh
     return ech.rank

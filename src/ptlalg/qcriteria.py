@@ -70,20 +70,13 @@ def jones_identity_symbolic(n):
 
 
 def tl_semisimple(k, q0):
-    """True iff <k>!_q is nonzero at the rational point q0."""
-    ok, _ = tl_semisimple_witness(k, q0)
-    return ok
-
-
-def tl_semisimple_witness(k, q0):
-    """(verdict, vanishing factor index or None)."""
+    """True iff <k>!_q is nonzero at the rational point q0, each <n>_q for
+    n <= k evaluated exactly.  No rational q0 makes one vanish, as
+    q^(n-1) <n>_q = 1 + q^2 + ... + q^(2n-2) is positive on the reals."""
     q0 = Fraction(q0)
     if q0 == 0:
         raise ValueError("q must be nonzero, not %s" % (q0,))
-    for n in range(1, k + 1):
-        if balanced_q_int(n).evaluate(q0) == 0:
-            return False, n
-    return True, None
+    return all(balanced_q_int(n).evaluate(q0) != 0 for n in range(1, k + 1))
 
 
 # -- symbolic root-of-unity tests ------------------------------------------------

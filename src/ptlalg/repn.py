@@ -337,7 +337,8 @@ def representation_rank(elements, q0, cfg):
     because delta -> delta0 and q -> q0 are ring maps, and it builds no spec
     and no element.  Each row is scaled by (n*d)^k for q0 = n/d: an entry
     c * q^e (|e| <= k/2) reads c * n^(k+e) * d^(k-e).  A diagram's entries
-    are generated once per call, however many of the elements hold it."""
+    are generated once per call, however many of the elements hold it.  A
+    sum that cancels is dropped where it forms, so no row holds a zero."""
     q0 = Fraction(q0)
     if q0 == 0:
         raise ValueError("q must be nonzero, not %s" % (q0,))
@@ -357,7 +358,11 @@ def representation_rank(elements, q0, cfg):
             if key not in entries:
                 entries[key] = list(_entries(d, cfg, correction))
             for at, e, w in entries[key]:
-                row[at] = row.get(at, 0) + c * w * power[e]
+                v = row.get(at, 0) + c * w * power[e]
+                if v:
+                    row[at] = v
+                else:
+                    del row[at]
         rows.append(row)
     return rank_of_rows(rows)
 

@@ -1050,6 +1050,9 @@ def test_admits_is_expansion_membership():
     assert admitted["partition", "bar"] == admitted["partition", "tilde"] == 0
     assert all(admitted[f, b] > 4 for f in FLAVORS if f not in ("tl", "partition")
                for b in ("bar", "tilde"))
+    # a diagram of another k is admitted by no flavor in no basis
+    assert not any(AlgebraSpec(f, 3).admits(identity(2), b)
+                   for f in FLAVORS for b in ("diagram", "bar", "tilde"))
 
 
 def test_partition_diagrams_stay_in_the_diagram_basis():
@@ -1154,3 +1157,15 @@ def test_tabled_oracle_matches_the_untabled_one(monkeypatch):
                        for d1, d2 in pairs for which in ("bar", "tilde")]
         assert len(composed) == len(set(composed))
         assert composed  # the count saw the oracle's compositions
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: AlgebraSpec("brauer", 2), "unknown flavor 'brauer'"),
+    (lambda: change_basis(Element.of(motzkin_spec(2), gen_e(1, 2)), "hat"),
+     "unknown basis 'hat'"),
+    (lambda: Element(motzkin_spec(3), {gen_e(1, 2): 1}),
+     "diagram %r not admitted by motzkin/diagram" % (gen_e(1, 2),)),
+], ids=["flavor", "change-basis", "diagram-of-another-k"])
+def test_refusals_name_their_input(call, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()

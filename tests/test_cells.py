@@ -1,6 +1,7 @@
 """Paths, 1-factors, the stacking action, and the cell modules."""
 
 import itertools
+import re
 from fractions import Fraction
 from math import comb
 
@@ -324,6 +325,8 @@ def test_cells_refuse_out_of_range_input():
     ("motzkin", "x", "a motzkin lambda is an integer, not 'x'"),
     ("motzkin", 1.0, "a motzkin lambda is an integer"),
     ("brauer", [1], "unknown cell module kind 'brauer'"),
+    ("ptl", (5, 0), "^invalid type \\(5, 0\\)$"),
+    ("tl", 2, "^k - lambda must be even for TL cell modules$"),
 ])
 def test_cells_refuse_a_badly_typed_lambda(kind, lam, want):
     spec = tl_spec(3) if kind == "tl" else motzkin_spec(3)
@@ -703,3 +706,12 @@ def test_cell_action_rejects_the_wrong_coordinates():
             two_loop_cell_action(kind, lam, x)
     with pytest.raises(ValueError, match="unknown cell module kind"):
         cell_action("brauer", 0, Element.of(spec, gen_e(1, 2)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: join_tl((1, -1), (1, -1, 0)), "paths must have equal length"),
+    (lambda: cell_dims("brauer", 3), "unknown cell module kind 'brauer'"),
+], ids=["join-lengths", "cell-dims-kind"])
+def test_refusals_name_their_input(call, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()

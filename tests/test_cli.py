@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from ptlalg import diagram
+from ptlalg import diagram, qcriteria, verify
 from ptlalg.algebra import Element, motzkin_spec, ptl_spec, tilde_of
 from ptlalg.cli import main
 from ptlalg.diagram import Diagram, gen_e, motzkin_diagrams, omega
@@ -78,11 +78,22 @@ def test_bratteli(capsys):
 
 def test_semisimple(capsys):
     code, out = run_cli(["semisimple", "--k", "5", "--q", "2", "--json"], capsys)
-    assert code == 0 and json.loads(out)["semisimple"] is True
+    assert code == 0 and json.loads(out) == {"k": 5, "q": "2", "semisimple": True}
+    code, out = run_cli(["semisimple", "--k", "5", "--q", "2"], capsys)
+    assert (code, out) == (0, "semisimple: <n>_q nonzero at q=2 for all n <= 5\n")
     with pytest.raises(SystemExit) as exc:
         main(["semisimple", "--k", "3", "--q", "0"])
     assert exc.value.code == 2
     assert capsys.readouterr().err == "ptl semisimple: error: q must be nonzero, not 0\n"
+
+
+def test_semisimple_prints_the_verdict_it_is_given(monkeypatch, capsys):
+    # no rational q makes a <n>_q vanish, so the negative verdict is planted
+    monkeypatch.setattr(qcriteria, "tl_semisimple", lambda k, q0: False)
+    code, out = run_cli(["semisimple", "--k", "3", "--q", "2", "--json"], capsys)
+    assert code == 0 and json.loads(out) == {"k": 3, "q": "2", "semisimple": False}
+    code, out = run_cli(["semisimple", "--k", "3", "--q", "2"], capsys)
+    assert out == "NOT semisimple: some <n>_q with n <= 3 vanishes at q=2\n"
 
 
 def test_enumerate(capsys):
@@ -452,9 +463,16 @@ def test_malformed_diagram_shape_is_named(text, message, tmp_path, capsys):
      "a scalar is a string, not 1", None),
     ('{"terms":[{"coeff":null,"diagram":%s}]}' % json.dumps(E1_K2),
      "a scalar is a string, not None", None),
+    ('{"k":[1],"terms":[]}', "k must be a nonnegative integer, not [1]", None),
+    ('{"k":{},"terms":[]}', "k must be a nonnegative integer, not {}", None),
+    ('{"basis":"tilde"}', "bad element: missing key 'terms'", "bad diagram: missing key 'k'"),
+    ('{"terms":[{"coeff":"1"}]}', "bad element: missing key 'diagram'", None),
+    ('{"terms":[{"diagram":%s}]}' % json.dumps(E1_K2), "bad element: missing key 'coeff'", None),
+    ('{"terms":[{"coeff":"1","diagram":{"edges":[]}}]}', "bad element: missing key 'k'", None),
 ], ids=["terms-object", "terms-object-no-k", "terms-string", "terms-null", "term-int",
         "term-string", "element-list", "element-string", "diagram-int", "coeff-int",
-        "coeff-null"])
+        "coeff-null", "k-list", "k-object", "no-terms", "term-no-diagram", "term-no-coeff",
+        "term-diagram-no-k"])
 def test_malformed_element_shape_is_named(text, message, render_message, tmp_path, capsys):
     f = tmp_path / "x.json"
     f.write_text(text)
@@ -1043,3 +1061,20 @@ def test_render_matrix_matches_the_pinned_digest(name, flags, want, tmp_path, ca
     code, out = run_cli(["render", str(f), "--format", "matrix", *flags], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
+
+
+def test_run_suite_refuses_an_unknown_suite():
+    # the verb's --suite choices never reach it; the library names the suite
+    with pytest.raises(ValueError, match="^unknown suite 'nope'$"):
+        verify.run_suite("nope")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["convert", "--to", "bar"], "0\n"),
+    (["render", "--format", "ascii"], "0\n"),
+    (["render", "--format", "tikz"], "% zero element\n"),
+], ids=["convert", "ascii", "tikz"])
+def test_the_zero_element_prints(argv, want, tmp_path, capsys):
+    f = tmp_path / "zero.json"
+    f.write_text('{"k": 2, "terms": []}')
+    assert run_cli([argv[0], str(f)] + argv[1:], capsys) == (0, want)

@@ -8,6 +8,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 from math import comb
 
 import pytest
@@ -1048,3 +1049,16 @@ def test_every_family_entry_refuses_alike(args, message):
         with pytest.raises(ValueError, match=message):
             call()
     assert sink == []
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gen_e(3, 3), "index 3 out of range for k=3"),
+    (lambda: gen_e(0, 3), "index 0 out of range for k=3"),
+    (lambda: gen_p(4, 3), "index 4 out of range for k=3"),
+    (lambda: gen_p(0, 3), "index 0 out of range for k=3"),
+    (lambda: triple_of(Diagram.from_edges(2, [(0, 1)])),
+     "triple_of requires a balanced Motzkin diagram"),
+], ids=["e-high", "e-low", "p-high", "p-low", "triple-unbalanced"])
+def test_refusals_name_their_input(call, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()

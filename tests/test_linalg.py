@@ -2,14 +2,16 @@
 
 import copy
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptlalg import linalg
 from ptlalg.diagram import motzkin_diagrams
-from ptlalg.linalg import Echelon, nullity, rank_of_rows
+from ptlalg.linalg import Echelon, SparseMatrix, nullity, rank_of_rows
 from ptlalg.repn import commutant_dim
 
 
@@ -209,3 +211,13 @@ def test_commutant_system_elimination_count(monkeypatch):
     assert commutant_dim(4, 2, "sl2") == len(motzkin_diagrams(4)) == 323
     assert len(calls) <= 986
     assert sum(read) <= 5188
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SparseMatrix(2, 2, {(2, 0): 1}), "entry (2, 0) out of range"),
+    (lambda: SparseMatrix(2, 2, {(0, 1): 1}) + SparseMatrix(2, 3), "shape mismatch"),
+    (lambda: SparseMatrix(2, 3) * SparseMatrix(2, 3), "inner dimensions mismatch"),
+], ids=["entry", "shape", "inner"])
+def test_refusals_name_their_input(call, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()

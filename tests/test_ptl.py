@@ -1,6 +1,7 @@
 """Strata, block transport, orthogonal ideals, and the generators theorem."""
 
 import gc
+import re
 import weakref
 from fractions import Fraction
 from math import comb
@@ -417,3 +418,17 @@ def test_motzkin_generated_by_e_r_l():
     M2 = motzkin_spec(2)
     gens = [Element.of(M2, g) for g in (gen_e(1, 2), gen_r(1, 2), gen_l(1, 2))]
     assert generated_dimension(gens) == 9
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: to_block(Element.of(ptl_spec(2), gen_r(1, 2), 1, "tilde")),
+     "to_block expects bar coordinates"),
+    (lambda: to_block(Element.of(ptl_spec(2), gen_r(1, 2), 1, "bar"), 0),
+     "support crosses stratum 0"),
+    (lambda: to_block(change_basis(Element.unit(ptl_spec(2)), "bar")),
+     "element is not supported on a single stratum"),
+    (lambda: generated_dimension([]), "need at least one generator"),
+], ids=["tilde", "crosses-stratum", "mixed-strata", "no-generators"])
+def test_refusals_name_their_input(call, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()

@@ -11,7 +11,7 @@ from ptlalg.qcriteria import (balanced_q_int, cyclotomic,
                               jones_identity_check, jones_identity_symbolic,
                               jones_p, q_int,
                               tl_semisimple, tl_semisimple_at_root_of_unity,
-                              tl_semisimple_witness, vanishes_at_primitive_root)
+                              vanishes_at_primitive_root)
 from ptlalg.scalar import LaurentPoly, XPoly
 
 q = LaurentPoly.gen()
@@ -71,8 +71,7 @@ def test_semisimplicity_generic():
 
 def test_semisimplicity_witness():
     # q0 = golden-ratio-free rational that kills nothing
-    ok, bad = tl_semisimple_witness(5, Fraction(7, 2))
-    assert ok and bad is None
+    assert tl_semisimple(5, Fraction(7, 2)) is True
 
 
 def test_refusals_name_q_and_its_value():
@@ -80,7 +79,18 @@ def test_refusals_name_q_and_its_value():
         with pytest.raises(ValueError, match="^q must avoid 0 and -1, not %s$" % text):
             jones_identity_check(3, q0)
     with pytest.raises(ValueError, match="^q must be nonzero, not 0$"):
-        tl_semisimple_witness(3, Fraction(0))
+        tl_semisimple(3, Fraction(0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: q_int(-1), "n must be nonnegative"),
+    (lambda: balanced_q_int(-1), "n must be nonnegative"),
+    (lambda: jones_p(-1), "n must be nonnegative"),
+    (lambda: cyclotomic(0), "n must be positive"),
+], ids=["q-int", "balanced-q-int", "jones-p", "cyclotomic"])
+def test_refusals_name_their_input(call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call()
 
 
 def test_root_of_unity_symbolic():

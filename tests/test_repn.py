@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -1028,3 +1029,37 @@ def test_representation_rank_generates_each_diagram_once(monkeypatch):
     representation_rank(both + both, 2, cfg)
     assert sorted(generated, key=repr) == sorted(
         [(d, "tilde") for d in basis] + [(d, None) for d in basis], key=repr)
+
+
+def test_rank_and_commutant_rows_hold_no_zero(monkeypatch):
+    # rank_of_rows orders a row by its least key, the least column of its
+    # support only when no entry is zero.  Kept, the sums that cancel would
+    # leave 1,805 zeros in 113 of the 183 rows of the k = 4 tilde_of
+    # expansions at q0 = 2.
+    handed = []
+
+    def recording(rows):
+        handed.extend(rows)
+        return rank_of_rows(handed)
+
+    monkeypatch.setattr(repn, "rank_of_rows", recording)
+    spec = motzkin_spec(4)
+    expansions = [tilde_of(spec, d) for d in balanced_motzkin_diagrams(4)]
+    assert representation_rank(expansions, 2, RepConfig()) == 183
+    assert len(handed) == 183 and all(all(row.values()) for row in handed)
+    for group in ("gl2", "sl2"):
+        for q0 in (Fraction(2), Fraction(-3, 7)):
+            for rows, _ in _commutant_blocks(4, q0, group):
+                assert all(row and all(row.values()) for row in rows)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: modified_weight_matrix(gen_e(1, 2), "hat", RepConfig()),
+     "variant must be 'bar' or 'tilde'"),
+    (lambda: modified_weight_matrix(Diagram.from_edges(2, [(0, 1)]), "bar", RepConfig()),
+     "modified weights apply to balanced Motzkin diagrams"),
+    (lambda: commutant_dim(2, 2, "gl3"), "group must be 'gl2' or 'sl2'"),
+], ids=["variant", "unbalanced", "group"])
+def test_refusals_name_their_input(call, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()

@@ -83,10 +83,14 @@ FAULTS = [
           "an int row with an explicit 0 is taken as clean and stores a zero entry"),
     Fault("repn.py", "c = c.evaluate(delta0)", "c = c", "tests/test_repn.py", "killed",
           "representation_rank leaves a delta-polynomial coefficient unevaluated"),
-    Fault("linalg.py", "if all(row.values()):", "if True:", "tests/test_linalg.py",
-          "equivalent",
-          "rank_of_rows orders a row with a zero by its least key: the order "
-          "changes, the rank does not, and a zero row adds nothing in Echelon.add"),
+    Fault("repn.py", "if v:\n                    row[at] = v",
+          "if True:\n                    row[at] = v", "tests/test_repn.py", "killed",
+          "representation_rank keeps the sums that cancel as zero entries"),
+    Fault("linalg.py", "key=min, reverse=True)", "key=min)", "tests/test_linalg.py", "killed",
+          "rank_of_rows adds rows by ascending least column"),
+    Fault("qcriteria.py", ".evaluate(q0) != 0", ".evaluate(q0) == 0",
+          "tests/test_qcriteria.py", "killed",
+          "tl_semisimple calls a point semisimple only where every <n>_q vanishes"),
 ]
 
 
