@@ -15,6 +15,6 @@ from .diagram import (Diagram, Frame, Triple, balanced_motzkin_diagrams,
                       diagram_of, enumerate_diagrams, enumerate_keys, gen_b, gen_e,
                       gen_l, gen_p, gen_r, gen_s, identity, motzkin_diagrams, omega,
                       partial_brauer_diagrams, tensor, tl_diagrams, triple_of)
-from .scalar import DeltaPoly, LaurentPoly, XPoly, parse_scalar
+from .scalar import DeltaPoly, LaurentPoly, parse_scalar
 
 __version__ = "0.1.0"

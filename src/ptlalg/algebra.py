@@ -46,7 +46,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .diagram import Diagram, check_k, compose, gen_e, identity, removals
+from .diagram import Diagram, check_k, check_keys, compose, gen_e, identity, removals
 from .scalar import _NUM, DeltaPoly, IntPoly, parse_scalar
 
 FLAVORS = ("partition", "partial_brauer", "motzkin", "tl", "ptl")
@@ -289,11 +289,12 @@ class Element:
     @staticmethod
     def json_terms(obj):
         """An element JSON object's terms as a dict, diagram -> the sum of its
-        coefficients; refused unless ``obj`` is an object whose ``terms`` is a
-        list of objects.  Each term is read once, its diagram by
-        ``Diagram.from_json`` and its coefficient by ``parse_scalar``."""
+        coefficients.  The object has no keys but k, basis and terms, terms is
+        a list of objects of the keys coeff and diagram, and each is read once,
+        by ``Diagram.from_json`` and ``parse_scalar``; any other shape is refused."""
         if not isinstance(obj, dict):
             raise ValueError("an element is a JSON object, not %r" % (obj,))
+        check_keys(obj, ("k", "basis", "terms"), "an element")
         terms = obj["terms"]
         if not isinstance(terms, (list, tuple)):
             raise ValueError("bad terms %r" % (terms,))
@@ -301,13 +302,20 @@ class Element:
         for t in terms:
             if not isinstance(t, dict):
                 raise ValueError("bad term %r in terms" % (t,))
+            check_keys(t, ("coeff", "diagram"), "a term")
             d = Diagram.from_json(t["diagram"])
             out[d] = out.get(d, 0) + parse_scalar(t["coeff"])
         return out
 
     @classmethod
     def from_json(cls, spec, obj):
-        return cls(spec, cls.json_terms(obj), obj.get("basis", "diagram"))
+        """The element of ``spec`` that ``obj`` describes; a "k" not the spec's is refused."""
+        terms = cls.json_terms(obj)
+        if "k" in obj:
+            check_k(obj["k"])
+            if obj["k"] != spec.k:
+                raise ValueError("element k %d is not the algebra's %d" % (obj["k"], spec.k))
+        return cls(spec, terms, obj.get("basis", "diagram"))
 
 
 def _twist(spec, comp):

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Verbs: mul, convert, dims, cell-dims, centralizer, bratteli, semisimple,
-verify, render, enumerate.  Every verb has a ``--json`` machine-readable
-mode.  Exit codes: 0 success, 1 verification failure, 2 usage or input
-error, 141 when the reader of stdout closed it early.
+verify, render, enumerate.  Every verb has a machine-readable mode: ``--json``,
+or render's ``--format json``.  Exit codes: 0 success, 1 verification failure,
+2 usage or input error, 141 when the reader of stdout closed it early.
 
 The library refuses what it cannot compute with a ``ValueError``; a verb
 does not check its input again but lets the error through, and
@@ -359,7 +359,7 @@ def build_parser():
     p.add_argument("--format", default="ascii", choices=tuple(_RENDERERS))
     p.add_argument("--alpha", type=_fraction, default=Fraction(1),
                    help="form parameter for the tensor-space matrix")
-    common(p, algebra=True)
+    p.add_argument("--algebra", default="motzkin", choices=FLAVORS)
     p.set_defaults(fn=cmd_render)
 
     p = sub.add_parser("enumerate", help="list a diagram family")

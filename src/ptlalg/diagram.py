@@ -263,11 +263,12 @@ class Diagram:
 
     @classmethod
     def from_json(cls, obj):
-        """The diagram of ``{"k": k, "edges": [...]}`` or ``{"k": k, "blocks": [...]}``."""
+        """The diagram of ``{"k": k, "edges": [...]}``, or "blocks" for "edges"; no other key."""
         if not isinstance(obj, dict):
             raise ValueError("a diagram is a JSON object, not %r" % (obj,))
         k = obj["k"]
         check_k(k)
+        check_keys(obj, ("k", "edges", "blocks"), "a diagram")
 
         def vertex(s):
             col = int(s[1:]) if type(s) is str and re.fullmatch("[tb][1-9][0-9]*", s) else 0
@@ -291,6 +292,13 @@ def check_k(k):
     """Refuse a k that is not a nonnegative int; a bool is not one."""
     if type(k) is not int or k < 0:
         raise ValueError("k must be a nonnegative integer, not %r" % (k,))
+
+
+def check_keys(obj, known, what):
+    """Refuse the first key of the JSON object ``obj`` that is not ``known``."""
+    for key in obj:
+        if key not in known:
+            raise ValueError("unknown key %r in %s" % (key, what))
 
 
 def _json_of(k, blocks, pb=True):
@@ -716,8 +724,11 @@ def _check_family(kind, k, n):
         raise ValueError("n applies only to kind balanced_motzkin_n")
 
 
-def _keys(kind, k, n, sink):
-    """The enumeration behind :func:`enumerate_keys`, of a checked family."""
+def enumerate_keys(kind, k, sink, n=None):
+    """Pass ``sink`` the block tuple of each diagram of
+    ``enumerate_diagrams(kind, k, n)``, in the same order, as it is made:
+    no Diagram is built and no list of the family is held."""
+    _check_family(kind, k, n)
     if kind == "balanced_motzkin_n":
         _stratum_keys(n, k, sink)
     elif kind == "balanced_motzkin":
@@ -727,20 +738,11 @@ def _keys(kind, k, n, sink):
         _place(k, sink, kind != "partial_brauer", kind != "tl")
 
 
-def enumerate_keys(kind, k, sink, n=None):
-    """Pass ``sink`` the block tuple of each diagram of
-    ``enumerate_diagrams(kind, k, n)``, in the same order, as it is made:
-    no Diagram is built and no list of the family is held."""
-    _check_family(kind, k, n)
-    _keys(kind, k, n, sink)
-
-
 def enumerate_diagrams(kind, k, n=None):
     """The k-diagrams of family ``kind``, interned; the stratum ``n`` (edge
     count) belongs to kind ``balanced_motzkin_n`` alone."""
-    _check_family(kind, k, n)
     keys = []
-    _keys(kind, k, n, keys.append)
+    enumerate_keys(kind, k, keys.append, n)
     of = Diagram._of
     return [of(k, key) for key in keys]
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .scalar import LaurentPoly, XPoly
+from .scalar import IntPoly, LaurentPoly
 
 
 def q_int(n):
@@ -41,8 +41,8 @@ def jones_p(n):
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n <= 1:
-        return XPoly.one()
-    return jones_p(n - 1) - XPoly.gen() * jones_p(n - 2)
+        return IntPoly.one()
+    return jones_p(n - 1) - IntPoly.gen() * jones_p(n - 2)
 
 
 def jones_identity_check(n, q0):

@@ -264,15 +264,17 @@ def _commutant_blocks(k, q0, group):
 
     The unknowns are the entries x[u, v] of X with u and v in one weight
     class.  The zero pattern of a word is the set of its v_0 sites, which E
-    keeps, so the unknowns split into blocks by the zero patterns
-    (A, B) of u and v, one block per pair of patterns that share a class;
-    the patterns are indexed by the classes they hold, so no other pair is
-    visited.  A block numbers its unknowns class by class (in word order)
-    and row by row: x[u, v] is ``off[u] + pos[v]``, where pos[v] is the
-    place of v among the words of its class and pattern counted from the
-    last: ``rank_of_rows`` adds rows by descending least column, and with
-    the later words on the lower columns it eliminates about a quarter less
-    (k = 5, gl2: 8,629 ``_eliminate`` calls against 11,663).
+    keeps, so the unknowns split by the zero patterns (A, B) of u and v into
+    blocks, one per pair that shares a class, in pattern order.  Deleting the
+    v_0 sites keeps the words' order, classes and E's entries, so a block
+    depends only on how many v_0 sites A and B hold and is built once per pair
+    of counts; its copies share rows that callers must not change (k = 5: 6 of
+    252 for gl2, 18 of 512 for sl2).  A block numbers its unknowns class by
+    class (in word order) and row by row: x[u, v] is ``off[u] + pos[v]``,
+    where pos[v] is the place of v among the words of its class and pattern
+    counted from the last: ``rank_of_rows`` adds rows by descending least
+    column, and with the later words on the lower columns it eliminates about
+    a quarter less (k = 5, gl2: 8,629 ``_eliminate`` calls against 11,663).
     E maps each class into one other class, so an equation (u, c) is nonzero
     only for c in a class that E moves and u in the class it moves it to;
     there it reads E[v, c] on x[u, v] for each v of column c, and -E[u, r]
@@ -294,32 +296,31 @@ def _commutant_blocks(k, q0, group):
         col.setdefault(c, []).append((pos[r], power[e]))
         row.setdefault(r, []).append((c, -power[e]))
         image[cls[c]] = cls[r]
-    patterns = list(patterns.values())
-    holders = {}  # class -> the indices of the patterns that hold it
-    for n, pattern in enumerate(patterns):
-        for c in pattern:
-            holders.setdefault(c, []).append(n)
-    for left in patterns:
-        for n in sorted({n for c in left for n in holders[c]}):
-            right = patterns[n]
-            shared = [c for c in classes if c in left and c in right]
-            off, n_unknowns = {}, 0
-            for c in shared:
-                width = len(right[c])
-                for j, u in enumerate(left[c]):
-                    off[u] = n_unknowns + j * width
-                n_unknowns += len(left[c]) * width
-            rows = []
-            for source, target in image.items():
-                for c in right.get(source, ()):
-                    down, at = col.get(c, ()), pos[c]
-                    for u in left.get(target, ()):
-                        eq = {off[u] + p: v for p, v in down}
-                        for r, v in row.get(u, ()):
-                            eq[off[r] + at] = v
-                        if eq:
-                            rows.append(eq)
-            yield rows, n_unknowns
+    built = {}  # (v_0 sites of A, of B) -> (rows, n_unknowns)
+    for a, left in patterns.items():
+        for b, right in patterns.items():
+            key = (sum(a), sum(b))
+            if key not in built:
+                off, n_unknowns = {}, 0
+                for c in classes:
+                    if c in left and c in right:
+                        width = len(right[c])
+                        for j, u in enumerate(left[c]):
+                            off[u] = n_unknowns + j * width
+                        n_unknowns += len(left[c]) * width
+                rows = []
+                for source, target in image.items():
+                    for c in right.get(source, ()):
+                        down, at = col.get(c, ()), pos[c]
+                        for u in left.get(target, ()):
+                            eq = {off[u] + p: v for p, v in down}
+                            for r, v in row.get(u, ()):
+                                eq[off[r] + at] = v
+                            if eq:
+                                rows.append(eq)
+                built[key] = rows, n_unknowns
+            if built[key][1]:
+                yield built[key]
 
 
 def _q_powers(q0, k):

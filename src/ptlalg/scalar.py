@@ -41,8 +41,8 @@ def _tidy(coeffs):
 class IntPoly:
     """Sparse univariate polynomial with exact coefficients.
 
-    Subclasses fix the variable name and whether negative exponents are
-    allowed.  Instances are immutable; do not mutate the coefficient dict.
+    The variable is x, or a subclass's, with negative exponents if it allows
+    them.  Instances are immutable; do not mutate the coefficient dict.
     """
 
     VAR = "x"
@@ -117,13 +117,9 @@ class IntPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        oc = self._coeffs_of(other)
-        if oc is None:
+        if self._coeffs_of(other) is None:
             return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in oc.items():
-            out[e] = out.get(e, 0) - c
-        return self._of(_tidy(out))
+        return self + -other
 
     def __rsub__(self, other):
         if self._coeffs_of(other) is None:
@@ -261,14 +257,6 @@ class LaurentPoly(IntPoly):
     __slots__ = ()
 
 
-class XPoly(IntPoly):
-    """Plain integer polynomial in an auxiliary variable x (Jones recursion)."""
-
-    VAR = "x"
-    ALLOW_NEG = False
-    __slots__ = ()
-
-
 _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*"
     r"(?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?\s*\*?\s*)?"
@@ -314,7 +302,7 @@ def parse_scalar(text):
     if "q" in t:
         return LaurentPoly.parse(t)
     if "x" in t:
-        return XPoly.parse(t)
+        return IntPoly.parse(t)
     terms = _tokenize(t, None)
     if not terms:
         raise ValueError("empty scalar %r" % (text,))

@@ -17,7 +17,7 @@ from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, compose,
                             gen_e, gen_p, gen_r, gen_l, identity,
                             motzkin_diagrams, omega, partial_brauer_diagrams,
                             removals)
-from ptlalg.scalar import DeltaPoly, LaurentPoly, XPoly
+from ptlalg.scalar import DeltaPoly, IntPoly, LaurentPoly
 from test_diagram import edge_kinds
 
 delta = DeltaPoly.gen()
@@ -75,7 +75,7 @@ def test_coefficients_outside_the_ring_are_refused():
         lambda: Element.of(M2, e1).scale(q),
         lambda: Element.zero(M2).scale(q),
         lambda: q * Element.of(M2, e1),
-        lambda: Element.of(M2, e1, XPoly.gen()),
+        lambda: Element.of(M2, e1, IntPoly.gen()),
         lambda: Element.of(motzkin_spec(2, 3), e1, delta),
         lambda: Element.of(motzkin_spec(2, Fraction(1, 2)), e1).scale(delta + 1),
         lambda: Element.from_json(M2, {"terms": [{"coeff": "q^2",
@@ -132,7 +132,7 @@ def test_spec_refuses_an_inexact_delta():
         for flavor in FLAVORS:
             with pytest.raises(ValueError, match="is not an int, Fraction or IntPoly"):
                 AlgebraSpec(flavor, 2, delta0)
-    for delta0 in (0, -3, Fraction(1, 2), delta - 1, LaurentPoly.gen(), XPoly.gen()):
+    for delta0 in (0, -3, Fraction(1, 2), delta - 1, LaurentPoly.gen(), IntPoly.gen()):
         assert AlgebraSpec("motzkin", 2, delta0).delta == delta0
     # e1 e1 at delta = 1/2 stays exact
     spec = motzkin_spec(2, Fraction(1, 2))
@@ -361,6 +361,16 @@ def test_element_json_round_trip():
     for terms, message in (({}, "bad terms {}"), ([5], "bad term 5 in terms")):
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             Element.from_json(M3, {"terms": terms})
+
+
+def test_element_from_json_refuses_another_k():
+    M4 = motzkin_spec(4)
+    assert Element.from_json(M4, {"k": 4, "terms": []}) == Element.zero(M4, "diagram")
+    for obj, message in (({"k": 3, "terms": []}, "element k 3 is not the algebra's 4"),
+                         ({"k": True, "terms": []}, "k must be a nonnegative integer, not True"),
+                         ({"k": 4.0, "terms": []}, "k must be a nonnegative integer, not 4.0")):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            Element.from_json(M4, obj)
 
 
 # -- Element.__mul__ in the bar and tilde bases ----------------------------------

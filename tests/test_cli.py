@@ -193,6 +193,18 @@ def test_convert_outside_the_target_basis_exits_2(basis, algebra, to, tmp_path, 
     assert "not admitted" in captured.err
 
 
+def test_render_has_no_json_flag(tmp_path, capsys):
+    # render's machine-readable output is --format json
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps(E1_K2))
+    with pytest.raises(SystemExit) as exc:
+        main(["render", str(f), "--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "ptl: error: unrecognized arguments: --json\n"
+
+
 def test_render_round_trip(tmp_path, capsys):
     obj = {"k": 3, "edges": [["t1", "t2"], ["b1", "b2"], ["t3", "b3"]]}
     f = tmp_path / "d.json"
@@ -434,7 +446,10 @@ def test_bad_diagram_render_exits_2(obj, tmp_path, capsys):
     ('{"k":2,"blocks":[5]}', "bad block 5"),
     ('{"k":2,"edges":null}', "bad edges None"),
     ("[1]", "a diagram is a JSON object, not [1]"),
-], ids=["edge-of-three", "edges-string", "edge-int", "block-int", "edges-null", "list"])
+    ('{"k":2,"basis":"bar"}', "unknown key 'basis' in a diagram"),
+    ('{"k":2,"edges":[],"Edges":[]}', "unknown key 'Edges' in a diagram"),
+], ids=["edge-of-three", "edges-string", "edge-int", "block-int", "edges-null", "list",
+        "element-without-terms", "misspelt-key"])
 def test_malformed_diagram_shape_is_named(text, message, tmp_path, capsys):
     f = tmp_path / "d.json"
     f.write_text(text)
@@ -469,10 +484,19 @@ def test_malformed_diagram_shape_is_named(text, message, tmp_path, capsys):
     ('{"terms":[{"coeff":"1"}]}', "bad element: missing key 'diagram'", None),
     ('{"terms":[{"diagram":%s}]}' % json.dumps(E1_K2), "bad element: missing key 'coeff'", None),
     ('{"terms":[{"coeff":"1","diagram":{"edges":[]}}]}', "bad element: missing key 'k'", None),
+    ('{"k":2,"basis":"bar"}', "bad element: missing key 'terms'",
+     "unknown key 'basis' in a diagram"),
+    ('{"k":2,"Basis":"tilde","terms":[{"coeff":"1","diagram":%s}]}' % json.dumps(E1_K2),
+     "unknown key 'Basis' in an element", None),
+    ('{"terms":[{"coeff":"1","diagram":%s,"basis":"bar"}]}' % json.dumps(E1_K2),
+     "unknown key 'basis' in a term", None),
+    ('{"terms":[{"coeff":"1","diagram":{"k":2,"edges":[],"basis":"bar"}}]}',
+     "unknown key 'basis' in a diagram", None),
 ], ids=["terms-object", "terms-object-no-k", "terms-string", "terms-null", "term-int",
         "term-string", "element-list", "element-string", "diagram-int", "coeff-int",
         "coeff-null", "k-list", "k-object", "no-terms", "term-no-diagram", "term-no-coeff",
-        "term-diagram-no-k"])
+        "term-diagram-no-k", "k-and-basis-no-terms", "element-key-misspelt", "term-key",
+        "term-diagram-key"])
 def test_malformed_element_shape_is_named(text, message, render_message, tmp_path, capsys):
     f = tmp_path / "x.json"
     f.write_text(text)

@@ -12,7 +12,7 @@ from ptlalg.qcriteria import (balanced_q_int, cyclotomic,
                               jones_p, q_int,
                               tl_semisimple, tl_semisimple_at_root_of_unity,
                               vanishes_at_primitive_root)
-from ptlalg.scalar import LaurentPoly, XPoly
+from ptlalg.scalar import IntPoly, LaurentPoly
 
 q = LaurentPoly.gen()
 qi = LaurentPoly.monomial(-1)
@@ -45,10 +45,10 @@ def test_quantum_integers():
 
 
 def test_jones_polynomials():
-    x = XPoly.gen()
-    assert jones_p(0) == XPoly.one() and jones_p(1) == XPoly.one()
-    assert jones_p(2) == XPoly.one() - x
-    assert jones_p(3) == XPoly.one() - 2 * x
+    x = IntPoly.gen()
+    assert jones_p(0) == IntPoly.one() and jones_p(1) == IntPoly.one()
+    assert jones_p(2) == IntPoly.one() - x
+    assert jones_p(3) == IntPoly.one() - 2 * x
     for n in range(12):
         assert jones_p(n).evaluate(0) == 1
 

@@ -510,6 +510,15 @@ def test_commutant_blocks_split_by_zero_pattern(group):
     assert len(list(_commutant_blocks(5, 2, "gl2"))) == 252
 
 
+@pytest.mark.parametrize("group,built,yielded", [("gl2", 6, 252), ("sl2", 18, 512)])
+def test_commutant_blocks_are_built_once_per_pair_of_zero_counts(group, built, yielded):
+    # E and the weights do not see a v_0 site, so a block depends only on how
+    # many v_0 sites its row and column words hold
+    blocks = list(_commutant_blocks(5, Fraction(3, 2), group))
+    assert len(blocks) == yielded
+    assert len({id(rows) for rows, _ in blocks}) == built
+
+
 def test_commutant_dim_holds_one_block_at_a_time(monkeypatch):
     # built whole, the k = 5 gl2 E and F system peaked at 4.66 MiB; block by
     # block, 0.64 MiB, and the E equations alone 0.46 MiB

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ptlalg.algebra import Element, motzkin_spec
 from ptlalg.diagram import identity
 from ptlalg.repn import RepConfig, representation_rank
-from ptlalg.scalar import DeltaPoly, LaurentPoly, XPoly, parse_scalar
+from ptlalg.scalar import DeltaPoly, IntPoly, LaurentPoly, parse_scalar
 
 d = DeltaPoly.gen()
 q = LaurentPoly.gen()
@@ -90,7 +90,7 @@ def test_negative_power_refused_at_zero_and_at_a_polynomial_point():
     with pytest.raises(ValueError):
         (q + 1 + qi).evaluate(Fraction(0))
     with pytest.raises(ValueError):
-        qi.evaluate(XPoly.gen())
+        qi.evaluate(IntPoly.gen())
     with pytest.raises(ValueError):
         qi.evaluate(LaurentPoly.zero())
     assert (q + 1).evaluate(0) == 1
@@ -108,7 +108,7 @@ def test_mixed_rings_rejected():
     with pytest.raises(TypeError):
         d + q
     with pytest.raises(TypeError):
-        d * XPoly.gen()
+        d * IntPoly.gen()
 
 
 def _random_poly(rng, cls, neg):
@@ -173,7 +173,7 @@ def test_text_round_trips():
 _COEFFS = st.one_of(st.integers(-20, 20), st.fractions(max_denominator=9))
 
 
-@pytest.mark.parametrize("cls", [DeltaPoly, LaurentPoly, XPoly])
+@pytest.mark.parametrize("cls", [DeltaPoly, LaurentPoly, IntPoly])
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.dictionaries(st.integers(-6, 6), _COEFFS, max_size=5))
 def test_parse_scalar_inverts_str(cls, coeffs):
@@ -266,7 +266,7 @@ def assert_stored_form(p, cls):
     assert cls(p.coeffs).coeffs == p.coeffs
 
 
-_RINGS = st.sampled_from([DeltaPoly, LaurentPoly, XPoly])
+_RINGS = st.sampled_from([DeltaPoly, LaurentPoly, IntPoly])
 
 
 @st.composite
@@ -323,7 +323,7 @@ def test_public_constructor_keeps_its_checks():
     with pytest.raises(ValueError, match="negative exponent"):
         DeltaPoly({-1: 1})
     with pytest.raises(ValueError, match="negative exponent"):
-        XPoly({-2: 3})
+        IntPoly({-2: 3})
 
 
 @pytest.mark.parametrize("op", [
@@ -331,7 +331,7 @@ def test_public_constructor_keeps_its_checks():
     lambda a, b: b - a, lambda a, b: a * b, lambda a, b: b * a,
 ], ids=["add", "radd", "sub", "rsub", "mul", "rmul"])
 def test_mixed_rings_and_floats_raise_type_error(op):
-    for a, b in ((d, q), (q, XPoly.gen()), (d + 1, XPoly.gen()), (q, 0.5), (d, 2.0),
+    for a, b in ((d, q), (q, IntPoly.gen()), (d + 1, IntPoly.gen()), (q, 0.5), (d, 2.0),
                  (q, "1")):
         with pytest.raises(TypeError):
             op(a, b)

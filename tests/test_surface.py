@@ -1,9 +1,13 @@
 """The public surface: every public name, method and constant in src/ptlalg
-has a reader, and README's quick tour runs against the exports."""
+has a reader, every option of a ``ptl`` verb is read, and README's quick
+tour runs against the exports."""
 
+import argparse
 import ast
 import pathlib
 import re
+
+from ptlalg import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ptlalg"
@@ -84,6 +88,45 @@ def test_every_public_method_and_constant_has_a_reader():
     unread = [qual for qual, name, method in public_members()
               if name not in read[method] and qual.split(".", 1)[1] not in KEPT]
     assert not unread, "public methods and constants nothing in src/ or bench/ reads: %s" % unread
+
+
+# (verb, option dest) defined and read by no code, each for a job of its own
+UNREAD_OPTIONS = {
+    # a no-op the benchmark's cli session and CI still pass; it goes when they
+    # stop (ROADMAP item 6)
+    ("centralizer", "allow_k4"),
+}
+
+
+def reads_of(functions, name, param):
+    """The attributes that the cli.py function ``name`` reads on its
+    parameter ``param``, with those that each cli.py function it passes
+    ``param`` to reads on the parameter that receives it."""
+    seen = set()
+    for node in ast.walk(functions[name]):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == param):
+            seen.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in functions):
+            callee = functions[node.func.id].args.args
+            seen.update(*(reads_of(functions, node.func.id, callee[i].arg)
+                          for i, arg in enumerate(node.args)
+                          if isinstance(arg, ast.Name) and arg.id == param))
+    return seen
+
+
+def test_every_cli_option_is_read():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    verbs = next(action.choices for action in cli.build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    unread = set()
+    for verb, parser in verbs.items():
+        read = reads_of(functions, parser.get_default("fn").__name__, "args")
+        unread |= {(verb, action.dest) for action in parser._actions
+                   if action.dest != "help" and action.dest not in read}
+    assert unread == UNREAD_OPTIONS
 
 
 def test_readme_quick_tour_runs(capsys):

@@ -91,6 +91,15 @@ FAULTS = [
     Fault("qcriteria.py", ".evaluate(q0) != 0", ".evaluate(q0) == 0",
           "tests/test_qcriteria.py", "killed",
           "tl_semisimple calls a point semisimple only where every <n>_q vanishes"),
+    Fault("repn.py", "key = (sum(a), sum(b))", "key = sum(a)", "tests/test_repn.py", "killed",
+          "commutant blocks are shared by the v_0 count of the row pattern alone"),
+    Fault("scalar.py", "return self + -other", "return self + other", "tests/test_scalar.py",
+          "killed", "polynomial subtraction adds"),
+    Fault("diagram.py", 'check_keys(obj, ("k", "edges", "blocks"), "a diagram")', "pass",
+          "tests/test_cli.py", "killed",
+          "a diagram object with an unknown key is read, the key ignored"),
+    Fault("algebra.py", 'if obj["k"] != spec.k:', "if False:", "tests/test_algebra.py",
+          "killed", "Element.from_json reads an element of another k into the spec"),
 ]
 
 
