@@ -288,33 +288,46 @@ class Element:
 
     @staticmethod
     def json_terms(obj):
-        """An element JSON object's terms as a dict, diagram -> the sum of its
-        coefficients.  The object has no keys but k, basis and terms, terms is
-        a list of objects of the keys coeff and diagram, and each is read once,
-        by ``Diagram.from_json`` and ``parse_scalar``; any other shape is refused."""
-        if not isinstance(obj, dict):
-            raise ValueError("an element is a JSON object, not %r" % (obj,))
-        check_keys(obj, ("k", "basis", "terms"), "an element")
+        """``(k, terms)`` of an element JSON object: its k, and its terms as a
+        dict, diagram -> the sum of its coefficients.  The object has the key
+        terms and maybe k and basis, terms is a list of objects of the keys
+        diagram and coeff, and each is read once, by ``Diagram.from_json``
+        and ``parse_scalar``; any other shape is refused, and so are two
+        coefficients of one diagram in different rings.  k is the checked
+        "k", else the one k the terms share, ``None`` when there are none;
+        a "k" or a term of another k is refused."""
+        check_keys(obj, "an element", ("terms",), ("k", "basis"))
         terms = obj["terms"]
         if not isinstance(terms, (list, tuple)):
             raise ValueError("bad terms %r" % (terms,))
-        out = {}
+        ks, out = set(), {}
+        if "k" in obj:
+            # checked before the set takes it: a list would not hash, and a
+            # bool or a float would pass for the int it equals
+            check_k(obj["k"])
+            ks.add(obj["k"])
         for t in terms:
-            if not isinstance(t, dict):
-                raise ValueError("bad term %r in terms" % (t,))
-            check_keys(t, ("coeff", "diagram"), "a term")
+            check_keys(t, "a term", ("diagram", "coeff"))
             d = Diagram.from_json(t["diagram"])
-            out[d] = out.get(d, 0) + parse_scalar(t["coeff"])
-        return out
+            c = parse_scalar(t["coeff"])
+            if d in out:
+                try:
+                    c = out[d] + c
+                except TypeError:
+                    raise ValueError("coefficients %s and %s of one diagram are in "
+                                     "different rings" % (out[d], c)) from None
+            out[d] = c
+            ks.add(d.k)
+        if len(ks) > 1:
+            raise ValueError("an element has one k, not %s" % " and ".join(map(str, sorted(ks))))
+        return (ks.pop() if ks else None), out
 
     @classmethod
     def from_json(cls, spec, obj):
-        """The element of ``spec`` that ``obj`` describes; a "k" not the spec's is refused."""
-        terms = cls.json_terms(obj)
-        if "k" in obj:
-            check_k(obj["k"])
-            if obj["k"] != spec.k:
-                raise ValueError("element k %d is not the algebra's %d" % (obj["k"], spec.k))
+        """The element of ``spec`` that ``obj`` describes; an element of another k is refused."""
+        k, terms = cls.json_terms(obj)
+        if k not in (None, spec.k):
+            raise ValueError("element k %d is not the algebra's %d" % (k, spec.k))
         return cls(spec, terms, obj.get("basis", "diagram"))
 
 

@@ -8,14 +8,13 @@ or render's ``--format json``.  Exit codes: 0 success, 1 verification failure,
 The library refuses what it cannot compute with a ``ValueError``; a verb
 does not check its input again but lets the error through, and
 :func:`main` reports it the way argparse reports a usage error: one stderr
-line ``ptl <verb>: error: <reason>`` and exit 2.  A malformed JSON object
-raises other errors while it loads, and only there are they turned into
-that ``ValueError``.
+line ``ptl <verb>: error: <reason>`` and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -72,17 +71,6 @@ class _Parser(argparse.ArgumentParser):
         _refuse(self.prog, message)
 
 
-# What a malformed JSON diagram or element raises while loading, besides
-# the ValueErrors of the library's own checks.
-_LOAD_ERRORS = (TypeError, KeyError, IndexError, AttributeError)
-
-
-def _input_error(what, exc):
-    """The ValueError that reports an input which cannot be loaded."""
-    text = "missing key %s" % exc if isinstance(exc, KeyError) else str(exc)
-    return ValueError("bad %s: %s" % (what, text))
-
-
 def _read_json(path):
     try:
         if path == "-":
@@ -90,27 +78,15 @@ def _read_json(path):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, ValueError) as exc:
-        raise _input_error("JSON input %s" % path, exc) from exc
+        raise ValueError("bad JSON input %s: %s" % (path, exc)) from exc
 
 
 def _element_from_json(args, obj):
-    """The element of an element JSON object; its k is ``"k"`` when present,
-    otherwise the common k of its terms."""
-    try:
-        terms = Element.json_terms(obj)
-        ks = {d.k for d in terms}
-        if "k" in obj:
-            # checked before the set takes it: a list would not hash, and a
-            # bool or a float would pass for the int it equals
-            check_k(obj["k"])
-            ks.add(obj["k"])
-        if len(ks) != 1:
-            raise ValueError('needs one k: a nonnegative integer "k", '
-                             'or terms that share one')
-        spec = AlgebraSpec(args.algebra, ks.pop())
-        return Element(spec, terms, obj.get("basis", "diagram"))
-    except _LOAD_ERRORS as exc:
-        raise _input_error("element", exc) from exc
+    """The element of an element JSON object in the ``--algebra`` of its k."""
+    k, terms = Element.json_terms(obj)
+    if k is None:
+        raise ValueError('an element with no terms needs a "k"')
+    return Element(AlgebraSpec(args.algebra, k), terms, obj.get("basis", "diagram"))
 
 
 def _element_json(x):
@@ -232,13 +208,7 @@ def cmd_render(args):
     obj = _read_json(args.input)
     cfg = repn.RepConfig(args.alpha)
     is_element = isinstance(obj, dict) and "terms" in obj
-    if is_element:
-        item = _element_from_json(args, obj)
-    else:
-        try:
-            item = Diagram.from_json(obj)
-        except _LOAD_ERRORS as exc:
-            raise _input_error("diagram", exc) from exc
+    item = _element_from_json(args, obj) if is_element else Diagram.from_json(obj)
     element_view, diagram_view = _RENDERERS[args.format]
     print((element_view if is_element else diagram_view)(item, cfg))
     return 0
@@ -375,12 +345,19 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser of :func:`main`, built on its first call, so that the
+    verbs it binds are the module's ``cmd_*`` functions at that time."""
+    return build_parser()
+
+
 def main(argv=None):
     """Run one verb.  A ValueError from the verb is a refused input: it ends
     the run like a usage error.  A reader that closed stdout early
     (``ptl ... | head -1``) ends the run quietly with 141, the shell's
     status for SIGPIPE."""
-    parser = build_parser()
+    parser = _parser()
     try:
         try:
             args = parser.parse_args(argv)

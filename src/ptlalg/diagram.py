@@ -259,16 +259,21 @@ class Diagram:
     # -- JSON ----------------------------------------------------------------
 
     def to_json(self):
-        return _json_of(self.k, self.blocks, self.is_partial_brauer())
+        """The JSON object of the diagram: its edges when it is partial
+        Brauer (no block has more than two vertices), else its blocks of
+        two or more vertices."""
+        name = _vertex_names(self.k)
+        if self.is_partial_brauer():
+            return {"k": self.k,
+                    "edges": [[name[b[0]], name[b[1]]] for b in self.blocks if len(b) == 2]}
+        return {"k": self.k, "blocks": [[name[v] for v in b] for b in self.blocks if len(b) > 1]}
 
     @classmethod
     def from_json(cls, obj):
         """The diagram of ``{"k": k, "edges": [...]}``, or "blocks" for "edges"; no other key."""
-        if not isinstance(obj, dict):
-            raise ValueError("a diagram is a JSON object, not %r" % (obj,))
+        check_keys(obj, "a diagram", ("k",), ("edges", "blocks"))
         k = obj["k"]
         check_k(k)
-        check_keys(obj, ("k", "edges", "blocks"), "a diagram")
 
         def vertex(s):
             col = int(s[1:]) if type(s) is str and re.fullmatch("[tb][1-9][0-9]*", s) else 0
@@ -294,21 +299,18 @@ def check_k(k):
         raise ValueError("k must be a nonnegative integer, not %r" % (k,))
 
 
-def check_keys(obj, known, what):
-    """Refuse the first key of the JSON object ``obj`` that is not ``known``."""
+def check_keys(obj, what, required, optional=()):
+    """The one shape rule of a JSON object: refuse ``obj``, named ``what``,
+    unless it is an object with every ``required`` key and no key but those
+    and the ``optional`` ones."""
+    if not isinstance(obj, dict):
+        raise ValueError("%s is a JSON object, not %r" % (what, obj))
+    for key in required:
+        if key not in obj:
+            raise ValueError("missing key %r in %s" % (key, what))
     for key in obj:
-        if key not in known:
+        if key not in required and key not in optional:
             raise ValueError("unknown key %r in %s" % (key, what))
-
-
-def _json_of(k, blocks, pb=True):
-    """The JSON object of the k-diagram with canonical ``blocks``: its edges
-    when ``pb`` (no block has more than two vertices), else its blocks of
-    two or more vertices."""
-    name = _vertex_names(k)
-    if pb:
-        return {"k": k, "edges": [[name[b[0]], name[b[1]]] for b in blocks if len(b) == 2]}
-    return {"k": k, "blocks": [[name[v] for v in b] for b in blocks if len(b) > 1]}
 
 
 @functools.lru_cache(maxsize=None)
@@ -323,8 +325,8 @@ def _edge_json(k):
     """The JSON text of a k-diagram's edge object as a table: the head up to
     its open edge list, and each edge (u, v), u < v, as its list.  The text
     of canonical ``blocks`` with no block of three or more vertices,
-    ``json.dumps(_json_of(k, blocks))``, is then ``head + ", ".join(edge[b]
-    for b in blocks if len(b) == 2) + "]}"``."""
+    ``json.dumps(Diagram._of(k, blocks).to_json())``, is then
+    ``head + ", ".join(edge[b] for b in blocks if len(b) == 2) + "]}"``."""
     name = _vertex_names(k)
     head = json.dumps({"k": k, "edges": []})[:-2]
     return head, {(u, v): json.dumps([name[u], name[v]])

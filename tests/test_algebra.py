@@ -358,7 +358,7 @@ def test_element_json_round_trip():
     as_json = x.to_json()
     assert Element.from_json(M3, as_json) == x
     assert Element.from_json(M3, {"terms": []}) == Element.zero(M3, "diagram")
-    for terms, message in (({}, "bad terms {}"), ([5], "bad term 5 in terms")):
+    for terms, message in (({}, "bad terms {}"), ([5], "a term is a JSON object, not 5")):
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             Element.from_json(M3, {"terms": terms})
 
@@ -371,6 +371,42 @@ def test_element_from_json_refuses_another_k():
                          ({"k": 4.0, "terms": []}, "k must be a nonnegative integer, not 4.0")):
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             Element.from_json(M4, obj)
+
+
+def test_json_terms_reads_the_element_k_once():
+    e1_k2 = {"coeff": "1", "diagram": gen_e(1, 2).to_json()}
+    e1_k3 = {"coeff": "1", "diagram": gen_e(1, 3).to_json()}
+    assert Element.json_terms({"terms": []}) == (None, {})
+    assert Element.json_terms({"k": 4, "terms": []}) == (4, {})
+    assert Element.json_terms({"terms": [e1_k2, e1_k2]}) == (2, {gen_e(1, 2): 2})
+    for obj in ({"terms": [e1_k2, e1_k3]}, {"k": 2, "terms": [e1_k3]}):
+        with pytest.raises(ValueError, match="^an element has one k, not 2 and 3$"):
+            Element.json_terms(obj)
+    # a term of k 2 without "k" is an element of k 2, not one of the spec's k
+    with pytest.raises(ValueError, match="^element k 2 is not the algebra's 3$"):
+        Element.from_json(motzkin_spec(3), {"terms": [e1_k2]})
+
+
+# JSON values over the keys of the diagram, element and term shapes; an int
+# is small, so that a k loads a small diagram
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats()
+    | st.sampled_from(["t1", "t2", "b1", "b3", "1", "-1/2", "delta", "q", "x", "bar"])
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["k", "edges", "blocks", "terms", "basis", "coeff", "diagram"]),
+        inner, max_size=4),
+    max_leaves=16)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(JSON_VALUES)
+def test_every_json_value_loads_or_raises_value_error(value):
+    for load in (Diagram.from_json, Element.json_terms):
+        try:
+            load(value)
+        except ValueError:
+            pass
 
 
 # -- Element.__mul__ in the bar and tilde bases ----------------------------------

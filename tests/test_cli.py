@@ -469,8 +469,8 @@ def test_malformed_diagram_shape_is_named(text, message, tmp_path, capsys):
     ('{"terms":{"a":1}}', "bad terms {'a': 1}", None),
     ('{"terms":"ab"}', "bad terms 'ab'", None),
     ('{"k":2,"terms":null}', "bad terms None", None),
-    ('{"terms":[5]}', "bad term 5 in terms", None),
-    ('{"k":2,"terms":["t1"]}', "bad term 't1' in terms", None),
+    ('{"terms":[5]}', "a term is a JSON object, not 5", None),
+    ('{"k":2,"terms":["t1"]}', "a term is a JSON object, not 't1'", None),
     ('[1]', "an element is a JSON object, not [1]", "a diagram is a JSON object, not [1]"),
     ('"x"', "an element is a JSON object, not 'x'", "a diagram is a JSON object, not 'x'"),
     ('{"terms":[{"coeff":"1","diagram":5}]}', "a diagram is a JSON object, not 5", None),
@@ -480,11 +480,11 @@ def test_malformed_diagram_shape_is_named(text, message, tmp_path, capsys):
      "a scalar is a string, not None", None),
     ('{"k":[1],"terms":[]}', "k must be a nonnegative integer, not [1]", None),
     ('{"k":{},"terms":[]}', "k must be a nonnegative integer, not {}", None),
-    ('{"basis":"tilde"}', "bad element: missing key 'terms'", "bad diagram: missing key 'k'"),
-    ('{"terms":[{"coeff":"1"}]}', "bad element: missing key 'diagram'", None),
-    ('{"terms":[{"diagram":%s}]}' % json.dumps(E1_K2), "bad element: missing key 'coeff'", None),
-    ('{"terms":[{"coeff":"1","diagram":{"edges":[]}}]}', "bad element: missing key 'k'", None),
-    ('{"k":2,"basis":"bar"}', "bad element: missing key 'terms'",
+    ('{"basis":"tilde"}', "missing key 'terms' in an element", "missing key 'k' in a diagram"),
+    ('{"terms":[{"coeff":"1"}]}', "missing key 'diagram' in a term", None),
+    ('{"terms":[{"diagram":%s}]}' % json.dumps(E1_K2), "missing key 'coeff' in a term", None),
+    ('{"terms":[{"coeff":"1","diagram":{"edges":[]}}]}', "missing key 'k' in a diagram", None),
+    ('{"k":2,"basis":"bar"}', "missing key 'terms' in an element",
      "unknown key 'basis' in a diagram"),
     ('{"k":2,"Basis":"tilde","terms":[{"coeff":"1","diagram":%s}]}' % json.dumps(E1_K2),
      "unknown key 'Basis' in an element", None),
@@ -492,11 +492,14 @@ def test_malformed_diagram_shape_is_named(text, message, tmp_path, capsys):
      "unknown key 'basis' in a term", None),
     ('{"terms":[{"coeff":"1","diagram":{"k":2,"edges":[],"basis":"bar"}}]}',
      "unknown key 'basis' in a diagram", None),
+    ('{"terms":[{"coeff":"delta","diagram":%s},{"coeff":"q","diagram":%s}]}'
+     % (json.dumps(E1_K2), json.dumps(E1_K2)),
+     "coefficients delta and q of one diagram are in different rings", None),
 ], ids=["terms-object", "terms-object-no-k", "terms-string", "terms-null", "term-int",
         "term-string", "element-list", "element-string", "diagram-int", "coeff-int",
         "coeff-null", "k-list", "k-object", "no-terms", "term-no-diagram", "term-no-coeff",
         "term-diagram-no-k", "k-and-basis-no-terms", "element-key-misspelt", "term-key",
-        "term-diagram-key"])
+        "term-diagram-key", "coeffs-in-two-rings"])
 def test_malformed_element_shape_is_named(text, message, render_message, tmp_path, capsys):
     f = tmp_path / "x.json"
     f.write_text(text)
@@ -931,7 +934,7 @@ def test_enumerate_texts_match_the_json_encoder(k):
         keys, texts = [], []
         diagram.enumerate_keys(kind, k, keys.append, n)
         cli._enumerate_chunks(kind, k, n, texts.extend)
-        assert texts == [json.dumps(diagram._json_of(k, key)) for key in keys]
+        assert texts == [json.dumps(diagram.Diagram._of(k, key).to_json()) for key in keys]
         assert len(texts) == diagram.count_diagrams(kind, k, n)
 
 

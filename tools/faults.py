@@ -1,8 +1,9 @@
 """Planted faults: each listed fault must still be caught by its test file.
 
 Every entry plants one fault, an exact text replacement in a module of
-``src/ptlalg``, in a fresh copy of ``src/``, ``tests/`` and
-``pyproject.toml`` (the checkout is never edited), and runs
+``src/ptlalg``, in a fresh copy of ``src/``, ``tests/``, ``pyproject.toml``
+and the pinned digests ``bench/known.json`` that ``tests/test_cli.py``
+reads (the checkout is never edited), and runs
 
     python -m pytest -x -q -p no:cacheprovider <test file>
 
@@ -95,11 +96,19 @@ FAULTS = [
           "commutant blocks are shared by the v_0 count of the row pattern alone"),
     Fault("scalar.py", "return self + -other", "return self + other", "tests/test_scalar.py",
           "killed", "polynomial subtraction adds"),
-    Fault("diagram.py", 'check_keys(obj, ("k", "edges", "blocks"), "a diagram")', "pass",
+    Fault("diagram.py", 'check_keys(obj, "a diagram", ("k",), ("edges", "blocks"))', "pass",
           "tests/test_cli.py", "killed",
-          "a diagram object with an unknown key is read, the key ignored"),
-    Fault("algebra.py", 'if obj["k"] != spec.k:', "if False:", "tests/test_algebra.py",
+          "a diagram's shape goes unchecked: an unknown key is ignored, and a missing k "
+          "or a value that is not an object raises KeyError or TypeError"),
+    Fault("diagram.py", 'raise ValueError("missing key %r in %s" % (key, what))', "pass",
+          "tests/test_algebra.py", "killed",
+          "a JSON object without a required key raises KeyError as it loads"),
+    Fault("algebra.py", "if k not in (None, spec.k):", "if False:", "tests/test_algebra.py",
           "killed", "Element.from_json reads an element of another k into the spec"),
+    Fault("algebra.py", "except TypeError:", "except ArithmeticError:", "tests/test_cli.py",
+          "killed", "two coefficients of one diagram in different rings raise TypeError"),
+    Fault("algebra.py", "if len(ks) > 1:", "if False:", "tests/test_algebra.py", "killed",
+          "Element.json_terms takes terms of two k as an element of one of them"),
 ]
 
 
@@ -108,6 +117,8 @@ def copy_tree(dest):
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    (dest / "bench").mkdir()
+    shutil.copy2(ROOT / "bench" / "known.json", dest / "bench" / "known.json")
 
 
 def plant(dest, fault):
