@@ -69,7 +69,7 @@ class AlgebraSpec:
         check_k(self.k)
         if self.delta is None:
             object.__setattr__(self, "delta", DeltaPoly.gen())
-        elif type(self.delta) is bool or not isinstance(self.delta, _NUM + (IntPoly,)):
+        elif not (type(self.delta) in _NUM or isinstance(self.delta, IntPoly)):
             raise ValueError("delta %r is not an int, Fraction or IntPoly" % (self.delta,))
         # basis -> Element.zero, and (basis, composite, loops, snakes) -> the
         # bar or tilde product it names; not fields, so ==, hash and repr
@@ -119,8 +119,8 @@ def tl_spec(k, delta=None):
 
 def _check_scalar(spec, c):
     """Refuse a coefficient outside the ring of ``spec``: ints, Fractions
-    and scalars of the type of delta."""
-    if not (isinstance(c, _NUM) or type(c) is type(spec.delta)):
+    and scalars of the type of delta, each by exact type, so not a bool."""
+    if not (type(c) in _NUM or type(c) is type(spec.delta)):
         raise ValueError("coefficient %s is not a scalar of %s at delta = %s"
                          % (c, spec.flavor, spec.delta))
 
@@ -137,12 +137,12 @@ class Element:
             raise ValueError("unknown basis %r" % (basis,))
         clean = {}
         for d, c in terms.items():
+            _check_scalar(spec, c)  # before a zero is skipped, so False is refused
             if not c:
                 continue
             if not spec.admits(d, basis):
                 raise ValueError("diagram %r not admitted by %s/%s" %
                                  (d, spec.flavor, basis))
-            _check_scalar(spec, c)
             clean[d] = c
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "basis", basis)
@@ -288,14 +288,16 @@ class Element:
 
     @staticmethod
     def json_terms(obj):
-        """``(k, terms)`` of an element JSON object: its k, and its terms as a
-        dict, diagram -> the sum of its coefficients.  The object has the key
-        terms and maybe k and basis, terms is a list of objects of the keys
-        diagram and coeff, and each is read once, by ``Diagram.from_json``
-        and ``parse_scalar``; any other shape is refused, and so are two
-        coefficients of one diagram in different rings.  k is the checked
-        "k", else the one k the terms share, ``None`` when there are none;
-        a "k" or a term of another k is refused."""
+        """``(k, basis, terms)`` of an element JSON object: its k, its basis
+        and its terms as a dict, diagram -> the sum of its coefficients.  The
+        object has the key terms and maybe k and basis, terms is a list of
+        objects of the keys diagram and coeff, and each is read once, by
+        ``Diagram.from_json`` and ``parse_scalar``; any other shape is
+        refused, and so are two coefficients of one diagram in different
+        rings.  k is the checked "k", else the one k the terms share, ``None``
+        when there are none; a "k" or a term of another k is refused.  basis
+        is "basis", "diagram" when it is absent, and is checked by the
+        ``Element`` it is given to."""
         check_keys(obj, "an element", ("terms",), ("k", "basis"))
         terms = obj["terms"]
         if not isinstance(terms, (list, tuple)):
@@ -320,24 +322,15 @@ class Element:
             ks.add(d.k)
         if len(ks) > 1:
             raise ValueError("an element has one k, not %s" % " and ".join(map(str, sorted(ks))))
-        return (ks.pop() if ks else None), out
+        return (ks.pop() if ks else None), obj.get("basis", "diagram"), out
 
     @classmethod
     def from_json(cls, spec, obj):
         """The element of ``spec`` that ``obj`` describes; an element of another k is refused."""
-        k, terms = cls.json_terms(obj)
+        k, basis, terms = cls.json_terms(obj)
         if k not in (None, spec.k):
             raise ValueError("element k %d is not the algebra's %d" % (k, spec.k))
-        return cls(spec, terms, obj.get("basis", "diagram"))
-
-
-def _twist(spec, comp):
-    """Scalar attached to one composition by the algebra's multiplication
-    rule: delta^n, n the discarded blocks for partition and the closed loops
-    otherwise, read from :func:`_loop_factor`.  ``Element.__mul__`` puts the
-    same power on the sum of each (composite, n) instead."""
-    n = comp.blocks if spec.flavor == "partition" else comp.loops
-    return _loop_factor(spec.delta, n, 0) if n else 1
+        return cls(spec, terms, basis)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -354,27 +347,26 @@ def _loop_factor(delta, n, shift):
 
 @functools.lru_cache(maxsize=None)
 def _expansion(d, which):
-    """Signed diagram expansion of bar(d) / tilde(d) as a dict."""
+    """Signed diagram expansion of bar(d) / tilde(d) as a dict; ``which``
+    is "bar" or "tilde"."""
     if not d.is_partial_brauer():
         raise ValueError("diagram %r not admitted: %s needs partial Brauer" % (d, which))
     if which == "bar":
         pool = d.edges()
-    elif which == "tilde":
-        pool = [e for e in d.edges() if e[1] < d.k or e[0] >= d.k]
     else:
-        raise ValueError(which)
+        pool = [e for e in d.edges() if e[1] < d.k or e[0] >= d.k]
     # distinct edge subsets leave distinct diagrams, so no two terms cancel
     return {sub: (-1) ** r for sub, r in removals(d, pool)}
 
 
 def bar_of(spec, d):
     """Inclusion-exclusion removal of all edges of ``d``, in the diagram basis."""
-    return Element(spec, dict(_expansion(d, "bar")))
+    return Element(spec, _expansion(d, "bar"))
 
 
 def tilde_of(spec, d):
     """Inclusion-exclusion removal of the horizontal edges of ``d``."""
-    return Element(spec, dict(_expansion(d, "tilde")))
+    return Element(spec, _expansion(d, "tilde"))
 
 
 def change_basis(x, to):

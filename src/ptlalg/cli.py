@@ -83,10 +83,10 @@ def _read_json(path):
 
 def _element_from_json(args, obj):
     """The element of an element JSON object in the ``--algebra`` of its k."""
-    k, terms = Element.json_terms(obj)
+    k, basis, terms = Element.json_terms(obj)
     if k is None:
         raise ValueError('an element with no terms needs a "k"')
-    return Element(AlgebraSpec(args.algebra, k), terms, obj.get("basis", "diagram"))
+    return Element(AlgebraSpec(args.algebra, k), terms, basis)
 
 
 def _element_json(x):

@@ -12,10 +12,12 @@ The bar and tilde vectors act through the same weights, corrected: bar(d)
 is the signed sum of d with each subset of its edges removed, the matrix is
 multilinear in the edge weights, so subtracting delta_{i,0} delta_{j,0} from
 the weight of every removable edge gives the matrix of the whole sum without
-expanding it.  ``diagram_matrix`` acts by a plain diagram,
-``modified_weight_matrix`` by bar(d) or tilde(d) of a balanced one, and
-``element_matrix`` by any element in its own basis.  The quantum-group
-generators E, F, K_1, K_2 and K = K_1 K_2^-1 act through the coproduct
+expanding it.  Which weights a term takes is named by the basis it is
+read in: "diagram" uncorrected, "bar" or "tilde".  ``diagram_matrix`` acts
+by a plain diagram, ``modified_weight_matrix`` by bar(d) or tilde(d) of a
+balanced one, and ``element_matrix`` by any element in its own basis.  The
+quantum-group generators E, F, K_1, K_2 and K = K_1 K_2^-1 act through the
+coproduct
 
     E -> sum_i 1 x ... x E x K x ... x K,
     F -> sum_i K^-1 x ... x F x 1 x ... x 1,
@@ -42,7 +44,7 @@ from fractions import Fraction
 
 from .diagram import check_k, gen_e
 from .linalg import SparseMatrix, nullity, rank_of_rows
-from .scalar import DeltaPoly, LaurentPoly, _tidy
+from .scalar import _NUM, DeltaPoly, LaurentPoly, _tidy
 
 LETTERS = (1, 0, -1)  # site basis order: v_1, v_0, v_-1
 
@@ -66,7 +68,7 @@ class RepConfig:
     alpha: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if type(self.alpha) is bool or not isinstance(self.alpha, (int, Fraction)):
+        if type(self.alpha) not in _NUM:
             raise ValueError("alpha must be an int or a Fraction, not %r" % (self.alpha,))
         if not self.alpha:
             raise ValueError("alpha must be nonzero")
@@ -90,7 +92,7 @@ def _forms(cfg, corrected):
             (((1, -1), 0, ainv), *zero, ((-1, 1), -1, -ainv)))
 
 
-def _entries(d, cfg, correction):
+def _entries(d, cfg, basis):
     """Yield (row * 3^k + column, e, c) for each nonzero entry c * q^e of d.
 
     Each block of ``d`` contributes its own list of choices, each with its
@@ -98,12 +100,13 @@ def _entries(d, cfg, correction):
     ``_forms``, a cap its cap weights, a vertical edge one letter at both ends,
     an isolated vertex the letter 0.  The product over the blocks yields
     every nonzero entry once; exponents add and coefficients multiply.
-    ``correction`` subtracts delta_{i,0} delta_{j,0} from the weight of every
-    edge ("bar") or of the horizontal edges only ("tilde"), realizing the
+    ``basis`` is the basis ``d`` is read in: "diagram" takes the weights as
+    they are, "bar" subtracts delta_{i,0} delta_{j,0} from the weight of every
+    edge and "tilde" from the horizontal edges only, realizing the
     alternating elements directly: the forms lose their (0, 0) weight, and
-    under "bar" a vertical edge carries only +-1.  Integral products, a cup's
+    in "bar" a vertical edge carries only +-1.  Integral products, a cup's
     alpha against a cap's 1/alpha among them, are yielded as ints.  Callers
-    pass a valid ``correction``.
+    pass one of the three basis names.
     """
     if not d.is_motzkin():
         raise ValueError("diagram_matrix needs a planar partial Brauer diagram")
@@ -111,8 +114,8 @@ def _entries(d, cfg, correction):
     # letter x at vertex v adds LETTERS.index(x) = 1 - x times 3^(2k-1-v) to the
     # flat index row * 3^k + column: the top row spells the row's word
     place = [3 ** (2 * k - 1 - v) for v in range(2 * k)]
-    tform, bform = _forms(cfg, correction is not None)
-    through = (1, -1) if correction == "bar" else LETTERS
+    tform, bform = _forms(cfg, basis != "diagram")
+    through = (1, -1) if basis == "bar" else LETTERS
     blocks = [[(place[v], 0, 1)] for v in d.isolated()]
     for x, y in d.edges():
         if x < k <= y:  # a vertical edge: one letter at both ends
@@ -129,13 +132,14 @@ def _entries(d, cfg, correction):
         yield at, e, w.numerator if w.denominator == 1 else w
 
 
-def _laurent_matrix(k, terms, cfg, correction):
-    """The matrix of the sum of c * d over the (d, c) of ``terms``: one
-    LaurentPoly per entry, a Laurent c shifting the exponents."""
+def _laurent_matrix(k, terms, cfg, basis):
+    """The matrix of the sum of c * d over the (d, c) of ``terms``, each d
+    read in ``basis``: one LaurentPoly per entry, a Laurent c shifting the
+    exponents."""
     acc, m = {}, SparseMatrix(3 ** k, 3 ** k)
     for d, c in terms:
         shifts = c.coeffs.items() if isinstance(c, LaurentPoly) else ((0, c),)
-        for at, e, w in _entries(d, cfg, correction):
+        for at, e, w in _entries(d, cfg, basis):
             for s, a in shifts:
                 acc[at, e + s] = acc.get((at, e + s), 0) + a * w
     for (at, e), v in acc.items():
@@ -148,7 +152,7 @@ def _laurent_matrix(k, terms, cfg, correction):
 
 def diagram_matrix(d, cfg):
     """Action of a Motzkin diagram on the word basis, columns = input words."""
-    return _laurent_matrix(d.k, ((d, 1),), cfg, None)
+    return _laurent_matrix(d.k, ((d, 1),), cfg, "diagram")
 
 
 def modified_weight_matrix(d, variant, cfg):
@@ -169,8 +173,7 @@ def element_matrix(x, cfg):
     algebra.  The element is specialized through delta = 1 - (q + q^-1).
     """
     x = x.specialize(cfg.delta_value())
-    correction = None if x.basis == "diagram" else x.basis
-    return _laurent_matrix(x.spec.k, x.terms.items(), cfg, correction)
+    return _laurent_matrix(x.spec.k, x.terms.items(), cfg, x.basis)
 
 
 def word_weight(w):
@@ -346,7 +349,6 @@ def representation_rank(elements, q0, cfg):
     delta0 = cfg.delta_value().evaluate(q0)
     rows, entries = [], {}
     for x in elements:
-        correction = None if x.basis == "diagram" else x.basis
         power, row = _q_powers(q0, x.spec.k), {}
         for d, c in x.terms.items():
             if isinstance(c, DeltaPoly):
@@ -355,9 +357,9 @@ def representation_rank(elements, q0, cfg):
                 c = c.evaluate(q0)
             if not c:
                 continue
-            key = (d, correction)
+            key = (d, x.basis)
             if key not in entries:
-                entries[key] = list(_entries(d, cfg, correction))
+                entries[key] = list(_entries(d, cfg, x.basis))
             for at, e, w in entries[key]:
                 v = row.get(at, 0) + c * w * power[e]
                 if v:

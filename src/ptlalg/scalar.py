@@ -18,9 +18,9 @@ tensor-space action at non-integer values of the form parameter alpha).
 Integral coefficients are stored as ints, whether given as ``Fraction(n, 1)``
 or produced by arithmetic, so integral work runs in int arithmetic.
 
-The public constructor checks every exponent and coefficient; the
-arithmetic builds its results through a trusted constructor instead, since
-results of valid operands are valid by closure.
+The public constructor checks every exponent and coefficient by exact type,
+so a bool is neither; the arithmetic builds its results through a trusted
+constructor instead, since results of valid operands are valid by closure.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+# the numbers: a boundary check reads ``type(c) in _NUM``, so a bool is
+# never one; arithmetic dispatch reads ``isinstance``
 _NUM = (int, Fraction)
 
 
@@ -52,12 +54,12 @@ class IntPoly:
     def __init__(self, coeffs=None):
         coeffs = coeffs or {}
         for e, c in coeffs.items():
-            if not isinstance(e, int):
+            if type(e) is not int:
                 raise TypeError("exponents must be ints, got %r" % (e,))
             if e < 0 and not self.ALLOW_NEG:
                 raise ValueError(
                     "negative exponent %d not allowed in %s" % (e, type(self).__name__))
-            if not isinstance(c, _NUM):
+            if type(c) not in _NUM:
                 raise TypeError("coefficients must be int or Fraction, got %r" % (c,))
         object.__setattr__(self, "coeffs", _tidy(coeffs))
         object.__setattr__(self, "_hash", None)

@@ -11,11 +11,11 @@ take each other distinct piece of that work from a table local to one
 check and one algebra: the structured-products oracle forms each product
 of two expansion terms once, and the bar-path check acts each expansion
 term on each plain path once.  They stay independent of the rules they
-check: the oracle multiplies in the diagram basis by compose and the
-algebra's twist, never by ``bar_multiply`` or ``tilde_multiply``, and the
-bar-path check acts through ``cells.act_on_path``, never through
-``cells.bar_act``; a reference that shared a rule's code would agree with
-that rule's faults.
+check: the oracle multiplies in the diagram basis by compose and weighs
+each composite's closed loops itself, never by ``bar_multiply`` or
+``tilde_multiply``, and the bar-path check acts through
+``cells.act_on_path``, never through ``cells.bar_act``; a reference that
+shared a rule's code would agree with that rule's faults.
 
 The block-isomorphism check takes its right-hand side from matrix units.
 Each basis block ``to_block(bar d)`` must be the single entry (A, B) -> t of
@@ -32,7 +32,7 @@ import random
 from fractions import Fraction
 
 from . import cells, diagram, ptl, qcriteria, repn
-from .algebra import (AlgebraSpec, Element, _expansion, _twist, bar_multiply, bar_of,
+from .algebra import (AlgebraSpec, Element, _expansion, _loop_factor, bar_multiply, bar_of,
                       change_basis, epsilon, motzkin_spec, ptl_spec, tilde_multiply,
                       tilde_of, tl_spec)
 from .diagram import (balanced_motzkin_diagrams, compose, diagram_of, gen_e, gen_l,
@@ -43,13 +43,13 @@ from .scalar import DeltaPoly, LaurentPoly
 
 def _oracle(spec):
     """The expand-multiply-recollect reference for the structured products
-    of ``spec``: ``oracle(d1, d2, which)`` multiplies bar(d1) bar(d2) or
-    tilde(d1) tilde(d2) out in the diagram basis, by compose and the
-    algebra's twist as Element.__mul__ does, and recollects by change_basis.
-    The expansions come from the ``_expansion`` cache that ``change_basis``
-    reads, which neither rule calls.  Each product of two expansion terms is
-    formed once; its table belongs to the returned function, since the twist
-    depends on ``spec``.
+    of ``spec``, a Motzkin spec: ``oracle(d1, d2, which)`` multiplies
+    bar(d1) bar(d2) or tilde(d1) tilde(d2) out in the diagram basis, by
+    compose, weighing each product of two terms by delta^n itself, n its
+    closed loops, and recollects by change_basis.  The expansions come from
+    the ``_expansion`` cache that ``change_basis`` reads, which neither rule
+    calls.  Each product of two expansion terms is formed once; its table
+    belongs to the returned function, since the weight depends on ``spec``.
     """
     products = {}
 
@@ -61,9 +61,10 @@ def _oracle(spec):
                 hit = products.get((t1, t2))
                 if hit is None:
                     comp = compose(t1, t2)
-                    hit = products[(t1, t2)] = (comp.diagram, _twist(spec, comp))
-                d, twist = hit
-                out[d] = out.get(d, 0) + c1 * c2 * twist
+                    weight = _loop_factor(spec.delta, comp.loops, 0) if comp.loops else 1
+                    hit = products[(t1, t2)] = (comp.diagram, weight)
+                d, weight = hit
+                out[d] = out.get(d, 0) + c1 * c2 * weight
         x = Element._of(spec, {d: c for d, c in out.items() if c}, "diagram")
         return change_basis(x, which)
 

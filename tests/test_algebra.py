@@ -17,6 +17,7 @@ from ptlalg.diagram import (Diagram, balanced_motzkin_diagrams, compose,
                             gen_e, gen_p, gen_r, gen_l, identity,
                             motzkin_diagrams, omega, partial_brauer_diagrams,
                             removals)
+from ptlalg.repn import RepConfig
 from ptlalg.scalar import DeltaPoly, IntPoly, LaurentPoly
 from test_diagram import edge_kinds
 
@@ -376,9 +377,9 @@ def test_element_from_json_refuses_another_k():
 def test_json_terms_reads_the_element_k_once():
     e1_k2 = {"coeff": "1", "diagram": gen_e(1, 2).to_json()}
     e1_k3 = {"coeff": "1", "diagram": gen_e(1, 3).to_json()}
-    assert Element.json_terms({"terms": []}) == (None, {})
-    assert Element.json_terms({"k": 4, "terms": []}) == (4, {})
-    assert Element.json_terms({"terms": [e1_k2, e1_k2]}) == (2, {gen_e(1, 2): 2})
+    assert Element.json_terms({"terms": []}) == (None, "diagram", {})
+    assert Element.json_terms({"k": 4, "basis": "bar", "terms": []}) == (4, "bar", {})
+    assert Element.json_terms({"terms": [e1_k2, e1_k2]}) == (2, "diagram", {gen_e(1, 2): 2})
     for obj in ({"terms": [e1_k2, e1_k3]}, {"k": 2, "terms": [e1_k3]}):
         with pytest.raises(ValueError, match="^an element has one k, not 2 and 3$"):
             Element.json_terms(obj)
@@ -1214,4 +1215,29 @@ def test_tabled_oracle_matches_the_untabled_one(monkeypatch):
 ], ids=["flavor", "change-basis", "diagram-of-another-k"])
 def test_refusals_name_their_input(call, message):
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()
+
+
+M2, E1 = motzkin_spec(2), gen_e(1, 2)
+NOT_SCALAR = "coefficient %s is not a scalar of motzkin at delta = delta"
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: IntPoly({0: True}), TypeError, "coefficients must be int or Fraction, got True"),
+    (lambda: DeltaPoly({True: 1}), TypeError, "exponents must be ints, got True"),
+    (lambda: Element(M2, {E1: True}), ValueError, NOT_SCALAR % True),
+    (lambda: Element(M2, {E1: False}), ValueError, NOT_SCALAR % False),
+    (lambda: Element.of(M2, E1, True), ValueError, NOT_SCALAR % True),
+    (lambda: Element.of(M2, E1).scale(True), ValueError, NOT_SCALAR % True),
+    (lambda: True * Element.of(M2, E1), ValueError, NOT_SCALAR % True),
+    (lambda: AlgebraSpec("ptl", 2, True), ValueError,
+     "delta True is not an int, Fraction or IntPoly"),
+    (lambda: RepConfig(True), ValueError, "alpha must be an int or a Fraction, not True"),
+], ids=["intpoly-coeff", "deltapoly-exponent", "element-true", "element-false", "element-of",
+        "scale", "rmul", "spec-delta", "rep-alpha"])
+def test_a_bool_is_not_a_number(call, exc, message):
+    # a bool is an int to isinstance, but no boundary takes it for a number:
+    # accepted, Element(M2, {E1: True}) would write "coeff": "True", which
+    # from_json refuses, and {E1: False} would be the zero element
+    with pytest.raises(exc, match="^%s$" % re.escape(message)):
         call()

@@ -495,11 +495,13 @@ def test_malformed_diagram_shape_is_named(text, message, tmp_path, capsys):
     ('{"terms":[{"coeff":"delta","diagram":%s},{"coeff":"q","diagram":%s}]}'
      % (json.dumps(E1_K2), json.dumps(E1_K2)),
      "coefficients delta and q of one diagram are in different rings", None),
+    ('{"k":2,"basis":5,"terms":[]}', "unknown basis 5", None),
+    ('{"k":2,"basis":"Bar","terms":[]}', "unknown basis 'Bar'", None),
 ], ids=["terms-object", "terms-object-no-k", "terms-string", "terms-null", "term-int",
         "term-string", "element-list", "element-string", "diagram-int", "coeff-int",
         "coeff-null", "k-list", "k-object", "no-terms", "term-no-diagram", "term-no-coeff",
         "term-diagram-no-k", "k-and-basis-no-terms", "element-key-misspelt", "term-key",
-        "term-diagram-key", "coeffs-in-two-rings"])
+        "term-diagram-key", "coeffs-in-two-rings", "basis-int", "basis-misspelt"])
 def test_malformed_element_shape_is_named(text, message, render_message, tmp_path, capsys):
     f = tmp_path / "x.json"
     f.write_text(text)

@@ -1021,9 +1021,9 @@ def test_representation_rank_generates_each_diagram_once(monkeypatch):
 
     real, generated = ptlalg.repn._entries, []
 
-    def counting(d, c, correction):
-        generated.append((d, correction))
-        return real(d, c, correction)
+    def counting(d, c, basis):
+        generated.append((d, basis))
+        return real(d, c, basis)
 
     spec = motzkin_spec(4)
     basis = balanced_motzkin_diagrams(4)
@@ -1037,7 +1037,7 @@ def test_representation_rank_generates_each_diagram_once(monkeypatch):
     both = [Element.of(spec, d, 1, "tilde") for d in basis] + [Element.of(spec, d) for d in basis]
     representation_rank(both + both, 2, cfg)
     assert sorted(generated, key=repr) == sorted(
-        [(d, "tilde") for d in basis] + [(d, None) for d in basis], key=repr)
+        [(d, "tilde") for d in basis] + [(d, "diagram") for d in basis], key=repr)
 
 
 def test_rank_and_commutant_rows_hold_no_zero(monkeypatch):
