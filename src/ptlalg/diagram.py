@@ -23,11 +23,15 @@ free vertex, first isolated, then joined to each later free vertex in
 turn, so the block tuples come canonical and in canonical order: all of
 them for partial Brauer, those whose edges do not cross on the circle
 1..k, k'..1' for Motzkin, and those of these with no isolated vertex for
-Temperley-Lieb.  The balanced Motzkin diagrams are carried from the TL
-ones through the triples, stratum by stratum.  The recursion passes each
-tuple to a sink: the enumerators intern them, while
-:func:`enumerate_keys` hands them on unbuilt, and :func:`count_diagrams`
-gives each family's size by closed form.
+Temperley-Lieb.  Once the top row is placed, the rest of the recursion
+depends only on which bottom vertices are still free, so each call lists
+the completions of each such bottom row once, in a table keyed by those
+flags, and joins every top-row placement to each of them in turn.  The
+balanced Motzkin diagrams are carried from the TL ones through the
+triples, stratum by stratum.  The recursion passes each tuple to a sink:
+the enumerators intern them, while :func:`enumerate_keys` hands them on
+unbuilt, and :func:`count_diagrams` gives each family's size by closed
+form.
 
 Composition stacks the left factor above the right one and counts the
 discarded interior blocks; for partial Brauer diagrams these split into
@@ -640,11 +644,21 @@ def _place(k, sink, planar, isolated):
     a and b is then free, and without isolated vertices b must leave an
     even number of them, an odd distance around the circle, or they could
     not all be joined.  No choice leads to a dead end.
+
+    Once the top row is placed, what is left depends only on which bottom
+    vertices are still free: the partners of a bottom vertex read nothing
+    else.  So the bottom-row completions are listed once per set of free
+    bottom vertices, in a table local to the call keyed by those flags (at
+    most 2^k keys), filled on first sight by the same recursion; each
+    placement of the top row then emits its blocks followed by each listed
+    completion in turn, the order the recursion would make them in.
     """
     n = 2 * k
     free = [True] * n
     blocks = []
     circle = list(range(k)) + list(range(2 * k - 1, k - 1, -1))
+    done = [()]  # the one completion of a bottom row with no free vertex
+    table = {}
 
     def partners(a):
         if not planar:
@@ -663,11 +677,33 @@ def _place(k, sink, planar, isolated):
             run = [b for b in run if (circle[b] - circle[a]) % 2]
         return run
 
-    def place(a):
+    def bottom(a):
+        # the block tuples that complete the bottom row from vertex a on
         while a < n and not free[a]:
             a += 1
         if a == n:
-            sink(tuple(blocks))
+            return done
+        key = tuple(free[k:])
+        tails = table.get(key)
+        if tails is None:
+            tails = table[key] = []
+            free[a] = False
+            if isolated:
+                tails += [((a,),) + t for t in bottom(a + 1)]
+            for b in partners(a):
+                free[b] = False
+                tails += [((a, b),) + t for t in bottom(a + 1)]
+                free[b] = True
+            free[a] = True
+        return tails
+
+    def place(a):
+        while a < k and not free[a]:
+            a += 1
+        if a == k:
+            head = tuple(blocks)
+            for tail in bottom(k):
+                sink(head + tail)
             return
         free[a] = False
         if isolated:
@@ -729,7 +765,9 @@ def _check_family(kind, k, n):
 def enumerate_keys(kind, k, sink, n=None):
     """Pass ``sink`` the block tuple of each diagram of
     ``enumerate_diagrams(kind, k, n)``, in the same order, as it is made:
-    no Diagram is built and no list of the family is held."""
+    no Diagram is built and no list of the family is held, only the
+    bottom-row completions of :func:`_place`'s table (at most 2^k keys),
+    dropped when the call returns."""
     _check_family(kind, k, n)
     if kind == "balanced_motzkin_n":
         _stratum_keys(n, k, sink)

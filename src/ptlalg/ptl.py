@@ -48,6 +48,11 @@ def to_block(x, n=None):
     TL_n(delta - 1) :class:`Element` entries; row and column i are the i-th
     n-subset of {1..k} in colexicographic order.  With ``n`` given (an int
     in 0..k), the zero element maps to the empty block.
+
+    Each entry is built by closure through ``Element._of``, unchecked: t
+    is a TL n-diagram by the triple's construction, and c a nonzero
+    coefficient of the valid element x, so a scalar of the entry algebra's
+    ring, as delta - 1 has the type of delta.
     """
     if x.basis != "bar":
         raise ValueError("to_block expects bar coordinates")
@@ -65,7 +70,7 @@ def to_block(x, n=None):
     block = SparseMatrix(len(subsets), len(subsets))
     for d, c in x.terms.items():
         A, t, B = triple_of(d)
-        block.add_at(idx[A], idx[B], Element.of(tspec, t, c))
+        block.add_at(idx[A], idx[B], Element._of(tspec, {t: c}, "diagram"))
     return block
 
 

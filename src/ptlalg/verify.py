@@ -8,14 +8,16 @@ where a check documents an opt-in.  The CLI surfaces these as ``ptl verify``.
 The brute-force references expand, act and recollect.  They read each
 expansion from the ``_expansion`` cache that ``change_basis`` reads, and
 take each other distinct piece of that work from a table local to one
-check and one algebra: the structured-products oracle forms each product
-of two expansion terms once, and the bar-path check acts each expansion
-term on each plain path once.  They stay independent of the rules they
-check: the oracle multiplies in the diagram basis by compose and weighs
-each composite's closed loops itself, never by ``bar_multiply`` or
-``tilde_multiply``, and the bar-path check acts through
-``cells.act_on_path``, never through ``cells.bar_act``; a reference that
-shared a rule's code would agree with that rule's faults.
+check and one algebra: the structured-products oracle composes each pair
+of expansion terms once, and the bar-path check acts each expansion term
+on each plain path once and recollects each plain path once, summing the
+recollections by linearity.  They stay independent of the rules they
+check: the oracle multiplies in the diagram basis by compose, sums the
+integer coefficients per composite and loop count and weighs each sum by
+delta^n itself, never by ``bar_multiply`` or ``tilde_multiply``, and the
+bar-path check acts through ``cells.act_on_path``, never through
+``cells.bar_act``; a reference that shared a rule's code would agree with
+that rule's faults.
 
 The block-isomorphism check takes its right-hand side from matrix units.
 Each basis block ``to_block(bar d)`` must be the single entry (A, B) -> t of
@@ -45,26 +47,32 @@ def _oracle(spec):
     """The expand-multiply-recollect reference for the structured products
     of ``spec``, a Motzkin spec: ``oracle(d1, d2, which)`` multiplies
     bar(d1) bar(d2) or tilde(d1) tilde(d2) out in the diagram basis, by
-    compose, weighing each product of two terms by delta^n itself, n its
-    closed loops, and recollects by change_basis.  The expansions come from
-    the ``_expansion`` cache that ``change_basis`` reads, which neither rule
-    calls.  Each product of two expansion terms is formed once; its table
-    belongs to the returned function, since the weight depends on ``spec``.
+    compose, and recollects by change_basis.  The expansions come from the
+    ``_expansion`` cache that ``change_basis`` reads, which neither rule
+    calls.  The integer products c1 c2 of two expansion terms are summed
+    per (composite, n), n its closed loops, and each sum is weighed by
+    delta^n once, as the diagram-basis product does.  Each pair of
+    expansion terms is composed once, in a table that belongs to the
+    returned function.
     """
     products = {}
 
     def oracle(d1, d2, which):
-        out = {}
+        acc = {}
         terms2 = _expansion(d2, which)
         for t1, c1 in _expansion(d1, which).items():
             for t2, c2 in terms2.items():
-                hit = products.get((t1, t2))
-                if hit is None:
+                key = products.get((t1, t2))
+                if key is None:
                     comp = compose(t1, t2)
-                    weight = _loop_factor(spec.delta, comp.loops, 0) if comp.loops else 1
-                    hit = products[(t1, t2)] = (comp.diagram, weight)
-                d, weight = hit
-                out[d] = out.get(d, 0) + c1 * c2 * weight
+                    key = products[(t1, t2)] = (comp.diagram, comp.loops)
+                acc[key] = acc.get(key, 0) + c1 * c2
+        out = {}
+        for (d, n), c in acc.items():
+            if c and n:
+                c = c * _loop_factor(spec.delta, n, 0)
+            if c:
+                out[d] = out.get(d, 0) + c
         x = Element._of(spec, {d: c for d, c in out.items() if c}, "diagram")
         return change_basis(x, which)
 
@@ -255,6 +263,9 @@ def check_bar_path_action(kcap):
     bar_paths = {a: cells.bar_path(a) for a in cells.motzkin_paths(k)}
     # (expansion term, plain path) -> (delta^N, image path), acted once
     actions = {}
+    # plain path -> its bar-path coordinates, recollected once: recollection
+    # is linear, so a combination's is the sum of its paths'
+    recollected = {}
     for d in balanced_motzkin_diagrams(k):
         expansion = bar_of(spec, d)
         for a, bar_a in bar_paths.items():
@@ -267,7 +278,16 @@ def check_bar_path_action(kcap):
                         hit = actions[(dt, p)] = (delta ** n if n else 1, b)
                     scalar, b = hit
                     acc[b] = acc.get(b, 0) + cd * cp * scalar
-            brute = cells.collect_bar_paths(acc)
+            brute = {}
+            for b, c in acc.items():
+                if not c:
+                    continue
+                coords = recollected.get(b)
+                if coords is None:
+                    coords = recollected[b] = cells.collect_bar_paths({b: 1})
+                for p, cp in coords.items():
+                    brute[p] = brute.get(p, 0) + c * cp
+            brute = {p: c for p, c in brute.items() if c}
             hit = cells.bar_act(spec, d, a)
             want = {} if hit is None else {hit[1]: hit[0]}
             if brute != want:

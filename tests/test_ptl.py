@@ -292,6 +292,24 @@ def test_block_round_trip():
     assert from_block(spec4, 2, block) == x
 
 
+@pytest.mark.parametrize("delta", [None, 3, Fraction(5, 2), DeltaPoly.gen() + 1],
+                         ids=["generic", "int", "fraction", "polynomial"])
+def test_block_entries_are_what_the_checked_constructor_builds(delta):
+    # to_block builds each entry by closure: at every kind of delta it must
+    # equal the checked Element of TL_n(delta - 1), coefficient type included
+    spec = AlgebraSpec("ptl", 3, delta)
+    coeffs = [Fraction(-1, 2), 3, spec.delta, Fraction(4, 1)]
+    for i, d in enumerate(balanced_motzkin_diagrams(3)):
+        c = coeffs[i % len(coeffs)]
+        A, t, B = triple_of(d)
+        (at, entry), = to_block(Element.of(spec, d, c, "bar")).entries.items()
+        subsets = n_subsets(3, t.k)
+        assert at == (subsets.index(A), subsets.index(B))
+        want = Element.of(AlgebraSpec("tl", t.k, spec.delta - 1), t, c)
+        assert entry == want
+        assert type(entry.terms[t]) is type(c)
+
+
 def test_repeated_block_transport_constructs_no_diagram(monkeypatch):
     spec = AlgebraSpec("ptl", 4)
     basis = [Element.of(spec, d, 1, "bar") for d in balanced_motzkin_diagrams(4)]

@@ -112,13 +112,21 @@ FAULTS = [
     Fault("algebra.py", "if not (type(c) in _NUM or", "if not (isinstance(c, _NUM) or",
           "tests/test_algebra.py", "killed",
           "a bool passes for an int coefficient, and an element of False coefficients is zero"),
-    Fault("verify.py", "_loop_factor(spec.delta, comp.loops, 0) if comp.loops else 1",
-          "_loop_factor(spec.delta, comp.blocks, 0) if comp.blocks else 1",
+    Fault("verify.py", "(comp.diagram, comp.loops)", "(comp.diagram, comp.blocks)",
           "tests/test_algebra.py", "killed",
           "the structured-products oracle weighs every discarded block, open paths too"),
     Fault("repn.py", 'tform, bform = _forms(cfg, basis != "diagram")',
           'tform, bform = _forms(cfg, basis == "bar")', "tests/test_repn.py", "killed",
           "a tilde vector acts with the uncorrected (0, 0) weights of its cups and caps"),
+    Fault("diagram.py", "key = tuple(free[k:])", "key = sum(free[k:])",
+          "tests/test_diagram.py", "killed",
+          "bottom rows with as many free vertices share their completions"),
+    Fault("diagram.py", "key = tuple(free[k:])", "key = tuple(free)",
+          "tests/test_diagram.py", "equivalent",
+          "the table is read only once the top row is placed, all of it taken, so "
+          "the longer key names the same entries and costs time only"),
+    Fault("verify.py", "if c and n:", "if c and n > 1:", "tests/test_algebra.py", "killed",
+          "the structured-products oracle leaves a sum with one closed loop unweighed"),
 ]
 
 
