@@ -39,12 +39,14 @@ closed loops, which the twisted product weighs by delta, and open paths,
 which it weighs by 1.  How the middle row glues the factors' blocks depends
 only on the partition that the left factor's blocks cut its bottom row
 into, and the right factor's its top row, with which blocks reach the
-outer rows: the two half-diagram signatures.  So the gluing is worked out
-once per pair of signatures, a plan kept in a table keyed by their
-numbers, and each product only looks its plan up and joins the outer-row
-pieces of its blocks that the plan names.  The plan also names the
-through paths that snake, meeting the middle row more than once, whose
-edges the tilde product weighs by (1 - p_t).
+outer rows: the two half-diagram signatures.  The middle row's components
+depend on the two rows' labels alone, so they are found once per pair of
+label tuples, in one table; the gluing, which sorts those components by
+the reach flags, is worked out once per pair of signatures, a plan kept
+in a table keyed by their numbers.  Each product only looks its plan up
+and joins the outer-row pieces of its blocks that the plan names.  The
+plan also names the through paths that snake, meeting the middle row more
+than once, whose edges the tilde product weighs by (1 - p_t).
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ from typing import NamedTuple
 _INTERNED = {}
 # half-diagram signature (see Diagram._halves) -> its number
 _SIGNATURES = {}
+# signature number -> the signature, the inverse of _SIGNATURES
+_SIGNATURE_KEYS = []
+# (bottom labels, top labels) -> the middle row's components (see _components)
+_COMPONENTS = {}
 # bottom signature number -> {top signature number: plan} (see compose)
 _PLANS = []
 # plan -> itself, so that equal plans are one object
@@ -206,24 +212,26 @@ class Diagram:
         labels of its k columns together with, per label, whether that block
         reaches the other row; :func:`_signature` numbers it.  A label's
         piece is its block's vertices on the other row, empty when the block
-        does not reach it."""
+        does not reach it.  One pass over the blocks records each vertex's
+        block index; each row is then read once, its blocks labelled by
+        those int keys."""
         try:
             return self._half
         except AttributeError:
             pass
         k, blocks = self.k, self.blocks
-        block_at = {v: b for b in blocks for v in b}
+        at = [0] * (2 * k)  # vertex -> the index of its block
+        for n, b in enumerate(blocks):
+            for v in b:
+                at[v] = n
+        cut = [bisect.bisect_left(b, k) for b in blocks]  # a block's top-row length
         half = ()
-        for row in (range(k), range(k, 2 * k)):
-            label, pieces = {}, []
-            for v in row:
-                b = block_at[v]
-                if b not in label:
-                    label[b] = len(label)
-                    pieces.append(tuple(u for u in b if u not in row))
-            labels = tuple(label[block_at[v]] for v in row)
-            half += (_signature((labels, tuple(map(bool, pieces)))), tuple(pieces),
-                     tuple(b for b in blocks if b not in label))
+        for row, top in ((at[:k], True), (at[k:], False)):
+            label = {}  # block index -> label, in the order of first column
+            labels = tuple([label.setdefault(n, len(label)) for n in row])
+            pieces = tuple([blocks[n][cut[n]:] if top else blocks[n][:cut[n]] for n in label])
+            half += (_signature((labels, tuple(map(bool, pieces)))), pieces,
+                     tuple([b for n, b in enumerate(blocks) if n not in label]))
         half += (self.is_partial_brauer(),)
         object.__setattr__(self, "_half", half)
         return half
@@ -399,8 +407,11 @@ def compose(d1, d2):
     blocks += lower
     for i, j in pairs:
         blocks.append(piece[i] + piece[j])
-    for join in merged:
-        blocks.append(tuple(sorted(v for i in join for v in piece[i])))
+    for join in merged:  # two or more nodes
+        b = piece[join[0]] + piece[join[1]]
+        for i in join[2:]:
+            b += piece[i]
+        blocks.append(tuple(sorted(b)))
     blocks.sort()
     key = tuple(blocks)
     d3 = _INTERNED.get(key)
@@ -415,52 +426,76 @@ def compose(d1, d2):
 
 def _signature(key):
     """The number of the half-diagram signature ``key``, given on first
-    sight; it is also the signature's row of ``_PLANS``."""
-    n = _SIGNATURES.setdefault(key, len(_SIGNATURES))
-    if n == len(_PLANS):
+    sight; it is also the signature's index in ``_SIGNATURE_KEYS`` and its
+    row of ``_PLANS``."""
+    n = _SIGNATURES.get(key)
+    if n is None:
+        n = _SIGNATURES[key] = len(_SIGNATURE_KEYS)
+        _SIGNATURE_KEYS.append(key)
         _PLANS.append({})
     return n
 
 
-def _plan(bottom, top):
-    """Build and store the plan of :func:`compose` for a left factor of
-    bottom signature ``bottom`` over a right factor of top signature ``top``.
+def _components(below, above):
+    """The components of the middle row where a row labelled ``below`` (the
+    left factor's bottom row) meets one labelled ``above`` (the right
+    factor's top row), in the order of their least node, each as its nodes
+    in increasing order and whether every node holds two middle columns.
 
-    The nodes are the left factor's labels 0..m-1, then the right factor's
-    labels shifted by m, so node i's piece is ``(pieces1 + pieces2)[i]``;
-    column c joins node below[c] to node m + above[c].  Every label holds a
-    column, so every component holds nodes of both factors.  One with no
-    node that reaches an outer row is a discarded block; it is a closed
-    loop when each node holds two middle columns, for its blocks are then
-    edges.  Any other is one outer block: a pair (i, j) of a left node i
-    and a right node j when at most one node per side reaches out (a side
-    that has none gives a node whose piece is empty), since top-row
-    vertices come before bottom-row ones; else the tuple of its reaching
-    nodes, whose pieces are merged and sorted.  A pair snakes when both of
-    its nodes reach out and the component holds more: for partial Brauer
-    factors that is a through path that meets the middle row more than
-    once.  Equal plans are stored as one object.
-    """
-    keys = list(_SIGNATURES)
-    (below, reach1), (above, reach2) = keys[bottom], keys[top]
-    m = len(reach1)
-    reach = reach1 + reach2
-    ends = below + tuple(m + j for j in above)  # the node at each middle vertex
-    comp = list(range(len(reach)))
+    The nodes are the labels of ``below``, 0..m-1, then those of ``above``
+    shifted by m; column c joins node below[c] to node m + above[c].  They
+    depend on the labels alone, not on which blocks reach the outer rows,
+    so :func:`_plan` asks once per pair of label tuples and keeps the
+    answer in ``_COMPONENTS``."""
+    m = max(below, default=-1) + 1
+    middle = [0] * (m + max(above, default=-1) + 1)  # a node's middle columns
+    comp = list(range(len(middle)))
     for i, j in zip(below, above):
+        middle[i] += 1
+        middle[m + j] += 1
         a, b = comp[i], comp[m + j]
         if a != b:
             comp = [a if c == b else c for c in comp]
     components = {}
     for node, c in enumerate(comp):
         components.setdefault(c, []).append(node)
+    return tuple((tuple(nodes), all(middle[i] == 2 for i in nodes))
+                 for nodes in components.values())
+
+
+def _plan(bottom, top):
+    """Build and store the plan of :func:`compose` for a left factor of
+    bottom signature ``bottom`` over a right factor of top signature ``top``.
+
+    The middle row's components come from :func:`_components`, once per
+    pair of label tuples; the plan only sorts them by the signatures' reach
+    flags, once per pair of signatures.  Node i's piece is
+    ``(pieces1 + pieces2)[i]``.  Every label holds a column, so every
+    component holds nodes of both factors.  One with no node that reaches
+    an outer row is a discarded block; it is a closed loop when each node
+    holds two middle columns, for its blocks are then edges.  Any other is
+    one outer block: a pair (i, j) of a left node i and a right node j when
+    at most one node per side reaches out (a side that has none gives a
+    node whose piece is empty), since top-row vertices come before
+    bottom-row ones; else the tuple of its reaching nodes, whose pieces are
+    merged and sorted.  A pair snakes when both of its nodes reach out and
+    the component holds more: for partial Brauer factors that is a through
+    path that meets the middle row more than once.  Equal plans are stored
+    as one object.
+    """
+    (below, reach1), (above, reach2) = _SIGNATURE_KEYS[bottom], _SIGNATURE_KEYS[top]
+    components = _COMPONENTS.get((below, above))
+    if components is None:
+        components = _COMPONENTS[below, above] = _components(below, above)
+    m = len(reach1)
+    reach = reach1 + reach2
     pairs, merged, n_blocks, n_loops, snaking = [], [], 0, 0, []
-    for nodes in components.values():
+    for nodes, loop in components:
         left = [i for i in nodes if i < m and reach[i]]
         right = [j for j in nodes if j >= m and reach[j]]
         if not left and not right:
             n_blocks += 1
-            n_loops += all(ends.count(i) == 2 for i in nodes)
+            n_loops += loop
         elif len(left) <= 1 and len(right) <= 1:
             pairs.append(((left or nodes)[0], (right or nodes)[-1]))
             if left and right and len(nodes) > 2:
@@ -487,23 +522,32 @@ def removals(d, edge_pool):
     """(diagram, #removed) for every way of excising a subset of ``edge_pool``,
     distinct edges of ``d`` (``ValueError`` otherwise).
 
-    The empty subset comes first as ``(d, 0)``, ``d`` itself.  Every other
-    term is ``d``'s blocks less the removed edges, plus each removed
-    endpoint as a singleton, sorted once and interned unchecked.
+    The empty subset comes first as ``(d, 0)``, ``d`` itself; then the
+    subsets by size, each size in the order of ``itertools.combinations``.
+    Every other term is ``d``'s blocks less the removed edges, plus each
+    removed endpoint as a singleton, interned unchecked.  No subset filters
+    the pool or sorts: ``d``'s blocks are laid out once at their least
+    vertices, each subset's copy of that row puts the singletons of its
+    removed edges at their two ends, and what is set of it, read in order,
+    is the canonical block tuple.
     """
     out = [(d, 0)]
     pool = list(edge_pool)
     if pool:
-        fixed = [b for b in d.blocks if b not in pool]
-        if len(fixed) + len(pool) != len(d.blocks) or any(len(e) != 2 for e in pool):
+        if len([b for b in d.blocks if b in pool]) != len(pool) or any(len(e) != 2 for e in pool):
             raise ValueError("%r is not a list of distinct edges of %r" % (pool, d))
+        k, of = d.k, Diagram._of
+        single = omega(k).blocks  # vertex v's singleton (v,), shared by every term
+        row = [None] * (2 * k)
+        for b in d.blocks:
+            row[b[0]] = b
         for r in range(1, len(pool) + 1):
             for removed in itertools.combinations(pool, r):
-                blocks = fixed + [e for e in pool if e not in removed]
+                at = row[:]
                 for u, v in removed:
-                    blocks += ((u,), (v,))
-                blocks.sort()
-                out.append((Diagram._of(d.k, tuple(blocks)), r))
+                    at[u] = single[u]
+                    at[v] = single[v]
+                out.append((of(k, tuple(filter(None, at))), r))
     return out
 
 

@@ -459,10 +459,17 @@ def test_compose_matches_reference_on_random_set_partitions(k):
     assert discarded > 0 and merged > 0  # some outer block takes two pieces of one factor
 
 
+def clear_plan_tables():
+    """Empty the plan and component tables: both are caches, rebuilt as
+    they are next needed."""
+    for plans in diagram._PLANS:
+        plans.clear()
+    diagram._COMPONENTS.clear()
+
+
 def test_each_signature_pair_plan_is_built_once(monkeypatch):
     pool = balanced_motzkin_diagrams(4)
-    for plans in diagram._PLANS:
-        plans.clear()  # a cache: a plan is rebuilt when it is next needed
+    clear_plan_tables()
     built, build = [], diagram._plan
     monkeypatch.setattr(diagram, "_plan", lambda bottom, top: (
         built.append((bottom, top)), build(bottom, top))[1])
@@ -478,6 +485,85 @@ def test_each_signature_pair_plan_is_built_once(monkeypatch):
         for d2 in pool:
             compose(d1, d2)
     assert built == []
+
+
+def reference_plan(bottom_key, top_key):
+    """The plan of ``compose`` for a bottom signature over a top one, from
+    its definition: a plain union-find over the middle row, whose nodes are
+    the left factor's labels 0..m-1 and then the right factor's shifted by
+    m.  A component that reaches no outer row is a discarded block, a loop
+    when each node holds two middle columns; one with at most one reaching
+    node per side is a pair (its left reaching node or least left node, its
+    right reaching node or greatest right node), snaking when both nodes
+    reach out and it holds more; any other merges its reaching nodes.
+    Components are taken in the order of their least node."""
+    (below, reach1), (above, reach2) = bottom_key, top_key
+    m = len(reach1)
+    reach = reach1 + reach2
+    parent = list(range(len(reach)))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i, j in zip(below, above):
+        parent[find(m + j)] = find(i)
+    members = {}
+    for node in range(len(reach)):
+        members.setdefault(find(node), []).append(node)
+    columns = lambda v: below.count(v) if v < m else above.count(v - m)
+    pairs, merged, snaking = [], [], []
+    n_blocks = n_loops = 0
+    for nodes in members.values():
+        left = [v for v in nodes if v < m and reach[v]]
+        right = [v for v in nodes if v >= m and reach[v]]
+        if not left and not right:
+            n_blocks += 1
+            n_loops += all(columns(v) == 2 for v in nodes)
+        elif len(left) <= 1 and len(right) <= 1:
+            pair = (left[0] if left else min(v for v in nodes if v < m),
+                    right[0] if right else max(v for v in nodes if v >= m))
+            pairs.append(pair)
+            if left and right and len(nodes) > 2:
+                snaking.append(pair)
+        else:
+            merged.append(tuple(left + right))
+    return tuple(pairs), tuple(merged), n_blocks, n_loops, tuple(snaking)
+
+
+def test_middle_row_components_are_built_once_per_pair_of_label_tuples(monkeypatch):
+    pool = balanced_motzkin_diagrams(4)
+    clear_plan_tables()
+    built, build = [], diagram._components
+    monkeypatch.setattr(diagram, "_components", lambda below, above: (
+        built.append((below, above)), build(below, above))[1])
+    for d1 in pool:
+        for d2 in pool:
+            compose(d1, d2)
+    key = {n: signature for signature, n in diagram._SIGNATURES.items()}
+    bottoms = {key[reference_halves(d)[3]] for d in pool}
+    tops = {key[reference_halves(d)[0]] for d in pool}
+    labels = {(below, above) for (below, _), (above, _) in itertools.product(bottoms, tops)}
+    assert sorted(built) == sorted(labels)
+    # components per pair of label tuples, plans per pair of signatures
+    assert len(built) == 81 < len(bottoms) * len(tops) // 10
+    # and on factors of other kinds, every plan stored is the reference one
+    rng = random.Random(44)
+    for others in (partial_brauer_diagrams(3),
+                   [random_set_partition(rng, 4) for _ in range(150)],
+                   [random_set_partition(rng, 5) for _ in range(150)]):
+        for d1 in others:
+            for d2 in rng.sample(others, 40):
+                compose(d1, d2)
+    assert len(built) == len(set(built)) > 81
+    key = {n: signature for signature, n in diagram._SIGNATURES.items()}
+    stored = [(bottom, top, plan) for bottom, plans in enumerate(diagram._PLANS)
+              for top, plan in plans.items()]
+    assert len(stored) > 5000
+    for bottom, top, plan in stored:
+        assert plan == reference_plan(key[bottom], key[top])
 
 
 @functools.lru_cache(maxsize=None)
